@@ -23,6 +23,9 @@ from .polytope import NormalSet
 from .position import cone_membership, is_conical_position, is_primitive
 
 MAX_SUBSET_COUNT = 10 ** 7
+# Entries kept by each per-NormalSet cache, so a long-lived process holds
+# the verdicts of the most recent normal sets only.
+NORMAL_SET_CACHE_SIZE = 128
 
 ConicalCertificate = tuple[Vec, ...]
 # (V1, V2, common nonzero point of both positive hulls)
@@ -41,7 +44,7 @@ class ClassificationVerdict:
         return self.mono_certificate if not self.monotypic else self.strong_certificate
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
 def validate_normal_set(N: NormalSet) -> None:
     """A valid facet-normal set spans the space and has the origin interior
     to its convex hull (equivalently, its positive hull is everything)."""
@@ -64,7 +67,7 @@ def _guard(N: NormalSet) -> None:
             f"({MAX_SUBSET_COUNT})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
 def check_strong_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertificate]]:
     """True iff no (n+1)-subset of the normals is in conical position.
 
@@ -79,18 +82,18 @@ def check_strong_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertifica
     return True, None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
 def check_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertificate]]:
     """True iff every (n+1)-subset in conical position has its positive hull
     containing some further normal of N."""
     validate_normal_set(N)
     _guard(N)
-    members = set(N.normals)
     for subset in combinations(N.normals, N.dim + 1):
         if not is_conical_position(subset):
             continue
+        inside = set(subset)
         captured = any(cone_membership(m, subset) is not None
-                       for m in N.normals if m not in set(subset))
+                       for m in N.normals if m not in inside)
         if not captured:
             return False, subset
     return True, None
@@ -125,7 +128,7 @@ def _cones_meet(v1: tuple[Vec, ...], v2: tuple[Vec, ...]) -> Optional[Vec]:
     return point
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
 def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
     """True iff every two disjoint primitive subsets have positive hulls
     meeting only at the origin."""

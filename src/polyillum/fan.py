@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from .classify import check_monotypy, validate_normal_set
+from .classify import NORMAL_SET_CACHE_SIZE, check_monotypy, validate_normal_set
 from .errors import InputError, InternalInvariantError
 from .kernel import Vec, rank, vadd, zero_vec
 from .lp import solve_eq_nonneg
@@ -29,7 +29,7 @@ class FanCone:
     vertex: Optional[Vertex] = None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
 def enumerate_primitive_bases(N: NormalSet) -> tuple[FanCone, ...]:
     """All primitive n-subsets of the normals, in lexicographic order over
     the canonical normal order. Each spans a pointed full-dimensional
@@ -73,7 +73,7 @@ def _interiors_meet(v1: tuple[Vec, ...], v2: tuple[Vec, ...]) -> bool:
     return solve_eq_nonneg(rows, list(rhs)) is not None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
 def _first_overlapping_pair(N: NormalSet):
     bases = enumerate_primitive_bases(N)
     for a in range(len(bases)):

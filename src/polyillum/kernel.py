@@ -21,16 +21,26 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (decimal integers, optional leading minus)."""
+    """Parse "p" or "p/q" (decimal integers, optional leading minus).
+
+    Anything but a string (a JSON number, say) is rejected, and so is a
+    literal too long for `int` (Python's integer string-conversion limit).
+    """
+    if not isinstance(text, str):
+        raise InputError(f"rational literal must be a string, got {text!r}")
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise InputError(f"not a rational literal: {text!r}")
-    if "/" in s:
-        p, q = s.split("/")
-        if int(q) == 0:
-            raise InputError(f"zero denominator in rational literal: {text!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    p, _, q = s.partition("/")
+    try:
+        num, den = int(p), int(q or 1)
+    except ValueError:
+        raise InputError(
+            f"rational literal of {len(s)} characters exceeds the integer "
+            f"string-conversion limit")
+    if den == 0:
+        raise InputError(f"zero denominator in rational literal: {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> str:

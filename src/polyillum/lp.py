@@ -122,13 +122,3 @@ def feasible(constraints: Sequence[Constraint], dim: Optional[int] = None) -> Op
         return None
     return tuple(y[i] - y[d + i] for i in range(d))
 
-
-def satisfies(constraints: Sequence[Constraint], v: Vec) -> bool:
-    from .kernel import dot
-    for a, c, rel in constraints:
-        val = dot(a, v)
-        if rel == GE and not val >= c:
-            return False
-        if rel == EQ and val != c:
-            return False
-    return True

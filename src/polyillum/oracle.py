@@ -3,8 +3,12 @@
 Whether a direction illuminates a vertex depends only on the signs of its
 products with the tight normals, so directions are quantified over the
 full-dimensional cells of the central hyperplane arrangement of the
-normals. One exact-feasibility check per sign vector enumerates the
-cells; exhaustive set cover over the cells gives the true minimum.
+normals. A sign vector is a cell exactly when no circuit (minimal
+dependent subset) of the normals has signs that agree with it, or with
+its negation, on the circuit's support (Gordan's alternative). Sign
+vectors that agree with a circuit are skipped by integer comparisons, so
+one exact-feasibility LP runs per cell and yields its representative;
+exhaustive set cover over the cells gives the true minimum.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil
+from typing import Iterator, Sequence
 
 from .errors import InternalInvariantError, ScaleLimitError
-from .kernel import Vec, dot, vscale
+from .kernel import Vec, dot, simplex_dependence, vscale
 from .lp import GE, feasible
 from .polytope import HPolytope
 
@@ -28,6 +33,46 @@ class DirectionClass:
     illuminated: tuple[int, ...]  # vertex indices, aligned with P.vertices
 
 
+def _circuit_signs(normals: Sequence[Vec]) -> list[tuple[int, int, int]]:
+    """The circuits of the normals as (support, positive, negative) index
+    bitmasks of their dependences.
+
+    A circuit is a subset of 2..n+1 normals with a one-dimensional
+    dependence that has no zero coefficient; n+2 normals are always
+    dependent, so no circuit is larger. Sizes run upwards, and a subset
+    that holds a circuit already found is not minimal, so it is skipped
+    without a row reduction.
+    """
+    circuits = []
+    for size in range(2, len(normals[0]) + 2):
+        for idx in combinations(range(len(normals)), size):
+            mask = sum(1 << i for i in idx)
+            if any(mask & support == support for support, _, _ in circuits):
+                continue
+            mu = simplex_dependence([normals[i] for i in idx])
+            if mu is None or any(c == 0 for c in mu):
+                continue
+            plus = sum(1 << i for i, c in zip(idx, mu) if c > 0)
+            minus = sum(1 << i for i, c in zip(idx, mu) if c < 0)
+            circuits.append((plus | minus, plus, minus))
+    return circuits
+
+
+def cell_sign_vectors(normals: Sequence[Vec]) -> Iterator[tuple[int, ...]]:
+    """The sign vectors of the full-dimensional cells, in
+    `product((1, -1), repeat=m)` order, decided without an LP.
+
+    Some x has s_i <n_i, x> > 0 for every i unless a nonnegative,
+    nonzero combination of the s_i n_i vanishes; a support-minimal one is
+    a circuit whose signs, or their negation, agree with s on its support.
+    """
+    circuits = _circuit_signs(normals)
+    for signs in product((1, -1), repeat=len(normals)):
+        pos = sum(1 << i for i, s in enumerate(signs) if s > 0)
+        if not any(pos & support in (plus, minus) for support, plus, minus in circuits):
+            yield signs
+
+
 def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
     """One interior representative per full-dimensional cell of the
     arrangement {<n, .> == 0}, with the set of vertices it illuminates."""
@@ -36,11 +81,12 @@ def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
         raise ScaleLimitError(
             f"2^{len(normals)} sign vectors exceed the cell guard ({CELL_GUARD})")
     classes = []
-    for signs in product((1, -1), repeat=len(normals)):
+    for signs in cell_sign_vectors(normals):
         rep = feasible([(vscale(s, m), Fraction(1), GE)
                         for s, m in zip(signs, normals)])
         if rep is None:
-            continue
+            raise InternalInvariantError(
+                f"sign vector {signs} agrees with no circuit, yet its cell is empty")
         lit = tuple(i for i, v in enumerate(P.vertices)
                     if all(dot(m, rep) > 0 for m in v.tight))
         classes.append(DirectionClass(rep, lit))

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from polyillum.classify import (check_monotypy, check_monotypy_mss,
-                                check_strong_monotypy, classify_normal_set,
-                                validate_normal_set)
+from polyillum.classify import (NORMAL_SET_CACHE_SIZE, check_monotypy,
+                                check_monotypy_mss, check_strong_monotypy,
+                                classify_normal_set, validate_normal_set)
 from polyillum.errors import InputError, ScaleLimitError
 from polyillum.kernel import vec, vscale
 from polyillum.polytope import NormalSet
@@ -130,3 +130,15 @@ class TestCrossProperties:
         assert v.certificate is not None
         v = classify_normal_set(box(3).normal_set)
         assert v.strongly_monotypic and v.monotypic and v.certificate is None
+
+
+class TestCaches:
+    def test_caches_stay_within_their_bound(self):
+        # triangles with normals (1, 0), (0, 1), (-1, -k) are pairwise distinct
+        for k in range(1, NORMAL_SET_CACHE_SIZE + 11):
+            N = NormalSet.from_vectors(2, [(1, 0), (0, 1), (-1, -k)])
+            assert check_strong_monotypy(N) == (True, None)
+        for cached in (check_strong_monotypy, validate_normal_set):
+            info = cached.cache_info()
+            assert info.maxsize == NORMAL_SET_CACHE_SIZE
+            assert info.currsize <= NORMAL_SET_CACHE_SIZE

@@ -179,3 +179,40 @@ class TestCli:
         code2, pretty = run(capsys, "--pretty", "classify", cube_file)
         assert code == code2 == 0
         assert compact == pretty
+
+
+class TestMalformedLiterals:
+    """Malformed literals end in exit 2 with a JSON error payload, never in
+    a traceback (which would exit 1, the code of a negative verdict)."""
+
+    def test_classify_json_number_coordinates(self, capsys, tmp_path):
+        path = tmp_path / "numbers.json"
+        path.write_text(TRIANGLE_DOC.replace('["1","0"]', "[1, 0]"))
+        code, payload = run(capsys, "classify", str(path))
+        assert code == 2
+        assert "facet 0" in payload["error"] and "string" in payload["error"]
+
+    def test_classify_json_number_offset(self, capsys, tmp_path):
+        path = tmp_path / "numbers.json"
+        path.write_text(TRIANGLE_DOC.replace('"offset":"1"', '"offset":1', 1))
+        code, payload = run(capsys, "classify", str(path))
+        assert code == 2 and "string" in payload["error"]
+
+    @pytest.mark.parametrize("doc", [
+        {"epsilon": "1/4", "directions": [[1, 1], ["-2", "1"], ["1", "-2"]]},
+        {"epsilon": 0.25, "directions": [["1", "1"], ["-2", "1"], ["1", "-2"]]},
+    ], ids=["direction", "epsilon"])
+    def test_verify_directions_json_numbers(self, capsys, tmp_path, doc):
+        path = tmp_path / "hex.json"
+        path.write_text(serialize_polytope(hexagon()))
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps(doc))
+        code, payload = run(capsys, "verify", str(path), "--directions", str(dirs))
+        assert code == 2 and "string" in payload["error"]
+
+    def test_classify_literal_beyond_the_int_conversion_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(TRIANGLE_DOC.replace('["1","0"]', '["' + "9" * 4401 + '","0"]'))
+        code, payload = run(capsys, "classify", str(path))
+        assert code == 2
+        assert "facet 0" in payload["error"] and "limit" in payload["error"]

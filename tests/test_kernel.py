@@ -9,9 +9,20 @@ from polyillum.kernel import (dot, format_rational, kernel_vector,
                               parse_rational, primitive_form, rank,
                               simplex_dependence, solve_linear, solve_rows,
                               vec, vscale, vsub, zero_vec)
-from polyillum.lp import EQ, GE, feasible, satisfies
+from polyillum.lp import EQ, GE, Constraint, feasible
 
 F = Fraction
+
+
+def satisfies(constraints: list[Constraint], v) -> bool:
+    """Does v meet every (a, c, rel) constraint exactly?"""
+    for a, c, rel in constraints:
+        val = dot(a, v)
+        if rel == GE and not val >= c:
+            return False
+        if rel == EQ and val != c:
+            return False
+    return True
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=16)
 
@@ -29,6 +40,18 @@ class TestRationalLiterals:
     @pytest.mark.parametrize("text", ["1/0", "1.5", "a", "1/-2", "", "1 / 2"])
     def test_rejects(self, text):
         with pytest.raises(InputError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("value", [1, -2.5, None, ["1"]],
+                             ids=["int", "float", "null", "list"])
+    def test_rejects_non_strings(self, value):
+        with pytest.raises(InputError, match="must be a string"):
+            parse_rational(value)
+
+    @pytest.mark.parametrize("text", ["9" * 4401, "1/" + "9" * 4401],
+                             ids=["integer", "denominator"])
+    def test_rejects_literals_beyond_the_int_conversion_limit(self, text):
+        with pytest.raises(InputError, match="limit"):
             parse_rational(text)
 
     @given(rationals)

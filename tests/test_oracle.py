@@ -1,15 +1,49 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polyillum import NormalSet, oracle
+from polyillum.classify import validate_normal_set
+from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
 from polyillum.illuminate import build_illumination_set, verify_directions
-from polyillum.kernel import dot, vec
-from polyillum.oracle import enumerate_direction_classes, min_illumination_number
+from polyillum.kernel import dot, vec, vscale
+from polyillum.lp import GE, feasible
+from polyillum.oracle import (cell_sign_vectors, enumerate_direction_classes,
+                              min_illumination_number)
 from polyillum.position import cone_membership
 from tests.conftest import box, hexagon, simplex, simplex_product, square_pyramid, triangle
 
 F = Fraction
+
+
+def lp_cells(normals):
+    """Sign vectors whose open cell an exact LP finds nonempty."""
+    return {signs for signs in product((1, -1), repeat=len(normals))
+            if feasible([(vscale(s, m), F(1), GE)
+                         for s, m in zip(signs, normals)]) is not None}
+
+
+@st.composite
+def valid_normal_sets(draw):
+    """A valid normal set in R^2 or R^3 with entries in -2..2.
+
+    Few random draws are valid, so invalid ones are redrawn from a stream
+    seeded by hypothesis instead of being filtered out by it.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    size = draw(st.integers(min_value=dim + 1, max_value=dim + 3))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    while True:
+        vectors = [[rnd.randint(-2, 2) for _ in range(dim)] for _ in range(size)]
+        try:
+            N = NormalSet.from_vectors(dim, vectors)
+            validate_normal_set(N)
+        except InputError:
+            continue
+        return N.normals
 
 
 class TestDirectionClasses:
@@ -86,3 +120,52 @@ class TestMinimum:
             k, _ = min_illumination_number(P)
             q = len(build_illumination_set(P).directions)
             assert k <= q <= 2 ** P.dim
+
+
+class TestCircuitFilter:
+    @pytest.mark.parametrize("P", [
+        box(3), simplex(3), simplex(4), simplex_product([2, 1]),
+        simplex_product([2, 2, 1]), hexagon(), square_pyramid(),
+    ], ids=["box3", "simplex3", "simplex4", "sp21", "sp221", "hexagon", "pyramid"])
+    def test_filter_keeps_exactly_the_lp_feasible_sign_vectors(self, P):
+        normals = P.normal_set.normals
+        assert set(cell_sign_vectors(normals)) == lp_cells(normals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_normal_sets())
+    def test_filter_matches_lp_on_random_normal_sets(self, normals):
+        assert set(cell_sign_vectors(normals)) == lp_cells(normals)
+
+    def test_filter_keeps_product_order(self):
+        normals = hexagon().normal_set.normals
+        kept = list(cell_sign_vectors(normals))
+        order = list(product((1, -1), repeat=len(normals)))
+        assert kept == sorted(kept, key=order.index)
+
+    @pytest.mark.parametrize("P,lps", [(box(3), 8), (hexagon(), 6), (simplex(3), 14)],
+                             ids=["box3", "hexagon", "simplex3"])
+    def test_one_lp_per_cell(self, monkeypatch, P, lps):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return feasible(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "feasible", counting)
+        assert len(enumerate_direction_classes(P)) == lps
+        assert len(calls) == lps
+
+    def test_empty_surviving_cell_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "feasible", lambda constraints: None)
+        with pytest.raises(InternalInvariantError, match="agrees with no circuit"):
+            enumerate_direction_classes(hexagon())
+
+    def test_cell_guard_fires_before_circuit_or_lp_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work started before the cell guard")
+
+        monkeypatch.setattr(oracle, "CELL_GUARD", 2 ** 5)
+        monkeypatch.setattr(oracle, "simplex_dependence", forbidden)
+        monkeypatch.setattr(oracle, "feasible", forbidden)
+        with pytest.raises(ScaleLimitError, match="cell guard"):
+            enumerate_direction_classes(box(3))
