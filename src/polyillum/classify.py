@@ -3,22 +3,21 @@
 Three routes are implemented and cross-checked in the tests: the
 conical-position test for strong monotypy, the conical-position-with-
 captured-normal test for monotypy, and the disjoint-primitive-subsets
-test for monotypy. Verdicts depend only on the normal set, so results
-are cached per NormalSet.
+test for monotypy, which is decided over the circuits of the normals.
+Verdicts depend only on the normal set, so results are cached per
+NormalSet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Optional
 
 from .errors import InputError, ScaleLimitError
-from .kernel import Vec, rank, vadd, zero_vec
-from .lp import solve_eq_nonneg
+from .kernel import Vec, circuits, rank, vadd, vneg, vscale, zero_vec
 from .polytope import NormalSet
 from .position import cone_membership, is_conical_position, is_primitive
 
@@ -51,11 +50,10 @@ def validate_normal_set(N: NormalSet) -> None:
     if rank(N.normals) < N.dim:
         raise InputError("normals do not span the space")
     # 0 = sum(lam_i n_i) with every lam_i >= 1, via lam = 1 + lam', lam' >= 0
-    rows = [[m[i] for m in N.normals] for i in range(N.dim)]
     total = zero_vec(N.dim)
     for m in N.normals:
         total = vadd(total, m)
-    if solve_eq_nonneg(rows, [-t for t in total]) is None:
+    if cone_membership(vneg(total), N.normals) is None:
         raise InputError("origin is not interior to the convex hull of the normals")
 
 
@@ -99,50 +97,34 @@ def check_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertificate]]:
     return True, None
 
 
-def _primitive_subsets(N: NormalSet) -> list[tuple[Vec, ...]]:
-    out = []
-    for size in range(1, N.dim + 1):
-        for subset in combinations(N.normals, size):
-            if is_primitive(subset, N.normals):
-                out.append(subset)
-    return out
-
-
-def _cones_meet(v1: tuple[Vec, ...], v2: tuple[Vec, ...]) -> Optional[Vec]:
-    """A common nonzero point of pos(v1) and pos(v2), or None.
-
-    Solves sum(lam_i x_i) == sum(theta_j y_j) with lam, theta >= 0 and
-    sum(lam) == 1; the normalization rules out the trivial point, and the
-    witness is nonzero because the x_i are linearly independent.
-    """
-    d = len(v1[0])
-    rows = [[x[i] for x in v1] + [-y[i] for y in v2] for i in range(d)]
-    rows.append([Fraction(1)] * len(v1) + [Fraction(0)] * len(v2))
-    rhs = [Fraction(0)] * d + [Fraction(1)]
-    sol = solve_eq_nonneg(rows, rhs)
-    if sol is None:
-        return None
-    point = zero_vec(d)
-    for lam, x in zip(sol[:len(v1)], v1):
-        point = vadd(point, tuple(lam * c for c in x))
-    return point
-
-
 @lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
 def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
     """True iff every two disjoint primitive subsets have positive hulls
-    meeting only at the origin."""
+    meeting only at the origin.
+
+    Decided over the circuits of N. If pos(V1) and pos(V2) share a point
+    p != 0, then p = sum(lam_i x_i) = sum(theta_j y_j) is a dependence,
+    positive on V1 and negative on V2, and every such dependence is a
+    conformal sum of circuits (Rockafellar 1969). Any circuit in that sum
+    has its positive half in V1 and its negative half in V2; neither half
+    is empty because V1 and V2 are independent, and both are primitive
+    because subsets of primitive sets are. Conversely a circuit mu whose
+    halves are both primitive gives the common point sum over mu_i > 0 of
+    mu_i n_i, nonzero since its positive half is independent. A false
+    verdict returns the first such circuit's halves, in the order of
+    `kernel.circuits`, and that point.
+    """
     validate_normal_set(N)
     _guard(N)
-    prims = _primitive_subsets(N)
-    for a in range(len(prims)):
-        for b in range(a + 1, len(prims)):
-            v1, v2 = prims[a], prims[b]
-            if set(v1) & set(v2):
-                continue
-            point = _cones_meet(v1, v2)
-            if point is not None:
-                return False, (v1, v2, point)
+    for idx, mu in circuits(N.normals):
+        v1 = tuple(N.normals[i] for i, c in zip(idx, mu) if c > 0)
+        v2 = tuple(N.normals[i] for i, c in zip(idx, mu) if c < 0)
+        if v1 and v2 and is_primitive(v1, N.normals) and is_primitive(v2, N.normals):
+            point = zero_vec(N.dim)
+            for i, c in zip(idx, mu):
+                if c > 0:
+                    point = vadd(point, vscale(c, N.normals[i]))
+            return False, (v1, v2, point)
     return True, None
 
 

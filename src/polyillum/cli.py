@@ -161,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "illumination numbers.")
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count; results are schedule-independent "
-                             "(currently always evaluated sequentially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="monotypy and strong monotypy verdicts")
@@ -211,9 +208,6 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_INPUT_ERROR if err.code else EXIT_OK
-    if args.threads < 1:
-        print(dump({"error": "--threads must be at least 1"}))
-        return EXIT_INPUT_ERROR
     try:
         code, payload = args.handler(args)
     except NotStronglyMonotypicError as err:

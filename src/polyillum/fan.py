@@ -10,17 +10,15 @@ confirms the cone interiors are pairwise disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
 from .classify import NORMAL_SET_CACHE_SIZE, check_monotypy, validate_normal_set
 from .errors import InputError, InternalInvariantError
-from .kernel import Vec, rank, vadd, zero_vec
-from .lp import solve_eq_nonneg
+from .kernel import Vec, rank, vadd, vneg, vsub, zero_vec
 from .polytope import HPolytope, NormalSet, Vertex
-from .position import is_primitive
+from .position import cone_membership, is_primitive
 
 
 @dataclass(frozen=True)
@@ -63,14 +61,12 @@ def _interiors_meet(v1: tuple[Vec, ...], v2: tuple[Vec, ...]) -> bool:
     Solves sum((1+lam_i) x_i) == sum((1+theta_j) y_j) with lam, theta >= 0;
     strictly positive coefficients are equivalent to >= 1 by homogeneity.
     """
-    d = len(v1[0])
-    rows = [[x[i] for x in v1] + [-y[i] for y in v2] for i in range(d)]
-    rhs = zero_vec(d)
+    rhs = zero_vec(len(v1[0]))
     for y in v2:
         rhs = vadd(rhs, y)
     for x in v1:
-        rhs = tuple(r - c for r, c in zip(rhs, x))
-    return solve_eq_nonneg(rows, list(rhs)) is not None
+        rhs = vsub(rhs, x)
+    return cone_membership(rhs, v1 + tuple(vneg(y) for y in v2)) is not None
 
 
 @lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -139,11 +140,7 @@ def solve_linear(basis: Sequence[Vec], target: Vec) -> Optional[Vec]:
     if len(basis) != n or any(len(b) != n for b in basis):
         raise InputError("solve_linear needs n vectors of dimension n")
     # columns are the basis vectors
-    aug = [[basis[j][i] for j in range(n)] + [target[i]] for i in range(n)]
-    reduced, pivots = _row_reduce(aug)
-    if len(pivots) < n or pivots != list(range(n)):
-        return None
-    return tuple(reduced[i][n] for i in range(n))
+    return solve_rows([tuple(b[i] for b in basis) for i in range(n)], target)
 
 
 def solve_rows(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Optional[Vec]:
@@ -186,3 +183,29 @@ def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
     if rank(points) != len(points) - 1:
         return None
     return kernel_vector(points)
+
+
+def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
+    """The circuits (minimal dependent subsets) of the vectors, as (indices,
+    dependence) pairs; the dependence has no zero coefficient and is unique
+    up to scale.
+
+    A circuit holds 2..n+1 vectors: n+2 vectors in dimension n are always
+    dependent. Sizes run upwards and indices lexicographically, and a subset
+    that holds a circuit already found is not minimal, so it is skipped
+    without a row reduction.
+    """
+    dim = len(vectors[0]) if vectors else 0
+    found = []
+    supports: list[int] = []
+    for size in range(2, dim + 2):
+        for idx in combinations(range(len(vectors)), size):
+            mask = sum(1 << i for i in idx)
+            if any(mask & support == support for support in supports):
+                continue
+            mu = simplex_dependence([vectors[i] for i in idx])
+            if mu is None or any(c == 0 for c in mu):
+                continue
+            found.append((idx, mu))
+            supports.append(mask)
+    return found

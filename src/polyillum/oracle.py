@@ -20,7 +20,7 @@ from math import ceil
 from typing import Iterator, Sequence
 
 from .errors import InternalInvariantError, ScaleLimitError
-from .kernel import Vec, dot, simplex_dependence, vscale
+from .kernel import Vec, circuits, dot, vscale
 from .lp import GE, feasible
 from .polytope import HPolytope
 
@@ -33,31 +33,6 @@ class DirectionClass:
     illuminated: tuple[int, ...]  # vertex indices, aligned with P.vertices
 
 
-def _circuit_signs(normals: Sequence[Vec]) -> list[tuple[int, int, int]]:
-    """The circuits of the normals as (support, positive, negative) index
-    bitmasks of their dependences.
-
-    A circuit is a subset of 2..n+1 normals with a one-dimensional
-    dependence that has no zero coefficient; n+2 normals are always
-    dependent, so no circuit is larger. Sizes run upwards, and a subset
-    that holds a circuit already found is not minimal, so it is skipped
-    without a row reduction.
-    """
-    circuits = []
-    for size in range(2, len(normals[0]) + 2):
-        for idx in combinations(range(len(normals)), size):
-            mask = sum(1 << i for i in idx)
-            if any(mask & support == support for support, _, _ in circuits):
-                continue
-            mu = simplex_dependence([normals[i] for i in idx])
-            if mu is None or any(c == 0 for c in mu):
-                continue
-            plus = sum(1 << i for i, c in zip(idx, mu) if c > 0)
-            minus = sum(1 << i for i, c in zip(idx, mu) if c < 0)
-            circuits.append((plus | minus, plus, minus))
-    return circuits
-
-
 def cell_sign_vectors(normals: Sequence[Vec]) -> Iterator[tuple[int, ...]]:
     """The sign vectors of the full-dimensional cells, in
     `product((1, -1), repeat=m)` order, decided without an LP.
@@ -66,10 +41,14 @@ def cell_sign_vectors(normals: Sequence[Vec]) -> Iterator[tuple[int, ...]]:
     nonzero combination of the s_i n_i vanishes; a support-minimal one is
     a circuit whose signs, or their negation, agree with s on its support.
     """
-    circuits = _circuit_signs(normals)
+    masks = []  # (support, positive, negative) index bitmasks per circuit
+    for idx, mu in circuits(normals):
+        plus = sum(1 << i for i, c in zip(idx, mu) if c > 0)
+        minus = sum(1 << i for i, c in zip(idx, mu) if c < 0)
+        masks.append((plus | minus, plus, minus))
     for signs in product((1, -1), repeat=len(normals)):
         pos = sum(1 << i for i, s in enumerate(signs) if s > 0)
-        if not any(pos & support in (plus, minus) for support, plus, minus in circuits):
+        if not any(pos & support in (plus, minus) for support, plus, minus in masks):
             yield signs
 
 

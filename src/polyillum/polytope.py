@@ -82,8 +82,8 @@ class HPolytope:
     def from_facets(cls, dim: int, facets: Sequence[tuple]) -> "HPolytope":
         pairs = [(as_vec(n), Fraction(h)) for n, h in facets]
         N = NormalSet.from_vectors(dim, [n for n, _ in pairs])
-        lookup = {primitive_form(n): h for n, h in pairs}
-        offsets = tuple(lookup[primitive_form(n)] for n in N.normals)
+        lookup = dict(pairs)
+        offsets = tuple(lookup[n] for n in N.normals)
         return cls(N, offsets)
 
     # -- validation ---------------------------------------------------------

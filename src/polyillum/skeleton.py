@@ -5,9 +5,9 @@ normal expands over B with all-nonpositive or all-nonnegative
 coefficients. The all-nonpositive normals' supports form a laminar
 family; the inclusion-maximal supports partition the basis indices and
 each yields one part X_l = {b_i : i in S_l} + {x_l}, a simplex with the
-origin in its relative interior. A mixed sign pattern or a laminar
-violation is converted into a conical-position certificate and reported
-as NotStronglyMonotypic.
+origin in its relative interior. A set that is not strongly monotypic
+is rejected by the exhaustive check with its conical-position
+certificate, reported as NotStronglyMonotypic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .classify import validate_normal_set
+from .classify import check_strong_monotypy, validate_normal_set
 from .errors import CoverageError, InternalInvariantError, NotStronglyMonotypicError
 from .kernel import Vec, rank, simplex_dependence
 from .polytope import NormalSet
@@ -98,20 +98,17 @@ def cartesian_support(basis: Sequence[Vec], x: Vec) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(sc.coefficients) if c != 0)
 
 
-def _laminar_certificate(basis: Sequence[Vec], x: Vec, sx: tuple[int, ...],
-                         y: Vec, sy: tuple[int, ...]) -> tuple[Vec, ...]:
-    """Two overlapping non-nested negative-side supports force a conical
-    (n+1)-subset: drop a shared basis element and add both normals."""
-    for i in set(sx) & set(sy):
-        candidate = tuple(sorted(
-            [x, y] + [b for j, b in enumerate(basis) if j != i], reverse=True))
-        if is_conical_position(candidate):
-            return candidate
-    raise InternalInvariantError(
-        "laminar violation did not yield a conical certificate")
-
-
 def extract_skeleton(N: NormalSet) -> Skeleton:
+    """The skeleton of a strongly monotypic normal set.
+
+    A swap-stable basis with laminar supports is necessary for strong
+    monotypy but not sufficient, so the exhaustive check runs first and
+    its conical certificate rejects every other set.
+    """
+    strong, cert = check_strong_monotypy(N)
+    if not strong:
+        raise NotStronglyMonotypicError(
+            "skeleton extraction requires strong monotypy", cert)
     basis = refine_basis(N)
     negatives: list[tuple[Vec, tuple[int, ...]]] = []
     for x in N.normals:
@@ -124,15 +121,11 @@ def extract_skeleton(N: NormalSet) -> Skeleton:
             negatives.append((x, tuple(i for i, c in enumerate(sc.coefficients)
                                        if c != 0)))
 
-    for a in range(len(negatives)):
-        for b in range(a + 1, len(negatives)):
-            x, sx = negatives[a]
-            y, sy = negatives[b]
-            fx, fy = set(sx), set(sy)
-            if fx & fy and not (fx <= fy or fy <= fx):
-                cert = _laminar_certificate(basis, x, sx, y, sy)
-                raise NotStronglyMonotypicError(
-                    "overlapping non-nested supports", cert)
+    for (_, sx), (_, sy) in combinations(negatives, 2):
+        fx, fy = set(sx), set(sy)
+        if fx & fy and not (fx <= fy or fy <= fx):
+            raise InternalInvariantError(
+                "strongly monotypic set has overlapping non-nested supports")
 
     supports = {frozenset(s) for _, s in negatives}
     maximal = sorted((s for s in supports

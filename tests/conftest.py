@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from polyillum import HPolytope, NormalSet
+from polyillum.classify import validate_normal_set
+from polyillum.errors import InputError
 from polyillum.generators import FamilySpec, generate
 
 HEXAGON_FACETS = [
@@ -35,6 +39,33 @@ def simplex_product(dims) -> HPolytope:
 
 def square_pyramid() -> HPolytope:
     return generate(FamilySpec("square_pyramid"))
+
+
+def set_n() -> HPolytope:
+    """Not strongly monotypic, though its refined basis is swap-stable and
+    its negative supports are laminar."""
+    return HPolytope.from_facets(3, [((1, 1, 1), 1), ((1, 1, -1), 1), ((0, -1, -1), 1),
+                                     ((-1, 1, -1), 1), ((-1, 0, 1), 1)])
+
+
+@st.composite
+def valid_normal_sets(draw):
+    """A valid normal set in R^2 or R^3 with entries in -2..2.
+
+    Few random draws are valid, so invalid ones are redrawn from a stream
+    seeded by hypothesis instead of being filtered out by it.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    size = draw(st.integers(min_value=dim + 1, max_value=dim + 3))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    while True:
+        vectors = [[rnd.randint(-2, 2) for _ in range(dim)] for _ in range(size)]
+        try:
+            N = NormalSet.from_vectors(dim, vectors)
+            validate_normal_set(N)
+        except InputError:
+            continue
+        return N.normals
 
 
 @pytest.fixture

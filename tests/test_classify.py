@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from polyillum import classify
 from polyillum.classify import (NORMAL_SET_CACHE_SIZE, check_monotypy,
                                 check_monotypy_mss, check_strong_monotypy,
                                 classify_normal_set, validate_normal_set)
 from polyillum.errors import InputError, ScaleLimitError
 from polyillum.kernel import vec, vscale
 from polyillum.polytope import NormalSet
-from polyillum.position import cone_membership, is_conical_position
-from tests.conftest import box, simplex, square_pyramid
+from polyillum.position import cone_membership, is_conical_position, is_primitive
+from tests.conftest import box, simplex, square_pyramid, valid_normal_sets
 
 F = Fraction
 
@@ -99,6 +101,37 @@ class TestMonotypyMss:
     def test_triangle_true(self):
         ok, _ = check_monotypy_mss(simplex(2).normal_set)
         assert ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets())
+    def test_agrees_with_conical_route_and_certificate_rechecks(self, normals):
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        ok, cert = check_monotypy_mss(N)
+        assert ok == check_monotypy(N)[0]
+        if ok:
+            assert cert is None
+            return
+        v1, v2, point = cert
+        assert v1 and v2 and not set(v1) & set(v2)
+        assert is_primitive(v1, N.normals) and is_primitive(v2, N.normals)
+        assert any(c != 0 for c in point)
+        assert cone_membership(point, v1) is not None
+        assert cone_membership(point, v2) is not None
+
+    @pytest.mark.parametrize("P,tests", [(box(3), 0), (simplex(3), 0), (square_pyramid(), 2)],
+                             ids=["box3", "simplex3", "pyramid"])
+    def test_primitivity_is_tested_only_on_two_signed_circuits(self, monkeypatch, P, tests):
+        # every circuit of a box or simplex has a single sign
+        calls = []
+
+        def counting(subset, normals):
+            calls.append(subset)
+            return is_primitive(subset, normals)
+
+        monkeypatch.setattr(classify, "is_primitive", counting)
+        check_monotypy_mss.cache_clear()
+        assert check_monotypy_mss(P.normal_set)[0] is (tests == 0)
+        assert len(calls) == tests
 
 
 class TestCrossProperties:

@@ -6,7 +6,7 @@ import pytest
 from polyillum.cli import run_command
 from polyillum.errors import InputError
 from polyillum.formats import (parse_polytope, serialize_polytope)
-from tests.conftest import box, hexagon, square_pyramid
+from tests.conftest import box, hexagon, set_n, square_pyramid
 
 F = Fraction
 
@@ -99,6 +99,15 @@ class TestCli:
         code, payload = run(capsys, "skeleton", pyramid_file)
         assert code == 1
         assert "certificate" in payload
+
+    def test_skeleton_agrees_with_classify_on_set_n(self, capsys, tmp_path):
+        path = tmp_path / "n.json"
+        path.write_text(serialize_polytope(set_n()))
+        code, payload = run(capsys, "skeleton", str(path))
+        assert code == 1
+        _, verdict = run(capsys, "classify", str(path))
+        assert verdict["strongly_monotypic"] is False
+        assert payload["certificate"] == verdict["certificates"]["conical_subset"]
 
     def test_illuminate_verify(self, capsys, tmp_path):
         from polyillum.generators import FamilySpec, generate

@@ -3,18 +3,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from polyillum import NormalSet, oracle
-from polyillum.classify import validate_normal_set
-from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
+from polyillum import oracle
+from polyillum.errors import InternalInvariantError, ScaleLimitError
 from polyillum.illuminate import build_illumination_set, verify_directions
 from polyillum.kernel import dot, vec, vscale
 from polyillum.lp import GE, feasible
 from polyillum.oracle import (cell_sign_vectors, enumerate_direction_classes,
                               min_illumination_number)
 from polyillum.position import cone_membership
-from tests.conftest import box, hexagon, simplex, simplex_product, square_pyramid, triangle
+from tests.conftest import (box, hexagon, simplex, simplex_product, square_pyramid,
+                            triangle, valid_normal_sets)
 
 F = Fraction
 
@@ -24,26 +24,6 @@ def lp_cells(normals):
     return {signs for signs in product((1, -1), repeat=len(normals))
             if feasible([(vscale(s, m), F(1), GE)
                          for s, m in zip(signs, normals)]) is not None}
-
-
-@st.composite
-def valid_normal_sets(draw):
-    """A valid normal set in R^2 or R^3 with entries in -2..2.
-
-    Few random draws are valid, so invalid ones are redrawn from a stream
-    seeded by hypothesis instead of being filtered out by it.
-    """
-    dim = draw(st.sampled_from([2, 3]))
-    size = draw(st.integers(min_value=dim + 1, max_value=dim + 3))
-    rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-    while True:
-        vectors = [[rnd.randint(-2, 2) for _ in range(dim)] for _ in range(size)]
-        try:
-            N = NormalSet.from_vectors(dim, vectors)
-            validate_normal_set(N)
-        except InputError:
-            continue
-        return N.normals
 
 
 class TestDirectionClasses:
@@ -165,7 +145,7 @@ class TestCircuitFilter:
             raise AssertionError("work started before the cell guard")
 
         monkeypatch.setattr(oracle, "CELL_GUARD", 2 ** 5)
-        monkeypatch.setattr(oracle, "simplex_dependence", forbidden)
+        monkeypatch.setattr(oracle, "circuits", forbidden)
         monkeypatch.setattr(oracle, "feasible", forbidden)
         with pytest.raises(ScaleLimitError, match="cell guard"):
             enumerate_direction_classes(box(3))

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from polyillum.classify import check_strong_monotypy
 from polyillum.errors import NotStronglyMonotypicError
 from polyillum.kernel import vec
 from polyillum.polytope import NormalSet
@@ -9,7 +11,8 @@ from polyillum.position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED,
                                 classify_signs, is_conical_position)
 from polyillum.skeleton import (cartesian_support, extract_skeleton,
                                 refine_basis, verify_skeleton)
-from tests.conftest import box, hexagon, simplex, simplex_product, square_pyramid
+from tests.conftest import (box, hexagon, set_n, simplex, simplex_product, square_pyramid,
+                            valid_normal_sets)
 
 F = Fraction
 
@@ -96,6 +99,25 @@ class TestExtractSkeleton:
         with pytest.raises(NotStronglyMonotypicError) as exc:
             extract_skeleton(square_pyramid().normal_set)
         assert is_conical_position(exc.value.certificate)
+
+    def test_stable_laminar_basis_is_not_enough(self):
+        N = set_n().normal_set
+        strong, cert = check_strong_monotypy(N)
+        assert not strong
+        with pytest.raises(NotStronglyMonotypicError) as exc:
+            extract_skeleton(N)
+        assert exc.value.certificate == cert
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets())
+    def test_succeeds_iff_strongly_monotypic(self, normals):
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        try:
+            extract_skeleton(N)
+            extracted = True
+        except NotStronglyMonotypicError:
+            extracted = False
+        assert extracted == check_strong_monotypy(N)[0]
 
     def test_invariants_reverified(self):
         for N in (box(4).normal_set, hexagon().normal_set,
