@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, dropwhile
 from math import comb
 from typing import Optional
 
 from .errors import InputError, ScaleLimitError
 from .kernel import Vec, circuits, rank, vadd, vneg, vscale, zero_vec
 from .polytope import NormalSet
-from .position import cone_membership, is_conical_position, is_primitive
+from .position import captured, cone_membership, is_conical_position, is_primitive
 
 MAX_SUBSET_COUNT = 10 ** 7
 # Entries kept by each per-NormalSet cache, so a long-lived process holds
@@ -83,16 +83,19 @@ def check_strong_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertifica
 @lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
 def check_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertificate]]:
     """True iff every (n+1)-subset in conical position has its positive hull
-    containing some further normal of N."""
-    validate_normal_set(N)
-    _guard(N)
-    for subset in combinations(N.normals, N.dim + 1):
-        if not is_conical_position(subset):
-            continue
-        inside = set(subset)
-        captured = any(cone_membership(m, subset) is not None
-                       for m in N.normals if m not in inside)
-        if not captured:
+    containing some further normal of N.
+
+    Starts from `check_strong_monotypy`: a strongly monotypic set has no
+    such subset, and otherwise every subset before its certificate is
+    known not to be in conical position, so the scan resumes there.
+    """
+    strong, first_conical = check_strong_monotypy(N)
+    if strong:
+        return True, None
+    subsets = combinations(N.normals, N.dim + 1)
+    for subset in dropwhile(lambda s: s != first_conical, subsets):
+        if ((subset == first_conical or is_conical_position(subset))
+                and not any(captured(subset, N.normals))):
             return False, subset
     return True, None
 

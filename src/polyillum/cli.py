@@ -11,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import formats
 from .classify import check_monotypy, check_monotypy_mss, check_strong_monotypy
 from .errors import (InputError, InternalInvariantError,
                      NotStronglyMonotypicError)
@@ -30,12 +29,15 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
-def _load_polytope(path: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}")
-    return parse_polytope(text)
+
+
+def _load_polytope(path: str):
+    return parse_polytope(_read(path))
 
 
 def _mss_cert_doc(cert):
@@ -48,32 +50,23 @@ def _mss_cert_doc(cert):
 
 
 def _cmd_classify(args):
-    P = _load_polytope(args.file)
-    N = P.normal_set
+    N = _load_polytope(args.file).normal_set
     strong, strong_cert = check_strong_monotypy(N)
-    payload = {"strongly_monotypic": strong}
+    mono, mono_cert = check_monotypy(N)
+    mono_mss, mss_cert = check_monotypy_mss(N)
+    if mono != mono_mss:
+        raise InternalInvariantError("the two monotypy characterizations disagree")
+    payload = {"strongly_monotypic": strong, "monotypic": mono}
     certificates = {}
     if strong_cert is not None:
         certificates["conical_subset"] = certificate_to_doc(strong_cert)
-    verdicts = [strong]
-    if args.method in ("conical", "both"):
-        mono, cert = check_monotypy(N)
-        payload["monotypic"] = mono
-        verdicts.append(mono)
-        if cert is not None:
-            certificates["uncaptured_conical_subset"] = certificate_to_doc(cert)
-    if args.method in ("mss", "both"):
-        mono_mss, cert = check_monotypy_mss(N)
-        verdicts.append(mono_mss)
-        if "monotypic" in payload and payload["monotypic"] != mono_mss:
-            raise InternalInvariantError(
-                "the two monotypy characterizations disagree")
-        payload["monotypic"] = mono_mss
-        if cert is not None:
-            certificates["intersecting_primitive_subsets"] = _mss_cert_doc(cert)
+    if mono_cert is not None:
+        certificates["uncaptured_conical_subset"] = certificate_to_doc(mono_cert)
+    if mss_cert is not None:
+        certificates["intersecting_primitive_subsets"] = _mss_cert_doc(mss_cert)
     if certificates:
         payload["certificates"] = certificates
-    return (EXIT_OK if all(verdicts) else EXIT_PROPERTY_FAILS), payload
+    return (EXIT_OK if strong and mono else EXIT_PROPERTY_FAILS), payload
 
 
 def _cmd_skeleton(args):
@@ -98,11 +91,7 @@ def _cmd_illuminate(args):
 
 def _cmd_verify(args):
     P = _load_polytope(args.file)
-    try:
-        text = Path(args.directions).read_text(encoding="utf-8")
-    except OSError as err:
-        raise InputError(f"cannot read {args.directions}: {err}")
-    directions, epsilon = parse_directions(text)
+    directions, epsilon = parse_directions(_read(args.directions))
     ok, reports = verify_directions(P, directions, epsilon)
     payload = {"verified": ok, "report": reports_to_doc(reports)}
     return (EXIT_OK if ok else EXIT_PROPERTY_FAILS), payload
@@ -165,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="monotypy and strong monotypy verdicts")
     p.add_argument("file")
-    p.add_argument("--method", choices=("conical", "mss", "both"), default="both")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("skeleton", help="extract the skeleton decomposition")

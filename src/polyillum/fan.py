@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .classify import NORMAL_SET_CACHE_SIZE, check_monotypy, validate_normal_set
-from .errors import InputError, InternalInvariantError
+from .errors import InputError
 from .kernel import Vec, rank, vadd, vneg, vsub, zero_vec
 from .polytope import HPolytope, NormalSet, Vertex
 from .position import cone_membership, is_primitive

@@ -8,11 +8,9 @@ round-trip bit-exactly and stay language-neutral.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Sequence
 
 from .errors import InputError
-from .kernel import Vec, as_vec, format_rational, parse_rational
+from .kernel import Vec, format_rational, parse_rational
 from .polytope import HPolytope
 
 
@@ -20,7 +18,9 @@ def vector_to_strings(v: Vec) -> list[str]:
     return [format_rational(x) for x in v]
 
 
-def strings_to_vector(items: Sequence[str]) -> Vec:
+def strings_to_vector(items: list[str]) -> Vec:
+    if not isinstance(items, list):
+        raise InputError(f"a vector must be a JSON list, got {type(items).__name__}")
     return tuple(parse_rational(s) for s in items)
 
 
@@ -36,10 +36,12 @@ def doc_to_polytope(doc) -> HPolytope:
     if not isinstance(doc, dict):
         raise InputError("polytope document must be a JSON object")
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         facets = doc["facets"]
-    except (KeyError, TypeError, ValueError) as err:
+    except KeyError as err:
         raise InputError(f"polytope document needs 'dim' and 'facets': {err}")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InputError(f"'dim' must be a JSON integer, got {type(dim).__name__}")
     if not isinstance(facets, list) or not facets:
         raise InputError("'facets' must be a nonempty list")
     parsed = []
@@ -59,30 +61,25 @@ def doc_to_polytope(doc) -> HPolytope:
     return HPolytope.from_facets(dim, parsed)
 
 
-def parse_polytope(text: str) -> HPolytope:
+def _load_json(text: str):
+    # ValueError covers decoding errors and integers beyond Python's
+    # string-conversion limit; RecursionError, nesting too deep to decode.
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:
         raise InputError(f"invalid JSON: {err}")
-    return doc_to_polytope(doc)
+
+
+def parse_polytope(text: str) -> HPolytope:
+    return doc_to_polytope(_load_json(text))
 
 
 def serialize_polytope(P: HPolytope, pretty: bool = False) -> str:
     return dump(polytope_to_doc(P), pretty)
 
 
-def directions_to_doc(directions: Sequence[Vec], epsilon: Fraction) -> dict:
-    return {
-        "epsilon": format_rational(epsilon),
-        "directions": [vector_to_strings(v) for v in directions],
-    }
-
-
 def parse_directions(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise InputError(f"invalid JSON: {err}")
+    doc = _load_json(text)
     try:
         epsilon = parse_rational(doc["epsilon"])
         directions = [strings_to_vector(v) for v in doc["directions"]]

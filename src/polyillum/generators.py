@@ -7,12 +7,12 @@ bit-for-bit in any implementation of the same stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .polytope import HPolytope, NormalSet
+from .polytope import HPolytope
 
 FAMILIES = ("box", "simplex", "simplex_product", "square_pyramid")
 

@@ -15,9 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .classify import check_strong_monotypy
-from .errors import (AssignmentError, InputError, InternalInvariantError,
-                     NotStronglyMonotypicError)
+from .errors import AssignmentError, InputError, InternalInvariantError
 from .kernel import Vec, dot, rank, solve_rows, vscale, vsub
 from .polytope import INTERIOR, HPolytope
 from .position import cone_membership
@@ -103,10 +101,6 @@ def compute_epsilon(P: HPolytope, directions: Sequence[Vec],
 
 
 def build_illumination_set(P: HPolytope) -> IlluminationSet:
-    strong, cert = check_strong_monotypy(P.normal_set)
-    if not strong:
-        raise NotStronglyMonotypicError(
-            "illumination construction requires strong monotypy", cert)
     skeleton = extract_skeleton(P.normal_set)
     selections = cone_selections(skeleton)
     directions = tuple(cone_direction(gens) for gens in selections)

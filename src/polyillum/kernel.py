@@ -18,11 +18,11 @@ from .errors import InputError
 
 Vec = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (decimal integers, optional leading minus).
+    """Parse "p" or "p/q" (ASCII decimal integers, optional leading minus).
 
     Anything but a string (a JSON number, say) is rejected, and so is a
     literal too long for `int` (Python's integer string-conversion limit).

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from math import comb
+from typing import Iterable, Sequence
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, ScaleLimitError
 from .kernel import Vec, as_vec, dot, is_zero, primitive_form, rank, solve_rows, vneg, vsub
 from .lp import GE, feasible
 from .position import cone_membership
@@ -21,6 +22,9 @@ from .position import cone_membership
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
+
+# Square solves vertex enumeration may try: C(m, n) for m facets in R^n.
+MAX_VERTEX_CANDIDATES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -66,14 +70,11 @@ class HPolytope:
     normal_set: NormalSet
     offsets: tuple[Fraction, ...]
     vertices: tuple[Vertex, ...] = field(init=False, compare=False, repr=False)
-    _offset_index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         N = self.normal_set
         if len(self.offsets) != len(N.normals):
             raise InputError("offset count does not match normal count")
-        object.__setattr__(self, "_offset_index",
-                           {n: h for n, h in zip(N.normals, self.offsets)})
         self._validate_bounded()
         object.__setattr__(self, "vertices", self._enumerate_vertices())
         self._validate_irredundant()
@@ -100,14 +101,17 @@ class HPolytope:
                                  + [(e, Fraction(1), GE)])
                     raise InputError(
                         f"constraint system is unbounded along {d}", witness=d)
-        w = feasible([(vneg(m), -h, GE)
-                      for m, h in zip(N.normals, self.offsets)])
-        if w is None:
-            raise InputError("constraint system is empty (infeasible)")
 
     def _enumerate_vertices(self) -> tuple[Vertex, ...]:
+        """Every vertex with its tight normals, in sorted order. The system
+        is bounded, so it is empty exactly when it has no vertex."""
         N = self.normal_set
         n = N.dim
+        count = comb(len(N.normals), n)
+        if count > MAX_VERTEX_CANDIDATES:
+            raise ScaleLimitError(
+                f"{count} vertex candidates exceed the enumeration guard "
+                f"({MAX_VERTEX_CANDIDATES})")
         points: set[Vec] = set()
         for idx in combinations(range(len(N.normals)), n):
             rows = [N.normals[i] for i in idx]
@@ -126,7 +130,7 @@ class HPolytope:
                     f"tight set at {p} does not span the space")
             vertices.append(Vertex(p, tight))
         if not vertices:
-            raise InternalInvariantError("bounded nonempty polytope has no vertex")
+            raise InputError("constraint system is empty (infeasible)")
         return tuple(vertices)
 
     def _validate_irredundant(self):
@@ -148,12 +152,6 @@ class HPolytope:
     @property
     def dim(self) -> int:
         return self.normal_set.dim
-
-    def offset_of(self, n: Vec) -> Fraction:
-        try:
-            return self._offset_index[n]
-        except KeyError:
-            raise InputError(f"{n} is not a normal of this polytope")
 
     def support_value(self, n: Vec) -> Fraction:
         if is_zero(n):

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import InputError
-from .kernel import Vec, dot, rank, solve_linear
+from .kernel import Vec, rank, solve_linear
 from .lp import GE, feasible, solve_eq_nonneg
 
 ALL_NONPOSITIVE = "all_nonpositive"
@@ -93,14 +93,14 @@ def is_conical_position(points: Sequence[Vec]) -> ConicalVerdict:
     return ConicalVerdict(True, separator=separator)
 
 
+def captured(subset: Sequence[Vec], normals: Sequence[Vec]) -> Iterator[Vec]:
+    """The normals outside the subset that lie in its positive hull, in
+    order. Lazy: a caller that stops at the first one runs no further LP."""
+    members = set(subset)
+    return (m for m in normals
+            if m not in members and cone_membership(m, subset) is not None)
+
+
 def is_primitive(subset: Sequence[Vec], all_normals: Sequence[Vec]) -> bool:
     """Independent normals whose positive hull contains no other normal."""
-    if rank(subset) != len(subset):
-        return False
-    members = set(subset)
-    for n in all_normals:
-        if n in members:
-            continue
-        if cone_membership(n, subset) is not None:
-            return False
-    return True
+    return rank(subset) == len(subset) and not any(captured(subset, all_normals))

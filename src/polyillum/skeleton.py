@@ -13,7 +13,6 @@ certificate, reported as NotStronglyMonotypic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -22,7 +21,7 @@ from .errors import CoverageError, InternalInvariantError, NotStronglyMonotypicE
 from .kernel import Vec, rank, simplex_dependence
 from .polytope import NormalSet
 from .position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED, SINGLE_POSITIVE,
-                       classify_signs, cone_membership, is_conical_position)
+                       captured, classify_signs, is_conical_position)
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,6 @@ def _first_independent_subset(N: NormalSet) -> tuple[Vec, ...]:
     raise InternalInvariantError("validated normal set has no independent subset")
 
 
-def _captured_count(N: NormalSet, basis: Sequence[Vec]) -> int:
-    return sum(1 for m in N.normals if cone_membership(m, basis) is not None)
-
-
 def refine_basis(N: NormalSet, start: Optional[Sequence[Vec]] = None) -> tuple[Vec, ...]:
     """Swap-stable basis B within N: every other normal classifies as
     all_nonpositive or all_nonnegative over B.
@@ -63,7 +58,7 @@ def refine_basis(N: NormalSet, start: Optional[Sequence[Vec]] = None) -> tuple[V
     basis = list(start) if start is not None else list(_first_independent_subset(N))
     if rank(basis) != N.dim:
         raise InternalInvariantError("starting basis is not independent")
-    captured = _captured_count(N, basis)
+    count = sum(1 for _ in captured(basis, N.normals))
     swaps = 0
     while True:
         for x in N.normals:
@@ -82,11 +77,11 @@ def refine_basis(N: NormalSet, start: Optional[Sequence[Vec]] = None) -> tuple[V
                 swaps += 1
                 if swaps > len(N.normals):
                     raise InternalInvariantError("basis refinement did not terminate")
-                now = _captured_count(N, basis)
-                if now <= captured:
+                now = sum(1 for _ in captured(basis, N.normals))
+                if now <= count:
                     raise InternalInvariantError(
                         "swap failed to enlarge the captured normal count")
-                captured = now
+                count = now
                 break
         else:
             return tuple(basis)

@@ -1,11 +1,20 @@
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polyillum import classify
+from polyillum.classify import check_monotypy, check_monotypy_mss, check_strong_monotypy
 from polyillum.cli import run_command
 from polyillum.errors import InputError
 from polyillum.formats import (parse_polytope, serialize_polytope)
+from polyillum.position import is_conical_position
 from tests.conftest import box, hexagon, set_n, square_pyramid
 
 F = Fraction
@@ -84,10 +93,46 @@ class TestCli:
         assert sorted(cert) == sorted([
             ["1", "0", "1"], ["-1", "0", "1"], ["0", "1", "1"], ["0", "-1", "1"]])
 
-    def test_classify_methods_agree(self, capsys, cube_file):
-        for method in ("conical", "mss", "both"):
-            code, payload = run(capsys, "classify", cube_file, "--method", method)
-            assert code == 0 and payload["monotypic"] is True
+    def test_classify_pyramid_payload(self, capsys, pyramid_file):
+        # all three routes' certificates, in the canonical normal order
+        code, payload = run(capsys, "classify", pyramid_file)
+        sides = [["1", "0", "1"], ["0", "1", "1"], ["0", "-1", "1"], ["-1", "0", "1"]]
+        assert code == 1
+        assert payload == {
+            "strongly_monotypic": False,
+            "monotypic": False,
+            "certificates": {
+                "conical_subset": sides,
+                "uncaptured_conical_subset": sides,
+                "intersecting_primitive_subsets": {
+                    "subset_1": [["1", "0", "1"], ["-1", "0", "1"]],
+                    "subset_2": [["0", "1", "1"], ["0", "-1", "1"]],
+                    "common_point": ["0", "0", "2"],
+                },
+            },
+        }
+
+    @pytest.mark.parametrize("P,tests", [(box(3), 15), (square_pyramid(), 3)],
+                             ids=["box3", "pyramid"])
+    def test_classify_tests_each_subset_for_conical_position_once(
+            self, capsys, monkeypatch, tmp_path, P, tests):
+        # box3 has C(6, 4) = 15 subsets; the pyramid's third is conical
+        calls = []
+
+        def counting(points):
+            calls.append(points)
+            return is_conical_position(points)
+
+        monkeypatch.setattr(classify, "is_conical_position", counting)
+        for check in (check_strong_monotypy, check_monotypy, check_monotypy_mss):
+            check.cache_clear()
+        path = tmp_path / "p.json"
+        path.write_text(serialize_polytope(P))
+        run(capsys, "classify", str(path))
+        assert len(calls) == len(set(calls)) == tests
+
+    def test_classify_has_no_method_flag(self, capsys, cube_file):
+        assert run_command(["classify", "--method", "conical", cube_file]) == 2
 
     def test_skeleton(self, capsys, cube_file):
         code, payload = run(capsys, "skeleton", cube_file)
@@ -162,6 +207,11 @@ class TestCli:
         assert code1 == code2 == 0
         assert p1 == p2
 
+    def test_gen_beyond_the_vertex_guard_is_input_error(self, capsys):
+        # C(24, 12) = 2704156 vertex candidates
+        code, payload = run(capsys, "gen", "box", "--dims", "12")
+        assert code == 2 and "vertex candidates" in payload["error"]
+
     def test_gen_to_file(self, capsys, tmp_path):
         out = tmp_path / "p.json"
         code, payload = run(capsys, "gen", "box", "--dims", "3",
@@ -191,7 +241,7 @@ class TestCli:
 
 
 class TestMalformedLiterals:
-    """Malformed literals end in exit 2 with a JSON error payload, never in
+    """Malformed input ends in exit 2 with a JSON error payload, never in
     a traceback (which would exit 1, the code of a negative verdict)."""
 
     def test_classify_json_number_coordinates(self, capsys, tmp_path):
@@ -219,9 +269,127 @@ class TestMalformedLiterals:
         code, payload = run(capsys, "verify", str(path), "--directions", str(dirs))
         assert code == 2 and "string" in payload["error"]
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"dim":' + "1" * 5000 + ',"facets":[]}',
+        TRIANGLE_DOC.replace('"dim":2', '"dim":Infinity'),
+        TRIANGLE_DOC.replace('"dim":2', '"dim":2.5'),
+        TRIANGLE_DOC.replace('"dim":2', '"dim":"2"'),
+        TRIANGLE_DOC.replace('["1","0"]', '"10"'),
+        TRIANGLE_DOC.replace('["1","0"]', '{"1":"","0":""}'),
+        TRIANGLE_DOC.replace('["1","0"]', '["\u0661","0"]'),
+    ], ids=["deep-nesting", "5000-digit-integer", "infinite-dim", "float-dim",
+            "string-dim", "string-normal", "object-normal", "non-ascii-digit"])
+    def test_classify_malformed_document(self, capsys, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        code, payload = run(capsys, "classify", str(path))
+        assert code == 2 and "error" in payload
+
+    def test_classify_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_bytes(TRIANGLE_DOC.replace('"1"', '"\xff"').encode("latin-1"))
+        code, payload = run(capsys, "classify", str(path))
+        assert code == 2 and "cannot read" in payload["error"]
+
+    def test_verify_string_direction(self, capsys, tmp_path):
+        path = tmp_path / "hex.json"
+        path.write_text(serialize_polytope(hexagon()))
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(json.dumps({"epsilon": "1/4",
+                                    "directions": ["11", ["-2", "1"], ["1", "-2"]]}))
+        code, payload = run(capsys, "verify", str(path), "--directions", str(dirs))
+        assert code == 2 and "list" in payload["error"]
+
     def test_classify_literal_beyond_the_int_conversion_limit(self, capsys, tmp_path):
         path = tmp_path / "long.json"
         path.write_text(TRIANGLE_DOC.replace('["1","0"]', '["' + "9" * 4401 + '","0"]'))
         code, payload = run(capsys, "classify", str(path))
         assert code == 2
         assert "facet 0" in payload["error"] and "limit" in payload["error"]
+
+
+LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+# Arbitrary JSON, weighted towards near misses: numbers where literals or
+# integers belong, literals where lists belong, non-ASCII decimal digits.
+texts = (st.text(max_size=6) | st.from_regex(LITERAL, fullmatch=True)
+         | st.text(st.characters(whitelist_categories=["Nd"]), min_size=1, max_size=3))
+small = st.integers(-3, 5)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | texts
+    | small | small.map(float) | small.map(lambda k: k + 0.5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=8)
+
+
+def is_literal(value) -> bool:
+    return isinstance(value, str) and LITERAL.fullmatch(value.strip()) is not None
+
+
+def is_vector(value, dim: int) -> bool:
+    return (isinstance(value, list) and len(value) == dim
+            and all(is_literal(x) for x in value))
+
+
+def well_formed(field: str, value, dim: int) -> bool:
+    """Could this value stand in its field of a valid document?"""
+    if field == "dim":
+        return type(value) is int and value == dim
+    if field == "facets":
+        return isinstance(value, list) and value != [] and all(
+            isinstance(f, dict) and {"normal", "offset"} <= f.keys() for f in value)
+    if field in ("offset", "epsilon"):
+        return is_literal(value)
+    if field == "normal":
+        return is_vector(value, dim)
+    # directions
+    return (isinstance(value, list) and value != []
+            and all(is_vector(v, dim) for v in value))
+
+
+def substitute(P, field: str, value) -> tuple[dict, dict]:
+    """The polytope and direction documents with one field replaced."""
+    doc = json.loads(serialize_polytope(P))
+    dirs = {"epsilon": "1/4", "directions": [["1", "1"], ["-2", "1"], ["1", "-2"]]}
+    if field in ("dim", "facets"):
+        doc[field] = value
+    elif field in ("normal", "offset"):
+        doc["facets"][0][field] = value
+    else:
+        dirs[field] = value
+    return doc, dirs
+
+
+class TestFuzzedDocuments:
+    """An ill-typed value in any field of a polytope or directions document
+    ends in exit 2 with a JSON error, never in a traceback or exit 1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_classify(self, data):
+        self.check(data, "classify", ("dim", "facets", "normal", "offset"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_verify_directions(self, data):
+        self.check(data, "verify", ("dim", "facets", "normal", "offset",
+                                    "epsilon", "directions"))
+
+    def check(self, data, command, fields):
+        P = hexagon()
+        field = data.draw(st.sampled_from(fields))
+        value = data.draw(json_values.filter(lambda v: not well_formed(field, v, P.dim)))
+        doc, dirs = substitute(P, field, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            polytope, directions = Path(tmp, "p.json"), Path(tmp, "d.json")
+            polytope.write_text(json.dumps(doc))
+            directions.write_text(json.dumps(dirs))
+            argv = [command, str(polytope)]
+            if command == "verify":
+                argv += ["--directions", str(directions)]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = run_command(argv)
+        assert code == 2
+        assert "error" in json.loads(out.getvalue())

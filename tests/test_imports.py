@@ -1,0 +1,41 @@
+"""Every name a module imports is used in it.
+
+No linter is a dependency of this project, so this test is the gate: it
+reads each module's syntax tree and reports the imported names that the
+module never mentions. `__init__.py` is exempt, since its imports are the
+package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyillum"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(),
+                                                             key=lambda item: item[1])
+            if name not in used]
+
+
+def test_detects_an_unused_import():
+    assert unused_imports("import os\nfrom math import comb, gcd\nprint(gcd)\n") == [
+        "line 1: os", "line 2: comb"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyillum import polytope
 from polyillum.errors import InputError
 from polyillum.kernel import rank, vec
 from polyillum.polytope import (BOUNDARY, INTERIOR, OUTSIDE, HPolytope,
@@ -66,6 +67,13 @@ class TestVertexEnumeration:
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="empty"):
             HPolytope.from_facets(1, [((1,), -2), ((-1,), 1)])
+
+    def test_building_runs_no_feasibility_lp(self, monkeypatch):
+        # a bounded system is empty exactly when it has no vertex
+        calls = []
+        monkeypatch.setattr(polytope, "feasible", lambda *a: calls.append(a))
+        box(3)
+        assert calls == []
 
 
 class TestIrredundancy:
