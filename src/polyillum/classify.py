@@ -1,10 +1,10 @@
 """Monotypy and strong monotypy verdicts with re-checkable certificates.
 
-Three routes are implemented and cross-checked in the tests: the
-conical-position test for strong monotypy, the conical-position-with-
-captured-normal test for monotypy, and the disjoint-primitive-subsets
-test for monotypy, which is decided over the circuits of the normals.
-Verdicts depend only on the normal set, so results are cached per
+Strong monotypy is decided over the signed circuits of the normals, and
+monotypy by two routes that the `classify` command cross-checks: the
+conical-position-with-captured-normal test, and the disjoint-primitive-
+subsets test, which reads the same circuits. Verdicts depend only on the
+normal set, so results, and the circuit table they share, are cached per
 NormalSet.
 """
 
@@ -16,7 +16,7 @@ from itertools import combinations, dropwhile
 from math import comb
 from typing import Optional
 
-from .errors import InputError, ScaleLimitError
+from .errors import InputError, InternalInvariantError, ScaleLimitError
 from .kernel import Vec, circuits, rank, vadd, vneg, vscale, zero_vec
 from .polytope import NormalSet
 from .position import captured, cone_membership, is_conical_position, is_primitive
@@ -66,18 +66,45 @@ def _guard(N: NormalSet) -> None:
 
 
 @lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
+def circuit_table(N: NormalSet) -> tuple[tuple[tuple[int, ...], Vec], ...]:
+    """The circuits of the normals, as listed by `kernel.circuits`."""
+    return tuple(circuits(N.normals))
+
+
+@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
 def check_strong_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertificate]]:
     """True iff no (n+1)-subset of the normals is in conical position.
 
     A false verdict returns the first such subset in lexicographic order
     over the canonical normal order.
+
+    Decided over the circuits of N (Gordan's alternative and conformal
+    decomposition, as in `check_monotypy_mss`): a subset is strictly
+    separated from the origin iff no circuit inside it has a single sign,
+    and none of its points lies in the positive hull of the others iff no
+    circuit inside it has a single element of one sign. So a subset is in
+    conical position iff every circuit inside it is balanced, with at least
+    two positive and two negative signs. A balanced circuit is in conical
+    position itself and extends to n+1 normals by adding normals outside
+    its span, so N is strongly monotypic iff it has no balanced circuit.
+    The certificate is re-checked by LP.
     """
     validate_normal_set(N)
     _guard(N)
-    for subset in combinations(N.normals, N.dim + 1):
-        if is_conical_position(subset):
+    table = circuit_table(N)
+    unbalanced = [sum(1 << i for i in idx) for idx, mu in table  # support bitmasks
+                  if not 2 <= sum(1 for c in mu if c > 0) <= len(mu) - 2]
+    if len(unbalanced) == len(table):
+        return True, None
+    for idx in combinations(range(len(N.normals)), N.dim + 1):
+        mask = sum(1 << i for i in idx)
+        if not any(mask & support == support for support in unbalanced):
+            subset = tuple(N.normals[i] for i in idx)
+            if not is_conical_position(subset):
+                raise InternalInvariantError(
+                    "subset without an unbalanced circuit is not in conical position")
             return False, subset
-    return True, None
+    raise InternalInvariantError("balanced circuit extends to no conical (n+1)-subset")
 
 
 @lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
@@ -119,7 +146,7 @@ def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
     """
     validate_normal_set(N)
     _guard(N)
-    for idx, mu in circuits(N.normals):
+    for idx, mu in circuit_table(N):
         v1 = tuple(N.normals[i] for i, c in zip(idx, mu) if c > 0)
         v2 = tuple(N.normals[i] for i, c in zip(idx, mu) if c < 0)
         if v1 and v2 and is_primitive(v1, N.normals) and is_primitive(v2, N.normals):

@@ -2,7 +2,11 @@
 and epsilon, plus the two independent verification checks.
 
 One cone per choice of a dropped element from each skeleton part; its
-direction is the unique vector pairing to 1 with every generator. The
+direction is the unique vector pairing to 1 with every generator. Each
+vertex is assigned the first cone, in product order, that contains all
+its tight normals. Containment splits over the parts, so the cone is
+read part by part off the normals' expansions over the skeleton basis,
+with no LP, and re-checked by one linear solve per tight normal. The
 slack bound delta is half the minimum positive vertex-facet slack, and
 epsilon = delta / max |<n, v_j>| over the strictly negative products, so
 that stepping by epsilon*v never crosses a non-tight facet.
@@ -16,9 +20,8 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import AssignmentError, InputError, InternalInvariantError
-from .kernel import Vec, dot, rank, solve_rows, vscale, vsub
+from .kernel import Vec, dot, rank, solve_linear, solve_rows, vscale, vsub
 from .polytope import INTERIOR, HPolytope
-from .position import cone_membership
 from .skeleton import Skeleton, extract_skeleton
 
 
@@ -100,6 +103,31 @@ def compute_epsilon(P: HPolytope, directions: Sequence[Vec],
     return epsilon
 
 
+def _allowed_drops(skeleton: Skeleton,
+                   normals: Sequence[Vec]) -> dict[Vec, tuple[frozenset[int], ...]]:
+    """For each normal and part, the drops d (indices into the part) whose
+    cones contain the normal, whatever is dropped from the other parts.
+
+    Part l carries the positive dependence sum(c_x x) == 0 over its
+    elements, with c == 1 at x_l and c == -(coefficient of x_l) at each of
+    its basis elements. A normal m is the sum of its components a over the
+    parts (a_{x_l} == 0); within part l it equals sum((a_x - t c_x) x) for
+    every t, and the cone that drops d takes t == a_d / c_d. All those
+    coefficients are nonnegative iff d minimises a_x / c_x over the part.
+    """
+    expansions = {m: solve_linear(skeleton.basis, m) for m in normals}
+    allowed = {}
+    for m, a in expansions.items():
+        per_part = []
+        for part, support in zip(skeleton.parts, skeleton.part_supports):
+            c = expansions[part[-1]]
+            ratios = [a[i] / -c[i] for i in support] + [Fraction(0)]
+            low = min(ratios)
+            per_part.append(frozenset(d for d, r in enumerate(ratios) if r == low))
+        allowed[m] = tuple(per_part)
+    return allowed
+
+
 def build_illumination_set(P: HPolytope) -> IlluminationSet:
     skeleton = extract_skeleton(P.normal_set)
     selections = cone_selections(skeleton)
@@ -112,15 +140,25 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
         raise InternalInvariantError("more cones than 2^n")
     delta = compute_delta(P)
     epsilon = compute_epsilon(P, directions, delta)
+    allowed = _allowed_drops(skeleton, P.normal_set.normals)
     assignment = []
     for vert in P.vertices:
-        j = next((j for j, gens in enumerate(selections)
-                  if all(cone_membership(m, gens) is not None for m in vert.tight)),
-                 None)
-        if j is None:
-            raise AssignmentError(
-                f"no cone contains the tight normals of vertex {vert.point}; "
-                f"the covering claim fails")
+        j = 0
+        for k, part in enumerate(skeleton.parts):
+            drops = set(range(len(part)))
+            for m in vert.tight:
+                drops &= allowed[m][k]
+            if not drops:
+                raise AssignmentError(
+                    f"no cone contains the tight normals of vertex {vert.point}; "
+                    f"the covering claim fails")
+            j = j * len(part) + min(drops)
+        for m in vert.tight:
+            lam = solve_linear(selections[j], m)
+            if lam is None or any(c < 0 for c in lam):
+                raise InternalInvariantError(
+                    f"assigned cone does not contain the tight normal {m} "
+                    f"of vertex {vert.point}")
         assignment.append(j)
     return IlluminationSet(
         directions=directions,

@@ -19,6 +19,8 @@ from .errors import InputError
 Vec = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+# Longest rejected literal that an error message quotes in full.
+_QUOTE_LIMIT = 40
 
 
 def parse_rational(text: str) -> Fraction:
@@ -28,10 +30,10 @@ def parse_rational(text: str) -> Fraction:
     literal too long for `int` (Python's integer string-conversion limit).
     """
     if not isinstance(text, str):
-        raise InputError(f"rational literal must be a string, got {text!r}")
+        raise InputError(f"rational literal must be a string, got {type(text).__name__}")
     s = text.strip()
     if not _RATIONAL_RE.match(s):
-        raise InputError(f"not a rational literal: {text!r}")
+        raise InputError(f"not a rational literal: {_quote(text)}")
     p, _, q = s.partition("/")
     try:
         num, den = int(p), int(q or 1)
@@ -40,8 +42,14 @@ def parse_rational(text: str) -> Fraction:
             f"rational literal of {len(s)} characters exceeds the integer "
             f"string-conversion limit")
     if den == 0:
-        raise InputError(f"zero denominator in rational literal: {text!r}")
+        raise InputError(f"zero denominator in rational literal: {_quote(text)}")
     return Fraction(num, den)
+
+
+def _quote(text: str) -> str:
+    """The repr of a rejected literal, or its length if it is long, so an
+    error message stays short whatever the input."""
+    return repr(text) if len(text) <= _QUOTE_LIMIT else f"<{len(text)} characters>"
 
 
 def format_rational(x: Fraction) -> str:
@@ -155,24 +163,30 @@ def solve_rows(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Optional[Vec]:
     return tuple(reduced[i][n] for i in range(n))
 
 
-def kernel_vector(vectors: Sequence[Vec]) -> Optional[Vec]:
-    """A nontrivial dependence: coefficients mu (not all zero) with
-    sum(mu_i * vectors_i) == 0, or None if the vectors are independent."""
+def _dependence_and_rank(vectors: Sequence[Vec]) -> tuple[Optional[Vec], int]:
+    """`kernel_vector(vectors)` and the rank of the vectors, read off the
+    pivots of one elimination."""
     k = len(vectors)
     if k == 0:
-        return None
+        return None, 0
     n = len(vectors[0])
     m = [[vectors[j][i] for j in range(k)] for i in range(n)]
     reduced, pivots = _row_reduce(m)
     free = [c for c in range(k) if c not in pivots]
     if not free:
-        return None
+        return None, len(pivots)
     f = free[0]
     mu = [Fraction(0)] * k
     mu[f] = Fraction(1)
     for r, c in enumerate(pivots):
         mu[c] = -reduced[r][f]
-    return tuple(mu)
+    return tuple(mu), len(pivots)
+
+
+def kernel_vector(vectors: Sequence[Vec]) -> Optional[Vec]:
+    """A nontrivial dependence: coefficients mu (not all zero) with
+    sum(mu_i * vectors_i) == 0, or None if the vectors are independent."""
+    return _dependence_and_rank(vectors)[0]
 
 
 def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
@@ -180,9 +194,8 @@ def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
 
     Returns None unless rank(points) == len(points) - 1.
     """
-    if rank(points) != len(points) - 1:
-        return None
-    return kernel_vector(points)
+    mu, r = _dependence_and_rank(points)
+    return mu if r == len(points) - 1 else None
 
 
 def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:

@@ -1,17 +1,21 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from polyillum import classify
+from polyillum import classify, lp, position
 from polyillum.classify import (NORMAL_SET_CACHE_SIZE, check_monotypy,
                                 check_monotypy_mss, check_strong_monotypy,
-                                classify_normal_set, validate_normal_set)
-from polyillum.errors import InputError, ScaleLimitError
+                                circuit_table, classify_normal_set,
+                                validate_normal_set)
+from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
 from polyillum.kernel import vec, vscale
+from polyillum.lp import solve_eq_nonneg
 from polyillum.polytope import NormalSet
 from polyillum.position import cone_membership, is_conical_position, is_primitive
-from tests.conftest import box, simplex, square_pyramid, valid_normal_sets
+from tests.conftest import (box, set_n, simplex, simplex_product, square_pyramid,
+                            valid_normal_sets)
 
 F = Fraction
 
@@ -62,6 +66,52 @@ class TestStrongMonotypy:
     def test_hexagon_true(self):
         ok, _ = check_strong_monotypy(hexagon_normals())
         assert ok
+
+
+def lp_strong_monotypy(N):
+    """The reference: the first (n+1)-subset in conical position, by LP."""
+    for subset in combinations(N.normals, N.dim + 1):
+        if is_conical_position(subset):
+            return False, subset
+    return True, None
+
+
+class TestStrongMonotypyByCircuits:
+    @pytest.mark.parametrize("P", [
+        box(3), box(4), box(5), simplex(3), simplex(4), simplex(5), simplex(6),
+        simplex_product([2, 2]), simplex_product([2, 2, 1]), square_pyramid(), set_n(),
+    ], ids=["box3", "box4", "box5", "simplex3", "simplex4", "simplex5", "simplex6",
+            "sp22", "sp221", "pyramid", "set_n"])
+    def test_agrees_with_lp_scan(self, P):
+        assert check_strong_monotypy(P.normal_set) == lp_strong_monotypy(P.normal_set)
+
+    @settings(max_examples=80, deadline=None)
+    @given(valid_normal_sets())
+    def test_agrees_with_lp_scan_on_random_sets(self, normals):
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        assert check_strong_monotypy(N) == lp_strong_monotypy(N)
+
+    def test_runs_no_lp_on_a_strongly_monotypic_set(self, monkeypatch):
+        N = box(4).normal_set
+        validate_normal_set(N)
+        calls = []
+
+        def counting(rows, rhs):
+            calls.append(rows)
+            return solve_eq_nonneg(rows, rhs)
+
+        monkeypatch.setattr(lp, "solve_eq_nonneg", counting)
+        monkeypatch.setattr(position, "solve_eq_nonneg", counting)
+        check_strong_monotypy.cache_clear()
+        circuit_table.cache_clear()
+        assert check_strong_monotypy(N) == (True, None)
+        assert calls == []
+
+    def test_certificate_that_fails_its_recheck_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(classify, "is_conical_position", lambda points: False)
+        check_strong_monotypy.cache_clear()
+        with pytest.raises(InternalInvariantError, match="conical position"):
+            check_strong_monotypy(square_pyramid().normal_set)
 
 
 class TestMonotypy:
@@ -171,7 +221,7 @@ class TestCaches:
         for k in range(1, NORMAL_SET_CACHE_SIZE + 11):
             N = NormalSet.from_vectors(2, [(1, 0), (0, 1), (-1, -k)])
             assert check_strong_monotypy(N) == (True, None)
-        for cached in (check_strong_monotypy, validate_normal_set):
+        for cached in (check_strong_monotypy, circuit_table, validate_normal_set):
             info = cached.cache_info()
             assert info.maxsize == NORMAL_SET_CACHE_SIZE
             assert info.currsize <= NORMAL_SET_CACHE_SIZE

@@ -1,16 +1,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from polyillum.errors import InputError, NotStronglyMonotypicError
+from polyillum import illuminate, lp, position
+from polyillum.classify import check_strong_monotypy
+from polyillum.errors import (AssignmentError, InputError, InternalInvariantError,
+                              NotStronglyMonotypicError)
+from polyillum.generators import randomize_offsets
 from polyillum.illuminate import (IlluminationSet, build_illumination_set,
                                   compute_delta, compute_epsilon,
                                   cone_direction, cone_selections,
                                   verify_directions, verify_illumination)
 from polyillum.kernel import dot, vadd, vec, vscale, vsub
-from polyillum.polytope import INTERIOR
+from polyillum.lp import solve_eq_nonneg
+from polyillum.polytope import INTERIOR, HPolytope, NormalSet
+from polyillum.position import cone_membership
 from polyillum.skeleton import extract_skeleton
-from tests.conftest import box, hexagon, simplex, simplex_product, square_pyramid, triangle
+from tests.conftest import (box, hexagon, simplex, simplex_product, square_pyramid,
+                            triangle, valid_normal_sets)
 
 F = Fraction
 
@@ -116,6 +124,69 @@ class TestBuild:
     def test_non_strongly_monotypic_rejected(self):
         with pytest.raises(NotStronglyMonotypicError):
             build_illumination_set(square_pyramid())
+
+
+def lp_assignment(P):
+    """The reference: each vertex takes the first selection, in product
+    order, whose cone contains all its tight normals by LP."""
+    selections = cone_selections(extract_skeleton(P.normal_set))
+    return tuple(next(j for j, gens in enumerate(selections)
+                      if all(cone_membership(m, gens) is not None for m in v.tight))
+                 for v in P.vertices)
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("P", [
+        box(3), box(4), simplex(3), simplex(5), simplex_product([2, 2]),
+        simplex_product([2, 2, 1]), hexagon(), randomize_offsets(box(3), 7),
+        randomize_offsets(simplex_product([2, 1]), 3),
+    ], ids=["box3", "box4", "simplex3", "simplex5", "sp22", "sp221", "hexagon",
+            "box3-r7", "sp21-r3"])
+    def test_agrees_with_lp_scan(self, P):
+        assert build_illumination_set(P).assignment == lp_assignment(P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets(), st.sampled_from([None, 1, 2, 3]))
+    def test_agrees_with_lp_scan_on_random_sets(self, normals, seed):
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        assume(check_strong_monotypy(N)[0])
+        try:
+            P = HPolytope(N, (F(1),) * len(normals))
+        except InputError:
+            assume(False)
+        if seed is not None:
+            P = randomize_offsets(P, seed)
+        assert build_illumination_set(P).assignment == lp_assignment(P)
+
+    def test_runs_no_assignment_lp(self, monkeypatch):
+        P = box(4)
+        build_illumination_set(P)
+        calls = []
+
+        def counting(rows, rhs):
+            calls.append(rows)
+            return solve_eq_nonneg(rows, rhs)
+
+        monkeypatch.setattr(lp, "solve_eq_nonneg", counting)
+        monkeypatch.setattr(position, "solve_eq_nonneg", counting)
+        build_illumination_set(P)
+        # the captured-normal count of the starting basis in refine_basis
+        assert len(calls) == 4
+
+    def test_empty_part_intersection_is_an_assignment_error(self, monkeypatch):
+        sk = extract_skeleton(box(3).normal_set)
+        nowhere = tuple(frozenset() for _ in sk.parts)
+        monkeypatch.setattr(illuminate, "_allowed_drops",
+                            lambda skeleton, normals: {m: nowhere for m in normals})
+        with pytest.raises(AssignmentError, match="covering claim"):
+            build_illumination_set(box(3))
+
+    def test_cone_that_fails_its_recheck_is_an_internal_error(self, monkeypatch):
+        # listed in reverse, each box selection is the opposite orthant
+        monkeypatch.setattr(illuminate, "cone_selections",
+                            lambda skeleton: cone_selections(skeleton)[::-1])
+        with pytest.raises(InternalInvariantError, match="does not contain"):
+            build_illumination_set(box(3))
 
 
 class TestVerification:

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from polyillum import kernel
 from polyillum.errors import InputError
 from polyillum.kernel import (dot, format_rational, kernel_vector,
                               parse_rational, primitive_form, rank,
@@ -47,6 +49,21 @@ class TestRationalLiterals:
     def test_rejects_non_strings(self, value):
         with pytest.raises(InputError, match="must be a string"):
             parse_rational(value)
+
+    @pytest.mark.parametrize("value", [
+        ["1"], reduce(lambda v, _: [v], range(950), "1"), 950 * [0],
+        "x" * 5000, "1/" + "0" * 4000,
+    ], ids=["list", "deep-list", "long-list", "long-string", "long-zero-denominator"])
+    def test_error_messages_stay_short(self, value):
+        with pytest.raises(InputError) as exc:
+            parse_rational(value)
+        assert len(str(exc.value)) < 200
+
+    def test_short_literals_are_quoted(self):
+        with pytest.raises(InputError, match="not a rational literal: '1.5'"):
+            parse_rational("1.5")
+        with pytest.raises(InputError, match="got list"):
+            parse_rational(["1"])
 
     @pytest.mark.parametrize("text", ["9" * 4401, "1/" + "9" * 4401],
                              ids=["integer", "denominator"])
@@ -127,6 +144,25 @@ class TestRowsAndKernels:
         assert simplex_dependence([vec(1, 0), vec(0, 1)]) is None
         # rank deficit of two: the dependence is not unique
         assert simplex_dependence([vec(1, 0), vec(2, 0), vec(3, 0)]) is None
+
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=d + 2)))
+    def test_simplex_dependence_is_kernel_vector_at_rank_one_short(self, rows):
+        points = [vec(*r) for r in rows]
+        expected = kernel_vector(points) if rank(points) == len(points) - 1 else None
+        assert simplex_dependence(points) == expected
+
+    def test_simplex_dependence_row_reduces_once(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return row_reduce(matrix)
+
+        row_reduce = kernel._row_reduce
+        monkeypatch.setattr(kernel, "_row_reduce", counting)
+        assert simplex_dependence([vec(1, 0), vec(0, 1), vec(-1, -1)]) is not None
+        assert len(calls) == 1
 
 
 class TestPrimitiveForm:
