@@ -1,25 +1,34 @@
 """Monotypy and strong monotypy verdicts with re-checkable certificates.
 
-Strong monotypy is decided over the signed circuits of the normals, and
-monotypy by two routes that the `classify` command cross-checks: the
-conical-position-with-captured-normal test, and the disjoint-primitive-
-subsets test, which reads the same circuits. Verdicts depend only on the
-normal set, so results, and the circuit table they share, are cached per
-NormalSet.
+Every position fact a verdict rests on is read off one table of the
+signed circuits of the normals, kept as index bitmasks (Gordan's
+alternative and conformal decomposition into circuits, Rockafellar
+1969). For a subset S of the normals:
+
+- S is independent iff no circuit lies inside S;
+- a normal m outside S lies in pos(S) iff m is the only element of one
+  sign of a circuit inside S + {m} (S *captures* m);
+- S is primitive iff it is independent and captures nothing.
+
+Monotypy is decided by two routes that `classify_normal_set` cross-checks:
+the conical-position-with-captured-normal test, and the disjoint-primitive-
+subsets test. Each emitted certificate is re-checked once by the LP
+predicates of `position`. Verdicts depend only on the normal set, so
+results, and the circuit table they share, are cached per NormalSet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, dropwhile
+from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
-from .kernel import Vec, circuits, rank, vadd, vneg, vscale, zero_vec
+from .kernel import Vec, circuits, rank, vadd, vscale, zero_vec
 from .polytope import NormalSet
-from .position import captured, cone_membership, is_conical_position, is_primitive
+from .position import captured, is_conical_position, is_primitive
 
 MAX_SUBSET_COUNT = 10 ** 7
 # Entries kept by each per-NormalSet cache, so a long-lived process holds
@@ -37,24 +46,22 @@ class ClassificationVerdict:
     monotypic: bool
     strong_certificate: Optional[ConicalCertificate] = None
     mono_certificate: Optional[ConicalCertificate] = None
+    mss_certificate: Optional[MssCertificate] = None
 
     @property
     def certificate(self):
         return self.mono_certificate if not self.monotypic else self.strong_certificate
 
 
-@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
-def validate_normal_set(N: NormalSet) -> None:
-    """A valid facet-normal set spans the space and has the origin interior
-    to its convex hull (equivalently, its positive hull is everything)."""
-    if rank(N.normals) < N.dim:
-        raise InputError("normals do not span the space")
-    # 0 = sum(lam_i n_i) with every lam_i >= 1, via lam = 1 + lam', lam' >= 0
-    total = zero_vec(N.dim)
-    for m in N.normals:
-        total = vadd(total, m)
-    if cone_membership(vneg(total), N.normals) is None:
-        raise InputError("origin is not interior to the convex hull of the normals")
+class Circuit(NamedTuple):
+    indices: tuple[int, ...]
+    dependence: Vec
+    plus: int   # index bitmask of the normals with a positive coefficient
+    minus: int  # index bitmask of the normals with a negative coefficient
+
+
+def bitmask(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in indices)
 
 
 def _guard(N: NormalSet) -> None:
@@ -66,9 +73,78 @@ def _guard(N: NormalSet) -> None:
 
 
 @lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
-def circuit_table(N: NormalSet) -> tuple[tuple[tuple[int, ...], Vec], ...]:
-    """The circuits of the normals, as listed by `kernel.circuits`."""
-    return tuple(circuits(N.normals))
+def circuit_table(N: NormalSet) -> tuple[Circuit, ...]:
+    """The circuits of the normals, in the order of `kernel.circuits`,
+    each with the bitmasks of its positive and its negative elements."""
+    _guard(N)
+    return tuple(
+        Circuit(idx, mu, bitmask(i for i, c in zip(idx, mu) if c > 0),
+                bitmask(i for i, c in zip(idx, mu) if c < 0))
+        for idx, mu in circuits(N.normals))
+
+
+def circuits_inside(mask: int, table: tuple[Circuit, ...]) -> Iterator[Circuit]:
+    """The circuits whose elements all lie in the index set `mask`."""
+    return (c for c in table if (c.plus | c.minus) & ~mask == 0)
+
+
+def captures(mask: int, table: tuple[Circuit, ...]) -> int:
+    """Bitmask of the normals outside `mask` that lie in the positive hull
+    of the normals inside it: each is the only element of one sign of a
+    circuit whose other elements lie inside `mask`."""
+    found = 0
+    for c in table:
+        for lone, rest in ((c.plus, c.minus), (c.minus, c.plus)):
+            if (lone and lone & (lone - 1) == 0 and not lone & mask
+                    and rest & ~mask == 0):
+                found |= lone
+    return found
+
+
+def primitive(mask: int, table: tuple[Circuit, ...]) -> bool:
+    """Independent normals whose positive hull holds no other normal."""
+    return not any(circuits_inside(mask, table)) and not captures(mask, table)
+
+
+@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
+def validate_normal_set(N: NormalSet) -> None:
+    """A valid facet-normal set spans the space and has the origin interior
+    to its convex hull (equivalently, its positive hull is everything).
+
+    The origin is a combination of the normals with every coefficient
+    positive iff every normal lies in a circuit with a single sign: such a
+    combination is a conformal sum of single-signed circuits, and the sum
+    of single-signed circuits covering every normal is such a combination.
+    """
+    if rank(N.normals) < N.dim:
+        raise InputError("normals do not span the space")
+    covered = 0
+    for c in circuit_table(N):
+        if not (c.plus and c.minus):
+            covered |= c.plus | c.minus
+    if covered != (1 << len(N.normals)) - 1:
+        raise InputError("origin is not interior to the convex hull of the normals")
+
+
+def _balanced(c: Circuit) -> bool:
+    return c.plus.bit_count() >= 2 and c.minus.bit_count() >= 2
+
+
+def _conical_subsets(N: NormalSet) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The (n+1)-subsets in conical position, as index tuples and bitmasks,
+    in `combinations` order.
+
+    A subset is strictly separated from the origin iff no circuit inside it
+    has a single sign, and none of its points lies in the positive hull of
+    the others iff no circuit inside it has a single element of one sign.
+    So it is in conical position iff every circuit inside it is balanced,
+    with at least two positive and two negative signs.
+    """
+    unbalanced = [c.plus | c.minus for c in circuit_table(N) if not _balanced(c)]
+    for idx in combinations(range(len(N.normals)), N.dim + 1):
+        mask = bitmask(idx)
+        if not any(mask & support == support for support in unbalanced):
+            yield idx, mask
 
 
 @lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
@@ -76,34 +152,20 @@ def check_strong_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertifica
     """True iff no (n+1)-subset of the normals is in conical position.
 
     A false verdict returns the first such subset in lexicographic order
-    over the canonical normal order.
-
-    Decided over the circuits of N (Gordan's alternative and conformal
-    decomposition, as in `check_monotypy_mss`): a subset is strictly
-    separated from the origin iff no circuit inside it has a single sign,
-    and none of its points lies in the positive hull of the others iff no
-    circuit inside it has a single element of one sign. So a subset is in
-    conical position iff every circuit inside it is balanced, with at least
-    two positive and two negative signs. A balanced circuit is in conical
-    position itself and extends to n+1 normals by adding normals outside
-    its span, so N is strongly monotypic iff it has no balanced circuit.
-    The certificate is re-checked by LP.
+    over the canonical normal order, re-checked by LP. A balanced circuit
+    is in conical position itself and extends to n+1 normals by adding
+    normals outside its span, so N is strongly monotypic iff it has no
+    balanced circuit.
     """
     validate_normal_set(N)
-    _guard(N)
-    table = circuit_table(N)
-    unbalanced = [sum(1 << i for i in idx) for idx, mu in table  # support bitmasks
-                  if not 2 <= sum(1 for c in mu if c > 0) <= len(mu) - 2]
-    if len(unbalanced) == len(table):
+    if not any(_balanced(c) for c in circuit_table(N)):
         return True, None
-    for idx in combinations(range(len(N.normals)), N.dim + 1):
-        mask = sum(1 << i for i in idx)
-        if not any(mask & support == support for support in unbalanced):
-            subset = tuple(N.normals[i] for i in idx)
-            if not is_conical_position(subset):
-                raise InternalInvariantError(
-                    "subset without an unbalanced circuit is not in conical position")
-            return False, subset
+    for idx, _ in _conical_subsets(N):
+        subset = tuple(N.normals[i] for i in idx)
+        if not is_conical_position(subset):
+            raise InternalInvariantError(
+                "subset without an unbalanced circuit is not in conical position")
+        return False, subset
     raise InternalInvariantError("balanced circuit extends to no conical (n+1)-subset")
 
 
@@ -112,18 +174,23 @@ def check_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertificate]]:
     """True iff every (n+1)-subset in conical position has its positive hull
     containing some further normal of N.
 
-    Starts from `check_strong_monotypy`: a strongly monotypic set has no
-    such subset, and otherwise every subset before its certificate is
-    known not to be in conical position, so the scan resumes there.
+    A false verdict returns the first uncaptured conical subset, re-checked
+    by LP; the strong certificate has been re-checked for conical position
+    already.
     """
     strong, first_conical = check_strong_monotypy(N)
     if strong:
         return True, None
-    subsets = combinations(N.normals, N.dim + 1)
-    for subset in dropwhile(lambda s: s != first_conical, subsets):
-        if ((subset == first_conical or is_conical_position(subset))
-                and not any(captured(subset, N.normals))):
-            return False, subset
+    table = circuit_table(N)
+    for idx, mask in _conical_subsets(N):
+        if captures(mask, table):
+            continue
+        subset = tuple(N.normals[i] for i in idx)
+        if ((subset != first_conical and not is_conical_position(subset))
+                or any(captured(subset, N.normals))):
+            raise InternalInvariantError(
+                "uncaptured conical subset fails its re-check")
+        return False, subset
     return True, None
 
 
@@ -132,33 +199,41 @@ def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
     """True iff every two disjoint primitive subsets have positive hulls
     meeting only at the origin.
 
-    Decided over the circuits of N. If pos(V1) and pos(V2) share a point
-    p != 0, then p = sum(lam_i x_i) = sum(theta_j y_j) is a dependence,
-    positive on V1 and negative on V2, and every such dependence is a
-    conformal sum of circuits (Rockafellar 1969). Any circuit in that sum
-    has its positive half in V1 and its negative half in V2; neither half
-    is empty because V1 and V2 are independent, and both are primitive
-    because subsets of primitive sets are. Conversely a circuit mu whose
-    halves are both primitive gives the common point sum over mu_i > 0 of
-    mu_i n_i, nonzero since its positive half is independent. A false
-    verdict returns the first such circuit's halves, in the order of
-    `kernel.circuits`, and that point.
+    If pos(V1) and pos(V2) share a point p != 0, then p = sum(lam_i x_i) =
+    sum(theta_j y_j) is a dependence, positive on V1 and negative on V2,
+    and every such dependence is a conformal sum of circuits (Rockafellar
+    1969). Any circuit in that sum has its positive half in V1 and its
+    negative half in V2; neither half is empty because V1 and V2 are
+    independent, and both are primitive because subsets of primitive sets
+    are. Conversely a circuit mu whose halves are both primitive gives the
+    common point sum over mu_i > 0 of mu_i n_i, nonzero since its positive
+    half is independent. A false verdict returns the first such circuit's
+    halves, in the order of `kernel.circuits`, and that point; both halves
+    are re-checked by LP.
     """
     validate_normal_set(N)
-    _guard(N)
-    for idx, mu in circuit_table(N):
-        v1 = tuple(N.normals[i] for i, c in zip(idx, mu) if c > 0)
-        v2 = tuple(N.normals[i] for i, c in zip(idx, mu) if c < 0)
-        if v1 and v2 and is_primitive(v1, N.normals) and is_primitive(v2, N.normals):
-            point = zero_vec(N.dim)
-            for i, c in zip(idx, mu):
-                if c > 0:
-                    point = vadd(point, vscale(c, N.normals[i]))
-            return False, (v1, v2, point)
+    table = circuit_table(N)
+    for c in table:
+        if not (c.plus and c.minus and primitive(c.plus, table)
+                and primitive(c.minus, table)):
+            continue
+        v1 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu > 0)
+        v2 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu < 0)
+        if not (is_primitive(v1, N.normals) and is_primitive(v2, N.normals)):
+            raise InternalInvariantError("circuit halves fail their primitivity re-check")
+        point = zero_vec(N.dim)
+        for i, mu in zip(c.indices, c.dependence):
+            if mu > 0:
+                point = vadd(point, vscale(mu, N.normals[i]))
+        return False, (v1, v2, point)
     return True, None
 
 
 def classify_normal_set(N: NormalSet) -> ClassificationVerdict:
+    """All three verdicts; the two monotypy routes must agree."""
     strong, strong_cert = check_strong_monotypy(N)
     mono, mono_cert = check_monotypy(N)
-    return ClassificationVerdict(strong, mono, strong_cert, mono_cert)
+    mono_mss, mss_cert = check_monotypy_mss(N)
+    if mono != mono_mss:
+        raise InternalInvariantError("the two monotypy characterizations disagree")
+    return ClassificationVerdict(strong, mono, strong_cert, mono_cert, mss_cert)

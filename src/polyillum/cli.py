@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .classify import check_monotypy, check_monotypy_mss, check_strong_monotypy
+from .classify import classify_normal_set
 from .errors import (InputError, InternalInvariantError,
                      NotStronglyMonotypicError)
 from .fan import enumerate_primitive_bases, normal_fan, verify_fan_uniqueness
@@ -50,23 +50,19 @@ def _mss_cert_doc(cert):
 
 
 def _cmd_classify(args):
-    N = _load_polytope(args.file).normal_set
-    strong, strong_cert = check_strong_monotypy(N)
-    mono, mono_cert = check_monotypy(N)
-    mono_mss, mss_cert = check_monotypy_mss(N)
-    if mono != mono_mss:
-        raise InternalInvariantError("the two monotypy characterizations disagree")
-    payload = {"strongly_monotypic": strong, "monotypic": mono}
+    v = classify_normal_set(_load_polytope(args.file).normal_set)
+    payload = {"strongly_monotypic": v.strongly_monotypic, "monotypic": v.monotypic}
     certificates = {}
-    if strong_cert is not None:
-        certificates["conical_subset"] = certificate_to_doc(strong_cert)
-    if mono_cert is not None:
-        certificates["uncaptured_conical_subset"] = certificate_to_doc(mono_cert)
-    if mss_cert is not None:
-        certificates["intersecting_primitive_subsets"] = _mss_cert_doc(mss_cert)
+    if v.strong_certificate is not None:
+        certificates["conical_subset"] = certificate_to_doc(v.strong_certificate)
+    if v.mono_certificate is not None:
+        certificates["uncaptured_conical_subset"] = certificate_to_doc(v.mono_certificate)
+    if v.mss_certificate is not None:
+        certificates["intersecting_primitive_subsets"] = _mss_cert_doc(v.mss_certificate)
     if certificates:
         payload["certificates"] = certificates
-    return (EXIT_OK if strong and mono else EXIT_PROPERTY_FAILS), payload
+    ok = v.strongly_monotypic and v.monotypic
+    return (EXIT_OK if ok else EXIT_PROPERTY_FAILS), payload
 
 
 def _cmd_skeleton(args):

@@ -4,21 +4,24 @@ combinatorial fan coincides with the normal fan of a concrete polytope.
 For a monotypic normal set the primitive full-rank subsets generate the
 only simplicial fan, which is offset-independent; the verification here
 cross-checks that enumeration against the vertex-wise normal fan and
-confirms the cone interiors are pairwise disjoint.
+confirms the cones form a complete fan. Primitivity and the side of a
+wall each cone lies on are read off the circuit table of `classify`, so
+no LP runs here.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
-from .classify import NORMAL_SET_CACHE_SIZE, check_monotypy, validate_normal_set
+from .classify import (NORMAL_SET_CACHE_SIZE, bitmask, check_monotypy, circuit_table,
+                       circuits_inside, primitive, validate_normal_set)
 from .errors import InputError
-from .kernel import Vec, rank, vadd, vneg, vsub, zero_vec
+from .kernel import Vec, solve_linear, vadd, zero_vec
 from .polytope import HPolytope, NormalSet, Vertex
-from .position import cone_membership, is_primitive
 
 
 @dataclass(frozen=True)
@@ -33,13 +36,10 @@ def enumerate_primitive_bases(N: NormalSet) -> tuple[FanCone, ...]:
     the canonical normal order. Each spans a pointed full-dimensional
     simplicial cone."""
     validate_normal_set(N)
-    cones = []
-    for subset in combinations(N.normals, N.dim):
-        if rank(subset) != N.dim:
-            continue
-        if is_primitive(subset, N.normals):
-            cones.append(FanCone(subset))
-    return tuple(cones)
+    table = circuit_table(N)
+    return tuple(FanCone(tuple(N.normals[i] for i in idx))
+                 for idx in combinations(range(len(N.normals)), N.dim)
+                 if primitive(bitmask(idx), table))
 
 
 def normal_fan(P: HPolytope) -> tuple[FanCone, ...]:
@@ -55,40 +55,53 @@ def normal_fan(P: HPolytope) -> tuple[FanCone, ...]:
     return tuple(cones)
 
 
-def _interiors_meet(v1: tuple[Vec, ...], v2: tuple[Vec, ...]) -> bool:
-    """Do two full-rank simplicial cones share a point interior to both?
+def is_complete_fan(N: NormalSet, cones: Sequence[FanCone]) -> bool:
+    """Do distinct full-rank simplicial cones, generated by normals of N,
+    form a complete fan?
 
-    Solves sum((1+lam_i) x_i) == sum((1+theta_j) y_j) with lam, theta >= 0;
-    strictly positive coefficients are equivalent to >= 1 by homogeneity.
+    They do iff they form a pseudomanifold that covers one generic point
+    once (De Loera, Rambau & Santos, *Triangulations*, 2010, ch. 4). Every
+    wall (n-1 generators of a cone) must lie in exactly two cones W+a and
+    W+b, on opposite sides of span(W): the one circuit inside W+a+b gives
+    a and b the same sign. Then the number of cones covering a point is
+    the same off the walls, and the sum of the first cone's generators,
+    which lies in no other closed cone, fixes it at 1.
     """
-    rhs = zero_vec(len(v1[0]))
-    for y in v2:
-        rhs = vadd(rhs, y)
-    for x in v1:
-        rhs = vsub(rhs, x)
-    return cone_membership(rhs, v1 + tuple(vneg(y) for y in v2)) is not None
-
-
-@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
-def _first_overlapping_pair(N: NormalSet):
-    bases = enumerate_primitive_bases(N)
-    for a in range(len(bases)):
-        for b in range(a + 1, len(bases)):
-            if _interiors_meet(bases[a].generators, bases[b].generators):
-                return bases[a], bases[b]
-    return None
+    if not cones:
+        return False
+    index = {m: i for i, m in enumerate(N.normals)}
+    table = circuit_table(N)
+    ends = defaultdict(list)
+    for cone in cones:
+        mask = bitmask(index[g] for g in cone.generators)
+        for g in cone.generators:
+            ends[mask ^ (1 << index[g])].append(1 << index[g])
+    for wall, sides in ends.items():
+        if len(sides) != 2:
+            return False
+        a, b = sides
+        circuit = next(circuits_inside(wall | a | b, table))
+        if bool(circuit.plus & a) != bool(circuit.plus & b):
+            return False
+    point = zero_vec(N.dim)
+    for g in cones[0].generators:
+        point = vadd(point, g)
+    return not any(all(c >= 0 for c in solve_linear(cone.generators, point))
+                   for cone in cones[1:])
 
 
 def verify_fan_uniqueness(N: NormalSet, P: HPolytope) -> bool:
     """True iff the combinatorially enumerated fan equals the normal fan of
-    P and its cone interiors are pairwise disjoint."""
+    P and its cones form a complete fan, so their interiors are pairwise
+    disjoint."""
     if N != P.normal_set:
         raise InputError("normal set does not match the polytope")
     mono, _ = check_monotypy(N)
     if not mono:
         raise InputError("fan uniqueness is only claimed for monotypic normal sets")
-    combinatorial = {frozenset(c.generators) for c in enumerate_primitive_bases(N)}
+    bases = enumerate_primitive_bases(N)
+    combinatorial = {frozenset(c.generators) for c in bases}
     geometric = {frozenset(c.generators) for c in normal_fan(P)}
     if combinatorial != geometric:
         return False
-    return _first_overlapping_pair(N) is None
+    return is_complete_fan(N, bases)

@@ -43,16 +43,8 @@ class FamilySpec:
     seed: Optional[int] = None
 
 
-def _unit(n: int, i: int, sign: int = 1) -> tuple[Fraction, ...]:
-    return tuple(Fraction(sign if j == i else 0) for j in range(n))
-
-
-def box_normals(n: int) -> list[tuple[Fraction, ...]]:
-    return [_unit(n, i, s) for i in range(n) for s in (1, -1)]
-
-
-def simplex_normals(n: int) -> list[tuple[Fraction, ...]]:
-    return [_unit(n, i) for i in range(n)] + [(Fraction(-1),) * n]
+def _unit(n: int, i: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
 def simplex_product_normals(dims) -> list[tuple[Fraction, ...]]:
@@ -82,16 +74,12 @@ def generate(spec: FamilySpec) -> HPolytope:
         raise InputError(f"unknown family {spec.family!r}; expected one of {FAMILIES}")
     if any(d <= 0 for d in spec.dims):
         raise InputError(f"dimensions must be positive, got {spec.dims}")
-    if spec.family == "box":
+    if spec.family in ("box", "simplex"):
+        # the box is the product of n segments, the simplex one factor
         if len(spec.dims) != 1:
-            raise InputError("box takes exactly one dimension")
-        normals = box_normals(spec.dims[0])
+            raise InputError(f"{spec.family} takes exactly one dimension")
         dim = spec.dims[0]
-    elif spec.family == "simplex":
-        if len(spec.dims) != 1:
-            raise InputError("simplex takes exactly one dimension")
-        normals = simplex_normals(spec.dims[0])
-        dim = spec.dims[0]
+        normals = simplex_product_normals([1] * dim if spec.family == "box" else [dim])
     elif spec.family == "simplex_product":
         if not spec.dims:
             raise InputError("simplex_product takes at least one factor dimension")

@@ -6,9 +6,10 @@ full-dimensional cells of the central hyperplane arrangement of the
 normals. A sign vector is a cell exactly when no circuit (minimal
 dependent subset) of the normals has signs that agree with it, or with
 its negation, on the circuit's support (Gordan's alternative). Sign
-vectors that agree with a circuit are skipped by integer comparisons, so
-one exact-feasibility LP runs per cell and yields its representative;
-exhaustive set cover over the cells gives the true minimum.
+vectors that agree with a circuit are skipped by comparing them with the
+bitmasks of the circuit table of `classify`, so one exact-feasibility LP
+runs per cell and yields its representative; exhaustive set cover over
+the cells gives the true minimum.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil
-from typing import Iterator, Sequence
+from typing import Iterator
 
+from .classify import bitmask, circuit_table
 from .errors import InternalInvariantError, ScaleLimitError
-from .kernel import Vec, circuits, dot, vscale
+from .kernel import Vec, dot, vscale
 from .lp import GE, feasible
-from .polytope import HPolytope
+from .polytope import HPolytope, NormalSet
 
 CELL_GUARD = 10 ** 6
 
@@ -33,7 +35,7 @@ class DirectionClass:
     illuminated: tuple[int, ...]  # vertex indices, aligned with P.vertices
 
 
-def cell_sign_vectors(normals: Sequence[Vec]) -> Iterator[tuple[int, ...]]:
+def cell_sign_vectors(N: NormalSet) -> Iterator[tuple[int, ...]]:
     """The sign vectors of the full-dimensional cells, in
     `product((1, -1), repeat=m)` order, decided without an LP.
 
@@ -41,13 +43,9 @@ def cell_sign_vectors(normals: Sequence[Vec]) -> Iterator[tuple[int, ...]]:
     nonzero combination of the s_i n_i vanishes; a support-minimal one is
     a circuit whose signs, or their negation, agree with s on its support.
     """
-    masks = []  # (support, positive, negative) index bitmasks per circuit
-    for idx, mu in circuits(normals):
-        plus = sum(1 << i for i, c in zip(idx, mu) if c > 0)
-        minus = sum(1 << i for i, c in zip(idx, mu) if c < 0)
-        masks.append((plus | minus, plus, minus))
-    for signs in product((1, -1), repeat=len(normals)):
-        pos = sum(1 << i for i, s in enumerate(signs) if s > 0)
+    masks = [(c.plus | c.minus, c.plus, c.minus) for c in circuit_table(N)]
+    for signs in product((1, -1), repeat=len(N.normals)):
+        pos = bitmask(i for i, s in enumerate(signs) if s > 0)
         if not any(pos & support in (plus, minus) for support, plus, minus in masks):
             yield signs
 
@@ -60,7 +58,7 @@ def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
         raise ScaleLimitError(
             f"2^{len(normals)} sign vectors exceed the cell guard ({CELL_GUARD})")
     classes = []
-    for signs in cell_sign_vectors(normals):
+    for signs in cell_sign_vectors(P.normal_set):
         rep = feasible([(vscale(s, m), Fraction(1), GE)
                         for s, m in zip(signs, normals)])
         if rep is None:

@@ -2,7 +2,10 @@
 basis, conical position, positive-hull membership, primitivity.
 
 Every negative verdict carries a witness so it can be re-checked without
-trusting the code path that produced it.
+trusting the code path that produced it. Verdicts about subsets of a
+normal set are decided over its circuit table in `classify`; the LP
+predicates here re-check each emitted certificate once, and are the
+reference the tests compare that table against.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .errors import CoverageError, InternalInvariantError, NotStronglyMonotypicE
 from .kernel import Vec, rank, simplex_dependence
 from .polytope import NormalSet
 from .position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED, SINGLE_POSITIVE,
-                       captured, classify_signs, is_conical_position)
+                       classify_signs, is_conical_position)
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,13 @@ def _first_independent_subset(N: NormalSet) -> tuple[Vec, ...]:
     raise InternalInvariantError("validated normal set has no independent subset")
 
 
+def _captured_count(basis: Sequence[Vec], normals: Sequence[Vec]) -> int:
+    """The number of normals outside an independent basis that lie in its
+    positive hull: those whose expansion over it is all nonnegative."""
+    return sum(1 for x in normals
+               if x not in basis and classify_signs(basis, x).tag == ALL_NONNEGATIVE)
+
+
 def refine_basis(N: NormalSet, start: Optional[Sequence[Vec]] = None) -> tuple[Vec, ...]:
     """Swap-stable basis B within N: every other normal classifies as
     all_nonpositive or all_nonnegative over B.
@@ -58,7 +65,7 @@ def refine_basis(N: NormalSet, start: Optional[Sequence[Vec]] = None) -> tuple[V
     basis = list(start) if start is not None else list(_first_independent_subset(N))
     if rank(basis) != N.dim:
         raise InternalInvariantError("starting basis is not independent")
-    count = sum(1 for _ in captured(basis, N.normals))
+    count = _captured_count(basis, N.normals)
     swaps = 0
     while True:
         for x in N.normals:
@@ -77,7 +84,7 @@ def refine_basis(N: NormalSet, start: Optional[Sequence[Vec]] = None) -> tuple[V
                 swaps += 1
                 if swaps > len(N.normals):
                     raise InternalInvariantError("basis refinement did not terminate")
-                now = sum(1 for _ in captured(basis, N.normals))
+                now = _captured_count(basis, N.normals)
                 if now <= count:
                     raise InternalInvariantError(
                         "swap failed to enlarge the captured normal count")

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from polyillum import HPolytope, NormalSet
+from polyillum import HPolytope, NormalSet, lp, position
 from polyillum.classify import validate_normal_set
 from polyillum.errors import InputError
 from polyillum.generators import FamilySpec, generate
+from polyillum.lp import solve_eq_nonneg
 
 HEXAGON_FACETS = [
     ((1, 0), 1), ((-1, 0), 1), ((0, 1), 1),
@@ -46,6 +47,19 @@ def set_n() -> HPolytope:
     its negative supports are laminar."""
     return HPolytope.from_facets(3, [((1, 1, 1), 1), ((1, 1, -1), 1), ((0, -1, -1), 1),
                                      ((-1, 1, -1), 1), ((-1, 0, 1), 1)])
+
+
+def count_lps(monkeypatch):
+    """Patch the LP entry point; the returned list collects one entry per solve."""
+    calls = []
+
+    def counting(rows, rhs):
+        calls.append(rows)
+        return solve_eq_nonneg(rows, rhs)
+
+    monkeypatch.setattr(lp, "solve_eq_nonneg", counting)
+    monkeypatch.setattr(position, "solve_eq_nonneg", counting)
+    return calls
 
 
 @st.composite

@@ -1,21 +1,24 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from polyillum import classify, lp, position
-from polyillum.classify import (NORMAL_SET_CACHE_SIZE, check_monotypy,
-                                check_monotypy_mss, check_strong_monotypy,
-                                circuit_table, classify_normal_set,
+from polyillum.classify import (NORMAL_SET_CACHE_SIZE, bitmask, captures,
+                                check_monotypy, check_monotypy_mss,
+                                check_strong_monotypy, circuit_table,
+                                circuits_inside, classify_normal_set, primitive,
                                 validate_normal_set)
 from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
-from polyillum.kernel import vec, vscale
+from polyillum.kernel import rank, vadd, vec, vneg, vscale, zero_vec
 from polyillum.lp import solve_eq_nonneg
 from polyillum.polytope import NormalSet
-from polyillum.position import cone_membership, is_conical_position, is_primitive
-from tests.conftest import (box, set_n, simplex, simplex_product, square_pyramid,
-                            valid_normal_sets)
+from polyillum.position import (captured, cone_membership, is_conical_position,
+                                is_primitive)
+from tests.conftest import (box, count_lps, set_n, simplex, simplex_product,
+                            square_pyramid, valid_normal_sets)
 
 F = Fraction
 
@@ -25,6 +28,20 @@ PYRAMID_CERT = {vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)}
 def hexagon_normals():
     return NormalSet.from_vectors(
         2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
+
+
+def lp_positively_spans(normals):
+    """The reference: 0 = sum(lam_i n_i) with every lam_i >= 1, by LP."""
+    total = zero_vec(len(normals[0]))
+    for m in normals:
+        total = vadd(total, m)
+    return cone_membership(vneg(total), normals) is not None
+
+
+def clear_caches():
+    for cached in (validate_normal_set, circuit_table, check_strong_monotypy,
+                   check_monotypy, check_monotypy_mss):
+        cached.cache_clear()
 
 
 class TestValidation:
@@ -37,6 +54,29 @@ class TestValidation:
         N = NormalSet.from_vectors(2, [(1, 0), (0, 1), (1, 1)])
         with pytest.raises(InputError, match="interior"):
             validate_normal_set(N)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_circuit_cover_agrees_with_lp_on_random_spanning_sets(self, seed):
+        # about two thirds of these draws fail to positively span
+        rnd = random.Random(seed)
+        dim = rnd.choice([2, 3])
+        while True:
+            vectors = [[rnd.randint(-2, 2) for _ in range(dim)]
+                       for _ in range(rnd.randint(dim + 1, dim + 3))]
+            try:
+                N = NormalSet.from_vectors(dim, vectors)
+            except InputError:
+                continue
+            if rank(N.normals) == dim:
+                break
+        try:
+            validate_normal_set(N)
+            valid = True
+        except InputError as err:
+            assert "interior" in str(err)
+            valid = False
+        assert valid == lp_positively_spans(N.normals)
 
     def test_guard_refuses_huge_instances(self):
         # 60 spanning normals in the plane: C(60, 3) is small, so build a
@@ -225,3 +265,66 @@ class TestCaches:
             info = cached.cache_info()
             assert info.maxsize == NORMAL_SET_CACHE_SIZE
             assert info.currsize <= NORMAL_SET_CACHE_SIZE
+
+
+class TestCircuitPredicates:
+    """The bitmask predicates against the LP predicates of `position`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets())
+    def test_masks_agree_with_lp_predicates(self, normals):
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        table = circuit_table(N)
+        for size in range(1, N.dim + 1):
+            for idx in combinations(range(len(N.normals)), size):
+                mask = bitmask(idx)
+                subset = [N.normals[i] for i in idx]
+                assert (not any(circuits_inside(mask, table))) == (rank(subset) == size)
+                if rank(subset) == size:
+                    assert captures(mask, table) == bitmask(
+                        N.normals.index(m) for m in captured(subset, N.normals))
+                assert primitive(mask, table) == is_primitive(subset, N.normals)
+
+
+class TestRechecks:
+    def test_monotypy_certificate_that_fails_its_recheck_is_an_internal_error(
+            self, monkeypatch):
+        monkeypatch.setattr(classify, "captured", lambda subset, normals: iter([subset[0]]))
+        clear_caches()
+        with pytest.raises(InternalInvariantError, match="re-check"):
+            check_monotypy(square_pyramid().normal_set)
+
+    def test_mss_certificate_that_fails_its_recheck_is_an_internal_error(
+            self, monkeypatch):
+        monkeypatch.setattr(classify, "is_primitive", lambda subset, normals: False)
+        clear_caches()
+        with pytest.raises(InternalInvariantError, match="re-check"):
+            check_monotypy_mss(square_pyramid().normal_set)
+
+
+class TestClassifyNormalSet:
+    def test_carries_the_mss_certificate(self):
+        N = square_pyramid().normal_set
+        assert classify_normal_set(N).mss_certificate == check_monotypy_mss(N)[1]
+        assert classify_normal_set(box(3).normal_set).mss_certificate is None
+
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        N = box(3).normal_set
+        monkeypatch.setattr(classify, "check_monotypy_mss", lambda N: (False, None))
+        with pytest.raises(InternalInvariantError, match="disagree"):
+            classify_normal_set(N)
+
+
+class TestLpWork:
+    """Classification runs LPs only to re-check the certificates it emits."""
+
+    @pytest.mark.parametrize("P,lps", [(box(3), 0), (box(4), 0), (simplex(4), 0),
+                                       (square_pyramid(), 12)],
+                             ids=["box3", "box4", "simplex4", "pyramid"])
+    def test_lp_solves(self, monkeypatch, P, lps):
+        # pyramid: 5 re-check the conical certificate, 1 its uncaptured
+        # normal, and 2 * 3 the primitivity of the two circuit halves
+        calls = count_lps(monkeypatch)
+        clear_caches()
+        classify_normal_set(P.normal_set)
+        assert len(calls) == lps

@@ -132,6 +132,13 @@ class TestCli:
         run(capsys, "classify", str(path))
         assert len(calls) == len(set(calls)) == tests
 
+    def test_classify_exits_three_when_the_monotypy_routes_disagree(
+            self, capsys, monkeypatch, cube_file):
+        monkeypatch.setattr(classify, "check_monotypy_mss", lambda N: (False, None))
+        code, payload = run(capsys, "classify", cube_file)
+        assert code == 3
+        assert payload == {"error": "the two monotypy characterizations disagree"}
+
     def test_classify_has_no_method_flag(self, capsys, cube_file):
         assert run_command(["classify", "--method", "conical", cube_file]) == 2
 

@@ -1,15 +1,20 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
+from polyillum import classify, fan
 from polyillum.errors import InputError
-from polyillum.fan import enumerate_primitive_bases, normal_fan, verify_fan_uniqueness
+from polyillum.fan import (FanCone, enumerate_primitive_bases, is_complete_fan,
+                           normal_fan, verify_fan_uniqueness)
 from polyillum.generators import randomize_offsets
-from polyillum.kernel import vec
+from polyillum.kernel import rank, vadd, vec, vneg, vsub, zero_vec
 from polyillum.oracle import enumerate_direction_classes
 from polyillum.polytope import HPolytope, NormalSet
-from polyillum.position import cone_membership
-from tests.conftest import box, hexagon, simplex, simplex_product, square_pyramid, triangle
+from polyillum.position import cone_membership, is_primitive
+from tests.conftest import (box, count_lps, hexagon, simplex, simplex_product,
+                            square_pyramid, triangle, valid_normal_sets)
 
 F = Fraction
 
@@ -91,3 +96,83 @@ class TestUniqueness:
             for cls in enumerate_direction_classes(P):
                 assert any(cone_membership(cls.representative, c.generators)
                            is not None for c in cones)
+
+
+def lp_primitive_bases(N):
+    """The reference: independent n-subsets that LP finds primitive."""
+    return tuple(FanCone(subset) for subset in combinations(N.normals, N.dim)
+                 if rank(subset) == N.dim and is_primitive(subset, N.normals))
+
+
+def interiors_meet(v1, v2):
+    """The reference: do two full-rank simplicial cones share a point
+    interior to both? Solves sum((1+lam_i) x_i) == sum((1+theta_j) y_j)
+    with lam, theta >= 0 by LP."""
+    rhs = zero_vec(len(v1[0]))
+    for y in v2:
+        rhs = vadd(rhs, y)
+    for x in v1:
+        rhs = vsub(rhs, x)
+    return cone_membership(rhs, v1 + tuple(vneg(y) for y in v2)) is not None
+
+
+def no_pair_meets(cones):
+    return not any(interiors_meet(a.generators, b.generators)
+                   for a, b in combinations(cones, 2))
+
+
+class TestPrimitiveBasesByCircuits:
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets())
+    def test_agrees_with_lp_enumeration(self, normals):
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        assert enumerate_primitive_bases(N) == lp_primitive_bases(N)
+
+
+class TestWallTest:
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets())
+    def test_agrees_with_pairwise_lp_on_random_sets(self, normals):
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        cones = enumerate_primitive_bases(N)
+        assert is_complete_fan(N, cones) == no_pair_meets(cones)
+
+    @pytest.mark.parametrize("P", [box(3), box(4), hexagon(), triangle(), simplex(3),
+                                   simplex_product([2, 1])],
+                             ids=["box3", "box4", "hexagon", "triangle", "simplex3",
+                                  "prism"])
+    def test_accepts_the_fans_of_monotypic_sets(self, P):
+        cones = enumerate_primitive_bases(P.normal_set)
+        assert is_complete_fan(P.normal_set, cones) and no_pair_meets(cones)
+
+    def test_rejects_the_pyramid_bases(self):
+        # four walls of the pyramid's eight primitive bases lie in three
+        # cones each, and interiors overlap
+        N = square_pyramid().normal_set
+        cones = enumerate_primitive_bases(N)
+        assert not is_complete_fan(N, cones)
+        assert not no_pair_meets(cones)
+
+    def test_rejects_a_fan_with_a_cone_removed(self):
+        # the walls of the missing orthant now lie in one cone each
+        N = box(3).normal_set
+        cones = enumerate_primitive_bases(N)[1:]
+        assert not is_complete_fan(N, cones)
+        assert no_pair_meets(cones)
+
+    def test_rejects_an_empty_fan(self):
+        assert not is_complete_fan(box(2).normal_set, ())
+
+
+class TestFanLpWork:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_verify_unique_runs_no_lp(self, monkeypatch, n):
+        P = box(n)
+        calls = count_lps(monkeypatch)
+        for cached in (classify.validate_normal_set, classify.circuit_table,
+                       classify.check_strong_monotypy, classify.check_monotypy,
+                       fan.enumerate_primitive_bases):
+            cached.cache_clear()
+        assert verify_fan_uniqueness(P.normal_set, P)
+        assert len(enumerate_primitive_bases(P.normal_set)) == 2 ** n
+        assert calls == []

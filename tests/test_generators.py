@@ -45,6 +45,12 @@ class TestFamilies:
         with pytest.raises(InputError):
             generate(spec)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_box_and_simplex_are_products_of_simplices(self, n):
+        for family, dims in (("box", (1,) * n), ("simplex", (n,))):
+            P = generate(FamilySpec(family, (n,)))
+            assert P == generate(FamilySpec("simplex_product", dims))
+
     def test_offsets_override(self):
         P = generate(FamilySpec("box", (2,), offsets=(F(2), F(1), F(2), F(1))))
         assert set(P.offsets) == {F(1), F(2)}

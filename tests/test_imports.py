@@ -1,9 +1,10 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and the modules keep their
+layering.
 
 No linter is a dependency of this project, so this test is the gate: it
 reads each module's syntax tree and reports the imported names that the
 module never mentions. `__init__.py` is exempt, since its imports are the
-package's re-exports.
+package's re-exports. The layering checks read the same trees.
 """
 
 import ast
@@ -39,3 +40,29 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_names(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for every import in a module, the module named by the
+    last part of its dotted path: `from .m import f` gives (m, f), and
+    `import a.m` or `from . import m` gives (m, "*")."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.rpartition(".")[2]
+            found |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {(alias.name.rpartition(".")[2], "*") for alias in node.names}
+    return found
+
+
+def test_only_classify_enumerates_circuits():
+    # every position fact is read off the one circuit table in classify
+    importers = [p.name for p in MODULES
+                 if any(name == "circuits" for _, name in imported_names(p))]
+    assert importers == ["classify.py"]
+
+
+def test_fan_decides_without_an_lp():
+    modules = {module for module, _ in imported_names(PACKAGE / "fan.py")}
+    assert not modules & {"lp", "position"}

@@ -12,6 +12,7 @@ from polyillum.kernel import dot, vec, vscale
 from polyillum.lp import GE, feasible
 from polyillum.oracle import (cell_sign_vectors, enumerate_direction_classes,
                               min_illumination_number)
+from polyillum.polytope import NormalSet
 from polyillum.position import cone_membership
 from tests.conftest import (box, hexagon, simplex, simplex_product, square_pyramid,
                             triangle, valid_normal_sets)
@@ -108,18 +109,18 @@ class TestCircuitFilter:
         simplex_product([2, 2, 1]), hexagon(), square_pyramid(),
     ], ids=["box3", "simplex3", "simplex4", "sp21", "sp221", "hexagon", "pyramid"])
     def test_filter_keeps_exactly_the_lp_feasible_sign_vectors(self, P):
-        normals = P.normal_set.normals
-        assert set(cell_sign_vectors(normals)) == lp_cells(normals)
+        assert set(cell_sign_vectors(P.normal_set)) == lp_cells(P.normal_set.normals)
 
     @settings(max_examples=40, deadline=None)
     @given(valid_normal_sets())
     def test_filter_matches_lp_on_random_normal_sets(self, normals):
-        assert set(cell_sign_vectors(normals)) == lp_cells(normals)
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        assert set(cell_sign_vectors(N)) == lp_cells(N.normals)
 
     def test_filter_keeps_product_order(self):
-        normals = hexagon().normal_set.normals
-        kept = list(cell_sign_vectors(normals))
-        order = list(product((1, -1), repeat=len(normals)))
+        N = hexagon().normal_set
+        kept = list(cell_sign_vectors(N))
+        order = list(product((1, -1), repeat=len(N.normals)))
         assert kept == sorted(kept, key=order.index)
 
     @pytest.mark.parametrize("P,lps", [(box(3), 8), (hexagon(), 6), (simplex(3), 14)],
@@ -145,7 +146,7 @@ class TestCircuitFilter:
             raise AssertionError("work started before the cell guard")
 
         monkeypatch.setattr(oracle, "CELL_GUARD", 2 ** 5)
-        monkeypatch.setattr(oracle, "circuits", forbidden)
+        monkeypatch.setattr(oracle, "circuit_table", forbidden)
         monkeypatch.setattr(oracle, "feasible", forbidden)
         with pytest.raises(ScaleLimitError, match="cell guard"):
             enumerate_direction_classes(box(3))

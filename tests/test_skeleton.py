@@ -1,15 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from polyillum.classify import check_strong_monotypy
 from polyillum.errors import NotStronglyMonotypicError
-from polyillum.kernel import vec
+from polyillum.kernel import rank, vec
 from polyillum.polytope import NormalSet
 from polyillum.position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED,
-                                classify_signs, is_conical_position)
-from polyillum.skeleton import (cartesian_support, extract_skeleton,
+                                captured, classify_signs, is_conical_position)
+from polyillum.skeleton import (_captured_count, cartesian_support, extract_skeleton,
                                 refine_basis, verify_skeleton)
 from tests.conftest import (box, hexagon, set_n, simplex, simplex_product, square_pyramid,
                             valid_normal_sets)
@@ -51,6 +52,14 @@ class TestRefineBasis:
                     continue
                 assert classify_signs(B, x).tag in (ALL_NONPOSITIVE,
                                                     ALL_NONNEGATIVE)
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_normal_sets())
+    def test_captured_count_agrees_with_lp(self, normals):
+        for basis in combinations(normals, len(normals[0])):
+            if rank(basis) == len(basis):
+                assert (_captured_count(basis, normals)
+                        == sum(1 for _ in captured(basis, normals)))
 
 
 class TestCartesianSupport:
