@@ -248,6 +248,57 @@ class TestCli:
         assert compact == pretty
 
 
+def facets_doc(dim, facets) -> str:
+    return json.dumps({"dim": dim, "facets": [
+        {"normal": [str(x) for x in normal], "offset": str(offset)}
+        for normal, offset in facets]}, separators=(",", ":"))
+
+
+SQUARE = [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]
+
+# Each rejected document, with the exact stdout line of `classify` and of
+# `illuminate` on it; every one exits 2.
+GOLDEN_ERRORS = {
+    "unbounded": (
+        facets_doc(2, [((1, 0), 1), ((0, 1), 1)]),
+        '{"error":"constraint system is unbounded along (Fraction(-1, 1), '
+        'Fraction(0, 1))","witness":["-1","0"]}'),
+    "rank_deficient": (
+        facets_doc(2, [((1, 0), 1), ((-1, 0), 1)]),
+        '{"error":"constraint system is unbounded along (Fraction(0, 1), '
+        'Fraction(1, 1))","witness":["0","1"]}'),
+    "empty": (
+        facets_doc(1, [((1,), -2), ((-1,), 1)]),
+        '{"error":"constraint system is empty (infeasible)"}'),
+    "redundant_facet": (
+        facets_doc(2, SQUARE + [((1, 1), 3)]),
+        '{"error":"facet with normal (Fraction(1, 1), Fraction(1, 1)) is '
+        'redundant (offset never attained)"}'),
+    "duplicate_direction": (
+        facets_doc(2, SQUARE[:1] + [((2, 0), 1)] + SQUARE[1:]),
+        '{"error":"normal 1 is a positive multiple of normal 0"}'),
+}
+
+
+class TestGoldenErrors:
+    """The exact payloads of the rejections that input validation emits."""
+
+    @pytest.mark.parametrize("command", ["classify", "illuminate"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ERRORS))
+    def test_rejected_document(self, capsys, tmp_path, command, name):
+        doc, expected = GOLDEN_ERRORS[name]
+        path = tmp_path / "p.json"
+        path.write_text(doc)
+        assert run_command([command, str(path)]) == 2
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_gen_beyond_the_vertex_guard(self, capsys):
+        assert run_command(["gen", "box", "--dims", "12"]) == 2
+        assert capsys.readouterr().out == (
+            '{"error":"2704156 vertex candidates exceed the enumeration guard '
+            '(1000000)"}\n')
+
+
 class TestMalformedLiterals:
     """Malformed input ends in exit 2 with a JSON error payload, never in
     a traceback (which would exit 1, the code of a negative verdict)."""
