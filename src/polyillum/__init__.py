@@ -5,8 +5,8 @@ oracle."""
 
 from .classify import (ClassificationVerdict, check_monotypy,
                        check_monotypy_mss, check_strong_monotypy,
-                       classify_normal_set, validate_normal_set)
-from .errors import (AssignmentError, CoverageError, GeometryError,
+                       classify_normal_set)
+from .errors import (AssignmentError, GeometryError,
                      InputError, InternalInvariantError,
                      NotStronglyMonotypicError, ScaleLimitError)
 from .fan import FanCone, enumerate_primitive_bases, normal_fan, verify_fan_uniqueness
@@ -21,7 +21,6 @@ from .oracle import (DirectionClass, enumerate_direction_classes,
 from .polytope import BOUNDARY, INTERIOR, OUTSIDE, HPolytope, NormalSet, Vertex
 from .position import (SignClass, classify_signs, cone_membership,
                        is_conical_position, is_primitive)
-from .skeleton import (Skeleton, cartesian_support, extract_skeleton,
-                       refine_basis, verify_skeleton)
+from .skeleton import Skeleton, extract_skeleton, refine_basis, verify_skeleton
 
 __version__ = "0.1.0"

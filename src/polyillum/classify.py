@@ -13,8 +13,10 @@ alternative and conformal decomposition into circuits, Rockafellar
 Monotypy is decided by two routes that `classify_normal_set` cross-checks:
 the conical-position-with-captured-normal test, and the disjoint-primitive-
 subsets test. Each emitted certificate is re-checked once by the LP
-predicates of `position`. Verdicts depend only on the normal set, so
-results, and the circuit table they share, are cached per NormalSet.
+predicates of `position`. A NormalSet positively spans by construction,
+so no verdict validates its input again. Verdicts depend only on the
+normal set, so results, and the circuit table they share, are cached per
+NormalSet.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import InputError, InternalInvariantError, ScaleLimitError
-from .kernel import Vec, circuits, rank, vadd, vscale, zero_vec
+from .errors import InternalInvariantError, ScaleLimitError
+from .kernel import Vec, circuits, vadd, vscale, zero_vec
 from .polytope import NormalSet
 from .position import captured, is_conical_position, is_primitive
 
@@ -106,26 +108,6 @@ def primitive(mask: int, table: tuple[Circuit, ...]) -> bool:
     return not any(circuits_inside(mask, table)) and not captures(mask, table)
 
 
-@lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
-def validate_normal_set(N: NormalSet) -> None:
-    """A valid facet-normal set spans the space and has the origin interior
-    to its convex hull (equivalently, its positive hull is everything).
-
-    The origin is a combination of the normals with every coefficient
-    positive iff every normal lies in a circuit with a single sign: such a
-    combination is a conformal sum of single-signed circuits, and the sum
-    of single-signed circuits covering every normal is such a combination.
-    """
-    if rank(N.normals) < N.dim:
-        raise InputError("normals do not span the space")
-    covered = 0
-    for c in circuit_table(N):
-        if not (c.plus and c.minus):
-            covered |= c.plus | c.minus
-    if covered != (1 << len(N.normals)) - 1:
-        raise InputError("origin is not interior to the convex hull of the normals")
-
-
 def _balanced(c: Circuit) -> bool:
     return c.plus.bit_count() >= 2 and c.minus.bit_count() >= 2
 
@@ -157,7 +139,6 @@ def check_strong_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertifica
     normals outside its span, so N is strongly monotypic iff it has no
     balanced circuit.
     """
-    validate_normal_set(N)
     if not any(_balanced(c) for c in circuit_table(N)):
         return True, None
     for idx, _ in _conical_subsets(N):
@@ -211,7 +192,6 @@ def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
     halves, in the order of `kernel.circuits`, and that point; both halves
     are re-checked by LP.
     """
-    validate_normal_set(N)
     table = circuit_table(N)
     for c in table:
         if not (c.plus and c.minus and primitive(c.plus, table)

@@ -34,11 +34,6 @@ class NotStronglyMonotypicError(GeometryError):
         self.certificate = certificate
 
 
-class CoverageError(InputError):
-    """Maximal supports fail to cover the basis; the origin cannot be
-    interior to the convex hull of the normals."""
-
-
 class InternalInvariantError(GeometryError):
     """A claim the construction relies on failed to re-verify.
 

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .classify import (NORMAL_SET_CACHE_SIZE, bitmask, check_monotypy, circuit_table,
-                       circuits_inside, primitive, validate_normal_set)
+                       circuits_inside, primitive)
 from .errors import InputError
 from .kernel import Vec, solve_linear, vadd, zero_vec
 from .polytope import HPolytope, NormalSet, Vertex
@@ -35,7 +35,6 @@ def enumerate_primitive_bases(N: NormalSet) -> tuple[FanCone, ...]:
     """All primitive n-subsets of the normals, in lexicographic order over
     the canonical normal order. Each spans a pointed full-dimensional
     simplicial cone."""
-    validate_normal_set(N)
     table = circuit_table(N)
     return tuple(FanCone(tuple(N.normals[i] for i in idx))
                  for idx in combinations(range(len(N.normals)), N.dim)

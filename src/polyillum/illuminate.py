@@ -73,10 +73,9 @@ def cone_direction(generators: Sequence[Vec]) -> Vec:
 def compute_delta(P: HPolytope) -> Fraction:
     """Half the minimum positive vertex-facet slack; small enough that the
     slack-delta tight set at every vertex equals the exact tight set."""
-    slacks = [h - dot(m, v.point)
-              for v in P.vertices
+    slacks = [s for v in P.vertices
               for m, h in zip(P.normal_set.normals, P.offsets)
-              if h - dot(m, v.point) > 0]
+              if (s := h - dot(m, v.point)) > 0]
     if not slacks:
         raise InternalInvariantError("no positive vertex-facet slack")
     delta = min(slacks) / 2
@@ -93,10 +92,8 @@ def compute_epsilon(P: HPolytope, directions: Sequence[Vec],
     products; delta itself in the (degenerate) absence of any."""
     if delta <= 0:
         raise InputError("delta must be positive")
-    magnitudes = [-dot(m, v)
-                  for m in P.normal_set.normals
-                  for v in directions
-                  if dot(m, v) < 0]
+    magnitudes = [-p for m in P.normal_set.normals for v in directions
+                  if (p := dot(m, v)) < 0]
     epsilon = delta / max(magnitudes) if magnitudes else delta
     if epsilon <= 0 or (magnitudes and epsilon * max(magnitudes) > delta):
         raise InternalInvariantError("epsilon bound failed its own check")

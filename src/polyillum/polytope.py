@@ -1,6 +1,12 @@
 """The H-polytope model: validated normal sets, exact vertex enumeration,
 support values, tight normals and point location.
 
+A NormalSet is valid by construction: its normals are nonzero, pairwise
+distinct directions that positively span the space, so every offset
+vector gives a bounded system, and they pass the vertex-enumeration
+guard. Positive spanning is decided here once, by 2n LPs, and nowhere
+else.
+
 Normal sets are kept in a canonical descending lexicographic order; every
 downstream tie-break (certificates, basis refinement, cone listings)
 derives from that order, so all outputs are deterministic.
@@ -32,15 +38,14 @@ class NormalSet:
     dim: int
     normals: tuple[Vec, ...]
 
-    @staticmethod
-    def from_vectors(dim: int, vectors: Iterable) -> "NormalSet":
-        vecs = [as_vec(v) for v in vectors]
-        if dim <= 0:
-            raise InputError(f"dimension must be positive, got {dim}")
+    def __post_init__(self):
+        n = self.dim
+        if n <= 0:
+            raise InputError(f"dimension must be positive, got {n}")
         seen: dict[Vec, int] = {}
-        for i, v in enumerate(vecs):
-            if len(v) != dim:
-                raise InputError(f"normal {i} has dimension {len(v)}, expected {dim}",
+        for i, v in enumerate(self.normals):
+            if len(v) != n:
+                raise InputError(f"normal {i} has dimension {len(v)}, expected {n}",
                                  facet_index=i)
             if is_zero(v):
                 raise InputError(f"normal {i} is the zero vector", facet_index=i)
@@ -50,7 +55,26 @@ class NormalSet:
                     f"normal {i} is a positive multiple of normal {seen[p]}",
                     facet_index=i)
             seen[p] = i
-        return NormalSet(dim, tuple(sorted(vecs, reverse=True)))
+        normals = tuple(sorted(self.normals, reverse=True))
+        object.__setattr__(self, "normals", normals)
+        count = comb(len(normals), n)
+        if count > MAX_VERTEX_CANDIDATES:
+            raise ScaleLimitError(
+                f"{count} vertex candidates exceed the enumeration guard "
+                f"({MAX_VERTEX_CANDIDATES})")
+        for i in range(n):
+            for sign in (1, -1):
+                e = tuple(Fraction(sign if j == i else 0) for j in range(n))
+                if cone_membership(e, normals) is None:
+                    # Farkas direction: <m, d> <= 0 for all normals, <e, d> > 0
+                    d = feasible([(vneg(m), Fraction(0), GE) for m in normals]
+                                 + [(e, Fraction(1), GE)])
+                    raise InputError(
+                        f"constraint system is unbounded along {d}", witness=d)
+
+    @staticmethod
+    def from_vectors(dim: int, vectors: Iterable) -> "NormalSet":
+        return NormalSet(dim, tuple(as_vec(v) for v in vectors))
 
     def __iter__(self):
         return iter(self.normals)
@@ -72,10 +96,8 @@ class HPolytope:
     vertices: tuple[Vertex, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        N = self.normal_set
-        if len(self.offsets) != len(N.normals):
+        if len(self.offsets) != len(self.normal_set.normals):
             raise InputError("offset count does not match normal count")
-        self._validate_bounded()
         object.__setattr__(self, "vertices", self._enumerate_vertices())
         self._validate_irredundant()
 
@@ -89,29 +111,12 @@ class HPolytope:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate_bounded(self):
-        N = self.normal_set
-        n = N.dim
-        for i in range(n):
-            for sign in (1, -1):
-                e = tuple(Fraction(sign if j == i else 0) for j in range(n))
-                if cone_membership(e, N.normals) is None:
-                    # Farkas direction: <m, d> <= 0 for all normals, <e, d> > 0
-                    d = feasible([(vneg(m), Fraction(0), GE) for m in N.normals]
-                                 + [(e, Fraction(1), GE)])
-                    raise InputError(
-                        f"constraint system is unbounded along {d}", witness=d)
-
     def _enumerate_vertices(self) -> tuple[Vertex, ...]:
-        """Every vertex with its tight normals, in sorted order. The system
-        is bounded, so it is empty exactly when it has no vertex."""
+        """Every vertex with its tight normals, in sorted order. The normals
+        positively span, so the system is bounded and it is empty exactly
+        when it has no vertex."""
         N = self.normal_set
         n = N.dim
-        count = comb(len(N.normals), n)
-        if count > MAX_VERTEX_CANDIDATES:
-            raise ScaleLimitError(
-                f"{count} vertex candidates exceed the enumeration guard "
-                f"({MAX_VERTEX_CANDIDATES})")
         points: set[Vec] = set()
         for idx in combinations(range(len(N.normals)), n):
             rows = [N.normals[i] for i in idx]

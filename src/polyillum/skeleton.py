@@ -1,27 +1,28 @@
 """Skeleton extraction for strongly monotypic normal sets.
 
-A swap-stable basis B is grown inside the normal set until every other
+A set that is not strongly monotypic is rejected first, with the
+conical-position certificate of the cached exhaustive check. Otherwise a
+swap-stable basis B is grown inside the normal set until every other
 normal expands over B with all-nonpositive or all-nonnegative
-coefficients. The all-nonpositive normals' supports form a laminar
-family; the inclusion-maximal supports partition the basis indices and
-each yields one part X_l = {b_i : i in S_l} + {x_l}, a simplex with the
-origin in its relative interior. A set that is not strongly monotypic
-is rejected by the exhaustive check with its conical-position
-certificate, reported as NotStronglyMonotypic.
+coefficients. Every other normal is classified once per basis, and the
+skeleton is read off the pass over the final basis. The
+all-nonpositive normals' supports form a laminar family; the
+inclusion-maximal supports partition the basis indices and each yields
+one part X_l = {b_i : i in S_l} + {x_l}, a simplex with the origin in its
+relative interior. No LP runs here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
 
-from .classify import check_strong_monotypy, validate_normal_set
-from .errors import CoverageError, InternalInvariantError, NotStronglyMonotypicError
+from .classify import check_strong_monotypy
+from .errors import InternalInvariantError, NotStronglyMonotypicError
 from .kernel import Vec, rank, simplex_dependence
 from .polytope import NormalSet
 from .position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED, SINGLE_POSITIVE,
-                       classify_signs, is_conical_position)
+                       classify_signs)
 
 
 @dataclass(frozen=True)
@@ -45,83 +46,49 @@ def _first_independent_subset(N: NormalSet) -> tuple[Vec, ...]:
     raise InternalInvariantError("validated normal set has no independent subset")
 
 
-def _captured_count(basis: Sequence[Vec], normals: Sequence[Vec]) -> int:
-    """The number of normals outside an independent basis that lie in its
-    positive hull: those whose expansion over it is all nonnegative."""
-    return sum(1 for x in normals
-               if x not in basis and classify_signs(basis, x).tag == ALL_NONNEGATIVE)
+def refine_basis(N: NormalSet) -> tuple[tuple[Vec, ...], tuple]:
+    """Swap-stable basis B within N, with the (normal, SignClass) pair over
+    B of every other normal, each all_nonpositive or all_nonnegative.
 
-
-def refine_basis(N: NormalSet, start: Optional[Sequence[Vec]] = None) -> tuple[Vec, ...]:
-    """Swap-stable basis B within N: every other normal classifies as
-    all_nonpositive or all_nonnegative over B.
-
-    Starting from the lexicographically first independent n-subset (or the
-    given start), the first normal with a single_positive pattern replaces
-    the positively-weighted basis element, which strictly enlarges pos(B);
-    a mixed pattern is a conical-position certificate and aborts.
-    """
-    validate_normal_set(N)
-    basis = list(start) if start is not None else list(_first_independent_subset(N))
-    if rank(basis) != N.dim:
-        raise InternalInvariantError("starting basis is not independent")
-    count = _captured_count(basis, N.normals)
-    swaps = 0
-    while True:
-        for x in N.normals:
-            if x in basis:
-                continue
-            sc = classify_signs(basis, x)
-            if sc.tag == MIXED:
-                cert = tuple(sorted([x] + basis, reverse=True))
-                if not is_conical_position(cert):
-                    raise InternalInvariantError(
-                        "mixed sign pattern did not yield a conical certificate")
-                raise NotStronglyMonotypicError(
-                    "mixed sign pattern during basis refinement", cert)
-            if sc.tag == SINGLE_POSITIVE:
-                basis[sc.positive_index] = x
-                swaps += 1
-                if swaps > len(N.normals):
-                    raise InternalInvariantError("basis refinement did not terminate")
-                now = _captured_count(basis, N.normals)
-                if now <= count:
-                    raise InternalInvariantError(
-                        "swap failed to enlarge the captured normal count")
-                count = now
-                break
-        else:
-            return tuple(basis)
-
-
-def cartesian_support(basis: Sequence[Vec], x: Vec) -> tuple[int, ...]:
-    """Indices of the nonzero coefficients of x over the basis."""
-    sc = classify_signs(basis, x)
-    return tuple(i for i, c in enumerate(sc.coefficients) if c != 0)
-
-
-def extract_skeleton(N: NormalSet) -> Skeleton:
-    """The skeleton of a strongly monotypic normal set.
-
-    A swap-stable basis with laminar supports is necessary for strong
-    monotypy but not sufficient, so the exhaustive check runs first and
-    its conical certificate rejects every other set.
+    A mixed pattern puts {x} + B in conical position, so a set that is not
+    strongly monotypic is rejected first. Starting from the
+    lexicographically first independent n-subset, each pass classifies
+    every other normal once; the first with a single_positive pattern
+    replaces the positively-weighted basis element, which strictly
+    enlarges pos(B), so the pass's count of all_nonnegative normals (those
+    in pos(B)) grows with every swap.
     """
     strong, cert = check_strong_monotypy(N)
     if not strong:
         raise NotStronglyMonotypicError(
             "skeleton extraction requires strong monotypy", cert)
-    basis = refine_basis(N)
-    negatives: list[tuple[Vec, tuple[int, ...]]] = []
-    for x in N.normals:
-        if x in basis:
-            continue
-        sc = classify_signs(basis, x)
-        if sc.tag not in (ALL_NONPOSITIVE, ALL_NONNEGATIVE):
-            raise InternalInvariantError("stable basis produced a mixed pattern")
-        if sc.tag == ALL_NONPOSITIVE:
-            negatives.append((x, tuple(i for i, c in enumerate(sc.coefficients)
-                                       if c != 0)))
+    basis = list(_first_independent_subset(N))
+    count = -1
+    for _ in range(len(N.normals) + 1):
+        signs = tuple((x, classify_signs(basis, x)) for x in N.normals if x not in basis)
+        tags = [sc.tag for _, sc in signs]
+        if MIXED in tags:
+            raise InternalInvariantError("strongly monotypic set gave a mixed sign pattern")
+        now = tags.count(ALL_NONNEGATIVE)
+        if now <= count:
+            raise InternalInvariantError("swap failed to enlarge the captured normal count")
+        count = now
+        for x, sc in signs:
+            if sc.tag == SINGLE_POSITIVE:
+                basis[sc.positive_index] = x
+                break
+        else:
+            return tuple(basis), signs
+    raise InternalInvariantError("basis refinement did not terminate")
+
+
+def extract_skeleton(N: NormalSet) -> Skeleton:
+    """The skeleton of a strongly monotypic normal set. A swap-stable basis
+    with laminar supports is necessary for strong monotypy but not
+    sufficient, so `refine_basis` runs the exhaustive check first."""
+    basis, signs = refine_basis(N)
+    negatives = [(x, tuple(i for i, c in enumerate(sc.coefficients) if c != 0))
+                 for x, sc in signs if sc.tag == ALL_NONPOSITIVE]
 
     for (_, sx), (_, sy) in combinations(negatives, 2):
         fx, fy = set(sx), set(sy)
@@ -139,9 +106,9 @@ def extract_skeleton(N: NormalSet) -> Skeleton:
             raise InternalInvariantError("maximal supports are not disjoint")
         covered |= s
     if covered != set(range(N.dim)):
-        raise CoverageError(
-            "maximal supports do not cover the basis; the origin is not "
-            "interior to the convex hull of the normals")
+        # an uncovered index i would make b_i* >= 0 on every normal, so the
+        # normals would not positively span
+        raise InternalInvariantError("maximal supports do not cover the basis")
 
     parts = []
     part_supports = []

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import strategies as st
 
 from polyillum import HPolytope, NormalSet, lp, position
-from polyillum.classify import validate_normal_set
 from polyillum.errors import InputError
 from polyillum.generators import FamilySpec, generate
 from polyillum.lp import solve_eq_nonneg
@@ -75,11 +74,9 @@ def valid_normal_sets(draw):
     while True:
         vectors = [[rnd.randint(-2, 2) for _ in range(dim)] for _ in range(size)]
         try:
-            N = NormalSet.from_vectors(dim, vectors)
-            validate_normal_set(N)
+            return NormalSet.from_vectors(dim, vectors).normals
         except InputError:
             continue
-        return N.normals
 
 
 @pytest.fixture

@@ -1,18 +1,16 @@
-import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from polyillum import classify, lp, position
 from polyillum.classify import (NORMAL_SET_CACHE_SIZE, bitmask, captures,
                                 check_monotypy, check_monotypy_mss,
                                 check_strong_monotypy, circuit_table,
-                                circuits_inside, classify_normal_set, primitive,
-                                validate_normal_set)
-from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
-from polyillum.kernel import rank, vadd, vec, vneg, vscale, zero_vec
+                                circuits_inside, classify_normal_set, primitive)
+from polyillum.errors import InternalInvariantError, ScaleLimitError
+from polyillum.kernel import rank, vec, vscale
 from polyillum.lp import solve_eq_nonneg
 from polyillum.polytope import NormalSet
 from polyillum.position import (captured, cone_membership, is_conical_position,
@@ -30,54 +28,13 @@ def hexagon_normals():
         2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
 
 
-def lp_positively_spans(normals):
-    """The reference: 0 = sum(lam_i n_i) with every lam_i >= 1, by LP."""
-    total = zero_vec(len(normals[0]))
-    for m in normals:
-        total = vadd(total, m)
-    return cone_membership(vneg(total), normals) is not None
-
-
 def clear_caches():
-    for cached in (validate_normal_set, circuit_table, check_strong_monotypy,
-                   check_monotypy, check_monotypy_mss):
+    for cached in (circuit_table, check_strong_monotypy, check_monotypy,
+                   check_monotypy_mss):
         cached.cache_clear()
 
 
 class TestValidation:
-    def test_non_spanning_rejected(self):
-        N = NormalSet.from_vectors(2, [(1, 0), (-1, 0)])
-        with pytest.raises(InputError, match="span"):
-            validate_normal_set(N)
-
-    def test_origin_not_interior_rejected(self):
-        N = NormalSet.from_vectors(2, [(1, 0), (0, 1), (1, 1)])
-        with pytest.raises(InputError, match="interior"):
-            validate_normal_set(N)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    def test_circuit_cover_agrees_with_lp_on_random_spanning_sets(self, seed):
-        # about two thirds of these draws fail to positively span
-        rnd = random.Random(seed)
-        dim = rnd.choice([2, 3])
-        while True:
-            vectors = [[rnd.randint(-2, 2) for _ in range(dim)]
-                       for _ in range(rnd.randint(dim + 1, dim + 3))]
-            try:
-                N = NormalSet.from_vectors(dim, vectors)
-            except InputError:
-                continue
-            if rank(N.normals) == dim:
-                break
-        try:
-            validate_normal_set(N)
-            valid = True
-        except InputError as err:
-            assert "interior" in str(err)
-            valid = False
-        assert valid == lp_positively_spans(N.normals)
-
     def test_guard_refuses_huge_instances(self):
         # 60 spanning normals in the plane: C(60, 3) is small, so build a
         # fake high-count instance by checking the guard arithmetic directly
@@ -133,7 +90,6 @@ class TestStrongMonotypyByCircuits:
 
     def test_runs_no_lp_on_a_strongly_monotypic_set(self, monkeypatch):
         N = box(4).normal_set
-        validate_normal_set(N)
         calls = []
 
         def counting(rows, rhs):
@@ -261,7 +217,7 @@ class TestCaches:
         for k in range(1, NORMAL_SET_CACHE_SIZE + 11):
             N = NormalSet.from_vectors(2, [(1, 0), (0, 1), (-1, -k)])
             assert check_strong_monotypy(N) == (True, None)
-        for cached in (check_strong_monotypy, circuit_table, validate_normal_set):
+        for cached in (check_strong_monotypy, circuit_table):
             info = cached.cache_info()
             assert info.maxsize == NORMAL_SET_CACHE_SIZE
             assert info.currsize <= NORMAL_SET_CACHE_SIZE

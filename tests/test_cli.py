@@ -15,7 +15,7 @@ from polyillum.cli import run_command
 from polyillum.errors import InputError
 from polyillum.formats import (parse_polytope, serialize_polytope)
 from polyillum.position import is_conical_position
-from tests.conftest import box, hexagon, set_n, square_pyramid
+from tests.conftest import box, count_lps, hexagon, set_n, square_pyramid
 
 F = Fraction
 
@@ -219,6 +219,14 @@ class TestCli:
         # C(24, 12) = 2704156 vertex candidates
         code, payload = run(capsys, "gen", "box", "--dims", "12")
         assert code == 2 and "vertex candidates" in payload["error"]
+
+    def test_gen_guard_runs_before_any_lp(self, capsys, monkeypatch):
+        calls = count_lps(monkeypatch)
+        code, payload = run(capsys, "gen", "box", "--dims", "40")
+        assert code == 2
+        assert payload["error"].endswith(
+            "vertex candidates exceed the enumeration guard (1000000)")
+        assert calls == []
 
     def test_gen_to_file(self, capsys, tmp_path):
         out = tmp_path / "p.json"

@@ -169,9 +169,8 @@ class TestFanLpWork:
     def test_verify_unique_runs_no_lp(self, monkeypatch, n):
         P = box(n)
         calls = count_lps(monkeypatch)
-        for cached in (classify.validate_normal_set, classify.circuit_table,
-                       classify.check_strong_monotypy, classify.check_monotypy,
-                       fan.enumerate_primitive_bases):
+        for cached in (classify.circuit_table, classify.check_strong_monotypy,
+                       classify.check_monotypy, fan.enumerate_primitive_bases):
             cached.cache_clear()
         assert verify_fan_uniqueness(P.normal_set, P)
         assert len(enumerate_primitive_bases(P.normal_set)) == 2 ** n

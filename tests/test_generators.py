@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from polyillum import generators
 from polyillum.classify import classify_normal_set
 from polyillum.errors import InputError
 from polyillum.generators import (FamilySpec, SplitMix64, generate,
                                   randomize_offsets)
 from polyillum.kernel import vec
+from polyillum.polytope import HPolytope
 from polyillum.skeleton import extract_skeleton
+from tests.conftest import count_lps
 
 F = Fraction
 
@@ -99,6 +102,23 @@ class TestRandomizeOffsets:
         sk1 = extract_skeleton(randomize_offsets(base, 7).normal_set)
         assert sk0 == sk1
         assert len(sk1.parts) == 1
+
+    def test_redraws_run_no_lp(self, monkeypatch):
+        # (x + y) / 2 <= h is redundant in about half the draws; seed 4 draws
+        # three times, and the normal set is validated once, before them
+        P = HPolytope.from_facets(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1),
+                                      ((F(1, 2), F(1, 2)), F(3, 4))])
+        built = []
+
+        def building(N, offsets):
+            built.append(offsets)
+            return HPolytope(N, offsets)
+
+        monkeypatch.setattr(generators, "HPolytope", building)
+        calls = count_lps(monkeypatch)
+        randomize_offsets(P, 4)
+        assert len(built) == 3
+        assert calls == []
 
     def test_seed_through_family_spec(self):
         P = generate(FamilySpec("box", (3,), seed=5))

@@ -170,8 +170,8 @@ class TestAssignment:
         monkeypatch.setattr(lp, "solve_eq_nonneg", counting)
         monkeypatch.setattr(position, "solve_eq_nonneg", counting)
         build_illumination_set(P)
-        # refine_basis counts captured normals by sign classification, and
-        # the assignment reads cones off the skeleton basis
+        # refine_basis counts captured normals off its sign classifications,
+        # and the assignment reads cones off the skeleton basis
         assert len(calls) == 0
 
     def test_empty_part_intersection_is_an_assignment_error(self, monkeypatch):

@@ -66,3 +66,17 @@ def test_only_classify_enumerates_circuits():
 def test_fan_decides_without_an_lp():
     modules = {module for module, _ in imported_names(PACKAGE / "fan.py")}
     assert not modules & {"lp", "position"}
+
+
+def test_skeleton_decides_without_an_lp():
+    names = imported_names(PACKAGE / "skeleton.py")
+    assert "lp" not in {module for module, _ in names}
+    assert {name for module, name in names if module == "position"} <= {
+        "classify_signs", "ALL_NONNEGATIVE", "ALL_NONPOSITIVE", "MIXED", "SINGLE_POSITIVE"}
+
+
+def test_only_polytope_decides_positive_spanning():
+    # outside `position`, only NormalSet construction asks cone questions
+    importers = [p.name for p in MODULES if p.name != "position.py"
+                 and ("position", "cone_membership") in imported_names(p)]
+    assert importers == ["polytope.py"]

@@ -1,15 +1,31 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyillum import polytope
-from polyillum.errors import InputError
-from polyillum.kernel import rank, vec
+from polyillum.errors import InputError, ScaleLimitError
+from polyillum.kernel import as_vec, dot, rank, vadd, vec, vneg, zero_vec
 from polyillum.polytope import (BOUNDARY, INTERIOR, OUTSIDE, HPolytope,
                                 NormalSet)
+from polyillum.position import cone_membership
 from tests.conftest import box, square_pyramid, triangle
 
 F = Fraction
+
+
+def _unit(n, i):
+    return vec(*(1 if j == i else 0 for j in range(n)))
+
+
+def lp_positively_spans(normals):
+    """The reference: 0 = sum(lam_i n_i) with every lam_i >= 1, by LP;
+    for normals that span, the same as positively spanning."""
+    total = zero_vec(len(normals[0]))
+    for m in normals:
+        total = vadd(total, m)
+    return cone_membership(vneg(total), normals) is not None
 
 
 class TestNormalSet:
@@ -26,8 +42,55 @@ class TestNormalSet:
             NormalSet.from_vectors(2, [(1, 0), (2, 0)])
 
     def test_negatives_are_distinct_directions(self):
-        N = NormalSet.from_vectors(2, [(1, 0), (-1, 0)])
-        assert len(N.normals) == 2
+        N = NormalSet.from_vectors(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+        assert len(N.normals) == 4
+
+    def test_rejects_a_set_that_does_not_span(self):
+        # +-e1 alone: e2 lies outside their positive hull
+        with pytest.raises(InputError, match="unbounded") as exc:
+            NormalSet.from_vectors(2, [(1, 0), (-1, 0)])
+        assert exc.value.witness == vec(0, 1)
+
+    def test_rejects_a_set_that_does_not_positively_span(self):
+        with pytest.raises(InputError, match="unbounded") as exc:
+            NormalSet.from_vectors(2, [(1, 0), (0, 1), (1, 1)])
+        d = exc.value.witness
+        assert all(dot(m, d) <= 0 for m in [vec(1, 0), vec(0, 1), vec(1, 1)])
+
+    def test_direct_construction_is_validated_and_canonical(self):
+        with pytest.raises(InputError, match="unbounded"):
+            NormalSet(2, (vec(1, 0), vec(0, 1)))
+        N = NormalSet(2, (vec(0, 1), vec(1, 0), vec(-1, -1)))
+        assert N == NormalSet.from_vectors(2, [(1, 0), (-1, -1), (0, 1)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_positive_spanning_agrees_with_lp_on_random_spanning_sets(self, seed):
+        # about two thirds of these draws fail to positively span
+        rnd = random.Random(seed)
+        dim = rnd.choice([2, 3])
+        while True:
+            vectors = [as_vec(rnd.randint(-2, 2) for _ in range(dim))
+                       for _ in range(rnd.randint(dim + 1, dim + 3))]
+            if rank(vectors) < dim:
+                continue
+            try:
+                NormalSet.from_vectors(dim, vectors)
+                valid = True
+            except InputError as err:
+                if err.witness is None:  # a zero or a repeated direction
+                    continue
+                valid = False
+            break
+        assert valid == lp_positively_spans(vectors)
+
+    def test_guard_is_reported_before_unboundedness(self):
+        # C(24, 12) candidates, and nothing bounds -e12
+        n = 12
+        normals = ([_unit(n, i) for i in range(n)] + [vneg(_unit(n, i)) for i in range(n - 1)]
+                   + [vadd(_unit(n, 0), _unit(n, 1))])
+        with pytest.raises(ScaleLimitError, match="vertex candidates"):
+            NormalSet.from_vectors(n, normals)
 
 
 class TestVertexEnumeration:

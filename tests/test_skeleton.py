@@ -1,17 +1,16 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+from polyillum import skeleton
 from polyillum.classify import check_strong_monotypy
-from polyillum.errors import NotStronglyMonotypicError
-from polyillum.kernel import rank, vec
+from polyillum.errors import InternalInvariantError, NotStronglyMonotypicError
+from polyillum.kernel import vec
 from polyillum.polytope import NormalSet
-from polyillum.position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED,
+from polyillum.position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED, SignClass,
                                 captured, classify_signs, is_conical_position)
-from polyillum.skeleton import (_captured_count, cartesian_support, extract_skeleton,
-                                refine_basis, verify_skeleton)
+from polyillum.skeleton import extract_skeleton, refine_basis, verify_skeleton
 from tests.conftest import (box, hexagon, set_n, simplex, simplex_product, square_pyramid,
                             valid_normal_sets)
 
@@ -20,58 +19,79 @@ F = Fraction
 
 class TestRefineBasis:
     def test_hexagon_single_swap(self):
-        # starting from {(1,0),(1,1)}, the normal (0,1) has coefficients
-        # (-1,1): single positive at (1,1), which gets swapped out
+        # the first independent pair is {(1,1),(1,0)}, and the normal (0,1)
+        # has coefficients (1,-1) over it: single positive at (1,1), which
+        # gets swapped out
         N = hexagon().normal_set
-        start = (vec(1, 0), vec(1, 1))
-        sc = classify_signs(start, vec(0, 1))
-        assert sc.coefficients == vec(-1, 1) and sc.positive_index == 1
-        B = refine_basis(N, start=start)
-        assert set(B) == {vec(1, 0), vec(0, 1)}
+        sc = classify_signs((vec(1, 1), vec(1, 0)), vec(0, 1))
+        assert sc.coefficients == vec(1, -1) and sc.positive_index == 0
+        B, _ = refine_basis(N)
+        assert B == (vec(0, 1), vec(1, 0))
 
     def test_cube_start_is_already_stable(self):
-        B = refine_basis(box(3).normal_set,
-                         start=(vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)))
+        B, signs = refine_basis(box(3).normal_set)
         assert B == (vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1))
+        assert [sc.tag for _, sc in signs] == [ALL_NONPOSITIVE] * 3
 
     def test_pyramid_mixed_certificate(self):
-        N = square_pyramid().normal_set
-        start = (vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1))
-        sc = classify_signs(start, vec(0, -1, 1))
+        # a mixed pattern over a basis is a conical (n+1)-subset, so the
+        # exhaustive check rejects the set before any refinement
+        sc = classify_signs((vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1)), vec(0, -1, 1))
         assert sc.tag == MIXED and sc.coefficients == vec(1, 1, -1)
+        N = square_pyramid().normal_set
         with pytest.raises(NotStronglyMonotypicError) as exc:
-            refine_basis(N, start=start)
+            refine_basis(N)
         assert set(exc.value.certificate) == {
             vec(0, -1, 1), vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1)}
+        assert exc.value.certificate == check_strong_monotypy(N)[1]
 
     def test_default_start_reaches_stability(self):
         for N in (hexagon().normal_set, box(4).normal_set, simplex(3).normal_set):
-            B = refine_basis(N)
-            for x in N.normals:
-                if x in B:
-                    continue
-                assert classify_signs(B, x).tag in (ALL_NONPOSITIVE,
-                                                    ALL_NONNEGATIVE)
+            B, signs = refine_basis(N)
+            assert [x for x, _ in signs] == [x for x in N.normals if x not in B]
+            for x, sc in signs:
+                assert sc == classify_signs(B, x)
+                assert sc.tag in (ALL_NONPOSITIVE, ALL_NONNEGATIVE)
 
     @settings(max_examples=40, deadline=None)
     @given(valid_normal_sets())
     def test_captured_count_agrees_with_lp(self, normals):
-        for basis in combinations(normals, len(normals[0])):
-            if rank(basis) == len(basis):
-                assert (_captured_count(basis, normals)
-                        == sum(1 for _ in captured(basis, normals)))
+        # every pass counts the normals its basis captures; record each
+        # pass's basis and count and compare them with the LP
+        passes = []
+
+        def recording(basis, x):
+            sc = classify_signs(basis, x)
+            if not passes or passes[-1][0] != tuple(basis):
+                passes.append((tuple(basis), 0))
+            if sc.tag == ALL_NONNEGATIVE:
+                passes[-1] = (passes[-1][0], passes[-1][1] + 1)
+            return sc
+
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        assume(check_strong_monotypy(N)[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(skeleton, "classify_signs", recording)
+            refine_basis(N)
+        assert passes
+        for basis, count in passes:
+            assert count == sum(1 for _ in captured(basis, normals))
 
 
 class TestCartesianSupport:
+    """The supports of the all-nonpositive normals, read off the final pass."""
+
     def test_full_support(self):
-        assert cartesian_support([vec(1, 0), vec(0, 1)], vec(-1, -1)) == (0, 1)
+        assert extract_skeleton(simplex(3).normal_set).part_supports == ((0, 1, 2),)
 
     def test_partial_support(self):
-        assert cartesian_support([vec(1, 0), vec(0, 1)], vec(-1, 0)) == (0,)
+        assert extract_skeleton(simplex_product([2, 1]).normal_set).part_supports == (
+            (0, 1), (2,))
 
     def test_singleton_in_three_dimensions(self):
-        basis = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]
-        assert cartesian_support(basis, vec(0, -1, 0)) == (1,)
+        sk = extract_skeleton(box(3).normal_set)
+        assert sk.part_supports == ((0,), (1,), (2,))
+        assert sk.parts[1] == (vec(0, 1, 0), vec(0, -1, 0))
 
 
 class TestExtractSkeleton:
@@ -134,6 +154,24 @@ class TestExtractSkeleton:
             sk = extract_skeleton(N)
             verify_skeleton(N, sk)  # raises on violation
             assert sk.product_of_part_sizes <= 2 ** N.dim
+
+    def test_classifies_each_normal_once_per_basis(self, monkeypatch):
+        # box(6) starts from a stable basis: one pass over its 6 other normals
+        calls = []
+
+        def counting(basis, x):
+            calls.append(x)
+            return classify_signs(basis, x)
+
+        monkeypatch.setattr(skeleton, "classify_signs", counting)
+        extract_skeleton(box(6).normal_set)
+        assert len(calls) == 6
+
+    def test_mixed_pattern_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(skeleton, "classify_signs",
+                            lambda basis, x: SignClass(MIXED, classify_signs(basis, x).coefficients))
+        with pytest.raises(InternalInvariantError, match="mixed"):
+            extract_skeleton(box(3).normal_set)
 
     def test_no_mixed_pattern_on_strongly_monotypic_input(self):
         for N in (box(3).normal_set, hexagon().normal_set,
