@@ -15,12 +15,11 @@ from .illuminate import (IlluminationSet, build_illumination_set,
                          compute_delta, compute_epsilon, cone_direction,
                          cone_selections, verify_directions, verify_illumination)
 from .kernel import Vec, as_vec, dot, parse_rational, solve_linear, vec
-from .lp import EQ, GE, feasible
 from .oracle import (DirectionClass, enumerate_direction_classes,
                      min_illumination_number)
 from .polytope import BOUNDARY, INTERIOR, OUTSIDE, HPolytope, NormalSet, Vertex
 from .position import (SignClass, classify_signs, cone_membership,
-                       is_conical_position, is_primitive)
+                       is_conical_position, is_primitive, separator)
 from .skeleton import Skeleton, extract_skeleton, refine_basis, verify_skeleton
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .classify import (NORMAL_SET_CACHE_SIZE, bitmask, check_monotypy, circuit_table,
                        circuits_inside, primitive)
 from .errors import InputError
-from .kernel import Vec, solve_linear, vadd, zero_vec
+from .kernel import Vec, format_vector, solve_linear, vadd, zero_vec
 from .polytope import HPolytope, NormalSet, Vertex
 
 
@@ -48,8 +48,8 @@ def normal_fan(P: HPolytope) -> tuple[FanCone, ...]:
     for v in P.vertices:
         if len(v.tight) != P.dim:
             raise InputError(
-                f"vertex {v.point} is not simple: {len(v.tight)} tight normals "
-                f"{v.tight} in dimension {P.dim}")
+                f"vertex {format_vector(v.point)} is not simple: {len(v.tight)} tight "
+                f"normals {format_vector(v.tight)} in dimension {P.dim}")
         cones.append(FanCone(tuple(sorted(v.tight, reverse=True)), vertex=v))
     return tuple(cones)
 

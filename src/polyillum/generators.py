@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
+from .kernel import format_vector
 from .polytope import HPolytope
 
 FAMILIES = ("box", "simplex", "simplex_product", "square_pyramid")
@@ -116,5 +117,5 @@ def randomize_offsets(P: HPolytope, seed: int) -> HPolytope:
         except InputError as err:
             last_error = err
     raise InputError(
-        f"100 offset draws failed for normal set {P.normal_set.normals}: "
+        f"100 offset draws failed for normal set {format_vector(P.normal_set.normals)}: "
         f"{last_error}")

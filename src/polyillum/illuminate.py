@@ -20,7 +20,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import AssignmentError, InputError, InternalInvariantError
-from .kernel import Vec, dot, rank, solve_linear, solve_rows, vscale, vsub
+from .kernel import Vec, dot, format_vector, rank, solve_linear, solve_rows, vscale, vsub
 from .polytope import INTERIOR, HPolytope
 from .skeleton import Skeleton, extract_skeleton
 
@@ -82,7 +82,8 @@ def compute_delta(P: HPolytope) -> Fraction:
     for v in P.vertices:
         if P.tight_normals(v.point, delta) != v.tight:
             raise InternalInvariantError(
-                f"slack {delta} does not isolate the tight set at {v.point}")
+                f"slack {delta} does not isolate the tight set at "
+                f"{format_vector(v.point)}")
     return delta
 
 
@@ -147,15 +148,16 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
                 drops &= allowed[m][k]
             if not drops:
                 raise AssignmentError(
-                    f"no cone contains the tight normals of vertex {vert.point}; "
+                    f"no cone contains the tight normals of vertex "
+                    f"{format_vector(vert.point)}; "
                     f"the covering claim fails")
             j = j * len(part) + min(drops)
         for m in vert.tight:
             lam = solve_linear(selections[j], m)
             if lam is None or any(c < 0 for c in lam):
                 raise InternalInvariantError(
-                    f"assigned cone does not contain the tight normal {m} "
-                    f"of vertex {vert.point}")
+                    f"assigned cone does not contain the tight normal "
+                    f"{format_vector(m)} of vertex {format_vector(vert.point)}")
         assignment.append(j)
     return IlluminationSet(
         directions=directions,

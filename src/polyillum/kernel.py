@@ -56,6 +56,13 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def format_vector(v) -> str:
+    """A vector, or a tuple of vectors, as an error message shows it:
+    (1/2, -1), ((1, 0), (0, 1))."""
+    return "(" + ", ".join(format_vector(x) if isinstance(x, tuple) else format_rational(x)
+                           for x in v) + ")"
+
+
 def vec(*entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
 

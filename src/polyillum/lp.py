@@ -1,10 +1,12 @@
 """Exact linear feasibility over the rationals.
 
 A phase-one simplex with Bland's rule decides systems of the form
-A y = b, y >= 0 exactly; `feasible` wraps it for free variables and
-mixed >= / == constraints. Instances here are tiny (a few dozen
-constraints, dimension <= ~6), so no effort is spent on efficiency
-beyond avoiding cycling.
+A y = b, y >= 0 exactly, and returns the proof of whichever answer holds:
+a solution y, or a Farkas certificate z with z A <= 0 and z b > 0
+(Schrijver, *Theory of Linear and Integer Programming*, 1986, section
+7.3). Every cone question of the package is posed in this one form.
+Instances here are tiny (a few dozen constraints, dimension <= ~6), so no
+effort is spent on efficiency beyond avoiding cycling.
 """
 
 from __future__ import annotations
@@ -12,38 +14,32 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InputError
-from .kernel import Vec, zero_vec
-
-GE = ">="
-EQ = "=="
-
-Constraint = tuple[Vec, Fraction, str]
+from .errors import InputError, InternalInvariantError
+from .kernel import dot
 
 
-def solve_eq_nonneg(rows: Sequence[Sequence[Fraction]],
-                    rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Find y >= 0 with rows @ y == rhs, or None if infeasible.
+def solve_eq_nonneg(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+                    ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
+    """(y, None) with y >= 0 and rows @ y == rhs, or (None, z) with
+    z @ rows <= 0 column by column and z @ rhs > 0.
 
     Phase-one simplex minimizing the sum of artificials; Bland's rule
     (lowest entering index, lowest-index basic variable on ratio ties)
-    guarantees termination.
+    guarantees termination. When no column prices out, the simplex
+    multipliers pi_i = 1 - (reduced cost of artificial i) satisfy
+    pi A' <= 0 and pi b' = the artificial sum, where A', b' have the rows
+    with b_i < 0 negated; undoing those signs gives z. Whichever vector is
+    returned is checked against the input by exact dot products.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    if m == 0:
-        return []
-    T = [list(map(Fraction, r)) for r in rows]
-    b = [Fraction(x) for x in rhs]
-    for i in range(m):
-        if len(T[i]) != n:
-            raise InputError("ragged constraint matrix")
-        if b[i] < 0:
-            T[i] = [-x for x in T[i]]
-            b[i] = -b[i]
-    total = n + m
-    for i in range(m):
-        T[i].extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
+    if any(len(r) != n for r in rows):
+        raise InputError("ragged constraint matrix")
+    # rows with a negative right-hand side are negated, so that b >= 0
+    signs = [-1 if h < 0 else 1 for h in rhs]
+    T = [[Fraction(x) if s > 0 else -Fraction(x) for x in r]
+         + [Fraction(int(j == i)) for j in range(m)] for i, (s, r) in enumerate(zip(signs, rows))]
+    b = [s * Fraction(h) for s, h in zip(signs, rhs)]
     basis = [n + i for i in range(m)]
     # reduced costs for minimizing the artificial sum; artificial columns start at 0
     red = [-sum(T[i][j] for i in range(m)) for j in range(n)] + [Fraction(0)] * m
@@ -61,8 +57,9 @@ def solve_eq_nonneg(rows: Sequence[Sequence[Fraction]],
                     best = ratio
                     pr = i
         if pr is None:
-            # the artificial sum is bounded below by zero, so this cannot happen
-            raise InputError("phase-one simplex unbounded")
+            raise InternalInvariantError(
+                "phase-one simplex unbounded, though the artificial sum is "
+                "bounded below by zero")
         piv = T[pr][enter]
         T[pr] = [x / piv for x in T[pr]]
         b[pr] /= piv
@@ -75,50 +72,15 @@ def solve_eq_nonneg(rows: Sequence[Sequence[Fraction]],
         red = [x - f * y for x, y in zip(red, T[pr])]
         basis[pr] = enter
 
-    if any(basis[i] >= n and b[i] != 0 for i in range(m)):
-        return None
-    y = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            y[basis[i]] = b[i]
-    return y
-
-
-def feasible(constraints: Sequence[Constraint], dim: Optional[int] = None) -> Optional[Vec]:
-    """Exact witness v with <a_i, v> rel c_i for every constraint, or None.
-
-    Relations are ">=" or "==". An empty constraint list is vacuously
-    feasible with witness 0 (dim must then be given).
-    """
-    if not constraints:
-        if dim is None:
-            raise InputError("empty constraint list needs an explicit dimension")
-        return zero_vec(dim)
-    d = len(constraints[0][0])
-    if dim is not None and dim != d:
-        raise InputError(f"dimension mismatch: {dim} vs {d}")
-    slacks = []
-    for a, _, rel in constraints:
-        if len(a) != d:
-            raise InputError("constraints do not share one dimension")
-        if rel not in (GE, EQ):
-            raise InputError(f"unknown relation {rel!r}")
-        if rel == GE:
-            slacks.append(len(slacks))
-        else:
-            slacks.append(None)
-    nslack = sum(1 for s in slacks if s is not None)
-    # v = u - w with u, w >= 0; a.v - s = c for >=, a.v = c for ==
-    rows = []
-    rhs = []
-    for (a, c, rel), s in zip(constraints, slacks):
-        row = list(a) + [-x for x in a] + [Fraction(0)] * nslack
-        if s is not None:
-            row[2 * d + s] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(c))
-    y = solve_eq_nonneg(rows, rhs)
-    if y is None:
-        return None
-    return tuple(y[i] - y[d + i] for i in range(d))
-
+    if all(basis[i] < n or b[i] == 0 for i in range(m)):
+        support = [(basis[i], b[i]) for i in range(m) if basis[i] < n and b[i]]
+        if any(sum(r[j] * v for j, v in support if r[j]) != h for r, h in zip(rows, rhs)):
+            raise InternalInvariantError("phase-one solution fails its substitution check")
+        y = [Fraction(0)] * n
+        for j, v in support:
+            y[j] = v
+        return y, None
+    z = [s * (1 - red[n + i]) for i, s in enumerate(signs)]
+    if any(dot(z, [r[j] for r in rows]) > 0 for j in range(n)) or dot(z, rhs) <= 0:
+        raise InternalInvariantError("Farkas certificate fails its check")
+    return None, z

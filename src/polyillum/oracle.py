@@ -7,15 +7,15 @@ normals. A sign vector is a cell exactly when no circuit (minimal
 dependent subset) of the normals has signs that agree with it, or with
 its negation, on the circuit's support (Gordan's alternative). Sign
 vectors that agree with a circuit are skipped by comparing them with the
-bitmasks of the circuit table of `classify`, so one exact-feasibility LP
-runs per cell and yields its representative; exhaustive set cover over
-the cells gives the true minimum.
+bitmasks of the circuit table of `classify`, so one LP runs per cell: the
+representative is the strict separator of the signed normals s_i n_i
+from the origin, an interior point of the cell. Exhaustive set cover
+over the cells gives the true minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import ceil
 from typing import Iterator
@@ -23,8 +23,8 @@ from typing import Iterator
 from .classify import bitmask, circuit_table
 from .errors import InternalInvariantError, ScaleLimitError
 from .kernel import Vec, dot, vscale
-from .lp import GE, feasible
 from .polytope import HPolytope, NormalSet
+from .position import separator
 
 CELL_GUARD = 10 ** 6
 
@@ -59,8 +59,7 @@ def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
             f"2^{len(normals)} sign vectors exceed the cell guard ({CELL_GUARD})")
     classes = []
     for signs in cell_sign_vectors(P.normal_set):
-        rep = feasible([(vscale(s, m), Fraction(1), GE)
-                        for s, m in zip(signs, normals)])
+        rep = separator([vscale(s, m) for s, m in zip(signs, normals)])
         if rep is None:
             raise InternalInvariantError(
                 f"sign vector {signs} agrees with no circuit, yet its cell is empty")

@@ -4,8 +4,10 @@ support values, tight normals and point location.
 A NormalSet is valid by construction: its normals are nonzero, pairwise
 distinct directions that positively span the space, so every offset
 vector gives a bounded system, and they pass the vertex-enumeration
-guard. Positive spanning is decided here once, by 2n LPs, and nowhere
-else.
+guard. Positive spanning is decided here once, and nowhere else, by one
+LP for each of +-e_i: either e_i lies in the positive hull of the
+normals, or the LP's Farkas certificate is a direction along which every
+system with these normals is unbounded.
 
 Normal sets are kept in a canonical descending lexicographic order; every
 downstream tie-break (certificates, basis refinement, cone listings)
@@ -21,9 +23,8 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
-from .kernel import Vec, as_vec, dot, is_zero, primitive_form, rank, solve_rows, vneg, vsub
-from .lp import GE, feasible
-from .position import cone_membership
+from .kernel import Vec, as_vec, dot, format_vector, is_zero, primitive_form, rank, solve_rows
+from .position import farkas_direction
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -65,12 +66,12 @@ class NormalSet:
         for i in range(n):
             for sign in (1, -1):
                 e = tuple(Fraction(sign if j == i else 0) for j in range(n))
-                if cone_membership(e, normals) is None:
-                    # Farkas direction: <m, d> <= 0 for all normals, <e, d> > 0
-                    d = feasible([(vneg(m), Fraction(0), GE) for m in normals]
-                                 + [(e, Fraction(1), GE)])
+                # <m, d> <= 0 for all normals and <e, d> == 1: P is unbounded along d
+                d = farkas_direction(e, normals)
+                if d is not None:
                     raise InputError(
-                        f"constraint system is unbounded along {d}", witness=d)
+                        f"constraint system is unbounded along {format_vector(d)}",
+                        witness=d)
 
     @staticmethod
     def from_vectors(dim: int, vectors: Iterable) -> "NormalSet":
@@ -132,25 +133,26 @@ class HPolytope:
                           if dot(m, p) == h)
             if rank(tight) != n:
                 raise InternalInvariantError(
-                    f"tight set at {p} does not span the space")
+                    f"tight set at {format_vector(p)} does not span the space")
             vertices.append(Vertex(p, tight))
         if not vertices:
             raise InputError("constraint system is empty (infeasible)")
         return tuple(vertices)
 
     def _validate_irredundant(self):
-        n = self.normal_set.dim
-        for i, (m, h) in enumerate(zip(self.normal_set.normals, self.offsets)):
-            tight_points = [v.point for v in self.vertices if m in v.tight]
-            if not tight_points:
+        """The face cut out by normal m has as affine hull the points where
+        every normal tight at all of its vertices is tight, so it is a
+        facet iff those normals have rank 1."""
+        for i, m in enumerate(self.normal_set.normals):
+            tight_sets = [set(v.tight) for v in self.vertices if m in v.tight]
+            if not tight_sets:
                 raise InputError(
-                    f"facet with normal {m} is redundant (offset never attained)",
-                    facet_index=i)
-            base = tight_points[0]
-            if rank([vsub(p, base) for p in tight_points[1:]]) != n - 1:
+                    f"facet with normal {format_vector(m)} is redundant "
+                    f"(offset never attained)", facet_index=i)
+            if rank(list(set.intersection(*tight_sets))) != 1:
                 raise InputError(
-                    f"facet with normal {m} is redundant (tight set is not a facet)",
-                    facet_index=i)
+                    f"facet with normal {format_vector(m)} is redundant "
+                    f"(tight set is not a facet)", facet_index=i)
 
     # -- queries ------------------------------------------------------------
 
@@ -179,7 +181,7 @@ class HPolytope:
         if slack < 0:
             raise InputError("slack must be nonnegative")
         if self.point_location(x) == OUTSIDE:
-            raise InputError(f"point {x} is outside the polytope")
+            raise InputError(f"point {format_vector(x)} is outside the polytope")
         return tuple(m for m, h in zip(self.normal_set.normals, self.offsets)
                      if h - dot(m, x) <= slack)
 

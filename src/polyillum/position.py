@@ -2,8 +2,11 @@
 basis, conical position, positive-hull membership, primitivity.
 
 Every negative verdict carries a witness so it can be re-checked without
-trusting the code path that produced it. Verdicts about subsets of a
-normal set are decided over its circuit table in `classify`; the LP
+trusting the code path that produced it. Every cone question is one
+`lp.solve_eq_nonneg` call asking whether x lies in the positive hull of
+some generators, answered either way with a proof: the coefficients or a
+Farkas direction. Verdicts about subsets
+of a normal set are decided over its circuit table in `classify`; the LP
 predicates here re-check each emitted certificate once, and are the
 reference the tests compare that table against.
 """
@@ -15,8 +18,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError
-from .kernel import Vec, rank, solve_linear
-from .lp import GE, feasible, solve_eq_nonneg
+from .kernel import Vec, dot, rank, solve_linear, vneg, vscale
+from .lp import solve_eq_nonneg
 
 ALL_NONPOSITIVE = "all_nonpositive"
 ALL_NONNEGATIVE = "all_nonnegative"
@@ -53,17 +56,36 @@ def classify_signs(basis: Sequence[Vec], x: Vec) -> SignClass:
     return SignClass(MIXED, lam)
 
 
+def _cone_query(x: Vec, generators: Sequence[Vec]):
+    """(mu, None) with mu >= 0 and x == sum(mu_i * g_i), or (None, z) with
+    <g, z> <= 0 for every generator and <x, z> > 0."""
+    if any(len(g) != len(x) for g in generators):
+        raise InputError("dimension mismatch in a cone question")
+    return solve_eq_nonneg([[g[i] for g in generators] for i in range(len(x))], x)
+
+
 def cone_membership(x: Vec, generators: Sequence[Vec]) -> Optional[tuple[Fraction, ...]]:
     """Nonnegative mu with x == sum(mu_i * g_i), or None if x is outside
     the positive hull of the generators."""
-    if not generators:
-        return () if all(c == 0 for c in x) else None
-    d = len(x)
-    if any(len(g) != d for g in generators):
-        raise InputError("dimension mismatch in cone_membership")
-    rows = [[g[i] for g in generators] for i in range(d)]
-    mu = solve_eq_nonneg(rows, list(x))
+    mu, _ = _cone_query(x, generators)
     return None if mu is None else tuple(mu)
+
+
+def farkas_direction(x: Vec, generators: Sequence[Vec]) -> Optional[Vec]:
+    """d with <g, d> <= 0 for every generator and <x, d> == 1, or None if
+    x lies in the positive hull of the generators."""
+    _, z = _cone_query(x, generators)
+    return None if z is None else vscale(1 / dot(x, z), z)
+
+
+def separator(points: Sequence[Vec]) -> Optional[Vec]:
+    """v with <p, v> >= 1 for every point, or None if some convex
+    combination of the points is the origin, that is, if (0, 1) lies in
+    pos{(p, 1)}. Otherwise a Farkas direction (d, 1) has <p, d> + 1 <= 0,
+    so v = -d."""
+    lifted = [tuple(p) + (Fraction(1),) for p in points]
+    d = farkas_direction((Fraction(0),) * len(points[0]) + (Fraction(1),), lifted)
+    return None if d is None else vneg(d[:-1])
 
 
 @dataclass(frozen=True)
@@ -85,15 +107,15 @@ def is_conical_position(points: Sequence[Vec]) -> ConicalVerdict:
     origin and no point lies in the positive hull of the others."""
     if not points:
         raise InputError("is_conical_position needs a nonempty set")
-    separator = feasible([(p, Fraction(1), GE) for p in points])
-    if separator is None:
+    v = separator(points)
+    if v is None:
         return ConicalVerdict(False, not_separated=True)
     for i, p in enumerate(points):
         others = [q for j, q in enumerate(points) if j != i]
         mu = cone_membership(p, others)
         if mu is not None:
             return ConicalVerdict(False, hull_member=p, hull_coefficients=mu)
-    return ConicalVerdict(True, separator=separator)
+    return ConicalVerdict(True, separator=v)
 
 
 def captured(subset: Sequence[Vec], normals: Sequence[Vec]) -> Iterator[Vec]:

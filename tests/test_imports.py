@@ -76,7 +76,30 @@ def test_skeleton_decides_without_an_lp():
 
 
 def test_only_polytope_decides_positive_spanning():
-    # outside `position`, only NormalSet construction asks cone questions
+    # outside `position`, only NormalSet construction reads a Farkas direction
     importers = [p.name for p in MODULES if p.name != "position.py"
-                 and ("position", "cone_membership") in imported_names(p)]
+                 and ("position", "farkas_direction") in imported_names(p)]
     assert importers == ["polytope.py"]
+
+
+def test_lp_has_one_entry_point():
+    # no relation constants, constraint types or second formulation
+    tree = ast.parse((PACKAGE / "lp.py").read_text(encoding="utf-8"))
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defined += [target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)]
+    assert [name for name in defined if not name.startswith("_")] == ["solve_eq_nonneg"]
+
+
+def test_only_position_poses_lps():
+    importers = [p.name for p in MODULES
+                 if "lp" in {module for module, _ in imported_names(p)}]
+    assert importers == ["position.py"]
+
+
+@pytest.mark.parametrize("name", ["oracle.py", "polytope.py"])
+def test_cone_questions_go_through_position(name):
+    names = imported_names(PACKAGE / name)
+    assert "lp" not in {module for module, _ in names}
+    assert not {imported for _, imported in names} & {"solve_eq_nonneg", "cone_membership"}

@@ -3,7 +3,7 @@ from functools import reduce
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyillum import kernel
 from polyillum.errors import InputError
@@ -11,20 +11,11 @@ from polyillum.kernel import (dot, format_rational, kernel_vector,
                               parse_rational, primitive_form, rank,
                               simplex_dependence, solve_linear, solve_rows,
                               vec, vscale, vsub, zero_vec)
-from polyillum.lp import EQ, GE, Constraint, feasible
+from polyillum.lp import solve_eq_nonneg
+from polyillum.position import separator
 
 F = Fraction
 
-
-def satisfies(constraints: list[Constraint], v) -> bool:
-    """Does v meet every (a, c, rel) constraint exactly?"""
-    for a, c, rel in constraints:
-        val = dot(a, v)
-        if rel == GE and not val >= c:
-            return False
-        if rel == EQ and val != c:
-            return False
-    return True
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=16)
 
@@ -177,54 +168,92 @@ class TestPrimitiveForm:
             primitive_form(vec(0, 0))
 
 
-def grid_witness(constraints, dim, max_num=4, denominators=(1, 2, 3)):
-    """Independent brute-force search over small rationals; only usable in
-    very low dimension."""
-    values = sorted({F(p, q) for q in denominators
-                     for p in range(-max_num * q, max_num * q + 1)})
-    for candidate in product(values, repeat=dim):
-        if satisfies(constraints, candidate):
+def satisfies(rows, rhs, y) -> bool:
+    """Is y a nonnegative solution of rows @ y == rhs, exactly?"""
+    return (all(c >= 0 for c in y)
+            and all(sum(a * c for a, c in zip(row, y)) == h for row, h in zip(rows, rhs)))
+
+
+def certifies(rows, rhs, z) -> bool:
+    """Is z a Farkas certificate: z @ rows <= 0 column by column and
+    z @ rhs > 0, so that no y >= 0 solves rows @ y == rhs?"""
+    return (all(sum(zi * row[j] for zi, row in zip(z, rows)) <= 0
+                for j in range(len(rows[0])))
+            and sum(zi * h for zi, h in zip(z, rhs)) > 0)
+
+
+def grid_witness(rows, rhs, max_num=4, denominators=(1, 2, 3)):
+    """Independent brute-force search for y >= 0 over small rationals; only
+    usable in very low dimension."""
+    values = sorted({F(p, q) for q in denominators for p in range(max_num * q + 1)})
+    for candidate in product(values, repeat=len(rows[0])):
+        if satisfies(rows, rhs, candidate):
             return candidate
     return None
 
 
+small_ints = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def systems(draw, columns=st.integers(min_value=1, max_value=4)):
+    """rows @ y == rhs with small entries; half of them built from a y >= 0
+    on the grid, so that they are feasible."""
+    n = draw(columns)
+    rows = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        y = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))
+        rhs = [sum(a * c for a, c in zip(row, y)) for row in rows]
+    else:
+        rhs = draw(st.lists(small_ints, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
 class TestFeasible:
+    """`solve_eq_nonneg` proves its answer either way, and `separator`
+    poses <p, v> >= 1 through it."""
+
     def test_quadrant(self):
-        cons = [(vec(1, 0), F(1), GE), (vec(0, 1), F(1), GE)]
-        w = feasible(cons)
-        assert w is not None and satisfies(cons, w)
+        pts = [vec(1, 0), vec(0, 1)]
+        v = separator(pts)
+        assert v is not None and all(dot(p, v) >= 1 for p in pts)
 
     def test_contradictory_halfspaces(self):
-        cons = [(vec(1, 0), F(1), GE), (vec(-1, 0), F(1), GE)]
-        assert feasible(cons) is None
-        assert grid_witness(cons, 2) is None
+        assert separator([vec(1, 0), vec(-1, 0)]) is None
+        # the LP behind it: (0, 0, 1) is the lifted points' midpoint
+        rows, rhs = [[1, -1], [0, 0], [1, 1]], [0, 0, 1]
+        assert solve_eq_nonneg(rows, rhs) == ([F(1, 2), F(1, 2)], None)
+        assert grid_witness(rows, rhs) == (F(1, 2), F(1, 2))
 
     def test_pyramid_slant_separator(self):
-        cons = [(vec(*n), F(1), GE)
-                for n in [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]]
-        w = feasible(cons)
-        assert w is not None and satisfies(cons, w)
-        assert satisfies(cons, vec(0, 0, 1))
+        pts = [vec(*n) for n in [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]]
+        v = separator(pts)
+        assert v is not None and all(dot(p, v) >= 1 for p in pts)
 
-    def test_empty_list_is_vacuously_feasible(self):
-        assert feasible([], dim=3) == zero_vec(3)
-        with pytest.raises(InputError):
-            feasible([])
+    def test_infeasible_system_returns_its_certificate(self):
+        rows, rhs = [[1, 1], [2, 2]], [2, 5]
+        y, z = solve_eq_nonneg(rows, rhs)
+        assert y is None and certifies(rows, rhs, z)
+        assert grid_witness(rows, rhs) is None
 
-    def test_equality_relation(self):
-        cons = [(vec(1, 1), F(2), EQ), (vec(1, -1), F(0), EQ)]
-        w = feasible(cons)
-        assert w == vec(1, 1)
+    def test_no_rows_is_feasible(self):
+        assert solve_eq_nonneg([], []) == ([], None)
 
-    def test_infeasible_equalities_cross_checked_by_grid(self):
-        cons = [(vec(1, 1), F(2), EQ), (vec(2, 2), F(5), EQ)]
-        assert feasible(cons) is None
-        assert grid_witness(cons, 2) is None
+    @settings(max_examples=150, deadline=None)
+    @given(systems())
+    def test_witnesses_substitute_exactly(self, system):
+        rows, rhs = system
+        y, z = solve_eq_nonneg(rows, rhs)
+        assert (y is None) != (z is None)
+        assert satisfies(rows, rhs, y) if y is not None else certifies(rows, rhs, z)
 
-    @given(st.lists(st.tuples(st.tuples(rationals, rationals), rationals),
-                    min_size=1, max_size=6))
-    def test_witnesses_substitute_exactly(self, raw):
-        cons = [(vec(*a), c, GE) for a, c in raw]
-        w = feasible(cons)
-        if w is not None:
-            assert satisfies(cons, w)
+    @settings(max_examples=100, deadline=None)
+    @given(systems(columns=st.just(2)))
+    def test_agrees_with_the_grid_in_the_plane(self, system):
+        rows, rhs = system
+        y, z = solve_eq_nonneg(rows, rhs)
+        if grid_witness(rows, rhs) is not None:
+            assert y is not None
+        if z is not None:
+            assert grid_witness(rows, rhs) is None

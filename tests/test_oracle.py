@@ -9,13 +9,12 @@ from polyillum import oracle
 from polyillum.errors import InternalInvariantError, ScaleLimitError
 from polyillum.illuminate import build_illumination_set, verify_directions
 from polyillum.kernel import dot, vec, vscale
-from polyillum.lp import GE, feasible
 from polyillum.oracle import (cell_sign_vectors, enumerate_direction_classes,
                               min_illumination_number)
 from polyillum.polytope import NormalSet
-from polyillum.position import cone_membership
-from tests.conftest import (box, hexagon, simplex, simplex_product, square_pyramid,
-                            triangle, valid_normal_sets)
+from polyillum.position import separator
+from tests.conftest import (box, count_lps, hexagon, simplex, simplex_product,
+                            square_pyramid, triangle, valid_normal_sets)
 
 F = Fraction
 
@@ -23,8 +22,7 @@ F = Fraction
 def lp_cells(normals):
     """Sign vectors whose open cell an exact LP finds nonempty."""
     return {signs for signs in product((1, -1), repeat=len(normals))
-            if feasible([(vscale(s, m), F(1), GE)
-                         for s, m in zip(signs, normals)]) is not None}
+            if separator([vscale(s, m) for s, m in zip(signs, normals)]) is not None}
 
 
 class TestDirectionClasses:
@@ -126,18 +124,15 @@ class TestCircuitFilter:
     @pytest.mark.parametrize("P,lps", [(box(3), 8), (hexagon(), 6), (simplex(3), 14)],
                              ids=["box3", "hexagon", "simplex3"])
     def test_one_lp_per_cell(self, monkeypatch, P, lps):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return feasible(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "feasible", counting)
+        calls = count_lps(monkeypatch)
         assert len(enumerate_direction_classes(P)) == lps
         assert len(calls) == lps
+        # each cell LP has d + 1 rows, one column per normal
+        assert all(len(rows) == P.dim + 1 and len(rows[0]) == len(P.normal_set)
+                   for rows in calls)
 
     def test_empty_surviving_cell_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(oracle, "feasible", lambda constraints: None)
+        monkeypatch.setattr(oracle, "separator", lambda points: None)
         with pytest.raises(InternalInvariantError, match="agrees with no circuit"):
             enumerate_direction_classes(hexagon())
 
@@ -147,6 +142,6 @@ class TestCircuitFilter:
 
         monkeypatch.setattr(oracle, "CELL_GUARD", 2 ** 5)
         monkeypatch.setattr(oracle, "circuit_table", forbidden)
-        monkeypatch.setattr(oracle, "feasible", forbidden)
+        monkeypatch.setattr(oracle, "separator", forbidden)
         with pytest.raises(ScaleLimitError, match="cell guard"):
             enumerate_direction_classes(box(3))

@@ -1,16 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyillum import polytope
 from polyillum.errors import InputError, ScaleLimitError
-from polyillum.kernel import as_vec, dot, rank, vadd, vec, vneg, zero_vec
+from polyillum.kernel import as_vec, dot, rank, solve_rows, vadd, vec, vneg, vsub, zero_vec
 from polyillum.polytope import (BOUNDARY, INTERIOR, OUTSIDE, HPolytope,
                                 NormalSet)
 from polyillum.position import cone_membership
-from tests.conftest import box, square_pyramid, triangle
+from tests.conftest import box, count_lps, square_pyramid, triangle
 
 F = Fraction
 
@@ -84,6 +84,37 @@ class TestNormalSet:
             break
         assert valid == lp_positively_spans(vectors)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_unbounded_witness_is_a_farkas_direction(self, seed):
+        rnd = random.Random(seed)
+        dim = rnd.choice([2, 3, 4])
+        while True:
+            vectors = [as_vec(rnd.randint(-2, 2) for _ in range(dim))
+                       for _ in range(rnd.randint(1, dim + 2))]
+            try:
+                NormalSet.from_vectors(dim, vectors)
+            except InputError as err:
+                if err.witness is None:
+                    continue
+                d = err.witness
+                break
+        # d is read off the LP of the first of +-e_i outside pos(N)
+        units = [vec(*(s if j == i else 0 for j in range(dim)))
+                 for i in range(dim) for s in (1, -1)]
+        e = next(u for u in units if cone_membership(u, vectors) is None)
+        assert dot(e, d) == 1
+        assert all(dot(m, d) <= 0 for m in vectors)
+
+    def test_unbounded_witness_runs_no_second_lp(self, monkeypatch):
+        # e1 lies in pos(N) and -e1 does not: one LP each, and the second
+        # one's certificate is the witness
+        calls = count_lps(monkeypatch)
+        with pytest.raises(InputError, match="unbounded") as exc:
+            NormalSet.from_vectors(2, [(1, 0), (0, 1)])
+        assert exc.value.witness == vec(-1, 0)
+        assert len(calls) == 2
+
     def test_guard_is_reported_before_unboundedness(self):
         # C(24, 12) candidates, and nothing bounds -e12
         n = 12
@@ -132,11 +163,32 @@ class TestVertexEnumeration:
             HPolytope.from_facets(1, [((1,), -2), ((-1,), 1)])
 
     def test_building_runs_no_feasibility_lp(self, monkeypatch):
-        # a bounded system is empty exactly when it has no vertex
-        calls = []
-        monkeypatch.setattr(polytope, "feasible", lambda *a: calls.append(a))
-        box(3)
+        # a bounded system is empty exactly when it has no vertex; only the
+        # normal set's positive spanning is decided by LP
+        N, offsets = box(3).normal_set, box(3).offsets
+        calls = count_lps(monkeypatch)
+        HPolytope(N, offsets)
         assert calls == []
+
+
+def difference_rank_verdict(normals, offsets):
+    """The reference irredundancy check: facet i is a facet iff the vertices
+    on it span an affine space of dimension n - 1, by the rank of their
+    differences. Returns None, or the first redundant facet's index and the
+    kind of its message."""
+    n = len(normals[0])
+    points = set()
+    for idx in combinations(range(len(normals)), n):
+        x = solve_rows([normals[i] for i in idx], [offsets[i] for i in idx])
+        if x is not None and all(dot(m, x) <= h for m, h in zip(normals, offsets)):
+            points.add(x)
+    for i, (m, h) in enumerate(zip(normals, offsets)):
+        on = [p for p in points if dot(m, p) == h]
+        if not on:
+            return i, "offset never attained)"
+        if rank([vsub(p, on[0]) for p in on[1:]]) != n - 1:
+            return i, "tight set is not a facet)"
+    return None
 
 
 class TestIrredundancy:
@@ -152,6 +204,31 @@ class TestIrredundancy:
             HPolytope.from_facets(
                 2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1),
                     ((1, 1), 2)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_agrees_with_the_difference_rank_reference(self, seed):
+        # n+2..n+4 normals in R^2..R^4 with offsets in 1..3, so the origin
+        # is interior; about a third of the draws have a redundant facet,
+        # one in four of those tight at a lower-dimensional face
+        rnd = random.Random(seed)
+        dim = rnd.choice([2, 3, 4])
+        while True:
+            vectors = [as_vec(rnd.randint(-2, 2) for _ in range(dim))
+                       for _ in range(rnd.randint(dim + 2, dim + 4))]
+            try:
+                normals = NormalSet.from_vectors(dim, vectors).normals
+                break
+            except InputError:
+                continue
+        offsets = tuple(F(rnd.randint(1, 3)) for _ in normals)
+        expected = difference_rank_verdict(normals, offsets)
+        try:
+            HPolytope(NormalSet(dim, normals), offsets)
+            found = None
+        except InputError as err:
+            found = (err.facet_index, str(err).rpartition("(")[2])
+        assert found == expected
 
     def test_support_equals_stored_offset(self):
         for P in (box(3), triangle(), square_pyramid()):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyillum.errors import InputError
-from polyillum.kernel import rank, vec, vscale, zero_vec
-from polyillum.lp import GE, feasible
+from polyillum.kernel import circuits, dot, rank, vec, vscale, zero_vec
 from polyillum.position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED,
                                 SINGLE_POSITIVE, classify_signs,
                                 cone_membership, is_conical_position,
-                                is_primitive)
+                                is_primitive, separator)
 
 F = Fraction
 
@@ -61,7 +60,6 @@ class TestConicalPosition:
         pts = [vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)]
         verdict = is_conical_position(pts)
         assert verdict
-        from polyillum.kernel import dot
         assert all(dot(p, verdict.separator) >= 1 for p in pts)
 
     @settings(max_examples=60)
@@ -81,6 +79,24 @@ class TestConicalPosition:
         shuffled = list(pts)
         rnd.shuffle(shuffled)
         assert bool(is_conical_position(shuffled)) == base
+
+
+def origin_in_convex_hull(points):
+    """The reference for `separator`, by Gordan's alternative: a convex
+    combination of nonzero points vanishes iff some circuit of the points
+    has a dependence of one sign."""
+    return any(all(c > 0 for c in mu) or all(c < 0 for c in mu)
+               for _, mu in circuits(points))
+
+
+class TestSeparator:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(nonzero_vec2, min_size=1, max_size=5))
+    def test_none_exactly_when_a_convex_combination_vanishes(self, pts):
+        v = separator(pts)
+        assert (v is None) == origin_in_convex_hull(pts)
+        if v is not None:
+            assert all(dot(p, v) >= 1 for p in pts)
 
 
 class TestConeMembership:
@@ -132,7 +148,7 @@ def equivalence_case(basis, x):
     separation and positive-hull tests on {x} + basis."""
     sc = classify_signs(basis, x)
     pts = [x] + list(basis)
-    separated = feasible([(p, F(1), GE) for p in pts]) is not None
+    separated = separator(pts) is not None
     in_hull = any(
         cone_membership(p, [q for j, q in enumerate(pts) if j != i]) is not None
         for i, p in enumerate(pts))
