@@ -13,7 +13,7 @@ import argparse
 from fractions import Fraction
 
 from polyillum.classify import classify_normal_set
-from polyillum.generators import FamilySpec, generate, randomize_offsets
+from polyillum.generators import generate, randomize_offsets
 from polyillum.illuminate import build_illumination_set, verify_illumination
 from polyillum.kernel import format_rational
 from polyillum.oracle import min_illumination_number
@@ -28,17 +28,15 @@ def hexagon() -> HPolytope:
 
 
 def instances(seed):
-    specs = [FamilySpec("box", (2,)), FamilySpec("box", (3,)),
-             FamilySpec("box", (4,)),
-             FamilySpec("simplex", (2,)), FamilySpec("simplex", (3,)),
-             FamilySpec("simplex_product", (2, 1)),
-             FamilySpec("simplex_product", (1, 1)),
-             FamilySpec("square_pyramid")]
-    for spec in specs:
-        P = generate(spec)
+    specs = [("box", (2,)), ("box", (3,)), ("box", (4,)),
+             ("simplex", (2,)), ("simplex", (3,)),
+             ("simplex_product", (2, 1)), ("simplex_product", (1, 1)),
+             ("square_pyramid", ())]
+    for family, dims in specs:
+        P = generate(family, dims)
         if seed is not None:
             P = randomize_offsets(P, seed)
-        yield f"{spec.family}{list(spec.dims)}", P
+        yield f"{family}{list(dims)}", P
     yield "hexagon", hexagon()
 
 

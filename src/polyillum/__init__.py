@@ -10,11 +10,11 @@ from .errors import (AssignmentError, GeometryError,
                      InputError, InternalInvariantError,
                      NotStronglyMonotypicError, ScaleLimitError)
 from .fan import FanCone, enumerate_primitive_bases, normal_fan, verify_fan_uniqueness
-from .generators import FamilySpec, SplitMix64, generate, randomize_offsets
+from .generators import SplitMix64, generate, randomize_offsets
 from .illuminate import (IlluminationSet, build_illumination_set,
                          compute_delta, compute_epsilon, cone_direction,
                          cone_selections, verify_directions, verify_illumination)
-from .kernel import Vec, as_vec, dot, parse_rational, solve_linear, vec
+from .kernel import Vec, dot, parse_rational, solve_linear, vec
 from .oracle import (DirectionClass, enumerate_direction_classes,
                      min_illumination_number)
 from .polytope import BOUNDARY, INTERIOR, OUTSIDE, HPolytope, NormalSet, Vertex

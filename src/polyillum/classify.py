@@ -190,12 +190,14 @@ def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
     common point sum over mu_i > 0 of mu_i n_i, nonzero since its positive
     half is independent. A false verdict returns the first such circuit's
     halves, in the order of `kernel.circuits`, and that point; both halves
-    are re-checked by LP.
+    are re-checked by LP. Circuits share halves, so each distinct half is
+    tested once.
     """
     table = circuit_table(N)
+    primitive_half = lru_cache(maxsize=None)(lambda mask: primitive(mask, table))
     for c in table:
-        if not (c.plus and c.minus and primitive(c.plus, table)
-                and primitive(c.minus, table)):
+        if not (c.plus and c.minus and primitive_half(c.plus)
+                and primitive_half(c.minus)):
             continue
         v1 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu > 0)
         v2 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu < 0)

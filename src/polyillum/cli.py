@@ -18,7 +18,7 @@ from .fan import enumerate_primitive_bases, normal_fan, verify_fan_uniqueness
 from .formats import (certificate_to_doc, dump, illumination_to_doc,
                       parse_directions, parse_polytope, polytope_to_doc,
                       reports_to_doc, skeleton_to_doc, vector_to_strings)
-from .generators import FAMILIES, FamilySpec, generate
+from .generators import FAMILIES, generate, randomize_offsets
 from .illuminate import build_illumination_set, verify_directions, verify_illumination
 from .oracle import min_illumination_number
 from .skeleton import extract_skeleton
@@ -124,12 +124,9 @@ def _cmd_oracle(args):
 
 
 def _cmd_gen(args):
-    spec = FamilySpec(
-        family=args.family,
-        dims=tuple(args.dims or ()),
-        seed=args.seed if args.randomize_offsets else None,
-    )
-    P = generate(spec)
+    P = generate(args.family, tuple(args.dims or ()))
+    if args.seed is not None:
+        P = randomize_offsets(P, args.seed)
     payload = polytope_to_doc(P)
     if args.output:
         Path(args.output).write_text(dump(payload, args.pretty) + "\n",
@@ -178,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a built-in instance")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("--dims", type=int, nargs="+")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--randomize-offsets", action="store_true")
+    p.add_argument("--seed", type=int, help="randomize the offsets with this seed")
     p.add_argument("--output", "-o")
     p.set_defaults(handler=_cmd_gen)
 

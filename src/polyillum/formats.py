@@ -53,10 +53,6 @@ def doc_to_polytope(doc) -> HPolytope:
             raise InputError(f"facet {i} is malformed: {err}", facet_index=i)
         except InputError as err:
             raise InputError(f"facet {i}: {err}", facet_index=i)
-        if len(normal) != dim:
-            raise InputError(
-                f"facet {i}: normal has dimension {len(normal)}, expected {dim}",
-                facet_index=i)
         parsed.append((normal, offset))
     return HPolytope.from_facets(dim, parsed)
 

@@ -7,9 +7,7 @@ bit-for-bit in any implementation of the same stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError
 from .kernel import format_vector
@@ -34,14 +32,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    dims: tuple[int, ...] = ()
-    offsets: Optional[tuple[Fraction, ...]] = None
-    seed: Optional[int] = None
 
 
 def _unit(n: int, i: int) -> tuple[Fraction, ...]:
@@ -70,37 +60,29 @@ SQUARE_PYRAMID_NORMALS = [
 ]
 
 
-def generate(spec: FamilySpec) -> HPolytope:
-    if spec.family not in FAMILIES:
-        raise InputError(f"unknown family {spec.family!r}; expected one of {FAMILIES}")
-    if any(d <= 0 for d in spec.dims):
-        raise InputError(f"dimensions must be positive, got {spec.dims}")
-    if spec.family in ("box", "simplex"):
+def generate(family: str, dims: tuple[int, ...] = ()) -> HPolytope:
+    """The built-in instance with unit offsets."""
+    if family not in FAMILIES:
+        raise InputError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if any(d <= 0 for d in dims):
+        raise InputError(f"dimensions must be positive, got {dims}")
+    if family in ("box", "simplex"):
         # the box is the product of n segments, the simplex one factor
-        if len(spec.dims) != 1:
-            raise InputError(f"{spec.family} takes exactly one dimension")
-        dim = spec.dims[0]
-        normals = simplex_product_normals([1] * dim if spec.family == "box" else [dim])
-    elif spec.family == "simplex_product":
-        if not spec.dims:
+        if len(dims) != 1:
+            raise InputError(f"{family} takes exactly one dimension")
+        dim = dims[0]
+        normals = simplex_product_normals([1] * dim if family == "box" else [dim])
+    elif family == "simplex_product":
+        if not dims:
             raise InputError("simplex_product takes at least one factor dimension")
-        normals = simplex_product_normals(spec.dims)
-        dim = sum(spec.dims)
+        normals = simplex_product_normals(dims)
+        dim = sum(dims)
     else:
-        if spec.dims:
+        if dims:
             raise InputError("square_pyramid takes no dimensions")
         normals = SQUARE_PYRAMID_NORMALS
         dim = 3
-    offsets = spec.offsets
-    if offsets is None:
-        offsets = tuple(Fraction(1) for _ in normals)
-    if len(offsets) != len(normals):
-        raise InputError(
-            f"expected {len(normals)} offsets, got {len(offsets)}")
-    P = HPolytope.from_facets(dim, list(zip(normals, offsets)))
-    if spec.seed is not None:
-        P = randomize_offsets(P, spec.seed)
-    return P
+    return HPolytope.from_facets(dim, [(m, Fraction(1)) for m in normals])
 
 
 def randomize_offsets(P: HPolytope, seed: int) -> HPolytope:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError
 
@@ -64,10 +64,6 @@ def format_vector(v) -> str:
 
 
 def vec(*entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
-
-
-def as_vec(entries: Iterable) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
 
@@ -170,39 +166,26 @@ def solve_rows(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Optional[Vec]:
     return tuple(reduced[i][n] for i in range(n))
 
 
-def _dependence_and_rank(vectors: Sequence[Vec]) -> tuple[Optional[Vec], int]:
-    """`kernel_vector(vectors)` and the rank of the vectors, read off the
-    pivots of one elimination."""
-    k = len(vectors)
+def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
+    """The unique (up to scale) dependence of d+1 points spanning a d-space:
+    coefficients mu, with mu_f == 1 at the first free column f, and
+    sum(mu_i * points_i) == 0, read off the pivots of one elimination.
+
+    Returns None unless rank(points) == len(points) - 1.
+    """
+    k = len(points)
     if k == 0:
-        return None, 0
-    n = len(vectors[0])
-    m = [[vectors[j][i] for j in range(k)] for i in range(n)]
+        return None
+    m = [[p[i] for p in points] for i in range(len(points[0]))]
     reduced, pivots = _row_reduce(m)
-    free = [c for c in range(k) if c not in pivots]
-    if not free:
-        return None, len(pivots)
-    f = free[0]
+    if len(pivots) != k - 1:
+        return None
+    f = next(c for c in range(k) if c not in pivots)
     mu = [Fraction(0)] * k
     mu[f] = Fraction(1)
     for r, c in enumerate(pivots):
         mu[c] = -reduced[r][f]
-    return tuple(mu), len(pivots)
-
-
-def kernel_vector(vectors: Sequence[Vec]) -> Optional[Vec]:
-    """A nontrivial dependence: coefficients mu (not all zero) with
-    sum(mu_i * vectors_i) == 0, or None if the vectors are independent."""
-    return _dependence_and_rank(vectors)[0]
-
-
-def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
-    """The unique (up to scale) dependence of d+1 points spanning a d-space.
-
-    Returns None unless rank(points) == len(points) - 1.
-    """
-    mu, r = _dependence_and_rank(points)
-    return mu if r == len(points) - 1 else None
+    return tuple(mu)
 
 
 def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
@@ -212,20 +195,22 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
 
     A circuit holds 2..n+1 vectors: n+2 vectors in dimension n are always
     dependent. Sizes run upwards and indices lexicographically, and a subset
-    that holds a circuit already found is not minimal, so it is skipped
-    without a row reduction.
+    that holds a circuit of a smaller size is not minimal, so it is skipped
+    without a row reduction. A circuit of its own size is never inside it.
     """
     dim = len(vectors[0]) if vectors else 0
     found = []
-    supports: list[int] = []
+    smaller: list[int] = []
     for size in range(2, dim + 2):
+        supports = []
         for idx in combinations(range(len(vectors)), size):
             mask = sum(1 << i for i in idx)
-            if any(mask & support == support for support in supports):
+            if any(mask & support == support for support in smaller):
                 continue
             mu = simplex_dependence([vectors[i] for i in idx])
             if mu is None or any(c == 0 for c in mu):
                 continue
             found.append((idx, mu))
             supports.append(mask)
+        smaller += supports
     return found

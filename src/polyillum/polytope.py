@@ -1,5 +1,5 @@
 """The H-polytope model: validated normal sets, exact vertex enumeration,
-support values, tight normals and point location.
+tight normals and point location.
 
 A NormalSet is valid by construction: its normals are nonzero, pairwise
 distinct directions that positively span the space, so every offset
@@ -23,7 +23,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
-from .kernel import Vec, as_vec, dot, format_vector, is_zero, primitive_form, rank, solve_rows
+from .kernel import Vec, dot, format_vector, is_zero, primitive_form, rank, solve_rows, vec
 from .position import farkas_direction
 
 INTERIOR = "interior"
@@ -75,7 +75,7 @@ class NormalSet:
 
     @staticmethod
     def from_vectors(dim: int, vectors: Iterable) -> "NormalSet":
-        return NormalSet(dim, tuple(as_vec(v) for v in vectors))
+        return NormalSet(dim, tuple(vec(*v) for v in vectors))
 
     def __iter__(self):
         return iter(self.normals)
@@ -104,7 +104,7 @@ class HPolytope:
 
     @classmethod
     def from_facets(cls, dim: int, facets: Sequence[tuple]) -> "HPolytope":
-        pairs = [(as_vec(n), Fraction(h)) for n, h in facets]
+        pairs = [(vec(*n), Fraction(h)) for n, h in facets]
         N = NormalSet.from_vectors(dim, [n for n, _ in pairs])
         lookup = dict(pairs)
         offsets = tuple(lookup[n] for n in N.normals)
@@ -160,11 +160,6 @@ class HPolytope:
     def dim(self) -> int:
         return self.normal_set.dim
 
-    def support_value(self, n: Vec) -> Fraction:
-        if is_zero(n):
-            raise InputError("support value of the zero vector is undefined")
-        return max(dot(n, v.point) for v in self.vertices)
-
     def point_location(self, x: Vec) -> str:
         if len(x) != self.dim:
             raise InputError("dimension mismatch in point_location")
@@ -184,10 +179,3 @@ class HPolytope:
             raise InputError(f"point {format_vector(x)} is outside the polytope")
         return tuple(m for m, h in zip(self.normal_set.normals, self.offsets)
                      if h - dot(m, x) <= slack)
-
-    @property
-    def is_simple(self) -> bool:
-        return all(len(v.tight) == self.dim for v in self.vertices)
-
-    def non_simple_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if len(v.tight) != self.dim)

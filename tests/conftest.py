@@ -1,12 +1,11 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from polyillum import HPolytope, NormalSet, lp, position
 from polyillum.errors import InputError
-from polyillum.generators import FamilySpec, generate
+from polyillum.generators import generate
 from polyillum.lp import solve_eq_nonneg
 
 HEXAGON_FACETS = [
@@ -26,19 +25,19 @@ def triangle() -> HPolytope:
 
 
 def box(n: int) -> HPolytope:
-    return generate(FamilySpec("box", (n,)))
+    return generate("box", (n,))
 
 
 def simplex(n: int) -> HPolytope:
-    return generate(FamilySpec("simplex", (n,)))
+    return generate("simplex", (n,))
 
 
 def simplex_product(dims) -> HPolytope:
-    return generate(FamilySpec("simplex_product", tuple(dims)))
+    return generate("simplex_product", tuple(dims))
 
 
 def square_pyramid() -> HPolytope:
-    return generate(FamilySpec("square_pyramid"))
+    return generate("square_pyramid")
 
 
 def set_n() -> HPolytope:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,23 @@ class TestMonotypyMss:
         check_monotypy_mss.cache_clear()
         assert check_monotypy_mss(P.normal_set)[0] is (tests == 0)
         assert len(calls) == tests
+
+    def test_each_distinct_half_is_tested_once(self, monkeypatch):
+        # the 16 primitive integer directions with max(|a|, |b|) <= 2: their
+        # 336 two-signed circuits share their halves
+        N = NormalSet.from_vectors(2, [(a, b) for a in range(-2, 3) for b in range(-2, 3)
+                                       if gcd(a, b) == 1])
+        calls = []
+
+        def counting(mask, table):
+            calls.append(mask)
+            return primitive(mask, table)
+
+        monkeypatch.setattr(classify, "primitive", counting)
+        check_monotypy_mss.cache_clear()
+        assert check_monotypy_mss(N) == (True, None)
+        assert sum(1 for c in circuit_table(N) if c.plus and c.minus) == 336
+        assert len(calls) == len(set(calls)) == 104
 
 
 class TestCrossProperties:

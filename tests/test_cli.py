@@ -13,7 +13,8 @@ from polyillum import classify
 from polyillum.classify import check_monotypy, check_monotypy_mss, check_strong_monotypy
 from polyillum.cli import run_command
 from polyillum.errors import InputError
-from polyillum.formats import (parse_polytope, serialize_polytope)
+from polyillum.formats import parse_polytope, polytope_to_doc, serialize_polytope
+from polyillum.generators import generate, randomize_offsets
 from polyillum.position import is_conical_position
 from tests.conftest import box, count_lps, hexagon, set_n, square_pyramid
 
@@ -163,9 +164,8 @@ class TestCli:
         assert payload["certificate"] == verdict["certificates"]["conical_subset"]
 
     def test_illuminate_verify(self, capsys, tmp_path):
-        from polyillum.generators import FamilySpec, generate
         path = tmp_path / "simplex3.json"
-        path.write_text(serialize_polytope(generate(FamilySpec("simplex", (3,)))))
+        path.write_text(serialize_polytope(generate("simplex", (3,))))
         code, payload = run(capsys, "illuminate", str(path), "--verify")
         assert code == 0
         assert payload["verified"] is True
@@ -208,12 +208,13 @@ class TestCli:
         assert len(P.vertices) == 4
 
     def test_gen_randomized_is_deterministic(self, capsys):
-        code1, p1 = run(capsys, "gen", "simplex", "--dims", "2",
-                        "--seed", "7", "--randomize-offsets")
-        code2, p2 = run(capsys, "gen", "simplex", "--dims", "2",
-                        "--seed", "7", "--randomize-offsets")
+        code1, p1 = run(capsys, "gen", "simplex", "--dims", "2", "--seed", "7")
+        code2, p2 = run(capsys, "gen", "simplex", "--dims", "2", "--seed", "7")
         assert code1 == code2 == 0
         assert p1 == p2
+        assert p1 == polytope_to_doc(randomize_offsets(generate("simplex", (2,)), 7))
+        assert p1 != run(capsys, "gen", "simplex", "--dims", "2")[1]
+        assert run_command(["gen", "simplex", "--dims", "2", "--randomize-offsets"]) == 2
 
     def test_gen_beyond_the_vertex_guard_is_input_error(self, capsys):
         # C(24, 12) = 2704156 vertex candidates
@@ -282,6 +283,12 @@ GOLDEN_ERRORS = {
     "duplicate_direction": (
         facets_doc(2, SQUARE[:1] + [((2, 0), 1)] + SQUARE[1:]),
         '{"error":"normal 1 is a positive multiple of normal 0"}'),
+    "negative_dimension": (
+        facets_doc(-1, [((), 1)]),
+        '{"error":"dimension must be positive, got -1"}'),
+    "short_normal": (
+        facets_doc(2, [((1,), 1)] + SQUARE[1:]),
+        '{"error":"normal 0 has dimension 1, expected 2"}'),
 }
 
 

@@ -11,7 +11,7 @@ from polyillum.fan import (FanCone, enumerate_primitive_bases, is_complete_fan,
 from polyillum.generators import randomize_offsets
 from polyillum.kernel import rank, vadd, vec, vneg, vsub, zero_vec
 from polyillum.oracle import enumerate_direction_classes
-from polyillum.polytope import HPolytope, NormalSet
+from polyillum.polytope import NormalSet
 from polyillum.position import cone_membership, is_primitive
 from tests.conftest import (box, count_lps, hexagon, simplex, simplex_product,
                             square_pyramid, triangle, valid_normal_sets)

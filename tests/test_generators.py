@@ -5,8 +5,7 @@ import pytest
 from polyillum import generators
 from polyillum.classify import classify_normal_set
 from polyillum.errors import InputError
-from polyillum.generators import (FamilySpec, SplitMix64, generate,
-                                  randomize_offsets)
+from polyillum.generators import SplitMix64, generate, randomize_offsets
 from polyillum.kernel import vec
 from polyillum.polytope import HPolytope
 from polyillum.skeleton import extract_skeleton
@@ -17,46 +16,42 @@ F = Fraction
 
 class TestFamilies:
     def test_box(self):
-        P = generate(FamilySpec("box", (3,)))
+        P = generate("box", (3,))
         assert len(P.normal_set.normals) == 6
         assert len(P.vertices) == 8
 
     def test_simplex(self):
-        P = generate(FamilySpec("simplex", (3,)))
+        P = generate("simplex", (3,))
         assert len(P.normal_set.normals) == 4
         assert len(P.vertices) == 4
 
     def test_prism_normals(self):
-        P = generate(FamilySpec("simplex_product", (2, 1)))
+        P = generate("simplex_product", (2, 1))
         assert set(P.normal_set.normals) == {
             vec(1, 0, 0), vec(0, 1, 0), vec(-1, -1, 0),
             vec(0, 0, 1), vec(0, 0, -1)}
 
     def test_square_pyramid_is_not_monotypic(self):
-        P = generate(FamilySpec("square_pyramid"))
+        P = generate("square_pyramid")
         v = classify_normal_set(P.normal_set)
         assert not v.monotypic
 
     @pytest.mark.parametrize("spec", [
-        FamilySpec("box", (0,)),
-        FamilySpec("simplex", (-1,)),
-        FamilySpec("box", (2, 2)),
-        FamilySpec("simplex_product", ()),
-        FamilySpec("nonagon", (2,)),
+        ("box", (0,)),
+        ("simplex", (-1,)),
+        ("box", (2, 2)),
+        ("simplex_product", ()),
+        ("nonagon", (2,)),
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(InputError):
-            generate(spec)
+            generate(*spec)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_box_and_simplex_are_products_of_simplices(self, n):
         for family, dims in (("box", (1,) * n), ("simplex", (n,))):
-            P = generate(FamilySpec(family, (n,)))
-            assert P == generate(FamilySpec("simplex_product", dims))
-
-    def test_offsets_override(self):
-        P = generate(FamilySpec("box", (2,), offsets=(F(2), F(1), F(2), F(1))))
-        assert set(P.offsets) == {F(1), F(2)}
+            P = generate(family, (n,))
+            assert P == generate("simplex_product", dims)
 
 
 class TestSplitMix64:
@@ -74,22 +69,22 @@ class TestSplitMix64:
 
 class TestRandomizeOffsets:
     def test_same_seed_is_bit_identical(self):
-        P = generate(FamilySpec("box", (3,)))
+        P = generate("box", (3,))
         assert randomize_offsets(P, 1).offsets == randomize_offsets(P, 1).offsets
 
     def test_offsets_in_range_with_bounded_denominator(self):
-        P = randomize_offsets(generate(FamilySpec("box", (3,))), 1)
+        P = randomize_offsets(generate("box", (3,)), 1)
         for h in P.offsets:
             assert 1 <= h <= 2
             assert h.denominator <= 16
 
     def test_normals_unchanged(self):
-        base = generate(FamilySpec("simplex", (2,)))
+        base = generate("simplex", (2,))
         P = randomize_offsets(base, 7)
         assert P.normal_set == base.normal_set
 
     def test_classification_invariant_under_offsets(self):
-        base = generate(FamilySpec("box", (3,)))
+        base = generate("box", (3,))
         v0 = classify_normal_set(base.normal_set)
         P = randomize_offsets(base, 1)
         v1 = classify_normal_set(P.normal_set)
@@ -97,7 +92,7 @@ class TestRandomizeOffsets:
             == (v1.strongly_monotypic, v1.monotypic)
 
     def test_skeleton_invariant_under_offsets(self):
-        base = generate(FamilySpec("simplex", (2,)))
+        base = generate("simplex", (2,))
         sk0 = extract_skeleton(base.normal_set)
         sk1 = extract_skeleton(randomize_offsets(base, 7).normal_set)
         assert sk0 == sk1
@@ -119,8 +114,3 @@ class TestRandomizeOffsets:
         randomize_offsets(P, 4)
         assert len(built) == 3
         assert calls == []
-
-    def test_seed_through_family_spec(self):
-        P = generate(FamilySpec("box", (3,), seed=5))
-        Q = randomize_offsets(generate(FamilySpec("box", (3,))), 5)
-        assert P.offsets == Q.offsets

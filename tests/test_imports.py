@@ -12,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyillum"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polyillum"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# The test and script modules keep their imports to what they use too.
+CHECKED = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,7 +40,8 @@ def test_detects_an_unused_import():
         "line 1: os", "line 2: comb"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: (
+    p.name if p.parent == PACKAGE else str(p.relative_to(ROOT))))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -1,16 +1,15 @@
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyillum import kernel
 from polyillum.errors import InputError
-from polyillum.kernel import (dot, format_rational, kernel_vector,
-                              parse_rational, primitive_form, rank,
-                              simplex_dependence, solve_linear, solve_rows,
-                              vec, vscale, vsub, zero_vec)
+from polyillum.kernel import (circuits, dot, format_rational, parse_rational,
+                              primitive_form, rank, simplex_dependence,
+                              solve_linear, solve_rows, vec, zero_vec)
 from polyillum.lp import solve_eq_nonneg
 from polyillum.position import separator
 
@@ -119,7 +118,9 @@ class TestRowsAndKernels:
         assert x == vec(1, 1)
 
     def test_kernel_of_independent_set_is_none(self):
-        assert kernel_vector([vec(1, 0), vec(0, 1)]) is None
+        assert simplex_dependence([]) is None
+        assert simplex_dependence([vec(1, 0)]) is None
+        assert simplex_dependence([vec(1, 0), vec(0, 1)]) is None
 
     def test_simplex_dependence_triangle(self):
         dep = simplex_dependence([vec(1, 0), vec(0, 1), vec(-1, -1)])
@@ -139,9 +140,17 @@ class TestRowsAndKernels:
     @given(st.integers(1, 3).flatmap(lambda d: st.lists(
         st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=d + 2)))
     def test_simplex_dependence_is_kernel_vector_at_rank_one_short(self, rows):
+        # a nonzero dependence of the points, or None exactly when their
+        # rank is not one short of their number
         points = [vec(*r) for r in rows]
-        expected = kernel_vector(points) if rank(points) == len(points) - 1 else None
-        assert simplex_dependence(points) == expected
+        mu = simplex_dependence(points)
+        assert (mu is None) == (rank(points) != len(points) - 1)
+        if mu is not None:
+            assert any(c != 0 for c in mu)
+            total = zero_vec(len(points[0]))
+            for c, p in zip(mu, points):
+                total = tuple(x + c * y for x, y in zip(total, p))
+            assert total == zero_vec(len(points[0]))
 
     def test_simplex_dependence_row_reduces_once(self, monkeypatch):
         calls = []
@@ -154,6 +163,31 @@ class TestRowsAndKernels:
         monkeypatch.setattr(kernel, "_row_reduce", counting)
         assert simplex_dependence([vec(1, 0), vec(0, 1), vec(-1, -1)]) is not None
         assert len(calls) == 1
+
+
+def minimal_dependent_subsets(vectors):
+    """The reference: index sets, by size and then lexicographically, that
+    are dependent while every subset one smaller is independent."""
+    return [idx for size in range(1, len(vectors) + 1)
+            for idx in combinations(range(len(vectors)), size)
+            if rank([vectors[i] for i in idx]) < size
+            and all(rank([vectors[i] for i in idx if i != j]) == size - 1 for j in idx)]
+
+
+class TestCircuits:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-2, 2)] * d).filter(any), min_size=1, max_size=6)))
+    def test_minimal_dependent_subsets_by_brute_force(self, rows):
+        vectors = [vec(*r) for r in rows]
+        found = circuits(vectors)
+        assert [idx for idx, _ in found] == minimal_dependent_subsets(vectors)
+        for idx, mu in found:
+            assert all(c != 0 for c in mu)
+            total = zero_vec(len(rows[0]))
+            for c, i in zip(mu, idx):
+                total = tuple(x + c * y for x, y in zip(total, vectors[i]))
+            assert total == zero_vec(len(rows[0]))
 
 
 class TestPrimitiveForm:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyillum.errors import InputError, ScaleLimitError
-from polyillum.kernel import as_vec, dot, rank, solve_rows, vadd, vec, vneg, vsub, zero_vec
+from polyillum.kernel import dot, rank, solve_rows, vadd, vec, vneg, vsub, zero_vec
 from polyillum.polytope import (BOUNDARY, INTERIOR, OUTSIDE, HPolytope,
                                 NormalSet)
 from polyillum.position import cone_membership
@@ -70,7 +70,7 @@ class TestNormalSet:
         rnd = random.Random(seed)
         dim = rnd.choice([2, 3])
         while True:
-            vectors = [as_vec(rnd.randint(-2, 2) for _ in range(dim))
+            vectors = [vec(*(rnd.randint(-2, 2) for _ in range(dim)))
                        for _ in range(rnd.randint(dim + 1, dim + 3))]
             if rank(vectors) < dim:
                 continue
@@ -90,7 +90,7 @@ class TestNormalSet:
         rnd = random.Random(seed)
         dim = rnd.choice([2, 3, 4])
         while True:
-            vectors = [as_vec(rnd.randint(-2, 2) for _ in range(dim))
+            vectors = [vec(*(rnd.randint(-2, 2) for _ in range(dim)))
                        for _ in range(rnd.randint(1, dim + 2))]
             try:
                 NormalSet.from_vectors(dim, vectors)
@@ -214,7 +214,7 @@ class TestIrredundancy:
         rnd = random.Random(seed)
         dim = rnd.choice([2, 3, 4])
         while True:
-            vectors = [as_vec(rnd.randint(-2, 2) for _ in range(dim))
+            vectors = [vec(*(rnd.randint(-2, 2) for _ in range(dim)))
                        for _ in range(rnd.randint(dim + 2, dim + 4))]
             try:
                 normals = NormalSet.from_vectors(dim, vectors).normals
@@ -233,21 +233,10 @@ class TestIrredundancy:
     def test_support_equals_stored_offset(self):
         for P in (box(3), triangle(), square_pyramid()):
             for n, h in zip(P.normal_set.normals, P.offsets):
-                assert P.support_value(n) == h
+                assert max(dot(n, v.point) for v in P.vertices) == h
 
 
 class TestQueries:
-    def test_support_values(self):
-        assert box(3).support_value(vec(1, 0, 0)) == 1
-        square = HPolytope.from_facets(
-            2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
-        assert square.support_value(vec(1, 1)) == 2
-        assert triangle().support_value(vec(1, 1)) == 2
-
-    def test_support_of_zero_rejected(self):
-        with pytest.raises(InputError):
-            box(3).support_value(vec(0, 0, 0))
-
     def test_tight_normals(self):
         square = HPolytope.from_facets(
             2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
@@ -259,8 +248,7 @@ class TestQueries:
         apex = vec(0, 0, 1)
         assert set(P.tight_normals(apex)) == {
             vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)}
-        assert not P.is_simple
-        assert [v.point for v in P.non_simple_vertices()] == [apex]
+        assert [v.point for v in P.vertices if len(v.tight) > P.dim] == [apex]
 
     def test_tight_normals_outside_rejected(self):
         with pytest.raises(InputError, match="outside"):
