@@ -200,9 +200,14 @@ def verify_directions(P: HPolytope, directions: Sequence[Vec],
     vertex takes the first direction illuminating it, if any."""
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
+    normals = P.normal_set.normals
+    index = {m: i for i, m in enumerate(normals)}
+    # bit i of positive[j]: normal i pairs positively with direction j
+    positive = [sum(1 << i for i, m in enumerate(normals) if dot(m, v) > 0)
+                for v in directions]
     assignment = []
     for vert in P.vertices:
-        j = next((j for j, v in enumerate(directions)
-                  if all(dot(m, v) > 0 for m in vert.tight)), None)
-        assignment.append(j)
+        tight = sum(1 << index[m] for m in vert.tight)
+        assignment.append(next((j for j, mask in enumerate(positive)
+                                if tight & mask == tight), None))
     return _verify_with_assignment(P, directions, epsilon, assignment)

@@ -166,6 +166,19 @@ def solve_rows(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Optional[Vec]:
     return tuple(reduced[i][n] for i in range(n))
 
 
+def inverse(rows: Sequence[Vec]) -> Optional[tuple[Vec, ...]]:
+    """The rows of the inverse of a square matrix, by one elimination of
+    [rows | I], or None if it is singular."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise InputError("inverse needs a square matrix")
+    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, pivots = _row_reduce(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(reduced[i][n:]) for i in range(n))
+
+
 def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
     """The unique (up to scale) dependence of d+1 points spanning a d-space:
     coefficients mu, with mu_f == 1 at the first free column f, and

@@ -61,13 +61,13 @@ def count_lps(monkeypatch):
 
 
 @st.composite
-def valid_normal_sets(draw):
-    """A valid normal set in R^2 or R^3 with entries in -2..2.
+def valid_normal_sets(draw, dims=(2, 3)):
+    """A valid normal set in R^n, n drawn from dims, with entries in -2..2.
 
     Few random draws are valid, so invalid ones are redrawn from a stream
     seeded by hypothesis instead of being filtered out by it.
     """
-    dim = draw(st.sampled_from([2, 3]))
+    dim = draw(st.sampled_from(dims))
     size = draw(st.integers(min_value=dim + 1, max_value=dim + 3))
     rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     while True:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from polyillum.illuminate import (IlluminationSet, build_illumination_set,
                                   compute_delta, compute_epsilon,
                                   cone_direction, cone_selections,
                                   verify_directions, verify_illumination)
-from polyillum.kernel import dot, vadd, vec, vscale, vsub
+from polyillum.kernel import dot, vadd, vec, vneg, vscale, vsub
 from polyillum.lp import solve_eq_nonneg
 from polyillum.polytope import INTERIOR, HPolytope, NormalSet
 from polyillum.position import cone_membership
@@ -266,6 +267,31 @@ class TestVerification:
         ok, reports = verify_directions(P, [vec(1, 1)], F(1, 4))
         assert not ok
         assert any(r.direction_index is None for r in reports)
+
+    def test_verify_directions_rejects_a_direction_of_the_wrong_dimension(self):
+        # the first three light every vertex, so the fourth is never chosen
+        with pytest.raises(InputError, match="dimension mismatch: 2 vs 3"):
+            verify_directions(hexagon(), [vec(1, 1), vec(-2, 1), vec(1, -2), vec(1, 2, 3)],
+                              F(1, 4))
+
+    @pytest.mark.parametrize("P", [
+        box(4), hexagon(), square_pyramid(), randomize_offsets(simplex_product([2, 1]), 3),
+    ], ids=["box4", "hexagon", "pyramid", "sp21-r3"])
+    def test_verify_directions_picks_the_first_illuminating_direction(self, P):
+        # the vertices and their negatives in a shuffled order, half of them
+        # dropped, so some vertices are lit by several directions and some
+        # by none
+        points = [v.point for v in P.vertices]
+        directions = points + [vneg(p) for p in points]
+        rnd = random.Random(len(points))
+        rnd.shuffle(directions)
+        directions = directions[:len(points)]
+        _, reports = verify_directions(P, directions, F(1, 4))
+        expected = [next((j for j, v in enumerate(directions)
+                          if all(dot(m, v) > 0 for m in vert.tight)), None)
+                    for vert in P.vertices]
+        assert [r.direction_index for r in reports] == expected
+        assert None in expected and len(set(expected)) > 2
 
     def test_delta_postcondition_at_every_vertex(self):
         for P in (box(3), hexagon(), triangle()):

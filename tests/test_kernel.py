@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyillum import kernel
 from polyillum.errors import InputError
-from polyillum.kernel import (circuits, dot, format_rational, parse_rational,
+from polyillum.kernel import (circuits, dot, format_rational, inverse, parse_rational,
                               primitive_form, rank, simplex_dependence,
                               solve_linear, solve_rows, vec, zero_vec)
 from polyillum.lp import solve_eq_nonneg
@@ -116,6 +116,21 @@ class TestRowsAndKernels:
     def test_solve_rows(self):
         x = solve_rows([vec(1, 1), vec(1, -1)], [F(2), F(0)])
         assert x == vec(1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_inverse(self, entries):
+        rows = [vec(*r) for r in entries]
+        inv = inverse(rows)
+        n = len(rows)
+        if rank(rows) < n:
+            assert inv is None
+        else:
+            columns = list(zip(*inv))
+            assert [[dot(r, c) for c in columns] for r in rows] == [
+                [int(i == j) for j in range(n)] for i in range(n)]
 
     def test_kernel_of_independent_set_is_none(self):
         assert simplex_dependence([]) is None

@@ -3,14 +3,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from polyillum.errors import InputError, ScaleLimitError
+from polyillum import kernel, polytope
+from polyillum.cli import run_command
+from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
+from polyillum.generators import generate, randomize_offsets
 from polyillum.kernel import dot, rank, solve_rows, vadd, vec, vneg, vsub, zero_vec
 from polyillum.polytope import (BOUNDARY, INTERIOR, OUTSIDE, HPolytope,
-                                NormalSet)
+                                NormalSet, Vertex)
 from polyillum.position import cone_membership
-from tests.conftest import box, count_lps, square_pyramid, triangle
+from tests.conftest import (box, count_lps, set_n, square_pyramid, triangle,
+                            valid_normal_sets)
 
 F = Fraction
 
@@ -169,6 +173,94 @@ class TestVertexEnumeration:
         calls = count_lps(monkeypatch)
         HPolytope(N, offsets)
         assert calls == []
+
+
+def route_vertices(normals, offsets):
+    """The vertex tuples of the walk (None where it falls back) and of the
+    candidate scan, from the same start candidate."""
+    candidates = polytope._feasible_candidates(normals, offsets, len(normals[0]))
+    start = next(candidates)
+    walked = polytope._walk(normals, offsets, *start)
+    scanned = polytope._scan(normals, offsets, [start, *candidates])
+
+    def as_vertices(found):
+        return None if found is None else tuple(
+            Vertex(p, tuple(normals[i] for i in found[p])) for p in sorted(found))
+
+    return as_vertices(walked), as_vertices(scanned)
+
+
+# a segment in R^2: every vertex has three tight normals
+SEGMENT = ((vec(1, 0), vec(0, 1), vec(0, -1), vec(-1, 0)), (F(1), F(0), F(0), F(1)))
+
+
+class TestVertexWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3, 4)), st.sampled_from([None, 1, 2, 3]))
+    def test_agrees_with_the_candidate_scan(self, normals, seed):
+        try:
+            P = HPolytope(NormalSet(len(normals[0]), normals), (F(1),) * len(normals))
+        except InputError:
+            assume(False)
+        if seed is not None:
+            P = randomize_offsets(P, seed)
+        walked, scanned = route_vertices(P.normal_set.normals, P.offsets)
+        assert P.vertices == scanned
+        assert walked in (None, scanned)
+
+    @pytest.mark.parametrize("P", [
+        set_n(), box(3), generate("simplex_product", (2, 2, 1)),
+        randomize_offsets(generate("simplex_product", (2, 1, 1)), 3),
+    ], ids=["N", "box3", "sp221", "sp211-r3"])
+    def test_simple_polytopes_take_the_walk(self, P):
+        walked, scanned = route_vertices(P.normal_set.normals, P.offsets)
+        assert walked == scanned == P.vertices
+
+    def test_degenerate_vertices_take_the_candidate_scan(self):
+        # N with the offsets of a pyramid: four facets meet at the origin
+        N = set_n().normal_set
+        apex = tuple(F(m == vec(0, -1, -1)) for m in N.normals)
+        for P in (square_pyramid(), HPolytope(N, apex)):
+            walked, scanned = route_vertices(P.normal_set.normals, P.offsets)
+            assert walked is None
+            assert scanned == P.vertices
+            assert max(len(v.tight) for v in P.vertices) == 4
+
+    def test_a_lower_dimensional_system_takes_the_candidate_scan(self):
+        walked, scanned = route_vertices(*SEGMENT)
+        assert walked is None
+        assert [v.point for v in scanned] == [vec(-1, 0), vec(1, 0)]
+        with pytest.raises(InputError, match="redundant"):
+            HPolytope(NormalSet(2, SEGMENT[0]), SEGMENT[1])
+
+    def test_box7_row_reduces_once_per_vertex_and_facet(self, monkeypatch):
+        # one start solve, one inverse, a rank per vertex and per facet
+        calls = []
+        row_reduce = kernel._row_reduce
+
+        def counting(matrix):
+            calls.append(matrix)
+            return row_reduce(matrix)
+
+        monkeypatch.setattr(kernel, "_row_reduce", counting)
+        P = generate("box", (7,))
+        assert len(P.vertices) == 128
+        assert len(calls) == 128 + 14 + 2
+
+    def test_an_unblocked_edge_is_an_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(polytope, "_tableau", lambda normals, columns: tuple(
+            (F(0),) * len(normals) for _ in columns))
+        with pytest.raises(InternalInvariantError, match="no normal blocks edge 0"):
+            box(3)
+        assert run_command(["gen", "box", "--dims", "3"]) == 3
+        assert capsys.readouterr().out == (
+            '{"error":"no normal blocks edge 0 at vertex (1, 1, 1)"}\n')
+
+    def test_a_singular_start_basis_is_an_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(polytope, "inverse", lambda rows: None)
+        assert run_command(["gen", "box", "--dims", "3"]) == 3
+        assert capsys.readouterr().out == (
+            '{"error":"start basis at (1, 1, 1) is singular"}\n')
 
 
 def difference_rank_verdict(normals, offsets):
