@@ -5,17 +5,25 @@ A y = b, y >= 0 exactly, and returns the proof of whichever answer holds:
 a solution y, or a Farkas certificate z with z A <= 0 and z b > 0
 (Schrijver, *Theory of Linear and Integer Programming*, 1986, section
 7.3). Every cone question of the package is posed in this one form.
-Instances here are tiny (a few dozen constraints, dimension <= ~6), so no
-effort is spent on efficiency beyond avoiding cycling.
+
+The tableau is a matrix M of Python ints over one positive denominator D,
+so that M / D is the rational tableau (Applegate, Cook, Dash and
+Espinoza, *Exact solutions to linear programming problems*, Oper. Res.
+Lett. 2007). A pivot divides nothing, as in Edmonds' integer pivoting
+(J. Res. NBS, 1967), and the common gcd of M and D is divided out after
+it. Ratios are compared by cross-multiplying, so every sign and every tie,
+and with them every pivot, are those of the rational tableau. `Fraction`s
+are built only for the returned vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .kernel import dot
 
 
 def solve_eq_nonneg(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
@@ -29,58 +37,83 @@ def solve_eq_nonneg(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
     multipliers pi_i = 1 - (reduced cost of artificial i) satisfy
     pi A' <= 0 and pi b' = the artificial sum, where A', b' have the rows
     with b_i < 0 negated; undoing those signs gives z. Whichever vector is
-    returned is checked against the input by exact dot products.
+    returned is checked exactly against the input, scaled to integers by
+    the lcm of its denominators, a positive factor that keeps every
+    equation and every sign.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise InputError("ragged constraint matrix")
+    if len(rhs) != m:
+        raise InputError(f"{len(rhs)} right-hand sides for {m} constraint rows")
+    scale = lcm(*(x.denominator for x in chain(rhs, *rows)))
+    A = [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
+    b = [h.numerator * (scale // h.denominator) for h in rhs]
     # rows with a negative right-hand side are negated, so that b >= 0
-    signs = [-1 if h < 0 else 1 for h in rhs]
-    T = [[Fraction(x) if s > 0 else -Fraction(x) for x in r]
-         + [Fraction(int(j == i)) for j in range(m)] for i, (s, r) in enumerate(zip(signs, rows))]
-    b = [s * Fraction(h) for s, h in zip(signs, rhs)]
-    basis = [n + i for i in range(m)]
-    # reduced costs for minimizing the artificial sum; artificial columns start at 0
-    red = [-sum(T[i][j] for i in range(m)) for j in range(n)] + [Fraction(0)] * m
+    signs = [-1 if h < 0 else 1 for h in b]
+    M, D, basis = _phase_one(A, b, signs, scale)
 
+    if all(basis[i] < n or M[i][-1] == 0 for i in range(m)):
+        # y_j = v / D for each basic column j with value v
+        support = [(basis[i], M[i][-1]) for i in range(m) if basis[i] < n and M[i][-1]]
+        if any(sum(a[j] * v for j, v in support) != h * D for a, h in zip(A, b)):
+            raise InternalInvariantError("phase-one solution fails its substitution check")
+        y = [Fraction(0)] * n
+        for j, v in support:
+            y[j] = Fraction(v, D)
+        return y, None
+    # z = Z / D
+    Z = [s * (D - M[m][n + i]) for i, s in enumerate(signs)]
+    if (any(sum(zi * a[j] for zi, a in zip(Z, A)) > 0 for j in range(n))
+            or sum(zi * h for zi, h in zip(Z, b)) <= 0):
+        raise InternalInvariantError("Farkas certificate fails its check")
+    return None, [Fraction(zi, D) for zi in Z]
+
+
+def _phase_one(A: list[list[int]], b: list[int], signs: list[int], D: int
+               ) -> tuple[list[list[int]], int, list[int]]:
+    """The final tableau M over D, and its basis, of Bland's phase one
+    started from the sign-normalised rows, artificial columns D * I and the
+    right-hand side as the last column. The last row of M holds the
+    reduced costs of the artificial sum, 0 on the artificial columns."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    M = [[s * x for x in a] + [D if j == i else 0 for j in range(m)] + [s * h]
+         for i, (s, a, h) in enumerate(zip(signs, A, b))]
+    M.append([-sum(r[j] for r in M) for j in range(n)] + [0] * m
+             + [-sum(r[-1] for r in M)])
+    basis = [n + i for i in range(m)]
     while True:
-        enter = next((j for j in range(n) if red[j] < 0), None)
+        enter = next((j for j in range(n) if M[m][j] < 0), None)
         if enter is None:
-            break
+            return M, D, basis
         pr = None
-        best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = b[i] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pr]):
-                    best = ratio
-                    pr = i
+            f = M[i][enter]
+            # b_i / f against b_pr / f_pr, both denominators positive
+            if f > 0 and (pr is None or (c := M[i][-1] * M[pr][enter] - M[pr][-1] * f) < 0
+                          or c == 0 and basis[i] < basis[pr]):
+                pr = i
         if pr is None:
             raise InternalInvariantError(
                 "phase-one simplex unbounded, though the artificial sum is "
                 "bounded below by zero")
-        piv = T[pr][enter]
-        T[pr] = [x / piv for x in T[pr]]
-        b[pr] /= piv
-        for i in range(m):
-            if i != pr and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[pr])]
-                b[i] -= f * b[pr]
-        f = red[enter]
-        red = [x - f * y for x, y in zip(red, T[pr])]
+        piv = M[pr]
+        p = piv[enter]
+        # over the new denominator D * p: the pivot row is piv / p, every
+        # other row is row - f * piv / p
+        for i, row in enumerate(M):
+            f = row[enter]
+            if i == pr:
+                M[i] = [x * D for x in row]
+            elif f:
+                M[i] = [x * p - f * y for x, y in zip(row, piv)]
+            else:
+                M[i] = [x * p for x in row]
+        D *= p
+        g = gcd(D, *chain.from_iterable(M))
+        if g > 1:
+            M = [[x // g for x in row] for row in M]
+            D //= g
         basis[pr] = enter
-
-    if all(basis[i] < n or b[i] == 0 for i in range(m)):
-        support = [(basis[i], b[i]) for i in range(m) if basis[i] < n and b[i]]
-        if any(sum(r[j] * v for j, v in support if r[j]) != h for r, h in zip(rows, rhs)):
-            raise InternalInvariantError("phase-one solution fails its substitution check")
-        y = [Fraction(0)] * n
-        for j, v in support:
-            y[j] = v
-        return y, None
-    z = [s * (1 - red[n + i]) for i, s in enumerate(signs)]
-    if any(dot(z, [r[j] for r in rows]) > 0 for j in range(n)) or dot(z, rhs) <= 0:
-        raise InternalInvariantError("Farkas certificate fails its check")
-    return None, z

@@ -9,8 +9,11 @@ its negation, on the circuit's support (Gordan's alternative). Sign
 vectors that agree with a circuit are skipped by comparing them with the
 bitmasks of the circuit table of `classify`, so one LP runs per cell: the
 representative is the strict separator of the signed normals s_i n_i
-from the origin, an interior point of the cell. Exhaustive set cover
-over the cells gives the true minimum.
+from the origin, an interior point of the cell. A vertex is lit in the
+cell exactly when its tight normals all have sign +1, so its lit set is
+read off bitmasks: the vertex's tight-normal mask lies inside the cell's
+positive-sign mask. Exhaustive set cover over the cells gives the true
+minimum.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterator
 
 from .classify import bitmask, circuit_table
 from .errors import InternalInvariantError, ScaleLimitError
-from .kernel import Vec, dot, vscale
+from .kernel import Vec, vneg
 from .polytope import HPolytope, NormalSet
 from .position import separator
 
@@ -57,14 +60,19 @@ def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
     if 2 ** len(normals) > CELL_GUARD:
         raise ScaleLimitError(
             f"2^{len(normals)} sign vectors exceed the cell guard ({CELL_GUARD})")
+    flipped = [vneg(m) for m in normals]
+    index = {m: i for i, m in enumerate(normals)}
+    tight = [bitmask(index[m] for m in v.tight) for v in P.vertices]
     classes = []
     for signs in cell_sign_vectors(P.normal_set):
-        rep = separator([vscale(s, m) for s, m in zip(signs, normals)])
+        rep = separator([m if s > 0 else f for s, m, f in zip(signs, normals, flipped)])
         if rep is None:
             raise InternalInvariantError(
                 f"sign vector {signs} agrees with no circuit, yet its cell is empty")
-        lit = tuple(i for i, v in enumerate(P.vertices)
-                    if all(dot(m, rep) > 0 for m in v.tight))
+        # the checked separator has s_i <n_i, rep> >= 1, so <n_i, rep> > 0
+        # exactly when s_i == 1
+        pos = bitmask(i for i, s in enumerate(signs) if s > 0)
+        lit = tuple(i for i, t in enumerate(tight) if t & pos == t)
         classes.append(DirectionClass(rep, lit))
     return tuple(classes)
 

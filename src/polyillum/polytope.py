@@ -15,8 +15,11 @@ offsets, so the paper's polytopes never do.
 A NormalSet is valid by construction: its normals are nonzero, pairwise
 distinct directions that positively span the space, so every offset
 vector gives a bounded system, and they pass the vertex-enumeration
-guard. Positive spanning is decided here once, and nowhere else, by one
-LP for each of +-e_i: either e_i lies in the positive hull of the
+guard. Positive spanning is decided here once, and nowhere else. The
+normals positively span exactly when they have rank n and -sum(n_i) lies
+in their positive hull (Davis, *Theory of positive linear dependence*,
+Amer. J. Math. 1954), which takes one LP. Only when that fails does one
+LP run for each of +-e_i: either e_i lies in the positive hull of the
 normals, or the LP's Farkas certificate is a direction along which every
 system with these normals is unbounded.
 
@@ -77,6 +80,11 @@ class NormalSet:
             raise ScaleLimitError(
                 f"{count} vertex candidates exceed the enumeration guard "
                 f"({MAX_VERTEX_CANDIDATES})")
+        # a strictly positive dependence sum((1 + y_i) n_i) == 0, y >= 0; the
+        # +-e_i LPs run only to find the witness of a set that fails it
+        if rank(normals) == n and farkas_direction(
+                tuple(-sum(c) for c in zip(*normals)), normals) is None:
+            return
         for i in range(n):
             for sign in (1, -1):
                 e = tuple(Fraction(sign if j == i else 0) for j in range(n))

@@ -96,6 +96,12 @@ def test_lp_has_one_entry_point():
     assert [name for name in defined if not name.startswith("_")] == ["solve_eq_nonneg"]
 
 
+def test_lp_imports_only_errors_from_the_package():
+    # the LP works on ints and Fractions alone, not on the package's vectors
+    package = {p.stem for p in MODULES}
+    assert {module for module, _ in imported_names(PACKAGE / "lp.py")} & package == {"errors"}
+
+
 def test_only_position_poses_lps():
     importers = [p.name for p in MODULES
                  if "lp" in {module for module, _ in imported_names(p)}]

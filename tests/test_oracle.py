@@ -3,15 +3,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from polyillum import oracle
-from polyillum.errors import InternalInvariantError, ScaleLimitError
+from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
+from polyillum.generators import randomize_offsets
 from polyillum.illuminate import build_illumination_set, verify_directions
 from polyillum.kernel import dot, vec, vscale
 from polyillum.oracle import (cell_sign_vectors, enumerate_direction_classes,
                               min_illumination_number)
-from polyillum.polytope import NormalSet
+from polyillum.polytope import HPolytope, NormalSet
 from polyillum.position import separator
 from tests.conftest import (box, count_lps, hexagon, simplex, simplex_product,
                             square_pyramid, triangle, valid_normal_sets)
@@ -23,6 +24,13 @@ def lp_cells(normals):
     """Sign vectors whose open cell an exact LP finds nonempty."""
     return {signs for signs in product((1, -1), repeat=len(normals))
             if separator([vscale(s, m) for s, m in zip(signs, normals)]) is not None}
+
+
+def assert_lit_sets_match_definition(P):
+    for c in enumerate_direction_classes(P):
+        assert c.illuminated == tuple(
+            i for i, v in enumerate(P.vertices)
+            if all(dot(m, c.representative) > 0 for m in v.tight))
 
 
 class TestDirectionClasses:
@@ -45,11 +53,17 @@ class TestDirectionClasses:
                            for m in P.normal_set.normals)
 
     def test_illuminated_sets_match_definition(self):
-        P = triangle()
-        for c in enumerate_direction_classes(P):
-            for i, v in enumerate(P.vertices):
-                lit = all(dot(m, c.representative) > 0 for m in v.tight)
-                assert (i in c.illuminated) == lit
+        assert_lit_sets_match_definition(triangle())
+
+    @settings(max_examples=30, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3)), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_illuminated_sets_match_definition_at_random_offsets(self, normals, seed):
+        # the lit sets are read off sign masks; the definition takes dot products
+        try:
+            P = HPolytope(NormalSet(len(normals[0]), normals), (F(1),) * len(normals))
+        except InputError:
+            assume(False)
+        assert_lit_sets_match_definition(randomize_offsets(P, seed))
 
     def test_cell_closures_cover_every_direction(self):
         rnd = random.Random(7)

@@ -111,13 +111,14 @@ class TestNormalSet:
         assert all(dot(m, d) <= 0 for m in vectors)
 
     def test_unbounded_witness_runs_no_second_lp(self, monkeypatch):
-        # e1 lies in pos(N) and -e1 does not: one LP each, and the second
-        # one's certificate is the witness
+        # -(e1 + e2) is outside pos(N), so the spanning LP fails; then e1
+        # lies in pos(N) and -e1 does not: one LP each, and the last one's
+        # certificate is the witness
         calls = count_lps(monkeypatch)
         with pytest.raises(InputError, match="unbounded") as exc:
             NormalSet.from_vectors(2, [(1, 0), (0, 1)])
         assert exc.value.witness == vec(-1, 0)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_guard_is_reported_before_unboundedness(self):
         # C(24, 12) candidates, and nothing bounds -e12
@@ -234,7 +235,8 @@ class TestVertexWalk:
             HPolytope(NormalSet(2, SEGMENT[0]), SEGMENT[1])
 
     def test_box7_row_reduces_once_per_vertex_and_facet(self, monkeypatch):
-        # one start solve, one inverse, a rank per vertex and per facet
+        # the spanning rank, one start solve, one inverse, a rank per vertex
+        # and per facet
         calls = []
         row_reduce = kernel._row_reduce
 
@@ -245,7 +247,7 @@ class TestVertexWalk:
         monkeypatch.setattr(kernel, "_row_reduce", counting)
         P = generate("box", (7,))
         assert len(P.vertices) == 128
-        assert len(calls) == 128 + 14 + 2
+        assert len(calls) == 128 + 14 + 3
 
     def test_an_unblocked_edge_is_an_internal_error(self, monkeypatch, capsys):
         monkeypatch.setattr(polytope, "_tableau", lambda normals, columns: tuple(
