@@ -67,7 +67,8 @@ def main() -> None:
             mono = "yes" if verdict.monotypic else "no"
             print(f"{name:<22}{n:>3}{'no':>8}{mono:>6}"
                   f"{'-':>5}{2 ** n:>5}{'-':>8}{'-':>10}")
-            cert = verdict.certificate
+            cert = (verdict.strong_certificate if verdict.monotypic
+                    else verdict.mono_certificate)
             if cert is not None:
                 pretty = ", ".join(
                     "(" + ", ".join(format_rational(c) for c in v) + ")"

@@ -50,10 +50,6 @@ class ClassificationVerdict:
     mono_certificate: Optional[ConicalCertificate] = None
     mss_certificate: Optional[MssCertificate] = None
 
-    @property
-    def certificate(self):
-        return self.mono_certificate if not self.monotypic else self.strong_certificate
-
 
 class Circuit(NamedTuple):
     indices: tuple[int, ...]

@@ -70,10 +70,6 @@ def parse_polytope(text: str) -> HPolytope:
     return doc_to_polytope(_load_json(text))
 
 
-def serialize_polytope(P: HPolytope, pretty: bool = False) -> str:
-    return dump(polytope_to_doc(P), pretty)
-
-
 def parse_directions(text: str):
     doc = _load_json(text)
     try:

@@ -72,15 +72,20 @@ def cone_direction(generators: Sequence[Vec]) -> Vec:
 
 def compute_delta(P: HPolytope) -> Fraction:
     """Half the minimum positive vertex-facet slack; small enough that the
-    slack-delta tight set at every vertex equals the exact tight set."""
-    slacks = [s for v in P.vertices
-              for m, h in zip(P.normal_set.normals, P.offsets)
-              if (s := h - dot(m, v.point)) > 0]
+    slack-delta tight set at every vertex equals the exact tight set.
+
+    Both are read off one table of slacks, a row per vertex: no slack may
+    be negative, and the normals with slack at most delta must be exactly
+    the vertex's tight normals, in order."""
+    normals = P.normal_set.normals
+    table = [[h - dot(m, v.point) for m, h in zip(normals, P.offsets)] for v in P.vertices]
+    slacks = [s for row in table for s in row if s > 0]
     if not slacks:
         raise InternalInvariantError("no positive vertex-facet slack")
     delta = min(slacks) / 2
-    for v in P.vertices:
-        if P.tight_normals(v.point, delta) != v.tight:
+    for v, row in zip(P.vertices, table):
+        if any(s < 0 for s in row) or tuple(
+                m for m, s in zip(normals, row) if s <= delta) != v.tight:
             raise InternalInvariantError(
                 f"slack {delta} does not isolate the tight set at "
                 f"{format_vector(v.point)}")

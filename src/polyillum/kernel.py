@@ -1,17 +1,25 @@
 """Exact rational vectors and linear algebra.
 
-Every geometric verdict in this package reduces to sign decisions, so all
-coefficients are `fractions.Fraction` and nothing here touches floating
-point. Vectors are plain tuples of Fraction.
+Every geometric verdict in this package reduces to sign decisions, so
+nothing here touches floating point. Vectors are plain tuples of
+`fractions.Fraction`, and `Fraction` is what every function takes and
+returns; inside, the arithmetic is on Python ints. `dot` sums integer
+numerators over the lcm of each vector's denominators. Every row
+reduction is one Gauss-Jordan elimination of a matrix M of ints over one
+positive denominator D, so that M / D is the rational matrix, with the
+integer pivoting of `lp`: a pivot divides nothing, and the common gcd of
+M and D is divided out after it. The pivots, and the reduced matrix, are
+those of the rational elimination, and `Fraction`s are built only for the
+vectors returned.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
-from math import gcd
+from itertools import chain, combinations
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -74,7 +82,16 @@ def zero_vec(dim: int) -> Vec:
 def dot(a: Vec, b: Vec) -> Fraction:
     if len(a) != len(b):
         raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    (ia, ka), (ib, kb) = _integers(a), _integers(b)
+    return Fraction(sum(map(mul, ia, ib)), ka * kb)
+
+
+def _integers(v) -> tuple[list[int], int]:
+    """k * v as ints, and k, the lcm of the denominators of v's entries."""
+    k = lcm(*(x.denominator for x in v))
+    if k == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (k // x.denominator) for x in v], k
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -106,42 +123,59 @@ def primitive_form(v: Vec) -> Vec:
     """
     if is_zero(v):
         raise InputError("zero vector has no direction")
-    lcm = reduce(lambda a, b: a * b // gcd(a, b), (x.denominator for x in v), 1)
-    ints = [int(x * lcm) for x in v]
-    g = reduce(gcd, (abs(i) for i in ints), 0)
+    ints = _integers(v)[0]
+    g = gcd(*ints)
     return tuple(Fraction(i // g) for i in ints)
 
 
-def _row_reduce(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place forward elimination; returns (matrix, pivot column indices)."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+def _row_reduce(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int, list[int]]:
+    """Gauss-Jordan elimination of the rational rows: (M, D, pivot columns),
+    with M a matrix of ints and D > 0 such that M / D is the reduced row
+    echelon form, up to its last pivot row.
+
+    Each row is scaled by the lcm of its denominators, which leaves the
+    reduced form unchanged. A pivot row is negated if need be, so that its
+    pivot p is positive; then, over the new denominator D * p, the pivot
+    row is the old one times D and every other row is row * p - f * pivot
+    row, with f its entry in the pivot column. Dividing out the common gcd
+    of M and D afterwards keeps the entries small.
+    """
+    M = [_integers(row)[0] for row in rows]
+    D = 1
     pivots: list[int] = []
     r = 0
+    cols = len(M[0]) if M else 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if matrix[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(M)) if M[i][c]), None)
         if pivot is None:
             continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = matrix[r][c]
-        matrix[r] = [x / inv for x in matrix[r]]
-        for i in range(rows):
-            if i != r and matrix[i][c] != 0:
-                f = matrix[i][c]
-                matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[r])]
+        M[r], M[pivot] = M[pivot], M[r]
+        piv = M[r] if M[r][c] > 0 else [-x for x in M[r]]
+        p = piv[c]
+        for i, row in enumerate(M):
+            f = row[c]
+            if i == r:
+                M[i] = [x * D for x in piv]
+            elif f:
+                M[i] = [x * p - f * y for x, y in zip(row, piv)]
+            elif p != 1:
+                M[i] = [x * p for x in row]
+        D *= p
+        # the gcd divides D, so there is none to take while D == 1
+        if D > 1 and (g := gcd(D, *chain.from_iterable(M))) > 1:
+            M = [[x // g for x in row] for row in M]
+            D //= g
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(M):
             break
-    return matrix, pivots
+    return M, D, pivots
 
 
 def rank(vectors: Sequence[Vec]) -> int:
     if not vectors:
         return 0
-    m = [list(v) for v in vectors]
-    _, pivots = _row_reduce(m)
-    return len(pivots)
+    return len(_row_reduce(vectors)[2])
 
 
 def solve_linear(basis: Sequence[Vec], target: Vec) -> Optional[Vec]:
@@ -159,11 +193,10 @@ def solve_rows(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Optional[Vec]:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows) or len(rhs) != n:
         raise InputError("solve_rows needs a square system")
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    reduced, pivots = _row_reduce(aug)
-    if len(pivots) < n or pivots != list(range(n)):
+    M, D, pivots = _row_reduce([(*rows[i], rhs[i]) for i in range(n)])
+    if pivots != list(range(n)):
         return None
-    return tuple(reduced[i][n] for i in range(n))
+    return tuple(Fraction(M[i][n], D) for i in range(n))
 
 
 def inverse(rows: Sequence[Vec]) -> Optional[tuple[Vec, ...]]:
@@ -172,11 +205,11 @@ def inverse(rows: Sequence[Vec]) -> Optional[tuple[Vec, ...]]:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise InputError("inverse needs a square matrix")
-    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    reduced, pivots = _row_reduce(aug)
+    M, D, pivots = _row_reduce([(*rows[i], *(int(i == j) for j in range(n)))
+                                for i in range(n)])
     if pivots[:n] != list(range(n)):
         return None
-    return tuple(tuple(reduced[i][n:]) for i in range(n))
+    return tuple(tuple(Fraction(x, D) for x in M[i][n:]) for i in range(n))
 
 
 def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
@@ -189,15 +222,14 @@ def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
     k = len(points)
     if k == 0:
         return None
-    m = [[p[i] for p in points] for i in range(len(points[0]))]
-    reduced, pivots = _row_reduce(m)
+    M, D, pivots = _row_reduce(list(zip(*points)))
     if len(pivots) != k - 1:
         return None
     f = next(c for c in range(k) if c not in pivots)
     mu = [Fraction(0)] * k
     mu[f] = Fraction(1)
     for r, c in enumerate(pivots):
-        mu[c] = -reduced[r][f]
+        mu[c] = Fraction(-M[r][f], D)
     return tuple(mu)
 
 

@@ -32,8 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
@@ -164,14 +166,19 @@ class HPolytope:
     def _validate_irredundant(self):
         """The face cut out by normal m has as affine hull the points where
         every normal tight at all of its vertices is tight, so it is a
-        facet iff those normals have rank 1."""
-        for i, m in enumerate(self.normal_set.normals):
-            tight_sets = [set(v.tight) for v in self.vertices if m in v.tight]
+        facet iff those normals have rank 1. Tight sets are bitmasks over
+        the normals' indices."""
+        normals = self.normal_set.normals
+        index = {m: i for i, m in enumerate(normals)}
+        masks = [sum(1 << index[m] for m in v.tight) for v in self.vertices]
+        for i, m in enumerate(normals):
+            tight_sets = [mask for mask in masks if mask >> i & 1]
             if not tight_sets:
                 raise InputError(
                     f"facet with normal {format_vector(m)} is redundant "
                     f"(offset never attained)", facet_index=i)
-            if rank(list(set.intersection(*tight_sets))) != 1:
+            common = reduce(and_, tight_sets)
+            if rank([n for j, n in enumerate(normals) if common >> j & 1]) != 1:
                 raise InputError(
                     f"facet with normal {format_vector(m)} is redundant "
                     f"(tight set is not a facet)", facet_index=i)

@@ -1,0 +1,98 @@
+"""The `Fraction` row reduction that `polyillum.kernel` replaced, kept as
+the reference its integer elimination is compared against: the same
+Gauss-Jordan elimination, the same pivots and the same answers, on a
+matrix of `Fraction`s, with the functions that read their answers off it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from polyillum.errors import InputError
+from polyillum.kernel import Vec
+
+
+def dot(a: Vec, b: Vec) -> Fraction:
+    if len(a) != len(b):
+        raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _row_reduce(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place forward elimination; returns (matrix, pivot column indices)."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if matrix[i][c] != 0), None)
+        if pivot is None:
+            continue
+        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        inv = matrix[r][c]
+        matrix[r] = [x / inv for x in matrix[r]]
+        for i in range(rows):
+            if i != r and matrix[i][c] != 0:
+                f = matrix[i][c]
+                matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return matrix, pivots
+
+
+def rank(vectors: Sequence[Vec]) -> int:
+    if not vectors:
+        return 0
+    m = [list(v) for v in vectors]
+    _, pivots = _row_reduce(m)
+    return len(pivots)
+
+
+def solve_rows(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Optional[Vec]:
+    """Solve the square system <rows_i, x> = rhs_i, or None if singular."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows) or len(rhs) != n:
+        raise InputError("solve_rows needs a square system")
+    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    reduced, pivots = _row_reduce(aug)
+    if len(pivots) < n or pivots != list(range(n)):
+        return None
+    return tuple(reduced[i][n] for i in range(n))
+
+
+def inverse(rows: Sequence[Vec]) -> Optional[tuple[Vec, ...]]:
+    """The rows of the inverse of a square matrix, by one elimination of
+    [rows | I], or None if it is singular."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise InputError("inverse needs a square matrix")
+    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, pivots = _row_reduce(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(reduced[i][n:]) for i in range(n))
+
+
+def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
+    """The unique (up to scale) dependence of d+1 points spanning a d-space:
+    coefficients mu, with mu_f == 1 at the first free column f, and
+    sum(mu_i * points_i) == 0, read off the pivots of one elimination.
+
+    Returns None unless rank(points) == len(points) - 1.
+    """
+    k = len(points)
+    if k == 0:
+        return None
+    m = [[p[i] for p in points] for i in range(len(points[0]))]
+    reduced, pivots = _row_reduce(m)
+    if len(pivots) != k - 1:
+        return None
+    f = next(c for c in range(k) if c not in pivots)
+    mu = [Fraction(0)] * k
+    mu[f] = Fraction(1)
+    for r, c in enumerate(pivots):
+        mu[c] = -reduced[r][f]
+    return tuple(mu)

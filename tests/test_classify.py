@@ -224,9 +224,10 @@ class TestCrossProperties:
     def test_combined_verdict(self):
         v = classify_normal_set(square_pyramid().normal_set)
         assert not v.strongly_monotypic and not v.monotypic
-        assert v.certificate is not None
+        assert v.mono_certificate is not None
         v = classify_normal_set(box(3).normal_set)
-        assert v.strongly_monotypic and v.monotypic and v.certificate is None
+        assert v.strongly_monotypic and v.monotypic
+        assert v.strong_certificate is None and v.mono_certificate is None
 
 
 class TestCaches:

@@ -13,7 +13,7 @@ from polyillum import classify
 from polyillum.classify import check_monotypy, check_monotypy_mss, check_strong_monotypy
 from polyillum.cli import run_command
 from polyillum.errors import InputError
-from polyillum.formats import parse_polytope, polytope_to_doc, serialize_polytope
+from polyillum.formats import dump, parse_polytope, polytope_to_doc
 from polyillum.generators import generate, randomize_offsets
 from polyillum.position import is_conical_position
 from tests.conftest import box, count_lps, hexagon, set_n, square_pyramid
@@ -54,7 +54,7 @@ class TestFormats:
     @pytest.mark.parametrize("P", [box(3), hexagon(), square_pyramid()],
                              ids=["cube", "hexagon", "pyramid"])
     def test_round_trip(self, P):
-        Q = parse_polytope(serialize_polytope(P))
+        Q = parse_polytope(dump(polytope_to_doc(P)))
         assert Q.normal_set == P.normal_set
         assert Q.offsets == P.offsets
 
@@ -68,14 +68,14 @@ def run(capsys, *argv):
 @pytest.fixture
 def cube_file(tmp_path):
     path = tmp_path / "cube.json"
-    path.write_text(serialize_polytope(box(3)))
+    path.write_text(dump(polytope_to_doc(box(3))))
     return str(path)
 
 
 @pytest.fixture
 def pyramid_file(tmp_path):
     path = tmp_path / "pyramid.json"
-    path.write_text(serialize_polytope(square_pyramid()))
+    path.write_text(dump(polytope_to_doc(square_pyramid())))
     return str(path)
 
 
@@ -129,7 +129,7 @@ class TestCli:
         for check in (check_strong_monotypy, check_monotypy, check_monotypy_mss):
             check.cache_clear()
         path = tmp_path / "p.json"
-        path.write_text(serialize_polytope(P))
+        path.write_text(dump(polytope_to_doc(P)))
         run(capsys, "classify", str(path))
         assert len(calls) == len(set(calls)) == tests
 
@@ -156,7 +156,7 @@ class TestCli:
 
     def test_skeleton_agrees_with_classify_on_set_n(self, capsys, tmp_path):
         path = tmp_path / "n.json"
-        path.write_text(serialize_polytope(set_n()))
+        path.write_text(dump(polytope_to_doc(set_n())))
         code, payload = run(capsys, "skeleton", str(path))
         assert code == 1
         _, verdict = run(capsys, "classify", str(path))
@@ -165,7 +165,7 @@ class TestCli:
 
     def test_illuminate_verify(self, capsys, tmp_path):
         path = tmp_path / "simplex3.json"
-        path.write_text(serialize_polytope(generate("simplex", (3,))))
+        path.write_text(dump(polytope_to_doc(generate("simplex", (3,)))))
         code, payload = run(capsys, "illuminate", str(path), "--verify")
         assert code == 0
         assert payload["verified"] is True
@@ -173,7 +173,7 @@ class TestCli:
 
     def test_verify_subcommand(self, capsys, tmp_path):
         path = tmp_path / "hex.json"
-        path.write_text(serialize_polytope(hexagon()))
+        path.write_text(dump(polytope_to_doc(hexagon())))
         dirs = tmp_path / "dirs.json"
         dirs.write_text(json.dumps({
             "epsilon": "1/4",
@@ -340,7 +340,7 @@ class TestMalformedLiterals:
     ], ids=["direction", "epsilon"])
     def test_verify_directions_json_numbers(self, capsys, tmp_path, doc):
         path = tmp_path / "hex.json"
-        path.write_text(serialize_polytope(hexagon()))
+        path.write_text(dump(polytope_to_doc(hexagon())))
         dirs = tmp_path / "dirs.json"
         dirs.write_text(json.dumps(doc))
         code, payload = run(capsys, "verify", str(path), "--directions", str(dirs))
@@ -371,7 +371,7 @@ class TestMalformedLiterals:
 
     def test_verify_string_direction(self, capsys, tmp_path):
         path = tmp_path / "hex.json"
-        path.write_text(serialize_polytope(hexagon()))
+        path.write_text(dump(polytope_to_doc(hexagon())))
         dirs = tmp_path / "dirs.json"
         dirs.write_text(json.dumps({"epsilon": "1/4",
                                     "directions": ["11", ["-2", "1"], ["1", "-2"]]}))
@@ -437,7 +437,7 @@ def well_formed(field: str, value, dim: int) -> bool:
 
 def substitute(P, field: str, value) -> tuple[dict, dict]:
     """The polytope and direction documents with one field replaced."""
-    doc = json.loads(serialize_polytope(P))
+    doc = json.loads(dump(polytope_to_doc(P)))
     dirs = {"epsilon": "1/4", "directions": [["1", "1"], ["-2", "1"], ["1", "-2"]]}
     if field in ("dim", "facets"):
         doc[field] = value

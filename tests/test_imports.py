@@ -102,6 +102,13 @@ def test_lp_imports_only_errors_from_the_package():
     assert {module for module, _ in imported_names(PACKAGE / "lp.py")} & package == {"errors"}
 
 
+def test_kernel_imports_only_errors_from_the_package():
+    # the row reductions work on ints and Fractions alone, with no
+    # vector-level helper of another module
+    package = {p.stem for p in MODULES}
+    assert {module for module, _ in imported_names(PACKAGE / "kernel.py")} & package == {"errors"}
+
+
 def test_only_position_poses_lps():
     importers = [p.name for p in MODULES
                  if "lp" in {module for module, _ in imported_names(p)}]

@@ -12,6 +12,7 @@ from polyillum.kernel import (circuits, dot, format_rational, inverse, parse_rat
                               solve_linear, solve_rows, vec, zero_vec)
 from polyillum.lp import solve_eq_nonneg
 from polyillum.position import separator
+from tests import kernel_reference as reference
 
 F = Fraction
 
@@ -178,6 +179,78 @@ class TestRowsAndKernels:
         monkeypatch.setattr(kernel, "_row_reduce", counting)
         assert simplex_dependence([vec(1, 0), vec(0, 1), vec(-1, -1)]) is not None
         assert len(calls) == 1
+
+
+entries = st.one_of(
+    st.just(0), st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.builds(F, st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+              st.integers(min_value=1, max_value=10 ** 20)))
+
+
+@st.composite
+def matrices(draw, shape=st.tuples(st.integers(0, 5), st.integers(0, 5))):
+    """Rows of rationals, small, fractional or with numerators and
+    denominators of up to 30 digits, of any shape.
+
+    A row or a column may be zeroed, a row may repeat another one scaled,
+    negated or not, and a row's leading entry may be negated, so that
+    pivots run negative and ranks fall short.
+    """
+    m, n = draw(shape)
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    index = st.integers(min_value=0, max_value=max(m - 1, 0))
+    if m and draw(st.booleans()):
+        rows[draw(index)] = [0] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        for row in rows:
+            row[j] = 0
+    if m > 1 and draw(st.booleans()):
+        c = draw(st.sampled_from([1, -1, 3, F(-2, 7), F(10 ** 12, 3)]))
+        rows[draw(index)] = [c * x for x in rows[draw(index)]]
+    if m and n and draw(st.booleans()):
+        row = rows[draw(index)]
+        j = next((j for j, x in enumerate(row) if x), 0)
+        row[j] = -abs(F(row[j])) or F(-1)
+    return [tuple(F(x) for x in row) for row in rows]
+
+
+square = st.integers(1, 4).map(lambda n: (n, n))
+
+
+class TestAgainstTheFractionElimination:
+    """The integer elimination reduces to the matrix, pivots and answers of
+    the `Fraction` elimination it replaced (kept in
+    `tests/kernel_reference.py`), `None` for `None`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_reduced_form_and_pivots(self, rows):
+        M, D, pivots = kernel._row_reduce(rows)
+        reduced, expected = reference._row_reduce([list(r) for r in rows])
+        assert D > 0 and pivots == expected
+        assert [[F(x, D) for x in row] for row in M] == reduced
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_rank_and_simplex_dependence(self, rows):
+        assert rank(rows) == reference.rank(rows)
+        assert simplex_dependence(rows) == reference.simplex_dependence(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(square), st.data())
+    def test_solve_rows_and_inverse(self, rows, data):
+        rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        assert solve_rows(rows, rhs) == reference.solve_rows(rows, rhs)
+        assert inverse(rows) == reference.inverse(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+        *[st.lists(entries, min_size=n, max_size=n)] * 2)))
+    def test_dot(self, pair):
+        a, b = pair
+        assert type(dot(a, b)) is F and dot(a, b) == reference.dot(a, b)
 
 
 def minimal_dependent_subsets(vectors):
