@@ -17,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import AssignmentError, InputError, InternalInvariantError
-from .kernel import Vec, dot, format_vector, rank, solve_linear, solve_rows, vscale, vsub
-from .polytope import INTERIOR, HPolytope
+from .kernel import Vec, _integers, dot, format_vector, rank, solve_linear, solve_rows, vscale
+from .polytope import HPolytope, _slacks
 from .skeleton import Skeleton, extract_skeleton
 
 
@@ -74,18 +76,19 @@ def compute_delta(P: HPolytope) -> Fraction:
     """Half the minimum positive vertex-facet slack; small enough that the
     slack-delta tight set at every vertex equals the exact tight set.
 
-    Both are read off one table of slacks, a row per vertex: no slack may
-    be negative, and the normals with slack at most delta must be exactly
-    the vertex's tight normals, in order."""
-    normals = P.normal_set.normals
-    table = [[h - dot(m, v.point) for m, h in zip(normals, P.offsets)] for v in P.vertices]
-    slacks = [s for row in table for s in row if s > 0]
-    if not slacks:
+    Both are read off one table of slacks, a row per vertex, as ints over
+    one denominator K: no slack may be negative, and the normals with
+    slack at most delta must be exactly the vertex's tight normals."""
+    points = [_integers(v.point) for v in P.vertices]
+    K = lcm(*(c for _, _, c in P.rows)) * lcm(*(k for _, k in points))
+    table = [[s * (K // (c * k)) for s, (_, _, c) in zip(_slacks(P.rows, X, k), P.rows)]
+             for X, k in points]
+    least = min((s for row in table for s in row if s > 0), default=0)
+    if not least:
         raise InternalInvariantError("no positive vertex-facet slack")
-    delta = min(slacks) / 2
+    delta = Fraction(least, 2 * K)
     for v, row in zip(P.vertices, table):
-        if any(s < 0 for s in row) or tuple(
-                m for m, s in zip(normals, row) if s <= delta) != v.tight:
+        if min(row) < 0 or v.mask != sum(1 << i for i, s in enumerate(row) if 2 * s <= least):
             raise InternalInvariantError(
                 f"slack {delta} does not isolate the tight set at "
                 f"{format_vector(v.point)}")
@@ -98,10 +101,13 @@ def compute_epsilon(P: HPolytope, directions: Sequence[Vec],
     products; delta itself in the (degenerate) absence of any."""
     if delta <= 0:
         raise InputError("delta must be positive")
-    magnitudes = [-p for m in P.normal_set.normals for v in directions
-                  if (p := dot(m, v)) < 0]
-    epsilon = delta / max(magnitudes) if magnitudes else delta
-    if epsilon <= 0 or (magnitudes and epsilon * max(magnitudes) > delta):
+    scaled = [_integers(v, P.dim) for v in directions]
+    # <m, v> == <a, V> / (c k) for row (a, b, c) and v = V / k
+    K = lcm(*(c for _, _, c in P.rows)) * lcm(*(k for _, k in scaled))
+    top = Fraction(max((-sum(map(mul, a, V)) * (K // (c * k))
+                        for V, k in scaled for a, _, c in P.rows), default=0), K)
+    epsilon = delta / top if top > 0 else delta
+    if epsilon <= 0 or (top > 0 and epsilon * top > delta):
         raise InternalInvariantError("epsilon bound failed its own check")
     return epsilon
 
@@ -176,14 +182,18 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
 def _verify_with_assignment(P: HPolytope, directions: Sequence[Vec],
                             epsilon: Fraction,
                             assignment: Sequence[Optional[int]]):
+    scaled = [_integers(v, P.dim) for v in directions]
+    steps = [([epsilon.numerator * x for x in V], epsilon.denominator * l) for V, l in scaled]
     reports = []
     for vert, j in zip(P.vertices, assignment):
         if j is None:
             reports.append(VertexReport(vert.point, None, False, False))
             continue
-        v = directions[j]
-        directional = all(dot(m, v) > 0 for m in vert.tight)
-        interior = P.point_location(vsub(vert.point, vscale(epsilon, v))) == INTERIOR
+        (V, _), (W, l), (X, k) = scaled[j], steps[j], _integers(vert.point)
+        directional = all(sum(map(mul, a, V)) > 0
+                          for i, (a, _, _) in enumerate(P.rows) if vert.mask >> i & 1)
+        # x == X / k and epsilon v == W / l, so x - epsilon v == (l X - k W) / (k l)
+        interior = min(_slacks(P.rows, [l * x - k * w for x, w in zip(X, W)], k * l)) > 0
         reports.append(VertexReport(vert.point, j, directional, interior))
     return all(r.ok for r in reports), tuple(reports)
 
@@ -205,14 +215,9 @@ def verify_directions(P: HPolytope, directions: Sequence[Vec],
     vertex takes the first direction illuminating it, if any."""
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    normals = P.normal_set.normals
-    index = {m: i for i, m in enumerate(normals)}
     # bit i of positive[j]: normal i pairs positively with direction j
-    positive = [sum(1 << i for i, m in enumerate(normals) if dot(m, v) > 0)
-                for v in directions]
-    assignment = []
-    for vert in P.vertices:
-        tight = sum(1 << index[m] for m in vert.tight)
-        assignment.append(next((j for j, mask in enumerate(positive)
-                                if tight & mask == tight), None))
+    positive = [sum(1 << i for i, (a, _, _) in enumerate(P.rows) if sum(map(mul, a, V)) > 0)
+                for V, _ in (_integers(v, P.dim) for v in directions)]
+    assignment = [next((j for j, p in enumerate(positive) if v.mask & p == v.mask), None)
+                  for v in P.vertices]
     return _verify_with_assignment(P, directions, epsilon, assignment)

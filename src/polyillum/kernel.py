@@ -3,14 +3,14 @@
 Every geometric verdict in this package reduces to sign decisions, so
 nothing here touches floating point. Vectors are plain tuples of
 `fractions.Fraction`, and `Fraction` is what every function takes and
-returns; inside, the arithmetic is on Python ints. `dot` sums integer
-numerators over the lcm of each vector's denominators. Every row
-reduction is one Gauss-Jordan elimination of a matrix M of ints over one
-positive denominator D, so that M / D is the rational matrix, with the
-integer pivoting of `lp`: a pivot divides nothing, and the common gcd of
-M and D is divided out after it. The pivots, and the reduced matrix, are
-those of the rational elimination, and `Fraction`s are built only for the
-vectors returned.
+returns; inside, the arithmetic is on Python ints. `_integers` scales a
+vector to ints by the lcm of its denominators, once, for `dot` here and
+for every caller that takes many integer dot products with one vector.
+Every row reduction is one Gauss-Jordan elimination of a matrix M of
+ints over one positive denominator D, so that M / D is the rational
+matrix, with the integer pivoting of `lp`: a pivot divides nothing, and
+the common gcd of M and D is divided out after it. The pivots, and the
+reduced matrix, are those of the rational elimination.
 """
 
 from __future__ import annotations
@@ -80,14 +80,14 @@ def zero_vec(dim: int) -> Vec:
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
-    if len(a) != len(b):
-        raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    (ia, ka), (ib, kb) = _integers(a), _integers(b)
+    (ia, ka), (ib, kb) = _integers(a), _integers(b, len(a))
     return Fraction(sum(map(mul, ia, ib)), ka * kb)
 
 
-def _integers(v) -> tuple[list[int], int]:
-    """k * v as ints, and k, the lcm of the denominators of v's entries."""
+def _integers(v, n: Optional[int] = None) -> tuple[list[int], int]:
+    """k * v as ints, and k, the lcm of v's denominators; n, if given, is len(v)."""
+    if n is not None and len(v) != n:
+        raise InputError(f"dimension mismatch: {n} vs {len(v)}")
     k = lcm(*(x.denominator for x in v))
     if k == 1:
         return [x.numerator for x in v], 1

@@ -61,8 +61,6 @@ def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
         raise ScaleLimitError(
             f"2^{len(normals)} sign vectors exceed the cell guard ({CELL_GUARD})")
     flipped = [vneg(m) for m in normals]
-    index = {m: i for i, m in enumerate(normals)}
-    tight = [bitmask(index[m] for m in v.tight) for v in P.vertices]
     classes = []
     for signs in cell_sign_vectors(P.normal_set):
         rep = separator([m if s > 0 else f for s, m, f in zip(signs, normals, flipped)])
@@ -72,7 +70,7 @@ def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
         # the checked separator has s_i <n_i, rep> >= 1, so <n_i, rep> > 0
         # exactly when s_i == 1
         pos = bitmask(i for i, s in enumerate(signs) if s > 0)
-        lit = tuple(i for i, t in enumerate(tight) if t & pos == t)
+        lit = tuple(i for i, v in enumerate(P.vertices) if v.mask & pos == v.mask)
         classes.append(DirectionClass(rep, lit))
     return tuple(classes)
 

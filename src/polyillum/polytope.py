@@ -1,16 +1,16 @@
 """The H-polytope model: validated normal sets, exact vertex enumeration,
 tight normals and point location.
 
-Vertices are enumerated by a depth-first walk over the graph of the
-polytope, the simple case of Avis and Fukuda's pivoting enumeration. It
-starts at the first feasible candidate basis in `combinations` order and
-carries the inverse of the basis and the tableau from vertex to vertex by
-exact pivots, so it solves one square system per start candidate and
-inverts one matrix. At the first vertex with more than n tight normals it
-gives way to the candidate route, which solves every square system of n
-normals; the square pyramid's apex and lower-dimensional systems take it.
-The normals of a monotypic set meet in simple vertices whatever the
-offsets, so the paper's polytopes never do.
+Each constraint is scaled once to an integer row, so a slack is an
+integer dot product. Vertices are enumerated by a depth-first walk over
+the graph of the polytope (Avis and Fukuda's pivoting enumeration, simple
+case) from the first feasible candidate basis in `combinations` order,
+pivoting on ints over one denominator without division (Edmonds). At the
+first vertex with more than n tight normals it gives way to the candidate
+route, which solves every square system of n normals; the square
+pyramid's apex and lower-dimensional systems take it. The normals of a
+monotypic set meet in simple vertices whatever the offsets, so the
+paper's polytopes never do.
 
 A NormalSet is valid by construction: its normals are nonzero, pairwise
 distinct directions that positively span the space, so every offset
@@ -33,13 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
-from math import comb
-from operator import and_
+from itertools import chain, combinations
+from math import comb, gcd, lcm
+from operator import and_, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
-from .kernel import (Vec, dot, format_vector, inverse, is_zero, primitive_form, rank,
+from .kernel import (Vec, _integers, format_vector, inverse, is_zero, primitive_form, rank,
                      solve_rows, vec)
 from .position import farkas_direction
 
@@ -112,17 +112,21 @@ class NormalSet:
 class Vertex:
     point: Vec
     tight: tuple[Vec, ...]
+    mask: int = field(compare=False, repr=False)  # bit i: normal i is tight
 
 
 @dataclass(frozen=True)
 class HPolytope:
     normal_set: NormalSet
     offsets: tuple[Fraction, ...]
+    # per constraint <m, x> <= h: (c m, c h, c), c the lcm of its denominators
+    rows: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
     vertices: tuple[Vertex, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.offsets) != len(self.normal_set.normals):
             raise InputError("offset count does not match normal count")
+        object.__setattr__(self, "rows", _rows(self.normal_set.normals, self.offsets))
         object.__setattr__(self, "vertices", self._enumerate_vertices())
         self._validate_irredundant()
 
@@ -137,48 +141,41 @@ class HPolytope:
     # -- validation ---------------------------------------------------------
 
     def _enumerate_vertices(self) -> tuple[Vertex, ...]:
-        """Every vertex with its tight normals, in sorted order.
-
-        The start is the first candidate basis, in `combinations` order,
-        whose square system has a feasible solution. The normals positively
-        span, so the system is bounded and it is empty exactly when no
-        candidate is feasible. From a simple start the walk reaches every
-        vertex; at the first vertex with more than n tight normals the
-        remaining candidates are scanned instead.
-        """
-        normals, offsets = self.normal_set.normals, self.offsets
-        candidates = _feasible_candidates(normals, offsets, self.dim)
+        """Every vertex with its tight normals, in sorted order. The normals
+        positively span, so the system is bounded and it is empty exactly
+        when no candidate is feasible."""
+        normals, rows = self.normal_set.normals, self.rows
+        candidates = _feasible_candidates(rows, self.dim)
         start = next(candidates, None)
         if start is None:
             raise InputError("constraint system is empty (infeasible)")
-        found = _walk(normals, offsets, *start)
+        found = _walk(rows, *start)
         if found is None:
-            found = _scan(normals, offsets, [start, *candidates])
+            found = _scan(rows, [start, *candidates])
+        L = lcm(*(x.denominator for p, _ in found for x in p))  # sorted as ints over L
         vertices = []
-        for p in sorted(found):
-            tight = tuple(normals[i] for i in found[p])
-            if rank(tight) != self.dim:
+        for p, tight in sorted(found, key=lambda e: [x.numerator * (L // x.denominator)
+                                                     for x in e[0]]):
+            if rank([rows[i][0] for i in tight]) != self.dim:
                 raise InternalInvariantError(
                     f"tight set at {format_vector(p)} does not span the space")
-            vertices.append(Vertex(p, tight))
+            vertices.append(Vertex(p, tuple(normals[i] for i in tight),
+                                   sum(1 << i for i in tight)))
         return tuple(vertices)
 
     def _validate_irredundant(self):
         """The face cut out by normal m has as affine hull the points where
         every normal tight at all of its vertices is tight, so it is a
-        facet iff those normals have rank 1. Tight sets are bitmasks over
-        the normals' indices."""
+        facet iff those normals have rank 1."""
         normals = self.normal_set.normals
-        index = {m: i for i, m in enumerate(normals)}
-        masks = [sum(1 << index[m] for m in v.tight) for v in self.vertices]
         for i, m in enumerate(normals):
-            tight_sets = [mask for mask in masks if mask >> i & 1]
+            tight_sets = [v.mask for v in self.vertices if v.mask >> i & 1]
             if not tight_sets:
                 raise InputError(
                     f"facet with normal {format_vector(m)} is redundant "
                     f"(offset never attained)", facet_index=i)
             common = reduce(and_, tight_sets)
-            if rank([n for j, n in enumerate(normals) if common >> j & 1]) != 1:
+            if rank([a for j, (a, _, _) in enumerate(self.rows) if common >> j & 1]) != 1:
                 raise InputError(
                     f"facet with normal {format_vector(m)} is redundant "
                     f"(tight set is not a facet)", facet_index=i)
@@ -190,71 +187,72 @@ class HPolytope:
         return self.normal_set.dim
 
     def point_location(self, x: Vec) -> str:
-        if len(x) != self.dim:
-            raise InputError("dimension mismatch in point_location")
-        tight = False
-        for m, h in zip(self.normal_set.normals, self.offsets):
-            s = h - dot(m, x)
-            if s < 0:
-                return OUTSIDE
-            if s == 0:
-                tight = True
-        return BOUNDARY if tight else INTERIOR
+        slacks = _slacks(self.rows, *_integers(x, self.dim))
+        return OUTSIDE if min(slacks) < 0 else BOUNDARY if 0 in slacks else INTERIOR
 
     def tight_normals(self, x: Vec, slack: Fraction = Fraction(0)) -> tuple[Vec, ...]:
         if slack < 0:
             raise InputError("slack must be nonnegative")
         if self.point_location(x) == OUTSIDE:
             raise InputError(f"point {format_vector(x)} is outside the polytope")
-        return tuple(m for m, h in zip(self.normal_set.normals, self.offsets)
-                     if h - dot(m, x) <= slack)
+        X, k = _integers(x)
+        slacks = _slacks(self.rows, X, k)
+        return tuple(m for m, s, (_, _, c) in zip(self.normal_set.normals, slacks, self.rows)
+                     if s * slack.denominator <= slack.numerator * c * k)
 
 
 # -- vertex enumeration -------------------------------------------------------
 
-def _feasible_candidates(normals: Sequence[Vec], offsets: Sequence[Fraction], n: int):
-    """Each basis of n normals, in `combinations` order, whose square system
+def _rows(normals: Sequence[Vec], offsets: Sequence[Fraction]) -> tuple[tuple, ...]:
+    """The rows of `HPolytope`."""
+    return tuple((tuple(ints[:-1]), ints[-1], c) for ints, c in
+                 (_integers((*m, h)) for m, h in zip(normals, offsets)))
+
+
+def _slacks(rows: Sequence[tuple], X: Sequence[int], k: int) -> list[int]:
+    """b k - <a, X> for each row (a, b, c): its slack at X / k times c k."""
+    return [b * k - sum(map(mul, a, X)) for a, b, _ in rows]
+
+
+def _feasible_candidates(rows: Sequence[tuple], n: int):
+    """Each basis of n rows, in `combinations` order, whose square system
     has a solution that satisfies every constraint, with that solution."""
-    for idx in combinations(range(len(normals)), n):
-        x = solve_rows([normals[i] for i in idx], [offsets[i] for i in idx])
-        if x is not None and all(dot(m, x) <= h for m, h in zip(normals, offsets)):
+    for idx in combinations(range(len(rows)), n):
+        x = solve_rows([rows[i][0] for i in idx], [rows[i][1] for i in idx])
+        if x is not None and min(_slacks(rows, *_integers(x))) >= 0:
             yield idx, x
 
 
-def _scan(normals: Sequence[Vec], offsets: Sequence[Fraction],
-          candidates) -> dict[Vec, tuple[int, ...]]:
+def _scan(rows: Sequence[tuple], candidates) -> list[tuple[Vec, tuple[int, ...]]]:
     """The candidate route: the point of every feasible candidate, with the
-    indices of the normals tight there."""
-    return {x: tuple(i for i, (m, h) in enumerate(zip(normals, offsets))
-                     if dot(m, x) == h)
-            for x in {x for _, x in candidates}}
+    indices of the rows tight there."""
+    return [(x, tuple(i for i, s in enumerate(_slacks(rows, *_integers(x))) if s == 0))
+            for x in {x for _, x in candidates}]
 
 
 class _Simple(NamedTuple):
-    """The walk's state at a simple vertex x with basis B (the matrix of
-    its n tight normals): the basis indices, x, the slacks h - Ax, and the
-    columns of B^-1 and of the tableau T = A B^-1."""
+    """The walk's state at a simple vertex x with basis B (its n tight
+    rows), as ints over the least D > 0 that makes D B^-1 integral: column
+    k < n is D (T[., k], B^-1[., k]), T = A B^-1 the tableau, and column
+    n is D (b - A x, -x). A pivot treats every column alike."""
     basis: tuple[int, ...]
-    point: Vec
-    slacks: tuple[Fraction, ...]
-    inverse: tuple[Vec, ...]
-    tableau: tuple[Vec, ...]
+    denominator: int
+    columns: tuple[tuple[int, ...], ...]
+
+    def vertex(self) -> Vec:
+        D, n = self.denominator, len(self.basis)
+        return tuple(Fraction(-x, D) for x in self.columns[-1][-n:])
 
 
-def _tableau(normals: Sequence[Vec], columns: Sequence[Vec]) -> tuple[Vec, ...]:
-    """The columns of T = A B^-1, from the columns of B^-1."""
-    return tuple(tuple(dot(m, c) for m in normals) for c in columns)
-
-
-def _walk(normals: Sequence[Vec], offsets: Sequence[Fraction], basis: tuple[int, ...],
-          point: Vec) -> Optional[dict[Vec, tuple[int, ...]]]:
-    """Every vertex with the indices of its tight normals, by a depth-first
+def _walk(rows: Sequence[tuple], basis: tuple[int, ...],
+          point: Vec) -> Optional[list[tuple[Vec, tuple[int, ...]]]]:
+    """Every vertex with the indices of its tight rows, by a depth-first
     walk over the graph of the polytope from a start vertex, or None at
-    the first vertex with more than n tight normals.
+    the first vertex with more than n tight rows.
 
-    At a simple vertex, edge k keeps every basis normal but the k-th tight
-    and runs along -(column k of B^-1); normal i leaves the polytope after
-    slack_i / -T[i][k] along it if T[i][k] < 0. The nearest such normal
+    At a simple vertex, edge k keeps every basis row but the k-th tight
+    and runs along -(column k of B^-1); row i leaves the polytope after
+    slack_i / -T[i][k] along it if T[i][k] < 0. The nearest such row
     enters the basis in place of the k-th, and one pivot carries the state
     to the neighbour. A tie makes the neighbour degenerate. If no vertex is
     degenerate, the walk has followed every edge of every vertex it met,
@@ -264,19 +262,24 @@ def _walk(normals: Sequence[Vec], offsets: Sequence[Fraction], basis: tuple[int,
     still has an edge to an unseen vertex.
     """
     n = len(point)
-    slacks = tuple(h - dot(m, point) for m, h in zip(normals, offsets))
+    X, scale = _integers(point)
+    slacks = _slacks(rows, X, scale)
     if slacks.count(0) > n:
         return None
-    rows = inverse([normals[i] for i in basis])
-    if rows is None:
+    inv = inverse([rows[i][0] for i in basis])
+    if inv is None:
         raise InternalInvariantError(
             f"start basis at {format_vector(point)} is singular")
-    columns = tuple(zip(*rows))
-    state = _Simple(tuple(basis), point, slacks, columns, _tableau(normals, columns))
-    found = {point: tuple(sorted(basis))}
+    # D B^-1 is integral, and so are D x = D B^-1 b_B and D times each slack
+    flat, D = _integers([x for row in inv for x in row])
+    columns = [(*(sum(map(mul, a, c)) for a, _, _ in rows), *c)
+               for c in (flat[j::n] for j in range(n))]
+    columns.append(tuple(s * D // scale for s in (*slacks, *(-x for x in X))))
+    state = _Simple(tuple(basis), D, tuple(columns))
+    found = [(point, tuple(sorted(basis)))]
     seen = {sum(1 << i for i in basis)}
-    pending = []  # per vertex on the path: its (edge, entering normal, neighbour) steps
-    returns = []  # per step along the path: the (edge, normal) pivot back
+    pending = []  # per vertex on the path: its (edge, entering row, neighbour) steps
+    returns = []  # per step along the path: the (edge, row) pivot back
     while True:
         steps = _steps(state)
         if steps is None:
@@ -295,57 +298,47 @@ def _walk(normals: Sequence[Vec], offsets: Sequence[Fraction], basis: tuple[int,
         seen.add(key)
         returns.append((k, state.basis[k]))
         state = _pivot(state, k, r)
-        found[state.point] = tuple(sorted(state.basis))
+        found.append((state.vertex(), tuple(sorted(state.basis))))
 
 
 def _steps(state: _Simple) -> Optional[list[tuple[int, int, int]]]:
-    """Per edge k: k, the normal r that blocks it first and the neighbour's
-    basis as a bitmask; None if some edge is blocked by two normals at once."""
+    """Per edge k: k, the row r that blocks it first and the neighbour's
+    basis as a bitmask; None if some edge is blocked by two rows at once.
+    Ratios slack_i / -T[i][k] are compared by cross-multiplying."""
     mask = sum(1 << i for i in state.basis)
+    slacks = state.columns[-1]
+    m = len(slacks) - len(state.basis)
     steps = []
     for k, leaving in enumerate(state.basis):
-        r = _ratio_test(state, k)
+        col, r, tie = state.columns[k], None, False
+        for i in range(m):
+            if (c := col[i]) < 0:
+                if r is None or (d := slacks[i] * col[r] - slacks[r] * c) > 0:
+                    r, tie = i, False
+                elif d == 0:
+                    tie = True
         if r is None:
+            raise InternalInvariantError(
+                f"no normal blocks edge {k} at vertex {format_vector(state.vertex())}")
+        if tie:
             return None
         steps.append((k, r, mask ^ (1 << leaving) ^ (1 << r)))
     return steps
 
 
-def _ratio_test(state: _Simple, k: int) -> Optional[int]:
-    """The normal that blocks edge k first, or None if two block it at once."""
-    best, blocking, tie = None, None, False
-    for i, c in enumerate(state.tableau[k]):
-        if c < 0:
-            t = state.slacks[i] / -c
-            if best is None or t < best:
-                best, blocking, tie = t, i, False
-            elif t == best:
-                tie = True
-    if blocking is None:
-        raise InternalInvariantError(
-            f"no normal blocks edge {k} at vertex {format_vector(state.point)}")
-    return None if tie else blocking
-
-
 def _pivot(state: _Simple, k: int, r: int) -> _Simple:
-    """The state at the end of edge k, where normal r replaces the k-th
-    basis normal: B'^-1 and T' come from B^-1 and T by one elimination on
-    row r of T, in place of a fresh inverse."""
-    col = state.tableau[k]
-    t = state.slacks[r] / -col[r]
-    point = tuple(x - t * c for x, c in zip(state.point, state.inverse[k]))
-    slacks = tuple(s + t * c for s, c in zip(state.slacks, col))
-    factors = [column[r] for column in state.tableau]
-    return _Simple(state.basis[:k] + (r,) + state.basis[k + 1:], point, slacks,
-                   _eliminate(state.inverse, k, factors),
-                   _eliminate(state.tableau, k, factors))
-
-
-def _eliminate(columns: tuple[Vec, ...], k: int, factors: list[Fraction]) -> tuple[Vec, ...]:
-    """Divide column k by factors[k], then subtract factors[j] times it from
-    every other column j; columns with a zero factor are shared."""
-    pivot = tuple(c / factors[k] for c in columns[k])
-    return tuple(pivot if j == k else
-                 column if f == 0 else
-                 tuple(a - f * b for a, b in zip(column, pivot))
-                 for j, (column, f) in enumerate(zip(columns, factors)))
+    """The state where row r replaces the k-th basis row. Over D q, with
+    -q = D T[r][k] < 0 the pivot, column k becomes -D times itself and any
+    other column q times itself plus its row-r entry times column k (shared
+    if that is 0 and q == 1); then the common gcd is divided out."""
+    D, pivot = state.denominator, state.columns[k]
+    q = -pivot[r]
+    columns = [tuple(-D * x for x in pivot) if j == k else
+               column if (f := column[r]) == 0 and q == 1 else
+               tuple(q * a + f * b for a, b in zip(column, pivot))
+               for j, column in enumerate(state.columns)]
+    D *= q
+    if D > 1 and (g := gcd(D, *chain.from_iterable(columns))) > 1:
+        columns = [tuple(x // g for x in column) for column in columns]
+        D //= g
+    return _Simple(state.basis[:k] + (r,) + state.basis[k + 1:], D, tuple(columns))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError
-from .kernel import Vec, dot, rank, solve_linear, vneg, vscale
+from .kernel import Vec, _integers, rank, solve_linear, vneg
 from .lp import solve_eq_nonneg
 
 ALL_NONPOSITIVE = "all_nonpositive"
@@ -75,7 +75,11 @@ def farkas_direction(x: Vec, generators: Sequence[Vec]) -> Optional[Vec]:
     """d with <g, d> <= 0 for every generator and <x, d> == 1, or None if
     x lies in the positive hull of the generators."""
     _, z = _cone_query(x, generators)
-    return None if z is None else vscale(1 / dot(x, z), z)
+    if z is None:
+        return None
+    (X, k), (Z, _) = _integers(x), _integers(z)
+    s = sum(a * b for a, b in zip(X, Z))  # x = X / k, z = Z / l: z / <x, z> = k Z / s
+    return tuple(Fraction(k * c, s) for c in Z)
 
 
 def separator(points: Sequence[Vec]) -> Optional[Vec]:

@@ -4,6 +4,7 @@ import re
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,52 @@ class TestGoldenErrors:
         assert capsys.readouterr().out == (
             '{"error":"2704156 vertex candidates exceed the enumeration guard '
             '(1000000)"}\n')
+
+
+def sign_vectors(n: int) -> list[list[str]]:
+    return [[str(s) for s in v] for v in product((1, -1), repeat=n)]
+
+
+SP21 = ["simplex_product", "--dims", "2", "1", "--seed", "3"]
+BOX4 = ["box", "--dims", "4"]
+# the directions `illuminate` builds for SP21, with its epsilon
+SP21_DIRECTIONS = [["-2", "1", "-1"], ["-2", "1", "1"], ["1", "-2", "-1"],
+                   ["1", "-2", "1"], ["1", "1", "-1"], ["1", "1", "1"]]
+
+# Each run: the `gen` arguments of its polytope, its directions document
+# (None for `illuminate --verify`) and its exit code. The exact stdout is
+# tests/golden/<name>.json. A failing set drops a direction, so one vertex
+# is lit by none, and takes an epsilon that leaves the polytope.
+GOLDEN_RUNS = {
+    "verify_sp21_pass": (SP21, {"epsilon": "49/64", "directions": SP21_DIRECTIONS}, 0),
+    "verify_sp21_fail": (SP21, {"epsilon": "3", "directions": SP21_DIRECTIONS[1:]}, 1),
+    "verify_box4_pass": (BOX4, {"epsilon": "1/2", "directions": sign_vectors(4)}, 0),
+    "verify_box4_fail": (BOX4, {"epsilon": "2", "directions": sign_vectors(4)[1:]}, 1),
+    "verify_box4_wrong_dimension": (
+        BOX4, {"epsilon": "49/64", "directions": SP21_DIRECTIONS}, 2),
+    "illuminate_sp22_seed5": (
+        ["simplex_product", "--dims", "2", "2", "--seed", "5"], None, 0),
+}
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenRuns:
+    """The exact payloads of successful and failing verifications."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_run(self, capsys, tmp_path, name):
+        gen, directions, code = GOLDEN_RUNS[name]
+        polytope = tmp_path / "p.json"
+        assert run_command(["gen", *gen, "--output", str(polytope)]) == 0
+        capsys.readouterr()
+        if directions is None:
+            argv = ["illuminate", str(polytope), "--verify"]
+        else:
+            path = tmp_path / "d.json"
+            path.write_text(json.dumps(directions))
+            argv = ["verify", str(polytope), "--directions", str(path)]
+        assert run_command(argv) == code
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
 class TestMalformedLiterals:

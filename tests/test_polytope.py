@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,10 +10,11 @@ from polyillum import kernel, polytope
 from polyillum.cli import run_command
 from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
 from polyillum.generators import generate, randomize_offsets
-from polyillum.kernel import dot, rank, solve_rows, vadd, vec, vneg, vsub, zero_vec
+from polyillum.kernel import dot, rank, solve_rows, vadd, vec, vneg, vscale, vsub, zero_vec
 from polyillum.polytope import (BOUNDARY, INTERIOR, OUTSIDE, HPolytope,
                                 NormalSet, Vertex)
 from polyillum.position import cone_membership
+from tests import walk_reference
 from tests.conftest import (box, count_lps, set_n, square_pyramid, triangle,
                             valid_normal_sets)
 
@@ -179,14 +181,16 @@ class TestVertexEnumeration:
 def route_vertices(normals, offsets):
     """The vertex tuples of the walk (None where it falls back) and of the
     candidate scan, from the same start candidate."""
-    candidates = polytope._feasible_candidates(normals, offsets, len(normals[0]))
+    rows = polytope._rows(normals, offsets)
+    candidates = polytope._feasible_candidates(rows, len(normals[0]))
     start = next(candidates)
-    walked = polytope._walk(normals, offsets, *start)
-    scanned = polytope._scan(normals, offsets, [start, *candidates])
+    walked = polytope._walk(rows, *start)
+    scanned = polytope._scan(rows, [start, *candidates])
 
     def as_vertices(found):
         return None if found is None else tuple(
-            Vertex(p, tuple(normals[i] for i in found[p])) for p in sorted(found))
+            Vertex(p, tuple(normals[i] for i in tight), sum(1 << i for i in tight))
+            for p, tight in sorted(found))
 
     return as_vertices(walked), as_vertices(scanned)
 
@@ -208,6 +212,76 @@ class TestVertexWalk:
         walked, scanned = route_vertices(P.normal_set.normals, P.offsets)
         assert P.vertices == scanned
         assert walked in (None, scanned)
+
+    @settings(max_examples=80, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3, 4)), st.sampled_from(["unit", "seed", "large"]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_agrees_with_the_fraction_walk(self, normals, kind, seed):
+        # the vertices with their tight rows, in the order they are met, or
+        # None at the same fallback; offsets are positive, so the system is
+        # a polytope
+        offsets = (F(1),) * len(normals)
+        if kind == "seed":
+            try:
+                offsets = randomize_offsets(
+                    HPolytope(NormalSet(len(normals[0]), normals), offsets), seed).offsets
+            except InputError:
+                assume(False)
+        elif kind == "large":
+            rnd = random.Random(seed)
+            offsets = tuple(F(rnd.randint(1, 10 ** 30), rnd.randint(1, 10 ** 20))
+                            for _ in normals)
+        rows = polytope._rows(normals, offsets)
+        start = next(polytope._feasible_candidates(rows, len(normals[0])))
+        walked = polytope._walk(rows, *start)
+        expected = walk_reference._walk(normals, offsets, *start)
+        assert walked == (None if expected is None else list(expected.items()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3, 4)), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_every_state_is_the_one_of_its_basis(self, normals, seed):
+        # each state the pivots reach holds D B^-1, D A B^-1, D (b - A x)
+        # and -D x for its basis, with the least such D: the pivots keep
+        # every column's scale, not only its direction
+        rnd = random.Random(seed)
+        offsets = tuple(F(rnd.randint(1, 10 ** 6), rnd.randint(1, 10 ** 3)) for _ in normals)
+        rows = polytope._rows(normals, offsets)
+        states = []
+        pivot = polytope._pivot
+
+        def recording(state, k, r):
+            states.append(pivot(state, k, r))
+            return states[-1]
+
+        start = next(polytope._feasible_candidates(rows, len(normals[0])))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polytope, "_pivot", recording)
+            polytope._walk(rows, *start)
+        for state in states:
+            n, D, columns = len(state.basis), state.denominator, state.columns
+            x = solve_rows([rows[i][0] for i in state.basis], [rows[i][1] for i in state.basis])
+            assert state.vertex() == x
+            for j, column in enumerate(columns[:n]):
+                inverse = column[len(rows):]
+                assert [sum(a * c for a, c in zip(rows[i][0], inverse)) for i in state.basis] == [
+                    D * (i == j) for i in range(n)]
+                assert list(column[:len(rows)]) == [
+                    sum(a * c for a, c in zip(row[0], inverse)) for row in rows]
+            X, k = kernel._integers(x)
+            assert list(columns[n][:len(rows)]) == [
+                s * D // k for s in polytope._slacks(rows, X, k)]
+            assert gcd(D, *(c for column in columns[:n] for c in column[len(rows):])) == 1
+
+    @pytest.mark.parametrize("P", [
+        set_n(), box(3), generate("simplex_product", (2, 2, 1)),
+        randomize_offsets(generate("simplex_product", (2, 1, 1)), 3),
+        HPolytope(generate("simplex", (3,)).normal_set, (F(7, 3), F(5, 11), F(13, 2), F(1, 9))),
+    ], ids=["N", "box3", "sp221", "sp211-r3", "simplex3-rational"])
+    def test_the_walk_matches_the_fraction_walk(self, P):
+        normals, offsets = P.normal_set.normals, P.offsets
+        start = next(polytope._feasible_candidates(P.rows, P.dim))
+        expected = walk_reference._walk(normals, offsets, *start)
+        assert polytope._walk(P.rows, *start) == list(expected.items())
 
     @pytest.mark.parametrize("P", [
         set_n(), box(3), generate("simplex_product", (2, 2, 1)),
@@ -250,8 +324,9 @@ class TestVertexWalk:
         assert len(calls) == 128 + 14 + 3
 
     def test_an_unblocked_edge_is_an_internal_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(polytope, "_tableau", lambda normals, columns: tuple(
-            (F(0),) * len(normals) for _ in columns))
+        # a zero inverse gives a zero tableau
+        monkeypatch.setattr(polytope, "inverse", lambda rows: tuple(
+            (F(0),) * len(rows) for _ in rows))
         with pytest.raises(InternalInvariantError, match="no normal blocks edge 0"):
             box(3)
         assert run_command(["gen", "box", "--dims", "3"]) == 3
@@ -331,6 +406,20 @@ class TestIrredundancy:
 
 
 class TestQueries:
+    @pytest.mark.parametrize("P", [
+        randomize_offsets(generate("simplex_product", (2, 1)), 3),
+        HPolytope.from_facets(2, [((F(1, 2), 0), F(1, 3)), ((-1, 0), 2), ((0, F(3, 4)), 1),
+                                  ((0, -2), F(5, 7))]),
+    ], ids=["sp21-r3", "fractional-normals"])
+    def test_slack_is_measured_as_h_minus_m_x(self, P):
+        # rows are scaled to ints, but the slack keeps the normal's units
+        points = [v.point for v in P.vertices]
+        points += [vscale(F(1, 2), vadd(p, q)) for p, q in zip(points, points[1:])]
+        for x in points:
+            for slack in (F(0), F(1, 16), F(1, 3), F(1), F(5, 2)):
+                assert P.tight_normals(x, slack) == tuple(
+                    m for m, h in zip(P.normal_set.normals, P.offsets) if h - dot(m, x) <= slack)
+
     def test_tight_normals(self):
         square = HPolytope.from_facets(
             2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])

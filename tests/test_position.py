@@ -8,8 +8,8 @@ from polyillum.errors import InputError
 from polyillum.kernel import circuits, dot, rank, vec, vscale, zero_vec
 from polyillum.position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED,
                                 SINGLE_POSITIVE, classify_signs,
-                                cone_membership, is_conical_position,
-                                is_primitive, separator)
+                                cone_membership, farkas_direction,
+                                is_conical_position, is_primitive, separator)
 
 F = Fraction
 
@@ -113,6 +113,16 @@ class TestConeMembership:
     def test_empty_generators(self):
         assert cone_membership(zero_vec(2), []) == ()
         assert cone_membership(vec(1, 0), []) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(nonzero_vec2, st.lists(nonzero_vec2, min_size=1, max_size=4))
+    def test_farkas_direction_pairs_to_one_with_x(self, x, generators):
+        # fractional entries, so the certificate is rescaled over x's denominators
+        d = farkas_direction(x, generators)
+        assert (d is None) == (cone_membership(x, generators) is not None)
+        if d is not None:
+            assert dot(x, d) == 1
+            assert all(dot(g, d) <= 0 for g in generators)
 
 
 class TestPrimitivity:
