@@ -6,7 +6,8 @@ direction is the unique vector pairing to 1 with every generator. Each
 vertex is assigned the first cone, in product order, that contains all
 its tight normals. Containment splits over the parts, so the cone is
 read part by part off the normals' expansions over the skeleton basis,
-with no LP, and re-checked by one linear solve per tight normal. The
+with no LP. One inverse per cone gives its direction, as the row sums,
+and re-checks every containment, as integer products with its columns. The
 slack bound delta is half the minimum positive vertex-facet slack, and
 epsilon = delta / max |<n, v_j>| over the strictly negative products, so
 that stepping by epsilon*v never crosses a non-tight facet.
@@ -22,7 +23,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import AssignmentError, InputError, InternalInvariantError
-from .kernel import Vec, _integers, dot, format_vector, rank, solve_linear, solve_rows, vscale
+from .kernel import Vec, _integers, dot, format_vector, inverse, solve_linear, solve_rows, vscale
 from .polytope import HPolytope, _slacks
 from .skeleton import Skeleton, extract_skeleton
 
@@ -50,14 +51,15 @@ class VertexReport:
 
 def cone_selections(skeleton: Skeleton) -> tuple[tuple[Vec, ...], ...]:
     """For every choice of one dropped element per part, the union of the
-    remaining generators: exactly n independent vectors each, listed in
-    deterministic product order."""
+    remaining generators: exactly n vectors each, independent, listed in
+    deterministic product order. `build_illumination_set` checks their
+    independence as it inverts them."""
     n = sum(len(s) for s in skeleton.part_supports)
     selections = []
     for drop in product(*(range(len(part)) for part in skeleton.parts)):
         gens = tuple(g for part, d in zip(skeleton.parts, drop)
                      for i, g in enumerate(part) if i != d)
-        if len(gens) != n or rank(gens) != n:
+        if len(gens) != n:
             raise InternalInvariantError("cone selection is not a full basis")
         selections.append(gens)
     return tuple(selections)
@@ -113,9 +115,10 @@ def compute_epsilon(P: HPolytope, directions: Sequence[Vec],
 
 
 def _allowed_drops(skeleton: Skeleton,
-                   normals: Sequence[Vec]) -> dict[Vec, tuple[frozenset[int], ...]]:
-    """For each normal and part, the drops d (indices into the part) whose
-    cones contain the normal, whatever is dropped from the other parts.
+                   normals: Sequence[Vec]) -> list[tuple[frozenset[int], ...]]:
+    """Per normal, by its index, and per part, the drops d (indices into
+    the part) whose cones contain the normal, whatever is dropped from the
+    other parts.
 
     Part l carries the positive dependence sum(c_x x) == 0 over its
     elements, with c == 1 at x_l and c == -(coefficient of x_l) at each of
@@ -124,27 +127,41 @@ def _allowed_drops(skeleton: Skeleton,
     every t, and the cone that drops d takes t == a_d / c_d. All those
     coefficients are nonnegative iff d minimises a_x / c_x over the part.
     """
-    expansions = {m: solve_linear(skeleton.basis, m) for m in normals}
-    allowed = {}
-    for m, a in expansions.items():
+    dependences = [solve_linear(skeleton.basis, part[-1]) for part in skeleton.parts]
+    allowed = []
+    for m in normals:
+        a = solve_linear(skeleton.basis, m)
         per_part = []
-        for part, support in zip(skeleton.parts, skeleton.part_supports):
-            c = expansions[part[-1]]
+        for c, support in zip(dependences, skeleton.part_supports):
             ratios = [a[i] / -c[i] for i in support] + [Fraction(0)]
             low = min(ratios)
             per_part.append(frozenset(d for d, r in enumerate(ratios) if r == low))
-        allowed[m] = tuple(per_part)
+        allowed.append(tuple(per_part))
     return allowed
 
 
 def build_illumination_set(P: HPolytope) -> IlluminationSet:
+    """The illumination set of P, one direction per cone selection, each
+    vertex assigned the first cone that contains its tight normals.
+
+    With G the matrix whose rows are a selection's generators, the
+    direction v solves G v == 1, so it is the row sums of G^-1, and a
+    normal m is sum(lam_j g_j) with lam_j = <m, column j of G^-1>; the
+    signs of lam are read off the integer row of m against the columns
+    scaled to ints."""
     skeleton = extract_skeleton(P.normal_set)
     selections = cone_selections(skeleton)
-    directions = tuple(cone_direction(gens) for gens in selections)
-    for gens, v in zip(selections, directions):
-        for g in gens:
-            if dot(g, v) != 1:
-                raise InternalInvariantError("direction does not pair to 1 exactly")
+    directions, columns = [], []
+    for gens in selections:
+        inv = inverse(gens)
+        if inv is None:
+            raise InternalInvariantError("cone selection is not a full basis")
+        v = tuple(sum(row) for row in inv)
+        if any(dot(g, v) != 1 for g in gens):
+            raise InternalInvariantError("direction does not pair to 1 exactly")
+        directions.append(v)
+        columns.append([_integers(col)[0] for col in zip(*inv)])
+    directions = tuple(directions)
     if len(directions) > 2 ** P.dim:
         raise InternalInvariantError("more cones than 2^n")
     delta = compute_delta(P)
@@ -152,23 +169,25 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
     allowed = _allowed_drops(skeleton, P.normal_set.normals)
     assignment = []
     for vert in P.vertices:
+        tight = [i for i in range(len(P.rows)) if vert.mask >> i & 1]
         j = 0
         for k, part in enumerate(skeleton.parts):
             drops = set(range(len(part)))
-            for m in vert.tight:
-                drops &= allowed[m][k]
+            for i in tight:
+                drops &= allowed[i][k]
             if not drops:
                 raise AssignmentError(
                     f"no cone contains the tight normals of vertex "
                     f"{format_vector(vert.point)}; "
                     f"the covering claim fails")
             j = j * len(part) + min(drops)
-        for m in vert.tight:
-            lam = solve_linear(selections[j], m)
-            if lam is None or any(c < 0 for c in lam):
+        for i in tight:
+            a = P.rows[i][0]
+            if any(sum(map(mul, a, col)) < 0 for col in columns[j]):
                 raise InternalInvariantError(
                     f"assigned cone does not contain the tight normal "
-                    f"{format_vector(m)} of vertex {format_vector(vert.point)}")
+                    f"{format_vector(P.normal_set.normals[i])} of vertex "
+                    f"{format_vector(vert.point)}")
         assignment.append(j)
     return IlluminationSet(
         directions=directions,

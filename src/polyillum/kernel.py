@@ -235,20 +235,62 @@ def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
 
 def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
     """The circuits (minimal dependent subsets) of the vectors, as (indices,
-    dependence) pairs; the dependence has no zero coefficient and is unique
-    up to scale.
+    dependence) pairs, by size and then by indices; the dependence has no
+    zero coefficient and is unique up to scale, 1 at the circuit's last
+    element. A zero vector lies in no circuit of two or more.
 
-    A circuit holds 2..n+1 vectors: n+2 vectors in dimension n are always
-    dependent. Sizes run upwards and indices lexicographically, and a subset
-    that holds a circuit of a smaller size is not minimal, so it is skipped
-    without a row reduction. A circuit of its own size is never inside it.
+    One elimination of the matrix whose columns are the vectors gives the
+    first basis B in index order, and each other vector's nonzero pivot
+    rows give its fundamental circuit over B. These circuits join the
+    vectors into the connected components of their matroid, whatever the
+    basis (Oxley, *Matroid Theory*, 4.3), and the matroid is the direct
+    sum of its components, so its circuits are those of the components.
+    A component K has rank |K & B|. At rank |K| it is one coloop, in no
+    circuit; at rank |K| - 1 it holds one dependence, and being connected
+    it is a circuit itself. Any other component is scanned: its subsets
+    of 2..rank + 1 elements, upwards in size, each row-reduced unless it
+    holds a circuit already found, which makes it not minimal.
     """
-    dim = len(vectors[0]) if vectors else 0
+    if not vectors:
+        return []
+    M, _, basis = _row_reduce(list(zip(*vectors)))
+    in_basis = set(basis)
+    parent = list(range(len(vectors)))  # a union-find forest over the indices
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for f in range(len(vectors)):
+        if f not in in_basis:
+            for r, b in enumerate(basis):
+                if M[r][f]:
+                    parent[root(b)] = root(f)
+    components: dict[int, list[int]] = {}
+    for i in range(len(vectors)):
+        components.setdefault(root(i), []).append(i)
+    found = []
+    for K in components.values():
+        k = sum(i in in_basis for i in K)
+        if len(K) == k + 1 and k:  # k == 0: a zero vector, alone
+            idx = tuple(K)
+            found.append((idx, simplex_dependence([vectors[i] for i in idx])))
+        elif len(K) > k + 1:
+            found += _scan_circuits(vectors, K, k)
+    return sorted(found, key=lambda c: (len(c[0]), c[0]))
+
+
+def _scan_circuits(vectors: Sequence[Vec], elements: Sequence[int],
+                   k: int) -> list[tuple[tuple[int, ...], Vec]]:
+    """The circuits among the given vectors, of rank k, by row-reducing
+    every subset of 2..k + 1 of them that holds no circuit of a smaller
+    size, upwards in size. A circuit of its own size is never inside it."""
     found = []
     smaller: list[int] = []
-    for size in range(2, dim + 2):
+    for size in range(2, k + 2):
         supports = []
-        for idx in combinations(range(len(vectors)), size):
+        for idx in combinations(elements, size):
             mask = sum(1 << i for i in idx)
             if any(mask & support == support for support in smaller):
                 continue

@@ -2,11 +2,15 @@
 the reference its integer elimination is compared against: the same
 Gauss-Jordan elimination, the same pivots and the same answers, on a
 matrix of `Fraction`s, with the functions that read their answers off it.
+`circuits` is the enumeration that `polyillum.kernel.circuits` replaced: it
+row-reduces every subset of up to n + 1 vectors that holds no smaller
+circuit, whatever the structure of their matroid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from polyillum.errors import InputError
@@ -96,3 +100,31 @@ def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
     for r, c in enumerate(pivots):
         mu[c] = -reduced[r][f]
     return tuple(mu)
+
+
+def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
+    """The circuits (minimal dependent subsets) of the vectors, as (indices,
+    dependence) pairs; the dependence has no zero coefficient and is unique
+    up to scale.
+
+    A circuit holds 2..n+1 vectors: n+2 vectors in dimension n are always
+    dependent. Sizes run upwards and indices lexicographically, and a subset
+    that holds a circuit of a smaller size is not minimal, so it is skipped
+    without a row reduction. A circuit of its own size is never inside it.
+    """
+    dim = len(vectors[0]) if vectors else 0
+    found = []
+    smaller: list[int] = []
+    for size in range(2, dim + 2):
+        supports = []
+        for idx in combinations(range(len(vectors)), size):
+            mask = sum(1 << i for i in idx)
+            if any(mask & support == support for support in smaller):
+                continue
+            mu = simplex_dependence([vectors[i] for i in idx])
+            if mu is None or any(c == 0 for c in mu):
+                continue
+            found.append((idx, mu))
+            supports.append(mask)
+        smaller += supports
+    return found

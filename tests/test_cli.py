@@ -343,6 +343,16 @@ GOLDEN_RUNS = {
         ["simplex_product", "--dims", "2", "2", "--seed", "5"], None, 0),
 }
 GOLDEN = Path(__file__).parent / "golden"
+SP221 = ["simplex_product", "--dims", "2", "2", "1", "--seed", "5"]
+# Each run of a command that reads the circuit table: its polytope, as
+# `gen` arguments or None for the hexagon, its argv after the file and its
+# exit code. The exact stdout is tests/golden/<command>_<name>.json. The
+# normals of SP221 split into three simplices; the hexagon's are connected.
+GOLDEN_COMMANDS = {
+    f"{argv[0]}_{name}": (gen, argv, 0)
+    for name, gen in (("sp221_seed5", SP221), ("hexagon", None))
+    for argv in (["classify"], ["fan", "--verify-unique"], ["oracle"])
+}
 
 
 class TestGoldenRuns:
@@ -361,6 +371,18 @@ class TestGoldenRuns:
             path.write_text(json.dumps(directions))
             argv = ["verify", str(polytope), "--directions", str(path)]
         assert run_command(argv) == code
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    def test_command(self, capsys, tmp_path, name):
+        gen, argv, code = GOLDEN_COMMANDS[name]
+        polytope = tmp_path / "p.json"
+        if gen is None:
+            polytope.write_text(dump(polytope_to_doc(hexagon())))
+        else:
+            assert run_command(["gen", *gen, "--output", str(polytope)]) == 0
+            capsys.readouterr()
+        assert run_command([argv[0], str(polytope), *argv[1:]]) == code
         assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 

@@ -179,7 +179,7 @@ class TestAssignment:
         sk = extract_skeleton(box(3).normal_set)
         nowhere = tuple(frozenset() for _ in sk.parts)
         monkeypatch.setattr(illuminate, "_allowed_drops",
-                            lambda skeleton, normals: {m: nowhere for m in normals})
+                            lambda skeleton, normals: [nowhere] * len(normals))
         with pytest.raises(AssignmentError, match="covering claim"):
             build_illumination_set(box(3))
 
