@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .classify import classify_normal_set
@@ -135,6 +136,7 @@ def _cmd_gen(args):
     return EXIT_OK, payload
 
 
+@cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyillum",

@@ -3,14 +3,12 @@ tight normals and point location.
 
 Each constraint is scaled once to an integer row, so a slack is an
 integer dot product. Vertices are enumerated by a depth-first walk over
-the graph of the polytope (Avis and Fukuda's pivoting enumeration, simple
-case) from the first feasible candidate basis in `combinations` order,
-pivoting on ints over one denominator without division (Edmonds). At the
-first vertex with more than n tight normals it gives way to the candidate
-route, which solves every square system of n normals; the square
-pyramid's apex and lower-dimensional systems take it. The normals of a
-monotypic set meet in simple vertices whatever the offsets, so the
-paper's polytopes never do.
+the lexicographically feasible bases (Avis and Fukuda's pivoting
+enumeration with lrs's lexicographic rule) from the first feasible
+candidate basis in `combinations` order, pivoting on ints over one
+denominator without division (Edmonds). The rule lets the walk pass
+through vertices with more than n tight normals, which the paper's
+monotypic polytopes never have, whatever the offsets.
 
 A NormalSet is valid by construction: its normals are nonzero, pairwise
 distinct directions that positively span the space, so every offset
@@ -36,7 +34,7 @@ from functools import reduce
 from itertools import chain, combinations
 from math import comb, gcd, lcm
 from operator import and_, mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
 from .kernel import (Vec, _integers, format_vector, inverse, is_zero, primitive_form, rank,
@@ -47,9 +45,8 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
 
-# Square solves the candidate route may try: C(m, n) for m facets in R^n.
-# The walk tries them only until its start is feasible, so the bound matters
-# for polytopes with a vertex of more than n tight normals.
+# Square solves the search for the walk's start may try: C(m, n) for m
+# facets in R^n. The guard bounds only that search.
 MAX_VERTEX_CANDIDATES = 10 ** 6
 
 
@@ -144,29 +141,21 @@ class HPolytope:
         """Every vertex with its tight normals, in sorted order. The normals
         positively span, so the system is bounded and it is empty exactly
         when no candidate is feasible."""
-        normals, rows = self.normal_set.normals, self.rows
-        candidates = _feasible_candidates(rows, self.dim)
-        start = next(candidates, None)
+        normals = self.normal_set.normals
+        start = next(_feasible_candidates(self.rows, self.dim), None)
         if start is None:
             raise InputError("constraint system is empty (infeasible)")
-        found = _walk(rows, *start)
-        if found is None:
-            found = _scan(rows, [start, *candidates])
+        found = _walk(self.rows, *start)
         L = lcm(*(x.denominator for p, _ in found for x in p))  # sorted as ints over L
-        vertices = []
-        for p, tight in sorted(found, key=lambda e: [x.numerator * (L // x.denominator)
-                                                     for x in e[0]]):
-            if rank([rows[i][0] for i in tight]) != self.dim:
-                raise InternalInvariantError(
-                    f"tight set at {format_vector(p)} does not span the space")
-            vertices.append(Vertex(p, tuple(normals[i] for i in tight),
-                                   sum(1 << i for i in tight)))
-        return tuple(vertices)
+        return tuple(Vertex(p, tuple(normals[i] for i in tight), sum(1 << i for i in tight))
+                     for p, tight in sorted(found, key=lambda e: [
+                         x.numerator * (L // x.denominator) for x in e[0]]))
 
     def _validate_irredundant(self):
         """The face cut out by normal m has as affine hull the points where
         every normal tight at all of its vertices is tight, so it is a
-        facet iff those normals have rank 1."""
+        facet iff those normals have rank 1. Then no normal may be tight at
+        every vertex, which only a point in R^1 does."""
         normals = self.normal_set.normals
         for i, m in enumerate(normals):
             tight_sets = [v.mask for v in self.vertices if v.mask >> i & 1]
@@ -179,6 +168,10 @@ class HPolytope:
                 raise InputError(
                     f"facet with normal {format_vector(m)} is redundant "
                     f"(tight set is not a facet)", facet_index=i)
+        if everywhere := reduce(and_, (v.mask for v in self.vertices)):
+            i = (everywhere & -everywhere).bit_length() - 1
+            raise InputError(f"polytope is not full-dimensional (normal {format_vector(normals[i])}"
+                             f" is tight at every vertex)", facet_index=i)
 
     # -- queries ------------------------------------------------------------
 
@@ -223,18 +216,11 @@ def _feasible_candidates(rows: Sequence[tuple], n: int):
             yield idx, x
 
 
-def _scan(rows: Sequence[tuple], candidates) -> list[tuple[Vec, tuple[int, ...]]]:
-    """The candidate route: the point of every feasible candidate, with the
-    indices of the rows tight there."""
-    return [(x, tuple(i for i, s in enumerate(_slacks(rows, *_integers(x))) if s == 0))
-            for x in {x for _, x in candidates}]
-
-
 class _Simple(NamedTuple):
-    """The walk's state at a simple vertex x with basis B (its n tight
-    rows), as ints over the least D > 0 that makes D B^-1 integral: column
-    k < n is D (T[., k], B^-1[., k]), T = A B^-1 the tableau, and column
-    n is D (b - A x, -x). A pivot treats every column alike."""
+    """The walk's state at a basis B of n rows tight at a vertex x, as ints
+    over the least D > 0 that makes D B^-1 integral: column k < n is
+    D (T[., k], B^-1[., k]), T = A B^-1 the tableau, and column n is
+    D (b - A x, -x). A pivot treats every column alike."""
     basis: tuple[int, ...]
     denominator: int
     columns: tuple[tuple[int, ...], ...]
@@ -245,27 +231,27 @@ class _Simple(NamedTuple):
 
 
 def _walk(rows: Sequence[tuple], basis: tuple[int, ...],
-          point: Vec) -> Optional[list[tuple[Vec, tuple[int, ...]]]]:
+          point: Vec) -> list[tuple[Vec, tuple[int, ...]]]:
     """Every vertex with the indices of its tight rows, by a depth-first
-    walk over the graph of the polytope from a start vertex, or None at
-    the first vertex with more than n tight rows.
+    walk over the lexicographically feasible bases from a start basis B0.
 
-    At a simple vertex, edge k keeps every basis row but the k-th tight
-    and runs along -(column k of B^-1); row i leaves the polytope after
-    slack_i / -T[i][k] along it if T[i][k] < 0. The nearest such row
-    enters the basis in place of the k-th, and one pivot carries the state
-    to the neighbour. A tie makes the neighbour degenerate. If no vertex is
-    degenerate, the walk has followed every edge of every vertex it met,
-    and the graph of a polytope is connected (Balinski), so it met them all.
-    The walk holds one state: it returns along an edge by the reverse
-    pivot, which restores the state exactly, and only when a vertex below
-    still has an edge to an unseen vertex.
+    Relax each row i outside B0 by eps_i, with eps_0 >> eps_1 >> ... > 0:
+    at basis B, row i's slack is then s_i + [i not in B0] eps_i -
+    sum_j T[i][j] [B_j not in B0] eps_(B_j). B0 is feasible, and no row
+    outside B is tight, since a row of B0 outside B does not depend on the
+    rows of B0 in B. So these bases are the vertices of a simple polytope,
+    whose graph is connected (Balinski), and each vertex of P is the point
+    of one (the one maximizing a function maximized on P there alone).
+
+    Edge k keeps every basis row but the k-th tight and runs along
+    -(column k of B^-1); row i blocks it after slack_i / -T[i][k] if
+    T[i][k] < 0, relaxed slacks breaking a tie, and the nearest enters the
+    basis by one pivot. A vertex is keyed on its point, its tight rows the
+    zero slacks of its state. The walk holds one state, and returns along
+    an edge by the reverse pivot, which restores it exactly.
     """
     n = len(point)
     X, scale = _integers(point)
-    slacks = _slacks(rows, X, scale)
-    if slacks.count(0) > n:
-        return None
     inv = inverse([rows[i][0] for i in basis])
     if inv is None:
         raise InternalInvariantError(
@@ -274,56 +260,66 @@ def _walk(rows: Sequence[tuple], basis: tuple[int, ...],
     flat, D = _integers([x for row in inv for x in row])
     columns = [(*(sum(map(mul, a, c)) for a, _, _ in rows), *c)
                for c in (flat[j::n] for j in range(n))]
-    columns.append(tuple(s * D // scale for s in (*slacks, *(-x for x in X))))
+    columns.append(tuple(s * D // scale for s in (*_slacks(rows, X, scale), *(-x for x in X))))
     state = _Simple(tuple(basis), D, tuple(columns))
-    found = [(point, tuple(sorted(basis)))]
-    seen = {sum(1 << i for i in basis)}
-    pending = []  # per vertex on the path: its (edge, entering row, neighbour) steps
+    start = sum(1 << i for i in basis)
+    found, seen = {}, {start}
+    pending = []  # per basis on the path: its (edge, entering row, neighbour) steps
     returns = []  # per step along the path: the (edge, row) pivot back
     while True:
-        steps = _steps(state)
-        if steps is None:
-            return None
-        pending.append(iter(steps))
+        tight = [i for i, s in enumerate(state.columns[-1][:-n]) if s == 0]
+        if not set(state.basis) <= set(tight):
+            raise InternalInvariantError(
+                f"a basis row is not tight at vertex {format_vector(state.vertex())}")
+        found.setdefault(state.vertex(), tuple(tight))
+        pending.append(iter(_steps(state, start)))
         while pending:
             step = next((s for s in pending[-1] if s[2] not in seen), None)
             if step is not None:
                 break
             pending.pop()
         if not pending:
-            return found
+            return list(found.items())
         while len(returns) >= len(pending):
             state = _pivot(state, *returns.pop())
         k, r, key = step
         seen.add(key)
         returns.append((k, state.basis[k]))
         state = _pivot(state, k, r)
-        found.append((state.vertex(), tuple(sorted(state.basis))))
 
 
-def _steps(state: _Simple) -> Optional[list[tuple[int, int, int]]]:
+def _steps(state: _Simple, start: int) -> list[tuple[int, int, int]]:
     """Per edge k: k, the row r that blocks it first and the neighbour's
-    basis as a bitmask; None if some edge is blocked by two rows at once.
-    Ratios slack_i / -T[i][k] are compared by cross-multiplying."""
+    basis as a bitmask. Ratios slack_i / -T[i][k] are compared by
+    cross-multiplying, and a tie by `_nearer`."""
     mask = sum(1 << i for i in state.basis)
     slacks = state.columns[-1]
     m = len(slacks) - len(state.basis)
     steps = []
     for k, leaving in enumerate(state.basis):
-        col, r, tie = state.columns[k], None, False
+        col, r = state.columns[k], None
         for i in range(m):
-            if (c := col[i]) < 0:
-                if r is None or (d := slacks[i] * col[r] - slacks[r] * c) > 0:
-                    r, tie = i, False
-                elif d == 0:
-                    tie = True
+            if (c := col[i]) < 0 and (
+                    r is None or (d := slacks[i] * col[r] - slacks[r] * c) > 0
+                    or d == 0 and _nearer(state, start, k, i, r)):
+                r = i
         if r is None:
             raise InternalInvariantError(
                 f"no normal blocks edge {k} at vertex {format_vector(state.vertex())}")
-        if tie:
-            return None
         steps.append((k, r, mask ^ (1 << leaving) ^ (1 << r)))
     return steps
+
+
+def _nearer(state: _Simple, start: int, k: int, i: int, r: int) -> bool:
+    """Whether row i blocks edge k before row r, whose ratio ties: D times
+    their relaxed slacks (`_walk`, B0 the mask `start`) over -T[.][k]."""
+    D, columns = state.denominator, state.columns
+    relaxed = {l: (-c[i], -c[r]) for l, c in zip(state.basis, columns)} | {i: (D, 0), r: (0, D)}
+    for l, (x, y) in sorted(relaxed.items()):
+        if not start >> l & 1 and (d := x * columns[k][r] - y * columns[k][i]):
+            return d > 0
+    raise InternalInvariantError(
+        f"normals {r} and {i} block edge {k} at vertex {format_vector(state.vertex())} at once")
 
 
 def _pivot(state: _Simple, k: int, r: int) -> _Simple:
@@ -333,6 +329,8 @@ def _pivot(state: _Simple, k: int, r: int) -> _Simple:
     if that is 0 and q == 1); then the common gcd is divided out."""
     D, pivot = state.denominator, state.columns[k]
     q = -pivot[r]
+    if q <= 0:
+        raise InternalInvariantError(f"pivot on row {r} along edge {k} is not negative")
     columns = [tuple(-D * x for x in pivot) if j == k else
                column if (f := column[r]) == 0 and q == 1 else
                tuple(q * a + f * b for a, b in zip(column, pivot))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 from polyillum import HPolytope, NormalSet, lp, position
 from polyillum.errors import InputError
 from polyillum.generators import generate
+from polyillum.kernel import vec
 from polyillum.lp import solve_eq_nonneg
 
 HEXAGON_FACETS = [
@@ -40,11 +42,26 @@ def square_pyramid() -> HPolytope:
     return generate("square_pyramid")
 
 
+def cut_box_facets(n: int) -> list[tuple]:
+    """The facets of the box [-1, 1]^n cut by x_1 + ... + x_n <= n - 2. The
+    cut passes through the n box vertices with one coordinate -1, so each
+    of them has n + 1 tight normals."""
+    units = [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    return [(u, 1) for u in units] + [((1,) * n, n - 2)]
+
+
 def set_n() -> HPolytope:
     """Not strongly monotypic, though its refined basis is swap-stable and
     its negative supports are laminar."""
     return HPolytope.from_facets(3, [((1, 1, 1), 1), ((1, 1, -1), 1), ((0, -1, -1), 1),
                                      ((-1, 1, -1), 1), ((-1, 0, 1), 1)])
+
+
+def n_over_apex() -> HPolytope:
+    """N with the offsets of a pyramid over the origin: four facets meet at
+    the origin, so the polytope is not simple."""
+    N = set_n().normal_set
+    return HPolytope(N, tuple(Fraction(m == vec(0, -1, -1)) for m in N.normals))
 
 
 def count_lps(monkeypatch):

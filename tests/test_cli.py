@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from polyillum import classify
 from polyillum.classify import check_monotypy, check_monotypy_mss, check_strong_monotypy
-from polyillum.cli import run_command
+from polyillum.cli import build_parser, run_command
 from polyillum.errors import InputError
 from polyillum.formats import dump, parse_polytope, polytope_to_doc
 from polyillum.generators import generate, randomize_offsets
 from polyillum.position import is_conical_position
-from tests.conftest import box, count_lps, hexagon, set_n, square_pyramid
+from tests.conftest import box, count_lps, hexagon, n_over_apex, set_n, square_pyramid
 
 F = Fraction
 
@@ -251,6 +251,16 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert run_command(["frobnicate"]) == 2
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # a usage error or --help leaves the parser as it was
+        parser = build_parser()
+        gen = ["gen", "box", "--dims", "2"]
+        assert [run_command(argv) for argv in ([], gen, ["--help"], ["gen", "--dims", "2"], gen)
+                ] == [2, 0, 0, 2, 0]
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == out[-1] == dump(polytope_to_doc(box(2)))
+        assert build_parser() is parser
+
     def test_pretty_flag_changes_layout_not_payload(self, capsys, cube_file):
         code, compact = run(capsys, "classify", cube_file)
         code2, pretty = run(capsys, "--pretty", "classify", cube_file)
@@ -305,6 +315,22 @@ class TestGoldenErrors:
         assert run_command([command, str(path)]) == 2
         assert capsys.readouterr().out == expected + "\n"
 
+    @pytest.mark.parametrize("command", [
+        "classify", "skeleton", "illuminate", "fan", "oracle", "verify"])
+    def test_a_point_in_r1(self, capsys, tmp_path, command):
+        # e and -e have rank 1, so the irredundancy test takes each for a facet
+        path = tmp_path / "p.json"
+        path.write_text(facets_doc(1, [((1,), "2/3"), ((-1,), "-2/3")]))
+        argv = [command, str(path)]
+        if command == "verify":
+            directions = tmp_path / "d.json"
+            directions.write_text('{"epsilon":"1/2","directions":[["1"]]}')
+            argv += ["--directions", str(directions)]
+        assert run_command(argv) == 2
+        assert capsys.readouterr().out == (
+            '{"error":"polytope is not full-dimensional (normal (1) is tight at every '
+            'vertex)"}\n')
+
     def test_fan_on_the_square_pyramid(self, capsys, pyramid_file):
         assert run_command(["fan", pyramid_file]) == 2
         assert capsys.readouterr().out == (
@@ -345,13 +371,17 @@ GOLDEN_RUNS = {
 GOLDEN = Path(__file__).parent / "golden"
 SP221 = ["simplex_product", "--dims", "2", "2", "1", "--seed", "5"]
 # Each run of a command that reads the circuit table: its polytope, as
-# `gen` arguments or None for the hexagon, its argv after the file and its
-# exit code. The exact stdout is tests/golden/<command>_<name>.json. The
+# `gen` arguments or a function that builds it, its argv after the file and
+# its exit code. The exact stdout is tests/golden/<command>_<name>.json. The
 # normals of SP221 split into three simplices; the hexagon's are connected.
+# The square pyramid and N over its apex each have a vertex with four tight
+# normals, so neither is monotypic and `fan` refuses both.
 GOLDEN_COMMANDS = {
-    f"{argv[0]}_{name}": (gen, argv, 0)
-    for name, gen in (("sp221_seed5", SP221), ("hexagon", None))
-    for argv in (["classify"], ["fan", "--verify-unique"], ["oracle"])
+    f"{argv[0]}_{name}": (source, argv, code)
+    for name, source, codes in (("sp221_seed5", SP221, (0, 0, 0)), ("hexagon", hexagon, (0, 0, 0)),
+                                ("pyramid", ["square_pyramid"], (1, 2, 0)),
+                                ("n_apex", n_over_apex, (1, 2, 0)))
+    for argv, code in zip((["classify"], ["fan", "--verify-unique"], ["oracle"]), codes)
 }
 
 
@@ -375,12 +405,12 @@ class TestGoldenRuns:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
     def test_command(self, capsys, tmp_path, name):
-        gen, argv, code = GOLDEN_COMMANDS[name]
+        source, argv, code = GOLDEN_COMMANDS[name]
         polytope = tmp_path / "p.json"
-        if gen is None:
-            polytope.write_text(dump(polytope_to_doc(hexagon())))
+        if callable(source):
+            polytope.write_text(dump(polytope_to_doc(source())))
         else:
-            assert run_command(["gen", *gen, "--output", str(polytope)]) == 0
+            assert run_command(["gen", *source, "--output", str(polytope)]) == 0
             capsys.readouterr()
         assert run_command([argv[0], str(polytope), *argv[1:]]) == code
         assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyillum import kernel, polytope
 from polyillum.cli import run_command
@@ -15,8 +15,8 @@ from polyillum.polytope import (BOUNDARY, INTERIOR, OUTSIDE, HPolytope,
                                 NormalSet, Vertex)
 from polyillum.position import cone_membership
 from tests import walk_reference
-from tests.conftest import (box, count_lps, set_n, square_pyramid, triangle,
-                            valid_normal_sets)
+from tests.conftest import (box, count_lps, cut_box_facets, n_over_apex, set_n,
+                            square_pyramid, triangle, valid_normal_sets)
 
 F = Fraction
 
@@ -179,24 +179,50 @@ class TestVertexEnumeration:
 
 
 def route_vertices(normals, offsets):
-    """The vertex tuples of the walk (None where it falls back) and of the
-    candidate scan, from the same start candidate."""
+    """The vertex tuples of the walk and of the candidate scan, from the
+    same start candidate."""
     rows = polytope._rows(normals, offsets)
     candidates = polytope._feasible_candidates(rows, len(normals[0]))
     start = next(candidates)
-    walked = polytope._walk(rows, *start)
-    scanned = polytope._scan(rows, [start, *candidates])
 
     def as_vertices(found):
-        return None if found is None else tuple(
-            Vertex(p, tuple(normals[i] for i in tight), sum(1 << i for i in tight))
-            for p, tight in sorted(found))
+        return tuple(Vertex(p, tuple(normals[i] for i in tight), sum(1 << i for i in tight))
+                     for p, tight in sorted(found))
 
-    return as_vertices(walked), as_vertices(scanned)
+    return (as_vertices(polytope._walk(rows, *start)),
+            as_vertices(walk_reference._scan(rows, [start, *candidates])))
+
+
+def normals_and_offsets(P):
+    return P.normal_set.normals, P.offsets
 
 
 # a segment in R^2: every vertex has three tight normals
 SEGMENT = ((vec(1, 0), vec(0, 1), vec(0, -1), vec(-1, 0)), (F(1), F(0), F(0), F(1)))
+# every nonzero vector of {-1, 0, 1}^3 and {-1, 0, 1}^4
+SIGN_VECTORS = {n: [v for v in product((-1, 0, 1), repeat=n) if any(v)] for n in (3, 4)}
+
+
+@st.composite
+def degenerate_systems(draw):
+    """Normals and offsets of a bounded system that is often degenerate:
+    a valid normal set in R^2..R^4 with offsets in 0..3, or a valid subset
+    of the nonzero vectors of {-1, 0, 1}^n with unit offsets or offsets in
+    0..3. The offsets are nonnegative, so the origin is feasible."""
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    if draw(st.booleans()):
+        normals = draw(valid_normal_sets(dims=(2, 3, 4)))
+    else:
+        n = draw(st.sampled_from([3, 4]))
+        while True:
+            try:
+                normals = NormalSet.from_vectors(
+                    n, rnd.sample(SIGN_VECTORS[n], rnd.randint(n + 1, 2 * n + 2))).normals
+                break
+            except InputError:
+                continue
+    unit = draw(st.booleans())
+    return normals, tuple(F(1 if unit else rnd.randint(0, 3)) for _ in normals)
 
 
 class TestVertexWalk:
@@ -210,16 +236,54 @@ class TestVertexWalk:
         if seed is not None:
             P = randomize_offsets(P, seed)
         walked, scanned = route_vertices(P.normal_set.normals, P.offsets)
+        assert P.vertices == walked == scanned
+
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_systems())
+    @example(normals_and_offsets(square_pyramid()))
+    @example(normals_and_offsets(n_over_apex()))
+    @example(SEGMENT)
+    @example(normals_and_offsets(HPolytope.from_facets(5, cut_box_facets(5))))
+    @example(normals_and_offsets(HPolytope.from_facets(6, cut_box_facets(6))))
+    @example(normals_and_offsets(HPolytope.from_facets(7, cut_box_facets(7))))
+    @example(normals_and_offsets(HPolytope.from_facets(8, cut_box_facets(8))))
+    def test_agrees_with_the_candidate_scan_on_degenerate_systems(self, system):
+        # redundant and lower-dimensional systems are walked too; those
+        # that build give the walk's vertices
+        normals, offsets = system
+        walked, scanned = route_vertices(normals, offsets)
+        assert walked == scanned
+        try:
+            P = HPolytope(NormalSet(len(normals[0]), normals), offsets)
+        except InputError:
+            return
         assert P.vertices == scanned
-        assert walked in (None, scanned)
+
+    @settings(max_examples=60, deadline=None)
+    @given(degenerate_systems())
+    def test_the_walk_visits_each_lexicographically_feasible_basis_once(self, system):
+        normals, offsets = system
+        rows = polytope._rows(normals, offsets)
+        start = next(polytope._feasible_candidates(rows, len(normals[0])))
+        visited = []
+        steps = polytope._steps
+
+        def recording(state, start):
+            visited.append(tuple(sorted(state.basis)))
+            return steps(state, start)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polytope, "_steps", recording)
+            polytope._walk(rows, *start)
+        assert len(visited) == len(set(visited))
+        assert set(visited) == walk_reference.lex_feasible_bases(rows, start[0])
 
     @settings(max_examples=80, deadline=None)
     @given(valid_normal_sets(dims=(2, 3, 4)), st.sampled_from(["unit", "seed", "large"]),
            st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_agrees_with_the_fraction_walk(self, normals, kind, seed):
-        # the vertices with their tight rows, in the order they are met, or
-        # None at the same fallback; offsets are positive, so the system is
-        # a polytope
+        # the vertices with their tight rows, in the order they are met;
+        # offsets are positive, so the system is a polytope
         offsets = (F(1),) * len(normals)
         if kind == "seed":
             try:
@@ -232,10 +296,14 @@ class TestVertexWalk:
             offsets = tuple(F(rnd.randint(1, 10 ** 30), rnd.randint(1, 10 ** 20))
                             for _ in normals)
         rows = polytope._rows(normals, offsets)
-        start = next(polytope._feasible_candidates(rows, len(normals[0])))
+        candidates = polytope._feasible_candidates(rows, len(normals[0]))
+        start = next(candidates)
         walked = polytope._walk(rows, *start)
         expected = walk_reference._walk(normals, offsets, *start)
-        assert walked == (None if expected is None else list(expected.items()))
+        if expected is None:  # a degenerate vertex, which the Fraction walk gives up at
+            assert sorted(walked) == sorted(walk_reference._scan(rows, [start, *candidates]))
+        else:
+            assert walked == list(expected.items())
 
     @settings(max_examples=40, deadline=None)
     @given(valid_normal_sets(dims=(2, 3, 4)), st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -291,26 +359,22 @@ class TestVertexWalk:
         walked, scanned = route_vertices(P.normal_set.normals, P.offsets)
         assert walked == scanned == P.vertices
 
-    def test_degenerate_vertices_take_the_candidate_scan(self):
+    def test_the_walk_passes_through_degenerate_vertices(self):
         # N with the offsets of a pyramid: four facets meet at the origin
-        N = set_n().normal_set
-        apex = tuple(F(m == vec(0, -1, -1)) for m in N.normals)
-        for P in (square_pyramid(), HPolytope(N, apex)):
+        for P in (square_pyramid(), n_over_apex()):
             walked, scanned = route_vertices(P.normal_set.normals, P.offsets)
-            assert walked is None
-            assert scanned == P.vertices
+            assert walked == scanned == P.vertices
             assert max(len(v.tight) for v in P.vertices) == 4
 
-    def test_a_lower_dimensional_system_takes_the_candidate_scan(self):
+    def test_the_walk_covers_a_lower_dimensional_system(self):
         walked, scanned = route_vertices(*SEGMENT)
-        assert walked is None
-        assert [v.point for v in scanned] == [vec(-1, 0), vec(1, 0)]
+        assert walked == scanned
+        assert [v.point for v in walked] == [vec(-1, 0), vec(1, 0)]
         with pytest.raises(InputError, match="redundant"):
             HPolytope(NormalSet(2, SEGMENT[0]), SEGMENT[1])
 
-    def test_box7_row_reduces_once_per_vertex_and_facet(self, monkeypatch):
-        # the spanning rank, one start solve, one inverse, a rank per vertex
-        # and per facet
+    @staticmethod
+    def count_row_reductions(monkeypatch):
         calls = []
         row_reduce = kernel._row_reduce
 
@@ -319,9 +383,23 @@ class TestVertexWalk:
             return row_reduce(matrix)
 
         monkeypatch.setattr(kernel, "_row_reduce", counting)
+        return calls
+
+    def test_box7_row_reduces_once_per_facet(self, monkeypatch):
+        # the spanning rank, one start solve, one inverse and a rank per facet
+        calls = self.count_row_reductions(monkeypatch)
         P = generate("box", (7,))
         assert len(P.vertices) == 128
-        assert len(calls) == 128 + 14 + 3
+        assert len(calls) == 14 + 3
+
+    def test_cut_box8_row_reduces_once_per_facet(self, monkeypatch):
+        # 8 of its vertices have 9 tight normals; the walk passes through
+        # them, where the candidate scan solved all C(17, 8) = 24,310 systems
+        facets = cut_box_facets(8)
+        calls = self.count_row_reductions(monkeypatch)
+        P = HPolytope.from_facets(8, facets)
+        assert len(P.vertices) == 255
+        assert len(calls) == 17 + 3
 
     def test_an_unblocked_edge_is_an_internal_error(self, monkeypatch, capsys):
         # a zero inverse gives a zero tableau
@@ -338,6 +416,37 @@ class TestVertexWalk:
         assert run_command(["gen", "box", "--dims", "3"]) == 3
         assert capsys.readouterr().out == (
             '{"error":"start basis at (1, 1, 1) is singular"}\n')
+
+    def test_a_tie_that_no_relaxation_breaks_is_an_internal_error(self, monkeypatch, capsys):
+        # with every row in B0, nothing is relaxed
+        nearer = polytope._nearer
+        monkeypatch.setattr(polytope, "_nearer", lambda state, start, k, i, r: nearer(
+            state, -1, k, i, r))
+        assert run_command(["gen", "square_pyramid"]) == 3
+        assert capsys.readouterr().out == (
+            '{"error":"normals 3 and 4 block edge 2 at vertex (2, 2, -1) at once"}\n')
+
+    def test_a_basis_row_with_a_slack_is_an_internal_error(self, monkeypatch, capsys):
+        # each pivot's state gives its first basis row a slack
+        pivot = polytope._pivot
+
+        def slack(state, k, r):
+            state = pivot(state, k, r)
+            slacks = list(state.columns[-1])
+            slacks[state.basis[0]] = 1
+            return state._replace(columns=(*state.columns[:-1], tuple(slacks)))
+
+        monkeypatch.setattr(polytope, "_pivot", slack)
+        assert run_command(["gen", "box", "--dims", "3"]) == 3
+        assert capsys.readouterr().out == (
+            '{"error":"a basis row is not tight at vertex (-1, 1, 1)"}\n')
+
+    def test_a_pivot_that_is_not_negative_is_an_internal_error(self):
+        # the walk's state for the interval [-1, 1] at x = 1, with basis row 0
+        state = polytope._Simple((0,), 1, ((1, -1, 1), (0, 2, -1)))
+        assert polytope._pivot(state, 0, 1).vertex() == (F(-1),)
+        with pytest.raises(InternalInvariantError, match="pivot on row 0 along edge 0"):
+            polytope._pivot(state, 0, 0)
 
 
 def difference_rank_verdict(normals, offsets):

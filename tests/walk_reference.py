@@ -1,16 +1,57 @@
-"""The `Fraction` vertex walk that `polyillum.polytope` replaced, kept as
-the reference its integer walk is compared against: the same depth-first
-walk over the graph of the polytope, the same ratio tests and pivots, with
-the state in `Fraction`s.
+"""The references the vertex walk of `polyillum.polytope` is compared
+against:
+
+- the candidate scan it replaced, which solves every square system of n
+  rows;
+- the `Fraction` walk over simple vertices it replaced: the same
+  depth-first walk over the graph of the polytope, the same ratio tests
+  and pivots, with the state in `Fraction`s, giving up (None) at the first
+  vertex with more than n tight normals;
+- the lexicographically feasible bases, each found from a fresh inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from polyillum.errors import InternalInvariantError
-from polyillum.kernel import Vec, dot, format_vector, inverse
+from polyillum.kernel import Vec, _integers, dot, format_vector, inverse
+from polyillum.polytope import _slacks
+
+
+def _scan(rows: Sequence[tuple], candidates) -> list[tuple[Vec, tuple[int, ...]]]:
+    """The candidate route: the point of every feasible candidate, with the
+    indices of the rows tight there."""
+    return [(x, tuple(i for i, s in enumerate(_slacks(rows, *_integers(x))) if s == 0))
+            for x in {x for _, x in candidates}]
+
+
+def lex_feasible_bases(rows: Sequence[tuple], start: Sequence[int]) -> set[tuple[int, ...]]:
+    """Every basis of n rows, as sorted indices, at which each other row's
+    slack is lexicographically positive once every row i outside `start`
+    is relaxed by eps_i, with eps_0 >> eps_1 >> ... > 0: the slack, then
+    the coefficient of each eps_l in row order."""
+    normals = [tuple(Fraction(x) for x in a) for a, _, _ in rows]
+    relaxed = [i not in start for i in range(len(rows))]
+    found = set()
+    for basis in combinations(range(len(rows)), len(start)):
+        inv = inverse([normals[i] for i in basis])
+        if inv is None:
+            continue
+        columns = tuple(zip(*inv))
+        x = tuple(sum(c * rows[i][1] for c, i in zip(row, basis)) for row in inv)
+        for i in set(range(len(rows))) - set(basis):
+            T = dict(zip(basis, (dot(normals[i], c) for c in columns)))
+            slack = [rows[i][1] - dot(normals[i], x)] + [
+                relaxed[l] * ((l == i) - T.get(l, 0)) for l in range(len(rows))]
+            if next((v for v in slack if v), 0) <= 0:
+                break
+        else:
+            found.add(basis)
+    return found
+
 
 class _Simple(NamedTuple):
     """The walk's state at a simple vertex x with basis B (the matrix of
