@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .kernel import format_vector
-from .polytope import HPolytope
+from .polytope import HPolytope, vertex_guard
 
 FAMILIES = ("box", "simplex", "simplex_product", "square_pyramid")
 
@@ -66,22 +66,18 @@ def generate(family: str, dims: tuple[int, ...] = ()) -> HPolytope:
         raise InputError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if any(d <= 0 for d in dims):
         raise InputError(f"dimensions must be positive, got {dims}")
-    if family in ("box", "simplex"):
-        # the box is the product of n segments, the simplex one factor
-        if len(dims) != 1:
-            raise InputError(f"{family} takes exactly one dimension")
-        dim = dims[0]
-        normals = simplex_product_normals([1] * dim if family == "box" else [dim])
-    elif family == "simplex_product":
-        if not dims:
-            raise InputError("simplex_product takes at least one factor dimension")
-        normals = simplex_product_normals(dims)
-        dim = sum(dims)
-    else:
+    if family == "square_pyramid":
         if dims:
             raise InputError("square_pyramid takes no dimensions")
-        normals = SQUARE_PYRAMID_NORMALS
-        dim = 3
+        return HPolytope.from_facets(3, [(m, Fraction(1)) for m in SQUARE_PYRAMID_NORMALS])
+    if family != "simplex_product" and len(dims) != 1:
+        raise InputError(f"{family} takes exactly one dimension")
+    if not dims:
+        raise InputError("simplex_product takes at least one factor dimension")
+    # a box is n segments, a simplex one factor; guarded before any normal exists
+    dim = sum(dims)
+    vertex_guard(2 * dim if family == "box" else dim + len(dims), dim)
+    normals = simplex_product_normals([1] * dim if family == "box" else dims)
     return HPolytope.from_facets(dim, [(m, Fraction(1)) for m in normals])
 
 

@@ -14,6 +14,9 @@ Lett. 2007). A pivot divides nothing, as in Edmonds' integer pivoting
 it. Ratios are compared by cross-multiplying, so every sign and every tie,
 and with them every pivot, are those of the rational tableau. `Fraction`s
 are built only for the returned vector.
+
+`_bland` is the one pivot loop: `solve_eq_nonneg` runs it on all columns,
+`position.signed_separators` on the columns of one sign prefix at a time.
 """
 
 from __future__ import annotations
@@ -71,25 +74,34 @@ def solve_eq_nonneg(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
     return None, [Fraction(zi, D) for zi in Z]
 
 
-def _phase_one(A: list[list[int]], b: list[int], signs: list[int], D: int
+def _phase_one(A: list[list[int]], b: list[int], signs: list[int], D: int,
+               columns: Optional[Sequence[int]] = None
                ) -> tuple[list[list[int]], int, list[int]]:
-    """The final tableau M over D, and its basis, of Bland's phase one
-    started from the sign-normalised rows, artificial columns D * I and the
-    right-hand side as the last column. The last row of M holds the
-    reduced costs of the artificial sum, 0 on the artificial columns."""
+    """The tableau M over D, and its basis, after Bland's phase one on the
+    given columns of A (all by default) from the sign-normalised rows,
+    artificial columns D * I and the right-hand side as the last column.
+    The last row holds the reduced costs of the artificial sum."""
     m = len(A)
     n = len(A[0]) if m else 0
     M = [[s * x for x in a] + [D if j == i else 0 for j in range(m)] + [s * h]
          for i, (s, a, h) in enumerate(zip(signs, A, b))]
     M.append([-sum(r[j] for r in M) for j in range(n)] + [0] * m
              + [-sum(r[-1] for r in M)])
-    basis = [n + i for i in range(m)]
+    return _bland(M, D, [n + i for i in range(m)], range(n) if columns is None else columns)
+
+
+def _bland(M: list[list[int]], D: int, basis: list[int], columns: Sequence[int]
+           ) -> tuple[list[list[int]], int, list[int]]:
+    """Bland's rule until none of `columns`, in increasing order, prices
+    out: the first negative reduced cost enters, the least ratio leaves,
+    ties to the lowest basic column. Returns a new (M, D, basis)."""
+    M, basis = M[:], basis[:]
     while True:
-        enter = next((j for j in range(n) if M[m][j] < 0), None)
+        enter = next((j for j in columns if M[-1][j] < 0), None)
         if enter is None:
             return M, D, basis
         pr = None
-        for i in range(m):
+        for i in range(len(basis)):
             f = M[i][enter]
             # b_i / f against b_pr / f_pr, both denominators positive
             if f > 0 and (pr is None or (c := M[i][-1] * M[pr][enter] - M[pr][-1] * f) < 0

@@ -5,11 +5,12 @@ products with the tight normals, so directions are quantified over the
 full-dimensional cells of the central hyperplane arrangement of the
 normals. A sign vector is a cell exactly when no circuit (minimal
 dependent subset) of the normals has signs that agree with it, or with
-its negation, on the circuit's support (Gordan's alternative). Sign
-vectors that agree with a circuit are skipped by comparing them with the
-bitmasks of the circuit table of `classify`, so one LP runs per cell: the
-representative is the strict separator of the signed normals s_i n_i
-from the origin, an interior point of the cell. A vertex is lit in the
+its negation, on the circuit's support (Gordan's alternative). A
+depth-first search over sign prefixes, +1 before -1, drops a prefix once
+a circuit of the table of `classify` within it agrees with it (Avis and
+Fukuda, *Reverse search for enumeration*, 1996). The representative is
+the strict separator of the signed normals s_i n_i from the origin, and
+the cells below one prefix share its LP pivots. A vertex is lit in the
 cell exactly when its tight normals all have sign +1, so its lit set is
 read off bitmasks: the vertex's tight-normal mask lies inside the cell's
 positive-sign mask. Exhaustive set cover over the cells gives the true
@@ -19,15 +20,14 @@ minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import ceil
-from typing import Iterator
 
-from .classify import bitmask, circuit_table
+from .classify import circuit_table
 from .errors import InternalInvariantError, ScaleLimitError
-from .kernel import Vec, vneg
-from .polytope import HPolytope, NormalSet
-from .position import separator
+from .kernel import Vec
+from .polytope import HPolytope
+from .position import signed_separators
 
 CELL_GUARD = 10 ** 6
 
@@ -38,38 +38,27 @@ class DirectionClass:
     illuminated: tuple[int, ...]  # vertex indices, aligned with P.vertices
 
 
-def cell_sign_vectors(N: NormalSet) -> Iterator[tuple[int, ...]]:
-    """The sign vectors of the full-dimensional cells, in
-    `product((1, -1), repeat=m)` order, decided without an LP.
-
-    Some x has s_i <n_i, x> > 0 for every i unless a nonnegative,
-    nonzero combination of the s_i n_i vanishes; a support-minimal one is
-    a circuit whose signs, or their negation, agree with s on its support.
-    """
-    masks = [(c.plus | c.minus, c.plus, c.minus) for c in circuit_table(N)]
-    for signs in product((1, -1), repeat=len(N.normals)):
-        pos = bitmask(i for i, s in enumerate(signs) if s > 0)
-        if not any(pos & support in (plus, minus) for support, plus, minus in masks):
-            yield signs
-
-
 def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
     """One interior representative per full-dimensional cell of the
     arrangement {<n, .> == 0}, with the set of vertices it illuminates."""
     normals = P.normal_set.normals
-    if 2 ** len(normals) > CELL_GUARD:
+    m = len(normals)
+    if 2 ** m > CELL_GUARD:
         raise ScaleLimitError(
-            f"2^{len(normals)} sign vectors exceed the cell guard ({CELL_GUARD})")
-    flipped = [vneg(m) for m in normals]
+            f"2^{m} sign vectors exceed the cell guard ({CELL_GUARD})")
+    # a circuit is tested once its last normal has a sign
+    filed = [[] for _ in range(m)]
+    for c in circuit_table(P.normal_set):
+        filed[(c.plus | c.minus).bit_length() - 1].append((c.plus | c.minus, c.plus, c.minus))
     classes = []
-    for signs in cell_sign_vectors(P.normal_set):
-        rep = separator([m if s > 0 else f for s, m, f in zip(signs, normals, flipped)])
+    for pos, rep in signed_separators(normals, lambda k, p: any(
+            p & support in (plus, minus) for support, plus, minus in filed[k])):
         if rep is None:
             raise InternalInvariantError(
-                f"sign vector {signs} agrees with no circuit, yet its cell is empty")
+                f"sign vector {tuple(1 if pos >> i & 1 else -1 for i in range(m))} "
+                "agrees with no circuit, yet its cell is empty")
         # the checked separator has s_i <n_i, rep> >= 1, so <n_i, rep> > 0
         # exactly when s_i == 1
-        pos = bitmask(i for i, s in enumerate(signs) if s > 0)
         lit = tuple(i for i, v in enumerate(P.vertices) if v.mask & pos == v.mask)
         classes.append(DirectionClass(rep, lit))
     return tuple(classes)

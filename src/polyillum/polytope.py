@@ -50,6 +50,17 @@ OUTSIDE = "outside"
 MAX_VERTEX_CANDIDATES = 10 ** 6
 
 
+def vertex_guard(m: int, n: int) -> None:
+    """Refuse C(m, n) > MAX_VERTEX_CANDIDATES, computing no more of it than that needs."""
+    k, count = min(n, m - n), 1
+    for i in range(k):
+        count = count * (m - i) // (i + 1)
+        if count > MAX_VERTEX_CANDIDATES:
+            raise ScaleLimitError(
+                f"{comb(m, n) if k <= 1000 else f'C({m}, {n})'} vertex candidates "
+                f"exceed the enumeration guard ({MAX_VERTEX_CANDIDATES})")
+
+
 @dataclass(frozen=True)
 class NormalSet:
     dim: int
@@ -74,11 +85,7 @@ class NormalSet:
             seen[p] = i
         normals = tuple(sorted(self.normals, reverse=True))
         object.__setattr__(self, "normals", normals)
-        count = comb(len(normals), n)
-        if count > MAX_VERTEX_CANDIDATES:
-            raise ScaleLimitError(
-                f"{count} vertex candidates exceed the enumeration guard "
-                f"({MAX_VERTEX_CANDIDATES})")
+        vertex_guard(len(normals), n)
         # a strictly positive dependence sum((1 + y_i) n_i) == 0, y >= 0; the
         # +-e_i LPs run only to find the witness of a set that fails it
         if rank(normals) == n and farkas_direction(

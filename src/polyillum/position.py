@@ -2,24 +2,25 @@
 basis, conical position, positive-hull membership, primitivity.
 
 Every negative verdict carries a witness so it can be re-checked without
-trusting the code path that produced it. Every cone question is one
-`lp.solve_eq_nonneg` call asking whether x lies in the positive hull of
-some generators, answered either way with a proof: the coefficients or a
-Farkas direction. Verdicts about subsets
-of a normal set are decided over its circuit table in `classify`; the LP
-predicates here re-check each emitted certificate once, and are the
-reference the tests compare that table against.
+trusting the code path that produced it. A cone question asks whether x
+lies in the positive hull of some generators, and `lp` answers it either
+way with a proof, the coefficients or a Farkas direction: in one
+`solve_eq_nonneg` call, or for many sign vectors on one tableau in
+`signed_separators`. Verdicts about subsets of a normal set are decided
+over its circuit table in `classify`; the LP predicates here re-check
+each emitted certificate once, and are the reference the tests compare
+that table against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 from .kernel import Vec, _integers, rank, solve_linear, vneg
-from .lp import solve_eq_nonneg
+from .lp import _bland, _phase_one, solve_eq_nonneg
 
 ALL_NONPOSITIVE = "all_nonpositive"
 ALL_NONNEGATIVE = "all_nonnegative"
@@ -90,6 +91,41 @@ def separator(points: Sequence[Vec]) -> Optional[Vec]:
     lifted = [tuple(p) + (Fraction(1),) for p in points]
     d = farkas_direction((Fraction(0),) * len(points[0]) + (Fraction(1),), lifted)
     return None if d is None else vneg(d[:-1])
+
+
+def signed_separators(points: Sequence[Vec], pruned: Callable[[int, int], bool]
+                      ) -> Iterator[tuple[int, Optional[Vec]]]:
+    """(plus, `separator` of the signed points s_j p_j) for each sign vector
+    s in `product((1, -1))` order, plus its +1 mask, that is never pruned:
+    pruned(k, p) is asked of each prefix of length k + 1, p its +1 mask. One
+    tableau holds (p_j, 1) and (-p_j, 1), scaled, as columns 2j and 2j + 1,
+    and a prefix pivots by Bland's rule on the columns it chose. That rule
+    enters the lowest column that prices out, so these are the first pivots
+    of every sign vector below it, and each ends on `separator`'s basis."""
+    m, n, chosen = 2 * len(points), len(points[0]), []
+    flat, scale = _integers([x for p in points for x in p])
+    columns = [[s * x for x in flat[j:j + n]] + [scale]
+               for j in range(0, len(flat), n) for s in (1, -1)]
+
+    def search(plus, M, D, basis):
+        k = len(chosen)
+        if 2 * k < m:
+            for c, p in ((2 * k, plus | 1 << k), (2 * k + 1, plus)):
+                if not pruned(k, p):
+                    chosen.append(c)
+                    yield from search(p, *_bland(M, D, basis, chosen))
+                    chosen.pop()
+        elif any(c >= m and M[i][-1] for i, c in enumerate(basis)):
+            # z = Z / D, with <z, column c> <= 0 for each chosen c and z_n > 0
+            Z = [D - M[-1][m + i] for i in range(n + 1)]
+            if Z[n] <= 0 or any(sum(z * a for z, a in zip(Z, columns[c])) > 0 for c in chosen):
+                raise InternalInvariantError("Farkas certificate fails its check")
+            yield plus, tuple(Fraction(-z, Z[n]) for z in Z[:n])
+        else:
+            yield plus, None
+
+    yield from search(0, *_phase_one([list(r) for r in zip(*columns)], [0] * n + [scale],
+                                     [1] * (n + 1), scale, ()))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -222,6 +226,24 @@ class TestCli:
         code, payload = run(capsys, "gen", "box", "--dims", "12")
         assert code == 2 and "vertex candidates" in payload["error"]
 
+    @pytest.mark.parametrize("family,dim", [("box", "99999999999"), ("simplex", "100000000000")])
+    def test_gen_far_beyond_the_vertex_guard_builds_no_normal(self, family, dim):
+        # the guard sees the facet count before any normal is built; the
+        # child's address space is capped at 1 GiB, so a guard that comes
+        # too late fails this test instead of exhausting memory
+        code = ("import sys, time; from polyillum.cli import run_command; "
+                "t = time.perf_counter(); "
+                f"code = run_command(['gen', {family!r}, '--dims', {dim!r}]); "
+                "print(time.perf_counter() - t, file=sys.stderr); sys.exit(code)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["error"].endswith(
+            "vertex candidates exceed the enumeration guard (1000000)")
+        assert float(proc.stderr) < 1
+
     def test_gen_guard_runs_before_any_lp(self, capsys, monkeypatch):
         calls = count_lps(monkeypatch)
         code, payload = run(capsys, "gen", "box", "--dims", "40")
@@ -383,6 +405,13 @@ GOLDEN_COMMANDS = {
                                 ("n_apex", n_over_apex, (1, 2, 0)))
     for argv, code in zip((["classify"], ["fan", "--verify-unique"], ["oracle"]), codes)
 }
+# the heaviest shapes of the benchmark's oracle workload
+GOLDEN_COMMANDS.update({
+    f"oracle_{name}_seed5": ([family, "--dims", *dims, "--seed", "5"], ["oracle"], 0)
+    for name, family, dims in (("simplex7", "simplex", ["7"]),
+                               ("sp33", "simplex_product", ["3", "3"]),
+                               ("box4", "box", ["4"]))
+})
 
 
 class TestGoldenRuns:

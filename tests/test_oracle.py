@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,17 +6,17 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyillum import oracle
+from polyillum import oracle, position
 from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
 from polyillum.generators import randomize_offsets
 from polyillum.illuminate import build_illumination_set, verify_directions
 from polyillum.kernel import dot, vec, vscale
-from polyillum.oracle import (cell_sign_vectors, enumerate_direction_classes,
-                              min_illumination_number)
+from polyillum.oracle import enumerate_direction_classes, min_illumination_number
 from polyillum.polytope import HPolytope, NormalSet
 from polyillum.position import separator
-from tests.conftest import (box, count_lps, hexagon, simplex, simplex_product,
+from tests.conftest import (box, count_lps, hexagon, n_over_apex, simplex, simplex_product,
                             square_pyramid, triangle, valid_normal_sets)
+from tests.oracle_reference import cell_separators, cell_sign_vectors
 
 F = Fraction
 
@@ -135,18 +136,18 @@ class TestCircuitFilter:
         order = list(product((1, -1), repeat=len(N.normals)))
         assert kept == sorted(kept, key=order.index)
 
-    @pytest.mark.parametrize("P,lps", [(box(3), 8), (hexagon(), 6), (simplex(3), 14)],
+    @pytest.mark.parametrize("P,cells", [(box(3), 8), (hexagon(), 6), (simplex(3), 14)],
                              ids=["box3", "hexagon", "simplex3"])
-    def test_one_lp_per_cell(self, monkeypatch, P, lps):
+    def test_cells_pose_no_lp(self, monkeypatch, P, cells):
+        # the cells share one tableau; no cell solves an LP of its own
         calls = count_lps(monkeypatch)
-        assert len(enumerate_direction_classes(P)) == lps
-        assert len(calls) == lps
-        # each cell LP has d + 1 rows, one column per normal
-        assert all(len(rows) == P.dim + 1 and len(rows[0]) == len(P.normal_set)
-                   for rows in calls)
+        assert len(enumerate_direction_classes(P)) == cells
+        assert calls == []
 
     def test_empty_surviving_cell_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(oracle, "separator", lambda points: None)
+        # with no circuit to prune them, empty cells reach the LP, whose
+        # phase one is then feasible
+        monkeypatch.setattr(oracle, "circuit_table", lambda N: ())
         with pytest.raises(InternalInvariantError, match="agrees with no circuit"):
             enumerate_direction_classes(hexagon())
 
@@ -156,6 +157,72 @@ class TestCircuitFilter:
 
         monkeypatch.setattr(oracle, "CELL_GUARD", 2 ** 5)
         monkeypatch.setattr(oracle, "circuit_table", forbidden)
-        monkeypatch.setattr(oracle, "separator", forbidden)
+        monkeypatch.setattr(position, "_phase_one", forbidden)
+        monkeypatch.setattr(position, "_bland", forbidden)
         with pytest.raises(ScaleLimitError, match="cell guard"):
             enumerate_direction_classes(box(3))
+
+
+def searched_cells(P):
+    """(signs, representative) of every cell the oracle finds, in order."""
+    return [(tuple(1 if dot(m, c.representative) > 0 else -1 for m in P.normal_set.normals),
+             c.representative) for c in enumerate_direction_classes(P)]
+
+
+@st.composite
+def fractional_polytopes(draw, dims=(2, 3, 4)):
+    """A polytope in R^n, n drawn from dims, with up to n + 5 normals whose
+    entries have denominators up to 3, and offsets close to the normals'
+    lengths, so that no facet is redundant. Invalid draws are redrawn from
+    a stream seeded by hypothesis."""
+    dim = draw(st.sampled_from(dims))
+    size = draw(st.integers(min_value=dim + 1, max_value=dim + 5))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    while True:
+        vectors = [[F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(dim)]
+                   for _ in range(size)]
+        try:
+            N = NormalSet.from_vectors(dim, vectors)
+            return HPolytope(N, tuple(F(round(1000 * math.hypot(*map(float, m))), 1000)
+                                      for m in N.normals))
+        except InputError:
+            continue
+
+
+class TestPrefixSearch:
+    """The search gives the reference's cells, in its order, each with the
+    reference's `separator` as its representative."""
+
+    @pytest.mark.parametrize("P", [square_pyramid(), n_over_apex(), hexagon(), box(3),
+                                   simplex_product([2, 2, 1])],
+                             ids=["pyramid", "n_apex", "hexagon", "box3", "sp221"])
+    def test_matches_the_scan_on_fixed_sets(self, P):
+        assert searched_cells(P) == cell_separators(P.normal_set)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fractional_polytopes())
+    def test_matches_the_scan_on_random_fractional_normals(self, P):
+        assert searched_cells(P) == cell_separators(P.normal_set)
+
+    @pytest.mark.parametrize("P", [hexagon(), square_pyramid(), simplex(3), box(3)],
+                             ids=["hexagon", "pyramid", "simplex3", "box3"])
+    def test_pivots_once_per_prefix_of_a_cell(self, monkeypatch, P):
+        # every prefix the search keeps extends to a cell, so it pivots on
+        # exactly the prefixes of the cells
+        bland, calls = position._bland, []
+
+        def counting(M, D, basis, columns):
+            calls.append(tuple(columns))
+            return bland(M, D, basis, columns)
+
+        monkeypatch.setattr(position, "_bland", counting)
+        enumerate_direction_classes(P)
+        cells = list(cell_sign_vectors(P.normal_set))
+        assert len(calls) == len({s[:k] for s in cells for k in range(1, len(s) + 1)})
+
+    def test_a_wrong_certificate_fails_its_check(self, monkeypatch):
+        # without pivots every cell keeps the start basis, whose multipliers
+        # are no Farkas certificate
+        monkeypatch.setattr(position, "_bland", lambda M, D, basis, columns: (M, D, basis))
+        with pytest.raises(InternalInvariantError, match="Farkas certificate fails its check"):
+            enumerate_direction_classes(hexagon())
