@@ -12,12 +12,12 @@ from .errors import (AssignmentError, GeometryError,
 from .fan import FanCone, enumerate_primitive_bases, normal_fan, verify_fan_uniqueness
 from .generators import SplitMix64, generate, randomize_offsets
 from .illuminate import (IlluminationSet, build_illumination_set,
-                         compute_delta, compute_epsilon, cone_direction,
-                         cone_selections, verify_directions, verify_illumination)
+                         compute_delta, compute_epsilon, cone_selections,
+                         verify_directions, verify_illumination)
 from .kernel import Vec, dot, parse_rational, solve_linear, vec
 from .oracle import (DirectionClass, enumerate_direction_classes,
                      min_illumination_number)
-from .polytope import BOUNDARY, INTERIOR, OUTSIDE, HPolytope, NormalSet, Vertex
+from .polytope import HPolytope, NormalSet, Vertex
 from .position import (SignClass, classify_signs, cone_membership,
                        is_conical_position, is_primitive, separator)
 from .skeleton import Skeleton, extract_skeleton, refine_basis, verify_skeleton

@@ -8,6 +8,7 @@ usage error; 3 = internal invariant violation (falsification alarm).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -35,6 +36,13 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}")
 
 
 def _load_polytope(path: str):
@@ -130,8 +138,7 @@ def _cmd_gen(args):
         P = randomize_offsets(P, args.seed)
     payload = polytope_to_doc(P)
     if args.output:
-        Path(args.output).write_text(dump(payload, args.pretty) + "\n",
-                                     encoding="utf-8")
+        _write(args.output, dump(payload, args.pretty) + "\n")
         return EXIT_OK, {"written": args.output}
     return EXIT_OK, payload
 
@@ -209,7 +216,15 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the rest to devnull, so that the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INPUT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,15 +4,16 @@ combinatorial fan coincides with the normal fan of a concrete polytope.
 For a monotypic normal set the primitive full-rank subsets generate the
 only simplicial fan, which is offset-independent; the verification here
 cross-checks that enumeration against the vertex-wise normal fan and
-confirms the cones form a complete fan. Primitivity and the side of a
-wall each cone lies on are read off the circuit table of `classify`, so
-no LP runs here.
+confirms the cones form a complete fan. Cones are compared and walled
+by the index bitmasks of their generators, as vertices carry their tight
+normals, and primitivity and the side of a wall each cone lies on are
+read off the circuit table of `classify`, so no LP runs here.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
@@ -27,6 +28,7 @@ from .polytope import HPolytope, NormalSet, Vertex
 @dataclass(frozen=True)
 class FanCone:
     generators: tuple[Vec, ...]
+    mask: int = field(compare=False, repr=False)  # bit i: normal i generates
     vertex: Optional[Vertex] = None
 
 
@@ -36,9 +38,9 @@ def enumerate_primitive_bases(N: NormalSet) -> tuple[FanCone, ...]:
     the canonical normal order. Each spans a pointed full-dimensional
     simplicial cone."""
     table = circuit_table(N)
-    return tuple(FanCone(tuple(N.normals[i] for i in idx))
+    return tuple(FanCone(tuple(N.normals[i] for i in idx), mask)
                  for idx in combinations(range(len(N.normals)), N.dim)
-                 if primitive(bitmask(idx), table))
+                 if primitive(mask := bitmask(idx), table))
 
 
 def normal_fan(P: HPolytope) -> tuple[FanCone, ...]:
@@ -46,11 +48,13 @@ def normal_fan(P: HPolytope) -> tuple[FanCone, ...]:
     simple polytope."""
     cones = []
     for v in P.vertices:
-        if len(v.tight) != P.dim:
+        # in index order, which is the normals' descending order
+        tight = tuple(m for i, m in enumerate(P.normal_set.normals) if v.mask >> i & 1)
+        if len(tight) != P.dim:
             raise InputError(
-                f"vertex {format_vector(v.point)} is not simple: {len(v.tight)} tight "
-                f"normals {format_vector(v.tight)} in dimension {P.dim}")
-        cones.append(FanCone(tuple(sorted(v.tight, reverse=True)), vertex=v))
+                f"vertex {format_vector(v.point)} is not simple: {len(tight)} tight "
+                f"normals {format_vector(tight)} in dimension {P.dim}")
+        cones.append(FanCone(tight, v.mask, vertex=v))
     return tuple(cones)
 
 
@@ -68,13 +72,12 @@ def is_complete_fan(N: NormalSet, cones: Sequence[FanCone]) -> bool:
     """
     if not cones:
         return False
-    index = {m: i for i, m in enumerate(N.normals)}
     table = circuit_table(N)
     ends = defaultdict(list)
     for cone in cones:
-        mask = bitmask(index[g] for g in cone.generators)
-        for g in cone.generators:
-            ends[mask ^ (1 << index[g])].append(1 << index[g])
+        for i in range(len(N.normals)):
+            if bit := cone.mask & 1 << i:
+                ends[cone.mask ^ bit].append(bit)
     for wall, sides in ends.items():
         if len(sides) != 2:
             return False
@@ -99,8 +102,6 @@ def verify_fan_uniqueness(N: NormalSet, P: HPolytope) -> bool:
     if not mono:
         raise InputError("fan uniqueness is only claimed for monotypic normal sets")
     bases = enumerate_primitive_bases(N)
-    combinatorial = {frozenset(c.generators) for c in bases}
-    geometric = {frozenset(c.generators) for c in normal_fan(P)}
-    if combinatorial != geometric:
+    if {c.mask for c in bases} != {c.mask for c in normal_fan(P)}:
         return False
     return is_complete_fan(N, bases)

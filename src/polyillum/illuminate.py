@@ -23,7 +23,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import AssignmentError, InputError, InternalInvariantError
-from .kernel import Vec, _integers, dot, format_vector, inverse, solve_linear, solve_rows, vscale
+from .kernel import Vec, _integers, dot, format_vector, inverse, solve_linear, vscale
 from .polytope import HPolytope, _slacks
 from .skeleton import Skeleton, extract_skeleton
 
@@ -63,15 +63,6 @@ def cone_selections(skeleton: Skeleton) -> tuple[tuple[Vec, ...], ...]:
             raise InternalInvariantError("cone selection is not a full basis")
         selections.append(gens)
     return tuple(selections)
-
-
-def cone_direction(generators: Sequence[Vec]) -> Vec:
-    """The unique v with <g, v> == 1 for every generator; consequently
-    <y, v> > 0 for every nonzero y in the generated cone."""
-    v = solve_rows(list(generators), [Fraction(1)] * len(generators))
-    if v is None:
-        raise InputError("cone generators are singular")
-    return v
 
 
 def compute_delta(P: HPolytope) -> Fraction:

@@ -98,10 +98,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vscale(c, a: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * x for x in a)

@@ -20,10 +20,12 @@ minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import ceil
+from operator import or_
 
-from .classify import circuit_table
+from .classify import bitmask, circuit_table
 from .errors import InternalInvariantError, ScaleLimitError
 from .kernel import Vec
 from .polytope import HPolytope
@@ -68,29 +70,21 @@ def min_illumination_number(P: HPolytope) -> tuple[int, tuple[Vec, ...]]:
     """Exact minimum number of directions illuminating every vertex, with
     one optimal selection of cell representatives.
 
-    Cells whose illuminated sets are contained in another cell's are
-    dominated and dropped; the remainder is searched exhaustively by
-    increasing cover size, so the result is the certified optimum.
+    Each cell's lit set is a bitmask over the vertices. Cells whose lit
+    sets are contained in another cell's are dominated and dropped; the
+    remainder is searched exhaustively by increasing cover size, so the
+    result is the certified optimum.
     """
     classes = enumerate_direction_classes(P)
-    sets = [frozenset(c.illuminated) for c in classes]
-    keep = []
-    for i, s in enumerate(sets):
-        dominated = any(
-            (s < sets[j]) or (s == sets[j] and j < i)
-            for j in range(len(sets)) if j != i)
-        if not dominated:
-            keep.append(classes[i])
-    universe = frozenset(range(len(P.vertices)))
-    if not keep or frozenset().union(*(set(c.illuminated) for c in keep)) != universe:
+    sets = [bitmask(c.illuminated) for c in classes]
+    keep = [(s, c) for i, (s, c) in enumerate(zip(sets, classes))
+            if not any(s & t == s and (s != t or j < i) for j, t in enumerate(sets) if j != i)]
+    universe = (1 << len(P.vertices)) - 1
+    if reduce(or_, (s for s, _ in keep), 0) != universe:
         raise InternalInvariantError("some vertex is illuminated by no cell")
-    largest = max(len(c.illuminated) for c in keep)
-    lower = max(1, ceil(len(universe) / largest))
-    for k in range(lower, len(keep) + 1):
+    largest = max(s.bit_count() for s, _ in keep)
+    for k in range(max(1, ceil(len(P.vertices) / largest)), len(keep) + 1):
         for combo in combinations(keep, k):
-            covered = set()
-            for c in combo:
-                covered.update(c.illuminated)
-            if covered == universe:
-                return k, tuple(c.representative for c in combo)
+            if reduce(or_, (s for s, _ in combo)) == universe:
+                return k, tuple(c.representative for _, c in combo)
     raise InternalInvariantError("exhaustive cover search found no cover")

@@ -1,5 +1,5 @@
-"""The H-polytope model: validated normal sets, exact vertex enumeration,
-tight normals and point location.
+"""The H-polytope model: validated normal sets and exact vertex
+enumeration, each vertex with the index bitmask of its tight normals.
 
 Each constraint is scaled once to an integer row, so a slack is an
 integer dot product. Vertices are enumerated by a depth-first walk over
@@ -40,10 +40,6 @@ from .errors import InputError, InternalInvariantError, ScaleLimitError
 from .kernel import (Vec, _integers, format_vector, inverse, is_zero, primitive_form, rank,
                      solve_rows, vec)
 from .position import farkas_direction
-
-INTERIOR = "interior"
-BOUNDARY = "boundary"
-OUTSIDE = "outside"
 
 # Square solves the search for the walk's start may try: C(m, n) for m
 # facets in R^n. The guard bounds only that search.
@@ -115,8 +111,7 @@ class NormalSet:
 @dataclass(frozen=True)
 class Vertex:
     point: Vec
-    tight: tuple[Vec, ...]
-    mask: int = field(compare=False, repr=False)  # bit i: normal i is tight
+    mask: int  # bit i: normal i is tight
 
 
 @dataclass(frozen=True)
@@ -148,13 +143,12 @@ class HPolytope:
         """Every vertex with its tight normals, in sorted order. The normals
         positively span, so the system is bounded and it is empty exactly
         when no candidate is feasible."""
-        normals = self.normal_set.normals
         start = next(_feasible_candidates(self.rows, self.dim), None)
         if start is None:
             raise InputError("constraint system is empty (infeasible)")
         found = _walk(self.rows, *start)
         L = lcm(*(x.denominator for p, _ in found for x in p))  # sorted as ints over L
-        return tuple(Vertex(p, tuple(normals[i] for i in tight), sum(1 << i for i in tight))
+        return tuple(Vertex(p, sum(1 << i for i in tight))
                      for p, tight in sorted(found, key=lambda e: [
                          x.numerator * (L // x.denominator) for x in e[0]]))
 
@@ -185,20 +179,6 @@ class HPolytope:
     @property
     def dim(self) -> int:
         return self.normal_set.dim
-
-    def point_location(self, x: Vec) -> str:
-        slacks = _slacks(self.rows, *_integers(x, self.dim))
-        return OUTSIDE if min(slacks) < 0 else BOUNDARY if 0 in slacks else INTERIOR
-
-    def tight_normals(self, x: Vec, slack: Fraction = Fraction(0)) -> tuple[Vec, ...]:
-        if slack < 0:
-            raise InputError("slack must be nonnegative")
-        if self.point_location(x) == OUTSIDE:
-            raise InputError(f"point {format_vector(x)} is outside the polytope")
-        X, k = _integers(x)
-        slacks = _slacks(self.rows, X, k)
-        return tuple(m for m, s, (_, _, c) in zip(self.normal_set.normals, slacks, self.rows)
-                     if s * slack.denominator <= slack.numerator * c * k)
 
 
 # -- vertex enumeration -------------------------------------------------------

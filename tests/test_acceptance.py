@@ -14,15 +14,15 @@ from polyillum.errors import NotStronglyMonotypicError
 from polyillum.fan import verify_fan_uniqueness
 from polyillum.generators import randomize_offsets
 from polyillum.illuminate import (build_illumination_set, compute_delta,
-                                  compute_epsilon, cone_direction,
-                                  cone_selections, verify_illumination)
-from polyillum.kernel import dot, vec, vscale, vsub
+                                  compute_epsilon, cone_selections,
+                                  verify_illumination)
+from polyillum.kernel import dot, vec, vscale
 from polyillum.oracle import min_illumination_number
-from polyillum.polytope import INTERIOR
 from polyillum.position import is_conical_position
 from polyillum.skeleton import extract_skeleton
 from tests.conftest import (box, hexagon, simplex, simplex_product,
                             square_pyramid, triangle)
+from tests.polytope_reference import INTERIOR, location, masked, tight_normals, vsub
 from tests.test_position import equivalence_case, random_basis_and_point
 
 F = Fraction
@@ -146,19 +146,19 @@ def test_criterion_7_construction_exactness():
         strong, _ = check_strong_monotypy(P.normal_set)
         if not strong:
             continue
-        sk = extract_skeleton(P.normal_set)
-        for gens in cone_selections(sk):
-            v = cone_direction(gens)
-            assert all(dot(g, v) == 1 for g in gens)
+        ill = build_illumination_set(P)
+        selections = cone_selections(extract_skeleton(P.normal_set))
+        assert len(selections) == len(ill.directions)
+        for j, gens in enumerate(selections):
+            assert all(dot(g, ill.directions[j]) == 1 for g in gens)
         delta = compute_delta(P)
         for vert in P.vertices:
-            assert P.tight_normals(vert.point, delta) == vert.tight
-        ill = build_illumination_set(P)
+            assert tight_normals(P, vert.point, delta) == masked(P, vert.mask)
         assert ill.delta == delta
         assert ill.epsilon == compute_epsilon(P, list(ill.directions), delta)
         for vert, j in zip(P.vertices, ill.assignment):
             moved = vsub(vert.point, vscale(ill.epsilon, ill.directions[j]))
-            assert P.point_location(moved) == INTERIOR
+            assert location(P, moved) == INTERIOR
 
 
 @criterion(8)

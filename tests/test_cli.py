@@ -259,6 +259,26 @@ class TestCli:
         assert code == 0 and payload == {"written": str(out)}
         assert len(parse_polytope(out.read_text()).vertices) == 8
 
+    def test_gen_to_an_unwritable_path_is_input_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "p.json"
+        code, payload = run(capsys, "gen", "box", "--dims", "2", "-o", str(out))
+        assert code == 2 and payload["error"].startswith(f"cannot write {out}: ")
+
+    def test_a_closed_stdout_exits_two_without_a_traceback(self):
+        # the pipe's read end is closed before the child starts, so its
+        # first write fails
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "polyillum.cli", "gen", "simplex_product", "--dims", "3", "3"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_output_is_byte_identical_across_runs(self, capsys, cube_file):
         run_command(["classify", cube_file])
         first = capsys.readouterr().out

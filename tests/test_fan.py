@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 
 from polyillum import classify, fan
+from polyillum.classify import bitmask
 from polyillum.errors import InputError
 from polyillum.fan import (FanCone, enumerate_primitive_bases, is_complete_fan,
                            normal_fan, verify_fan_uniqueness)
 from polyillum.generators import randomize_offsets
-from polyillum.kernel import rank, vadd, vec, vneg, vsub, zero_vec
+from polyillum.kernel import rank, vadd, vec, vneg, zero_vec
 from polyillum.oracle import enumerate_direction_classes
 from polyillum.polytope import NormalSet
 from polyillum.position import cone_membership, is_primitive
 from tests.conftest import (box, count_lps, hexagon, simplex, simplex_product,
                             square_pyramid, triangle, valid_normal_sets)
+from tests.polytope_reference import masked, tight_normals, vsub
 
 F = Fraction
 
@@ -85,10 +87,19 @@ class TestUniqueness:
 
     def test_vertex_tight_sets_are_primitive_bases(self):
         for P in (box(3), hexagon(), simplex(3)):
-            bases = {frozenset(c.generators)
-                     for c in enumerate_primitive_bases(P.normal_set)}
+            cones = enumerate_primitive_bases(P.normal_set)
+            bases = {frozenset(c.generators) for c in cones}
             for v in P.vertices:
-                assert frozenset(v.tight) in bases
+                assert frozenset(tight_normals(P, v.point)) in bases
+                assert v.mask in {c.mask for c in cones}
+
+    @pytest.mark.parametrize("P", [box(3), hexagon(), simplex_product([2, 1]),
+                                   randomize_offsets(simplex_product([2, 2]), 3)],
+                             ids=["box3", "hexagon", "prism", "sp22-r3"])
+    def test_cone_masks_name_their_generators(self, P):
+        for c in enumerate_primitive_bases(P.normal_set) + normal_fan(P):
+            assert masked(P, c.mask) == c.generators
+        assert [c.mask for c in normal_fan(P)] == [v.mask for v in P.vertices]
 
     def test_direction_classes_lie_in_some_cone(self):
         for P in (hexagon(), box(3)):
@@ -100,7 +111,9 @@ class TestUniqueness:
 
 def lp_primitive_bases(N):
     """The reference: independent n-subsets that LP finds primitive."""
-    return tuple(FanCone(subset) for subset in combinations(N.normals, N.dim)
+    return tuple(FanCone(subset, bitmask(idx))
+                 for idx in combinations(range(len(N.normals)), N.dim)
+                 for subset in [tuple(N.normals[i] for i in idx)]
                  if rank(subset) == N.dim and is_primitive(subset, N.normals))
 
 

@@ -10,16 +10,17 @@ from polyillum.errors import (AssignmentError, InputError, InternalInvariantErro
                               NotStronglyMonotypicError)
 from polyillum.generators import randomize_offsets
 from polyillum.illuminate import (IlluminationSet, build_illumination_set,
-                                  compute_delta, compute_epsilon,
-                                  cone_direction, cone_selections,
+                                  compute_delta, compute_epsilon, cone_selections,
                                   verify_directions, verify_illumination)
-from polyillum.kernel import dot, vadd, vec, vneg, vscale, vsub
+from polyillum.kernel import dot, vadd, vec, vneg, vscale
 from polyillum.lp import solve_eq_nonneg
-from polyillum.polytope import INTERIOR, HPolytope, NormalSet
+from polyillum.polytope import HPolytope, NormalSet
 from polyillum.position import cone_membership
 from polyillum.skeleton import extract_skeleton
 from tests.conftest import (box, hexagon, simplex, simplex_product, square_pyramid,
                             triangle, valid_normal_sets)
+from tests.polytope_reference import (BOUNDARY, INTERIOR, location, masked, tight_normals,
+                                      vsub)
 
 F = Fraction
 
@@ -48,22 +49,6 @@ class TestConeSelections:
         sels = cone_selections(sk)
         assert len(sels) == 6
         assert all(len(s) == 3 for s in sels)
-
-
-class TestConeDirection:
-    def test_orthant(self):
-        assert cone_direction([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]) \
-            == vec(1, 1, 1)
-
-    def test_plane_quadrant(self):
-        assert cone_direction([vec(1, 0), vec(0, 1)]) == vec(1, 1)
-
-    def test_skew_pair(self):
-        assert cone_direction([vec(0, 1), vec(-1, -1)]) == vec(-2, 1)
-
-    def test_singular_rejected(self):
-        with pytest.raises(InputError):
-            cone_direction([vec(1, 0), vec(2, 0)])
 
 
 class TestDeltaEpsilon:
@@ -117,9 +102,10 @@ class TestBuild:
 
     def test_generators_pair_to_one_exactly(self):
         for P in (box(3), hexagon(), simplex_product([2, 1])):
-            sk = extract_skeleton(P.normal_set)
-            for gens in cone_selections(sk):
-                v = cone_direction(gens)
+            selections = cone_selections(extract_skeleton(P.normal_set))
+            directions = build_illumination_set(P).directions
+            assert len(directions) == len(selections)
+            for gens, v in zip(selections, directions):
                 assert all(dot(g, v) == 1 for g in gens)
 
     def test_non_strongly_monotypic_rejected(self):
@@ -132,7 +118,8 @@ def lp_assignment(P):
     order, whose cone contains all its tight normals by LP."""
     selections = cone_selections(extract_skeleton(P.normal_set))
     return tuple(next(j for j, gens in enumerate(selections)
-                      if all(cone_membership(m, gens) is not None for m in v.tight))
+                      if all(cone_membership(m, gens) is not None
+                             for m in tight_normals(P, v.point)))
                  for v in P.vertices)
 
 
@@ -209,7 +196,7 @@ class TestVerification:
         j = ill.assignment[i]
         moved = vsub(vec(1, 1, 1), vscale(ill.epsilon, ill.directions[j]))
         assert moved == vec(0, 0, 0)
-        assert P.point_location(moved) == INTERIOR
+        assert location(P, moved) == INTERIOR
 
     def test_negative_control(self):
         P = box(3)
@@ -238,7 +225,7 @@ class TestVerification:
             for a in range(len(verts)):
                 for b in range(a + 1, len(verts)):
                     mid = vscale(F(1, 2), vadd(verts[a], verts[b]))
-                    if P.point_location(mid) == "boundary":
+                    if location(P, mid) == BOUNDARY:
                         points.append(mid)
             for m, h in zip(P.normal_set.normals, P.offsets):
                 tight_pts = [v for v in verts if dot(m, v) == h]
@@ -247,7 +234,7 @@ class TestVerification:
                                  for i in range(P.dim)))
                 points.append(c)
             for x in points:
-                tight = P.tight_normals(x)
+                tight = tight_normals(P, x)
                 v = next(v for v in ill.directions
                          if all(dot(m, v) > 0 for m in tight))
                 # the direction illuminates x; the step size is adapted to
@@ -258,7 +245,7 @@ class TestVerification:
                          if dot(m, v) < 0 and h - dot(m, x) > 0]
                 eps = min([ill.epsilon] + steps)
                 assert eps > 0
-                assert P.point_location(vsub(x, vscale(eps, v))) == INTERIOR
+                assert location(P, vsub(x, vscale(eps, v))) == INTERIOR
 
     def test_verify_directions_external(self):
         P = hexagon()
@@ -288,7 +275,8 @@ class TestVerification:
         directions = directions[:len(points)]
         _, reports = verify_directions(P, directions, F(1, 4))
         expected = [next((j for j, v in enumerate(directions)
-                          if all(dot(m, v) > 0 for m in vert.tight)), None)
+                          if all(dot(m, v) > 0 for m in tight_normals(P, vert.point))),
+                         None)
                     for vert in P.vertices]
         assert [r.direction_index for r in reports] == expected
         assert None in expected and len(set(expected)) > 2
@@ -297,4 +285,4 @@ class TestVerification:
         for P in (box(3), hexagon(), triangle()):
             delta = compute_delta(P)
             for v in P.vertices:
-                assert P.tight_normals(v.point, delta) == v.tight
+                assert tight_normals(P, v.point, delta) == masked(P, v.mask)

@@ -17,6 +17,7 @@ from polyillum.position import separator
 from tests.conftest import (box, count_lps, hexagon, n_over_apex, simplex, simplex_product,
                             square_pyramid, triangle, valid_normal_sets)
 from tests.oracle_reference import cell_separators, cell_sign_vectors
+from tests.polytope_reference import tight_normals
 
 F = Fraction
 
@@ -31,7 +32,7 @@ def assert_lit_sets_match_definition(P):
     for c in enumerate_direction_classes(P):
         assert c.illuminated == tuple(
             i for i, v in enumerate(P.vertices)
-            if all(dot(m, c.representative) > 0 for m in v.tight))
+            if all(dot(m, c.representative) > 0 for m in tight_normals(P, v.point)))
 
 
 class TestDirectionClasses:

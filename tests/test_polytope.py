@@ -10,13 +10,13 @@ from polyillum import kernel, polytope
 from polyillum.cli import run_command
 from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
 from polyillum.generators import generate, randomize_offsets
-from polyillum.kernel import dot, rank, solve_rows, vadd, vec, vneg, vscale, vsub, zero_vec
-from polyillum.polytope import (BOUNDARY, INTERIOR, OUTSIDE, HPolytope,
-                                NormalSet, Vertex)
+from polyillum.kernel import _integers, dot, rank, solve_rows, vadd, vec, vneg, vscale, zero_vec
+from polyillum.polytope import HPolytope, NormalSet, Vertex
 from polyillum.position import cone_membership
 from tests import walk_reference
 from tests.conftest import (box, count_lps, cut_box_facets, n_over_apex, set_n,
                             square_pyramid, triangle, valid_normal_sets)
+from tests.polytope_reference import BOUNDARY, location, masked, slacks, tight_normals, vsub
 
 F = Fraction
 
@@ -157,8 +157,8 @@ class TestVertexEnumeration:
     def test_every_vertex_tight_set_spans(self):
         for P in (box(3), triangle(), square_pyramid()):
             for v in P.vertices:
-                assert rank(v.tight) == P.dim
-                assert P.point_location(v.point) == BOUNDARY
+                assert rank(masked(P, v.mask)) == P.dim
+                assert location(P, v.point) == BOUNDARY
 
     def test_unbounded_rejected_with_witness(self):
         with pytest.raises(InputError, match="unbounded") as exc:
@@ -186,8 +186,7 @@ def route_vertices(normals, offsets):
     start = next(candidates)
 
     def as_vertices(found):
-        return tuple(Vertex(p, tuple(normals[i] for i in tight), sum(1 << i for i in tight))
-                     for p, tight in sorted(found))
+        return tuple(Vertex(p, sum(1 << i for i in tight)) for p, tight in sorted(found))
 
     return (as_vertices(polytope._walk(rows, *start)),
             as_vertices(walk_reference._scan(rows, [start, *candidates])))
@@ -364,7 +363,7 @@ class TestVertexWalk:
         for P in (square_pyramid(), n_over_apex()):
             walked, scanned = route_vertices(P.normal_set.normals, P.offsets)
             assert walked == scanned == P.vertices
-            assert max(len(v.tight) for v in P.vertices) == 4
+            assert max(v.mask.bit_count() for v in P.vertices) == 4
 
     def test_the_walk_covers_a_lower_dimensional_system(self):
         walked, scanned = route_vertices(*SEGMENT)
@@ -514,6 +513,13 @@ class TestIrredundancy:
                 assert max(dot(n, v.point) for v in P.vertices) == h
 
 
+def slacks_in_units(P, x):
+    """The slacks of the integer rows of P at x, each divided back by its
+    row's scale c and by the denominator k of x."""
+    X, k = _integers(x)
+    return [F(s, c * k) for s, (_, _, c) in zip(polytope._slacks(P.rows, X, k), P.rows)]
+
+
 class TestQueries:
     @pytest.mark.parametrize("P", [
         randomize_offsets(generate("simplex_product", (2, 1)), 3),
@@ -525,33 +531,23 @@ class TestQueries:
         points = [v.point for v in P.vertices]
         points += [vscale(F(1, 2), vadd(p, q)) for p, q in zip(points, points[1:])]
         for x in points:
-            for slack in (F(0), F(1, 16), F(1, 3), F(1), F(5, 2)):
-                assert P.tight_normals(x, slack) == tuple(
-                    m for m, h in zip(P.normal_set.normals, P.offsets) if h - dot(m, x) <= slack)
-
-    def test_tight_normals(self):
-        square = HPolytope.from_facets(
-            2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
-        assert set(square.tight_normals(vec(1, 1))) == {vec(1, 0), vec(0, 1)}
-        assert set(triangle().tight_normals(vec(1, -2))) == {vec(1, 0), vec(-1, -1)}
+            assert slacks_in_units(P, x) == slacks(P, x)
 
     def test_pyramid_apex_is_not_simple(self):
         P = square_pyramid()
         apex = vec(0, 0, 1)
-        assert set(P.tight_normals(apex)) == {
+        assert set(tight_normals(P, apex)) == {
             vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)}
-        assert [v.point for v in P.vertices if len(v.tight) > P.dim] == [apex]
+        assert [(v.point, masked(P, v.mask)) for v in P.vertices
+                if v.mask.bit_count() > P.dim] == [(apex, tight_normals(P, apex))]
 
-    def test_tight_normals_outside_rejected(self):
-        with pytest.raises(InputError, match="outside"):
-            box(3).tight_normals(vec(2, 0, 0))
-
-    def test_point_location(self):
-        P = box(3)
-        assert P.point_location(vec(0, 0, 0)) == INTERIOR
-        assert P.point_location(vec(1, 0, 0)) == BOUNDARY
-        assert P.point_location(vec(2, 0, 0)) == OUTSIDE
+    def test_every_vertex_mask_holds_its_tight_normals(self):
+        for P in (box(3), triangle(), square_pyramid(), n_over_apex(),
+                  HPolytope.from_facets(2, [((F(1, 2), 0), F(1, 3)), ((-1, 0), 2),
+                                            ((0, F(3, 4)), 1), ((0, -2), F(5, 7))])):
+            for v in P.vertices:
+                assert masked(P, v.mask) == tight_normals(P, v.point)
 
     def test_slack_widens_tight_set(self):
         P = triangle()
-        assert len(P.tight_normals(vec(1, 1), F(3))) == 3
+        assert sum(s <= 3 for s in slacks_in_units(P, vec(1, 1))) == 3
