@@ -12,6 +12,7 @@ import os
 import sys
 from functools import cache
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .classify import classify_normal_set
 from .errors import (InputError, InternalInvariantError,
@@ -143,7 +144,52 @@ def _cmd_gen(args):
     return EXIT_OK, payload
 
 
-@cache  # built once per process: parsing leaves the parser unchanged
+def _file_argument(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+
+
+def _illuminate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--verify", action="store_true")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--directions", required=True)
+
+
+def _fan_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--verify-unique", action="store_true")
+
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("--dims", type=int, nargs="+")
+    p.add_argument("--seed", type=int, help="randomize the offsets with this seed")
+    p.add_argument("--output", "-o")
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+
+
+# Each command's arguments are declared here once: `build_parser` adds them
+# to a subparser of the whole tree, `_parse` to a parser of their own.
+COMMANDS = {
+    "classify": Command("monotypy and strong monotypy verdicts", _cmd_classify, _file_argument),
+    "skeleton": Command("extract the skeleton decomposition", _cmd_skeleton, _file_argument),
+    "illuminate": Command("build the illumination set", _cmd_illuminate, _illuminate_arguments),
+    "verify": Command("verify an external direction set", _cmd_verify, _verify_arguments),
+    "fan": Command("normal fan of a simple polytope", _cmd_fan, _fan_arguments),
+    "oracle": Command("exact minimum illumination number", _cmd_oracle, _file_argument),
+    "gen": Command("generate a built-in instance", _cmd_gen, _gen_arguments),
+}
+
+
+@cache  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyillum",
@@ -153,48 +199,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="monotypy and strong monotypy verdicts")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("skeleton", help="extract the skeleton decomposition")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_skeleton)
-
-    p = sub.add_parser("illuminate", help="build the illumination set")
-    p.add_argument("file")
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(handler=_cmd_illuminate)
-
-    p = sub.add_parser("verify", help="verify an external direction set")
-    p.add_argument("file")
-    p.add_argument("--directions", required=True)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("fan", help="normal fan of a simple polytope")
-    p.add_argument("file")
-    p.add_argument("--verify-unique", action="store_true")
-    p.set_defaults(handler=_cmd_fan)
-
-    p = sub.add_parser("oracle", help="exact minimum illumination number")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("gen", help="generate a built-in instance")
-    p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--dims", type=int, nargs="+")
-    p.add_argument("--seed", type=int, help="randomize the offsets with this seed")
-    p.add_argument("--output", "-o")
-    p.set_defaults(handler=_cmd_gen)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, prog=f"polyillum {name}")
+        command.add_arguments(p)
+        p.set_defaults(handler=command.handler)
     return parser
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace of `[--pretty] command args...`. When argv names a
+    command, only that command's parser is built; whatever it leaves
+    unparsed, and every other argv, goes to the whole tree, which alone
+    prints the top-level help and usage errors. Both parsers print the same
+    help and errors for the command's own arguments."""
+    pretty = argv[:1] == ["--pretty"]
+    name, *rest = argv[pretty:] or [None]
+    command = COMMANDS.get(name)
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"polyillum {name}")
+        command.add_arguments(parser)
+        args, extra = parser.parse_known_args(rest)
+        if not extra:
+            args.pretty, args.command, args.handler = pretty, name, command.handler
+            return args
+    return build_parser().parse_args(argv)
+
+
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(list(argv))
     except SystemExit as err:
         return EXIT_INPUT_ERROR if err.code else EXIT_OK
     try:

@@ -72,11 +72,16 @@ def parse_polytope(text: str) -> HPolytope:
 
 def parse_directions(text: str):
     doc = _load_json(text)
+    if not isinstance(doc, dict):
+        raise InputError("directions document must be a JSON object")
     try:
         epsilon = parse_rational(doc["epsilon"])
-        directions = [strings_to_vector(v) for v in doc["directions"]]
-    except (KeyError, TypeError) as err:
+        items = doc["directions"]
+    except KeyError as err:
         raise InputError(f"directions document needs 'epsilon' and 'directions': {err}")
+    if not isinstance(items, list):
+        raise InputError(f"'directions' must be a JSON list, got {type(items).__name__}")
+    directions = [strings_to_vector(v) for v in items]
     if not directions:
         raise InputError("directions list is empty")
     return directions, epsilon

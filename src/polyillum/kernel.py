@@ -60,8 +60,10 @@ def _quote(text: str) -> str:
     return repr(text) if len(text) <= _QUOTE_LIMIT else f"<{len(text)} characters>"
 
 
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+def format_rational(x: Fraction | int) -> str:
+    """The literal "p" or "p/q" of x: a `Fraction` is kept in lowest
+    terms, so its `str` is already that literal."""
+    return str(x)
 
 
 def format_vector(v) -> str:

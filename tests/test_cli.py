@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyillum import classify
 from polyillum.classify import check_monotypy, check_monotypy_mss, check_strong_monotypy
-from polyillum.cli import build_parser, run_command
+from polyillum.cli import COMMANDS, _parse, build_parser, run_command
 from polyillum.errors import InputError
 from polyillum.formats import dump, parse_polytope, polytope_to_doc
 from polyillum.generators import generate, randomize_offsets
@@ -293,21 +294,140 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert run_command(["frobnicate"]) == 2
 
-    def test_one_parser_serves_every_call(self, capsys):
-        # a usage error or --help leaves the parser as it was
-        parser = build_parser()
-        gen = ["gen", "box", "--dims", "2"]
-        assert [run_command(argv) for argv in ([], gen, ["--help"], ["gen", "--dims", "2"], gen)
-                ] == [2, 0, 0, 2, 0]
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == out[-1] == dump(polytope_to_doc(box(2)))
-        assert build_parser() is parser
-
     def test_pretty_flag_changes_layout_not_payload(self, capsys, cube_file):
         code, compact = run(capsys, "classify", cube_file)
         code2, pretty = run(capsys, "--pretty", "classify", cube_file)
         assert code == code2 == 0
         assert compact == pretty
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The progs of the `ArgumentParser`s built while the test runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+# One well-formed call of each command, after the command name; "p.json"
+# is a square and "d.json" a direction set that illuminates it.
+WELL_FORMED = {
+    "classify": ["p.json"],
+    "skeleton": ["p.json"],
+    "illuminate": ["p.json", "--verify"],
+    "verify": ["p.json", "--directions", "d.json"],
+    "fan": ["p.json", "--verify-unique"],
+    "oracle": ["p.json"],
+    "gen": ["box", "--dims", "2"],
+}
+
+
+@pytest.fixture
+def square_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text(dump(polytope_to_doc(box(2))))
+    (tmp_path / "d.json").write_text(json.dumps(
+        {"epsilon": "1/2", "directions": sign_vectors(2)}))
+
+
+class TestParsers:
+    """A call that names a command builds that command's parser alone; the
+    whole tree is built only for argv it leaves over."""
+
+    def test_the_commands_are_the_subcommands(self):
+        assert set(WELL_FORMED) == set(COMMANDS)
+
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
+    @pytest.mark.parametrize("command", sorted(WELL_FORMED))
+    def test_a_well_formed_call_builds_one_parser(
+            self, capsys, square_files, parsers_built, command, pretty):
+        assert run_command([*pretty, command, *WELL_FORMED[command]]) == 0
+        assert parsers_built == [f"polyillum {command}"]
+
+    def test_importing_the_cli_builds_no_parser(self):
+        # a fresh interpreter, so that no parser is cached yet
+        script = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from polyillum.cli import run_command\n"
+            "on_import = len(built)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    run_command(['gen', 'box', '--dims', '2'])\n"
+            "print(on_import, len(built))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
+
+    def test_a_usage_error_or_help_leaves_later_calls_unchanged(self, capsys):
+        gen = ["gen", "box", "--dims", "2"]
+        assert [run_command(argv) for argv in ([], gen, ["--help"], ["gen", "--dims", "2"], gen)
+                ] == [2, 0, 0, 2, 0]
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == out[-1] == dump(polytope_to_doc(box(2)))
+
+    # each command's argv forms: options before and after the positional,
+    # `--`, unique abbreviations, `-o` and several `--dims` values
+    EQUIVALENT_FORMS = {
+        "classify": [["p.json"], ["--", "p.json"]],
+        "skeleton": [["p.json"], ["--", "p.json"]],
+        "oracle": [["p.json"], ["--", "p.json"]],
+        "illuminate": [["p.json"], ["p.json", "--verify"], ["--verify", "p.json"],
+                       ["--ver", "p.json"], ["--verify", "--", "p.json"]],
+        "verify": [["p.json", "--directions", "d.json"], ["--directions", "d.json", "p.json"],
+                   ["--dir", "d.json", "p.json"], ["--directions=d.json", "--", "p.json"]],
+        "fan": [["p.json"], ["p.json", "--verify-unique"], ["--verify-u", "p.json"],
+                ["--verify-unique", "--", "p.json"]],
+        "gen": [["box", "--dims", "2"], ["--dims", "2", "1", "--", "simplex_product"],
+                ["simplex_product", "--dims", "2", "1", "3", "--seed", "3", "-o", "p.json"],
+                ["-o", "p.json", "box", "--dims", "3"], ["box", "-op.json"],
+                ["box", "--di", "2", "--se", "1", "--out", "p.json"], ["square_pyramid"]],
+    }
+
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
+    @pytest.mark.parametrize("command,rest", [
+        (command, rest) for command, forms in EQUIVALENT_FORMS.items() for rest in forms])
+    def test_the_command_parser_agrees_with_the_whole_tree(
+            self, parsers_built, command, rest, pretty):
+        argv = [*pretty, command, *rest]
+        full = build_parser().parse_args(argv)
+        del parsers_built[:]
+        assert _parse(argv) == full
+        assert parsers_built == [f"polyillum {command}"]
+
+
+def sign_vectors(n: int) -> list[list[str]]:
+    return [[str(s) for s in v] for v in product((1, -1), repeat=n)]
+
+
+USAGE = json.loads((Path(__file__).parent / "golden" / "usage.json").read_text())
+
+
+class TestUsagePins:
+    """The exact help and usage errors, with argparse wrapping to 80
+    columns; "p.json" is a square."""
+
+    @pytest.mark.parametrize("pin", USAGE, ids=[" ".join(pin["argv"]) or "(none)"
+                                                for pin in USAGE])
+    def test_output(self, capsys, monkeypatch, square_files, pin):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_command(pin["argv"]) == pin["code"]
+        out, err = capsys.readouterr()
+        assert (out, err) == (pin["stdout"], pin["stderr"])
 
 
 def facets_doc(dim, facets) -> str:
@@ -384,10 +504,6 @@ class TestGoldenErrors:
         assert capsys.readouterr().out == (
             '{"error":"2704156 vertex candidates exceed the enumeration guard '
             '(1000000)"}\n')
-
-
-def sign_vectors(n: int) -> list[list[str]]:
-    return [[str(s) for s in v] for v in product((1, -1), repeat=n)]
 
 
 SP21 = ["simplex_product", "--dims", "2", "1", "--seed", "3"]
@@ -525,6 +641,20 @@ class TestMalformedLiterals:
                                     "directions": ["11", ["-2", "1"], ["1", "-2"]]}))
         code, payload = run(capsys, "verify", str(path), "--directions", str(dirs))
         assert code == 2 and "list" in payload["error"]
+
+    @pytest.mark.parametrize("doc,error", [
+        ('{"epsilon":"1/2","directions":{"a":["1","1"]}}',
+         "'directions' must be a JSON list, got dict"),
+        ('{"epsilon":"1/2","directions":"ab"}', "'directions' must be a JSON list, got str"),
+        ("[1, 2]", "directions document must be a JSON object"),
+    ], ids=["object-directions", "string-directions", "list-document"])
+    def test_verify_directions_document_of_the_wrong_shape(self, capsys, tmp_path, doc, error):
+        path = tmp_path / "hex.json"
+        path.write_text(dump(polytope_to_doc(hexagon())))
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(doc)
+        assert run_command(["verify", str(path), "--directions", str(dirs)]) == 2
+        assert capsys.readouterr().out == json.dumps({"error": error}, separators=(",", ":")) + "\n"
 
     @pytest.mark.parametrize("offset", [
         "[" * 500 + '"1"' + "]" * 500, '"' + "x" * 5000 + '"',

@@ -67,6 +67,11 @@ class TestRationalLiterals:
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
 
+    @pytest.mark.parametrize("x", [
+        0, F(0), 7, -7, F(12), F(-3, 4), F(-1, 10**30), F(10**40 + 1, 3), -(10**50)])
+    def test_format_is_the_literal_of_the_fraction(self, x):
+        assert format_rational(x) == str(Fraction(x))
+
     @given(rationals, rationals)
     def test_results_are_normalized(self, a, b):
         # lowest terms with positive denominator is the Fraction contract
