@@ -7,12 +7,12 @@ usage error; 3 = internal invariant violation (falsification alarm).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 from .classify import classify_normal_set
 from .errors import (InputError, InternalInvariantError,
@@ -144,53 +144,59 @@ def _cmd_gen(args):
     return EXIT_OK, payload
 
 
-def _file_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
+class Arg(NamedTuple):
+    """One argument of a command, in the terms of
+    `ArgumentParser.add_argument`: a name without a leading "-" is the
+    positional, and an option is a store-true flag or takes one value, or
+    one or more values with `nargs="+"`."""
+    names: tuple[str, ...]
+    action: Optional[str] = None
+    nargs: Optional[str] = None
+    type: Optional[Callable] = None
+    choices: Optional[tuple] = None
+    required: Optional[bool] = None
+    help: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.names[0].lstrip("-").replace("-", "_")
 
 
-def _illuminate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--verify", action="store_true")
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--directions", required=True)
-
-
-def _fan_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--verify-unique", action="store_true")
-
-
-def _gen_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--dims", type=int, nargs="+")
-    p.add_argument("--seed", type=int, help="randomize the offsets with this seed")
-    p.add_argument("--output", "-o")
+FILE = Arg(("file",))
 
 
 class Command(NamedTuple):
     help: str
     handler: Callable
-    add_arguments: Callable[[argparse.ArgumentParser], None]
+    arguments: tuple[Arg, ...]
 
 
 # Each command's arguments are declared here once: `build_parser` adds them
-# to a subparser of the whole tree, `_parse` to a parser of their own.
+# to a subparser of the whole tree, and `_match` reads a well-formed call
+# off them.
 COMMANDS = {
-    "classify": Command("monotypy and strong monotypy verdicts", _cmd_classify, _file_argument),
-    "skeleton": Command("extract the skeleton decomposition", _cmd_skeleton, _file_argument),
-    "illuminate": Command("build the illumination set", _cmd_illuminate, _illuminate_arguments),
-    "verify": Command("verify an external direction set", _cmd_verify, _verify_arguments),
-    "fan": Command("normal fan of a simple polytope", _cmd_fan, _fan_arguments),
-    "oracle": Command("exact minimum illumination number", _cmd_oracle, _file_argument),
-    "gen": Command("generate a built-in instance", _cmd_gen, _gen_arguments),
+    "classify": Command("monotypy and strong monotypy verdicts", _cmd_classify, (FILE,)),
+    "skeleton": Command("extract the skeleton decomposition", _cmd_skeleton, (FILE,)),
+    "illuminate": Command("build the illumination set", _cmd_illuminate, (
+        FILE, Arg(("--verify",), action="store_true"))),
+    "verify": Command("verify an external direction set", _cmd_verify, (
+        FILE, Arg(("--directions",), required=True))),
+    "fan": Command("normal fan of a simple polytope", _cmd_fan, (
+        FILE, Arg(("--verify-unique",), action="store_true"))),
+    "oracle": Command("exact minimum illumination number", _cmd_oracle, (FILE,)),
+    "gen": Command("generate a built-in instance", _cmd_gen, (
+        Arg(("family",), choices=FAMILIES),
+        Arg(("--dims",), type=int, nargs="+"),
+        Arg(("--seed",), type=int, help="randomize the offsets with this seed"),
+        Arg(("--output", "-o")))),
 }
 
 
 @cache  # parsing leaves the parser unchanged
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The whole argparse tree: the top level and a subparser per command.
+    Only help and usage errors need it, so argparse is imported here."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="polyillum",
         description="Classify polytope normal sets, extract skeletons, build "
@@ -201,27 +207,63 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help, prog=f"polyillum {name}")
-        command.add_arguments(p)
+        for arg in command.arguments:
+            p.add_argument(*arg.names, **{key: value for key, value in arg._asdict().items()
+                                          if key != "names" and value is not None})
         p.set_defaults(handler=command.handler)
     return parser
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """The namespace of `[--pretty] command args...`. When argv names a
-    command, only that command's parser is built; whatever it leaves
-    unparsed, and every other argv, goes to the whole tree, which alone
-    prints the top-level help and usage errors. Both parsers print the same
-    help and errors for the command's own arguments."""
+def _match(arguments: tuple[Arg, ...], argv: list) -> Optional[dict]:
+    """The values of a command's arguments in argv, with argparse's
+    defaults, when argv is a plain call: the positional and each option at
+    most once, every option written out in full, no value starting with "-"
+    and every value valid. Anything else gives None, and argparse reads it."""
+    options = {name: arg for arg in arguments for name in arg.names if name.startswith("-")}
+    positional = next(arg for arg in arguments if not arg.names[0].startswith("-"))
+    values = {arg.dest: False if arg.action else None for arg in arguments}
+    seen = set()
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            arg, taken = positional, [token]
+        elif (arg := options.get(token)) is None:
+            return None
+        elif arg.action:
+            taken = []
+        else:  # one value, or with nargs="+" every value up to the next option
+            end = i
+            while end < len(argv) and not argv[end].startswith("-") and (arg.nargs or end == i):
+                end += 1
+            taken, i = argv[i:end], end
+            if not taken:
+                return None
+        if arg in seen:
+            return None
+        seen.add(arg)
+        try:
+            converted = [(arg.type or str)(t) for t in taken]
+        except ValueError:
+            return None
+        if arg.choices is not None and any(c not in arg.choices for c in converted):
+            return None
+        values[arg.dest] = True if arg.action else converted if arg.nargs else converted[0]
+    if positional not in seen or any(arg.required and arg not in seen for arg in arguments):
+        return None
+    return values
+
+
+def _parse(argv: list):
+    """The namespace of `[--pretty] command args...`: read off the
+    command's `Arg`s when `_match` takes argv, and otherwise by the whole
+    argparse tree, which alone prints help and usage errors."""
     pretty = argv[:1] == ["--pretty"]
     name, *rest = argv[pretty:] or [None]
     command = COMMANDS.get(name)
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"polyillum {name}")
-        command.add_arguments(parser)
-        args, extra = parser.parse_known_args(rest)
-        if not extra:
-            args.pretty, args.command, args.handler = pretty, name, command.handler
-            return args
+    if command is not None and (values := _match(command.arguments, rest)) is not None:
+        return SimpleNamespace(pretty=pretty, command=name, handler=command.handler, **values)
     return build_parser().parse_args(argv)
 
 

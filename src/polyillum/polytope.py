@@ -153,11 +153,16 @@ class HPolytope:
                          x.numerator * (L // x.denominator) for x in e[0]]))
 
     def _validate_irredundant(self):
-        """The face cut out by normal m has as affine hull the points where
+        """A normal tight at every vertex is an implicit equality, and one
+        exists exactly when the polytope is not full-dimensional. Otherwise
+        the face cut out by normal m has as affine hull the points where
         every normal tight at all of its vertices is tight, so it is a
-        facet iff those normals have rank 1. Then no normal may be tight at
-        every vertex, which only a point in R^1 does."""
+        facet iff those normals have rank 1."""
         normals = self.normal_set.normals
+        if everywhere := reduce(and_, (v.mask for v in self.vertices)):
+            i = (everywhere & -everywhere).bit_length() - 1
+            raise InputError(f"polytope is not full-dimensional (normal {format_vector(normals[i])}"
+                             f" is tight at every vertex)", facet_index=i)
         for i, m in enumerate(normals):
             tight_sets = [v.mask for v in self.vertices if v.mask >> i & 1]
             if not tight_sets:
@@ -169,10 +174,6 @@ class HPolytope:
                 raise InputError(
                     f"facet with normal {format_vector(m)} is redundant "
                     f"(tight set is not a facet)", facet_index=i)
-        if everywhere := reduce(and_, (v.mask for v in self.vertices)):
-            i = (everywhere & -everywhere).bit_length() - 1
-            raise InputError(f"polytope is not full-dimensional (normal {format_vector(normals[i])}"
-                             f" is tight at every vertex)", facet_index=i)
 
     # -- queries ------------------------------------------------------------
 

@@ -7,20 +7,21 @@ import resource
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyillum import classify
 from polyillum.classify import check_monotypy, check_monotypy_mss, check_strong_monotypy
 from polyillum.cli import COMMANDS, _parse, build_parser, run_command
 from polyillum.errors import InputError
 from polyillum.formats import dump, parse_polytope, polytope_to_doc
-from polyillum.generators import generate, randomize_offsets
+from polyillum.generators import FAMILIES, generate, randomize_offsets
 from polyillum.position import is_conical_position
 from tests.conftest import box, count_lps, hexagon, n_over_apex, set_n, square_pyramid
 
@@ -294,6 +295,13 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert run_command(["frobnicate"]) == 2
 
+    def test_the_package_runs_as_a_module(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-m", "polyillum", "gen", "box", "--dims", "2"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == dump(polytope_to_doc(box(2))) + "\n"
+
     def test_pretty_flag_changes_layout_not_payload(self, capsys, cube_file):
         code, compact = run(capsys, "classify", cube_file)
         code2, pretty = run(capsys, "--pretty", "classify", cube_file)
@@ -306,7 +314,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 @pytest.fixture
 def parsers_built(monkeypatch):
-    """The progs of the `ArgumentParser`s built while the test runs."""
+    """The progs of the `ArgumentParser`s built while the test runs; the
+    whole tree is not cached when it starts."""
+    build_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -329,6 +339,8 @@ WELL_FORMED = {
     "oracle": ["p.json"],
     "gen": ["box", "--dims", "2"],
 }
+# the parsers of the whole tree, as `build_parser` builds them
+WHOLE_TREE = ["polyillum", *(f"polyillum {name}" for name in COMMANDS)]
 
 
 @pytest.fixture
@@ -340,8 +352,8 @@ def square_files(tmp_path, monkeypatch):
 
 
 class TestParsers:
-    """A call that names a command builds that command's parser alone; the
-    whole tree is built only for argv it leaves over."""
+    """A well-formed call is read off `COMMANDS` and builds no parser; the
+    whole argparse tree is built only for the argv that `_match` declines."""
 
     def test_the_commands_are_the_subcommands(self):
         assert set(WELL_FORMED) == set(COMMANDS)
@@ -350,28 +362,25 @@ class TestParsers:
     @pytest.mark.parametrize("command", sorted(WELL_FORMED))
     def test_a_well_formed_call_builds_one_parser(
             self, capsys, square_files, parsers_built, command, pretty):
+        # it builds none: the name is kept so that the test IDs stay stable
         assert run_command([*pretty, command, *WELL_FORMED[command]]) == 0
-        assert parsers_built == [f"polyillum {command}"]
+        assert parsers_built == []
 
-    def test_importing_the_cli_builds_no_parser(self):
-        # a fresh interpreter, so that no parser is cached yet
+    def test_importing_the_cli_builds_no_parser(self, tmp_path, square_files):
+        # a fresh interpreter: neither import nor any well-formed call loads
+        # argparse, or the locale module its messages would load
         script = (
-            "import argparse, contextlib, io\n"
-            "built = []\n"
-            "init = argparse.ArgumentParser.__init__\n"
-            "def counting(self, *args, **kwargs):\n"
-            "    built.append(1)\n"
-            "    init(self, *args, **kwargs)\n"
-            "argparse.ArgumentParser.__init__ = counting\n"
+            "import contextlib, io, json, sys\n"
             "from polyillum.cli import run_command\n"
-            "on_import = len(built)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    run_command(['gen', 'box', '--dims', '2'])\n"
-            "print(on_import, len(built))\n")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+            "    codes = [run_command(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, sorted({'argparse', 'locale'} & set(sys.modules)))\n")
+        calls = [[command, *rest] for command, rest in WELL_FORMED.items()]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                              capture_output=True, text=True, cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "1"]
+        assert proc.stdout == f"{[0] * len(calls)} []\n"
 
     def test_a_usage_error_or_help_leaves_later_calls_unchanged(self, capsys):
         gen = ["gen", "box", "--dims", "2"]
@@ -397,6 +406,10 @@ class TestParsers:
                 ["-o", "p.json", "box", "--dims", "3"], ["box", "-op.json"],
                 ["box", "--di", "2", "--se", "1", "--out", "p.json"], ["square_pyramid"]],
     }
+    # the tokens that make `_match` decline a form: `--`, abbreviations, `=`
+    # and `-oFILE`
+    DECLINED = {"--", "--ver", "--dir", "--verify-u", "--di", "--se", "--out",
+                "--directions=d.json", "-op.json"}
 
     @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
     @pytest.mark.parametrize("command,rest", [
@@ -405,9 +418,72 @@ class TestParsers:
             self, parsers_built, command, rest, pretty):
         argv = [*pretty, command, *rest]
         full = build_parser().parse_args(argv)
+        build_parser.cache_clear()
         del parsers_built[:]
-        assert _parse(argv) == full
-        assert parsers_built == [f"polyillum {command}"]
+        assert vars(_parse(argv)) == vars(full)
+        assert parsers_built == (WHOLE_TREE if self.DECLINED & {*rest} else [])
+
+
+# Every token of the differential test below: each command, every option
+# and a unique abbreviation of each, `=` and attached values, `--`, `-`, an
+# empty string, a negative number, ints, a non-int, each family and a file.
+TOKENS = [*COMMANDS, "--pretty", "--pre", "-h", "--help", "--he",
+          "--verify", "--ver", "--verify-unique", "--verify-u", "--directions", "--dir",
+          "--seed", "--se", "--output", "--out", "-o", "--dims", "--di",
+          "--directions=d.json", "--seed=1", "--output=p.json", "--dims=2", "-op.json",
+          "--", "-", "", "-1", "0", "1", "2", "3", "x", *FAMILIES, "p.json"]
+FORMS = [[command, *rest] for command, forms in TestParsers.EQUIVALENT_FORMS.items()
+         for rest in forms]
+
+
+@st.composite
+def near_calls(draw) -> list:
+    """A form of `TestParsers.EQUIVALENT_FORMS`, after `--pretty` or not,
+    with up to three tokens inserted, replaced or deleted."""
+    argv = list(draw(st.sampled_from(FORMS)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            argv.insert(i, draw(st.sampled_from(TOKENS)))
+        elif i < len(argv):
+            argv[i:i + 1] = [draw(st.sampled_from(TOKENS))] if edit == "replace" else []
+    return draw(st.sampled_from([[], ["--pretty"]])) + argv
+
+
+class TestMatcherAgainstTheWholeTree:
+    """Whatever argv `_parse` reads, it reads as the whole argparse tree
+    does, and whatever the tree refuses or answers with help, `run_command`
+    refuses or answers with the same bytes and exit code."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=8) | near_calls())
+    # a value too many for an option of one value, none or a bad one for
+    # an option of several, a family outside the choices, an option where
+    # a file or a value belongs, and a required option left out
+    @example(["verify", "p.json", "--directions", "d.json", "x"])
+    @example(["gen", "box", "--seed", "1", "2"])
+    @example(["gen", "box", "--dims"])
+    @example(["gen", "box", "--dims", "2", "x"])
+    @example(["gen", "x", "--dims", "2", "1"])
+    @example(["classify", "-h"])
+    @example(["gen", "box", "-o", "-h"])
+    @example(["verify", "p.json"])
+    def test_argv(self, argv):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    full = vars(build_parser().parse_args(argv))
+                except SystemExit as exit_:
+                    full, code = None, 2 if exit_.code else 0
+            if full is not None:
+                assert vars(_parse(argv)) == full
+                return
+            got_out, got_err = io.StringIO(), io.StringIO()
+            with redirect_stdout(got_out), redirect_stderr(got_err):
+                assert run_command(argv) == code
+            assert (got_out.getvalue(), got_err.getvalue()) == (out.getvalue(), err.getvalue())
 
 
 def sign_vectors(n: int) -> list[list[str]]:
@@ -462,6 +538,10 @@ GOLDEN_ERRORS = {
     "short_normal": (
         facets_doc(2, [((1,), 1)] + SQUARE[1:]),
         '{"error":"normal 0 has dimension 1, expected 2"}'),
+    # the segment x = 0, |y| <= 1
+    "flat": (
+        facets_doc(2, [((1, 0), 0), ((-1, 0), 0)] + SQUARE[2:]),
+        '{"error":"polytope is not full-dimensional (normal (1, 0) is tight at every vertex)"}'),
 }
 
 

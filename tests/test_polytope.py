@@ -369,7 +369,7 @@ class TestVertexWalk:
         walked, scanned = route_vertices(*SEGMENT)
         assert walked == scanned
         assert [v.point for v in walked] == [vec(-1, 0), vec(1, 0)]
-        with pytest.raises(InputError, match="redundant"):
+        with pytest.raises(InputError, match="not full-dimensional"):
             HPolytope(NormalSet(2, SEGMENT[0]), SEGMENT[1])
 
     @staticmethod
