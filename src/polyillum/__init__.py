@@ -12,8 +12,8 @@ from .errors import (AssignmentError, GeometryError,
 from .fan import FanCone, enumerate_primitive_bases, normal_fan, verify_fan_uniqueness
 from .generators import SplitMix64, generate, randomize_offsets
 from .illuminate import (IlluminationSet, build_illumination_set,
-                         compute_delta, compute_epsilon, cone_selections,
-                         verify_directions, verify_illumination)
+                         compute_delta, compute_epsilon, verify_directions,
+                         verify_illumination)
 from .kernel import Vec, dot, parse_rational, solve_linear, vec
 from .oracle import (DirectionClass, enumerate_direction_classes,
                      min_illumination_number)

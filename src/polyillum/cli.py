@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success and the checked property holds; 1 = the property
 fails or verification fails (a certificate is printed); 2 = input or
-usage error; 3 = internal invariant violation (falsification alarm).
+usage error; 3 = internal invariant violation (falsification alarm) or
+internal error, any other exception, printed as {"error": "<Type>: <msg>"}.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _cmd_fan(args):
     }
     code = EXIT_OK
     if args.verify_unique:
-        unique = verify_fan_uniqueness(P.normal_set, P)
+        unique = verify_fan_uniqueness(P)
         payload["unique"] = unique
         payload["primitive_basis_count"] = len(enumerate_primitive_bases(P.normal_set))
         if not unique:
@@ -285,6 +286,9 @@ def run_command(argv) -> int:
         code = EXIT_INPUT_ERROR
     except InternalInvariantError as err:
         payload = {"error": str(err)}
+        code = EXIT_INTERNAL
+    except Exception as err:  # a traceback would exit 1, the code of a verdict
+        payload = {"error": f"{type(err).__name__}: {err}"}
         code = EXIT_INTERNAL
     print(dump(payload, args.pretty))
     return code

@@ -92,12 +92,11 @@ def is_complete_fan(N: NormalSet, cones: Sequence[FanCone]) -> bool:
                    for cone in cones[1:])
 
 
-def verify_fan_uniqueness(N: NormalSet, P: HPolytope) -> bool:
-    """True iff the combinatorially enumerated fan equals the normal fan of
-    P and its cones form a complete fan, so their interiors are pairwise
-    disjoint."""
-    if N != P.normal_set:
-        raise InputError("normal set does not match the polytope")
+def verify_fan_uniqueness(P: HPolytope) -> bool:
+    """True iff the fan enumerated from P's normal set equals the normal
+    fan of P and its cones form a complete fan, so their interiors are
+    pairwise disjoint."""
+    N = P.normal_set
     mono, _ = check_monotypy(N)
     if not mono:
         raise InputError("fan uniqueness is only claimed for monotypic normal sets")

@@ -2,15 +2,16 @@
 and epsilon, plus the two independent verification checks.
 
 One cone per choice of a dropped element from each skeleton part; its
-direction is the unique vector pairing to 1 with every generator. Each
-vertex is assigned the first cone, in product order, that contains all
-its tight normals. Containment splits over the parts, so the cone is
-read part by part off the normals' expansions over the skeleton basis,
-with no LP. One inverse per cone gives its direction, as the row sums,
-and re-checks every containment, as integer products with its columns. The
-slack bound delta is half the minimum positive vertex-facet slack, and
-epsilon = delta / max |<n, v_j>| over the strictly negative products, so
-that stepping by epsilon*v never crosses a non-tight facet.
+direction is the unique vector pairing to 1 with every generator. The
+parts span a direct sum, so each direction is a sum of one share per
+part, and one inverse of the skeleton basis gives all the shares and the
+normals' expansions over the basis. Each vertex is assigned the first
+cone, in product order, that contains all its tight normals, read part by
+part off those expansions with no LP, and each containment is re-checked
+coefficient by coefficient. The slack bound delta is half the minimum
+positive vertex-facet slack, and epsilon = delta / max |<n, v_j>| over the
+strictly negative products, so that stepping by epsilon*v never crosses a
+non-tight facet.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import AssignmentError, InputError, InternalInvariantError
-from .kernel import Vec, _integers, dot, format_vector, inverse, solve_linear, vscale
+from .kernel import Vec, _integers, format_vector, inverse, vscale
 from .polytope import HPolytope, _slacks
-from .skeleton import Skeleton, extract_skeleton
+from .skeleton import extract_skeleton
 
 
 @dataclass(frozen=True)
@@ -47,22 +48,6 @@ class VertexReport:
     @property
     def ok(self) -> bool:
         return self.directional_ok and self.interior_ok
-
-
-def cone_selections(skeleton: Skeleton) -> tuple[tuple[Vec, ...], ...]:
-    """For every choice of one dropped element per part, the union of the
-    remaining generators: exactly n vectors each, independent, listed in
-    deterministic product order. `build_illumination_set` checks their
-    independence as it inverts them."""
-    n = sum(len(s) for s in skeleton.part_supports)
-    selections = []
-    for drop in product(*(range(len(part)) for part in skeleton.parts)):
-        gens = tuple(g for part, d in zip(skeleton.parts, drop)
-                     for i, g in enumerate(part) if i != d)
-        if len(gens) != n:
-            raise InternalInvariantError("cone selection is not a full basis")
-        selections.append(gens)
-    return tuple(selections)
 
 
 def compute_delta(P: HPolytope) -> Fraction:
@@ -105,88 +90,96 @@ def compute_epsilon(P: HPolytope, directions: Sequence[Vec],
     return epsilon
 
 
-def _allowed_drops(skeleton: Skeleton,
-                   normals: Sequence[Vec]) -> list[tuple[frozenset[int], ...]]:
+def _shares(supports: Sequence[Sequence[int]], columns: Sequence[Sequence[int]],
+            dependences: Sequence[Sequence[int]]) -> tuple[list[list[list[int]]], int]:
+    """Per part and per drop d, the part's share of the direction of every
+    cone that drops d, as ints over D K, K the lcm of the dependences. The
+    direction pairs to 1 with the kept elements, so, by the dependence, to
+    1 - sum(c) / c_d with the dropped one; it is sum(<b_i, v> Q_i) / D, and
+    the share is (sum(Q_i) - sum(c) / c_d Q_d) / D, Q_d == 0 at x_l."""
+    K = lcm(*(c for dependence in dependences for c in dependence))
+    shares = []
+    for support, c in zip(supports, dependences):
+        whole = [K * sum(x) for x in zip(*(columns[i] for i in support))]
+        shares.append([[w - K // c_d * sum(c) * q for w, q in zip(whole, columns[i])]
+                       for i, c_d in zip(support, c)] + [whole])
+    return shares, K
+
+
+def _allowed_drops(expansions: Sequence[Sequence[Sequence[int]]],
+                   dependences: Sequence[Sequence[int]]) -> list[tuple[frozenset[int], ...]]:
     """Per normal, by its index, and per part, the drops d (indices into
     the part) whose cones contain the normal, whatever is dropped from the
-    other parts.
-
-    Part l carries the positive dependence sum(c_x x) == 0 over its
-    elements, with c == 1 at x_l and c == -(coefficient of x_l) at each of
-    its basis elements. A normal m is the sum of its components a over the
-    parts (a_{x_l} == 0); within part l it equals sum((a_x - t c_x) x) for
-    every t, and the cone that drops d takes t == a_d / c_d. All those
-    coefficients are nonnegative iff d minimises a_x / c_x over the part.
-    """
-    dependences = [solve_linear(skeleton.basis, part[-1]) for part in skeleton.parts]
-    allowed = []
-    for m in normals:
-        a = solve_linear(skeleton.basis, m)
-        per_part = []
-        for c, support in zip(dependences, skeleton.part_supports):
-            ratios = [a[i] / -c[i] for i in support] + [Fraction(0)]
-            low = min(ratios)
-            per_part.append(frozenset(d for d, r in enumerate(ratios) if r == low))
-        allowed.append(tuple(per_part))
-    return allowed
+    other parts. Within the part the normal is sum(a_x x), a == 0 at x_l,
+    so it is sum((a_x - t c_x) x) for every t, and the cone that drops d
+    takes t == a_d / c_d: all those coefficients are nonnegative iff d
+    minimises a_x / c_x over the part."""
+    def drops(a, c):
+        ratios = [Fraction(a_x, c_x) for a_x, c_x in zip(a, c)]
+        low = min(ratios)
+        return frozenset(d for d, r in enumerate(ratios) if r == low)
+    return [tuple(map(drops, per_normal, dependences)) for per_normal in expansions]
 
 
 def build_illumination_set(P: HPolytope) -> IlluminationSet:
-    """The illumination set of P, one direction per cone selection, each
-    vertex assigned the first cone that contains its tight normals.
-
-    With G the matrix whose rows are a selection's generators, the
-    direction v solves G v == 1, so it is the row sums of G^-1, and a
-    normal m is sum(lam_j g_j) with lam_j = <m, column j of G^-1>; the
-    signs of lam are read off the integer row of m against the columns
-    scaled to ints."""
+    """The illumination set of P, one direction per cone, each vertex
+    assigned the first cone, in product order, that contains its tight
+    normals. One inverse of the skeleton basis B gives all of it as ints
+    over one denominator D, column i of B^-1 being Q_i / D: row (a, _, c)
+    has the coefficients <a, Q_i> over B, c D times those of its normal,
+    so x_l's part has the positive dependence c D x_l - sum(<a, Q_i> b_i)
+    == 0, with (a, _, c) the row of x_l."""
     skeleton = extract_skeleton(P.normal_set)
-    selections = cone_selections(skeleton)
-    directions, columns = [], []
-    for gens in selections:
-        inv = inverse(gens)
-        if inv is None:
-            raise InternalInvariantError("cone selection is not a full basis")
-        v = tuple(sum(row) for row in inv)
-        if any(dot(g, v) != 1 for g in gens):
+    if (inv := inverse(skeleton.basis)) is None:
+        raise InternalInvariantError("skeleton basis is singular")
+    flat, D = _integers([x for row in inv for x in row])
+    columns = [flat[i::P.dim] for i in range(P.dim)]
+    # per row and per part: its coefficients over the part's elements
+    expansions = [[[A[i] for i in support] + [0] for support in skeleton.part_supports]
+                  for A in ([sum(map(mul, a, col)) for col in columns] for a, _, _ in P.rows)]
+    normals = P.normal_set.normals
+    apexes = [normals.index(part[-1]) for part in skeleton.parts]
+    dependences = [[-a for a in expansions[x][l][:-1]] + [P.rows[x][2] * D]
+                   for l, x in enumerate(apexes)]
+    shares, K = _shares(skeleton.part_supports, columns, dependences)
+    generators = [[_integers(g) for g in part] for part in skeleton.parts]
+    directions = []
+    for drop in product(*(range(len(part)) for part in skeleton.parts)):
+        V = [sum(x) for x in zip(*(share[d] for share, d in zip(shares, drop)))]
+        # g == G / k and v == V / (D K), so <g, v> == 1 iff <G, V> == k D K
+        if any(e != d and sum(map(mul, G, V)) != k * D * K
+               for part, d in zip(generators, drop) for e, (G, k) in enumerate(part)):
             raise InternalInvariantError("direction does not pair to 1 exactly")
-        directions.append(v)
-        columns.append([_integers(col)[0] for col in zip(*inv)])
-    directions = tuple(directions)
+        directions.append(tuple(Fraction(x, D * K) for x in V))
     if len(directions) > 2 ** P.dim:
         raise InternalInvariantError("more cones than 2^n")
     delta = compute_delta(P)
     epsilon = compute_epsilon(P, directions, delta)
-    allowed = _allowed_drops(skeleton, P.normal_set.normals)
+    allowed = _allowed_drops(expansions, dependences)
     assignment = []
     for vert in P.vertices:
         tight = [i for i in range(len(P.rows)) if vert.mask >> i & 1]
-        j = 0
-        for k, part in enumerate(skeleton.parts):
-            drops = set(range(len(part)))
-            for i in tight:
-                drops &= allowed[i][k]
+        j, chosen = 0, []
+        for l, c in enumerate(dependences):
+            drops = set(range(len(c))).intersection(*(allowed[i][l] for i in tight))
             if not drops:
-                raise AssignmentError(
-                    f"no cone contains the tight normals of vertex "
-                    f"{format_vector(vert.point)}; "
-                    f"the covering claim fails")
-            j = j * len(part) + min(drops)
+                raise AssignmentError(f"no cone contains the tight normals of vertex "
+                                      f"{format_vector(vert.point)}; the covering claim fails")
+            chosen.append(min(drops))
+            j = j * len(c) + chosen[-1]
+        # re-checked without the producer: each coefficient a_x - a_d c_x / c_d
+        # of a tight normal over the cone's generators is nonnegative
         for i in tight:
-            a = P.rows[i][0]
-            if any(sum(map(mul, a, col)) < 0 for col in columns[j]):
+            if any(a_x * c[d] - a[d] * c_x < 0
+                   for a, c, d in zip(expansions[i], dependences, chosen)
+                   for a_x, c_x in zip(a, c)):
                 raise InternalInvariantError(
-                    f"assigned cone does not contain the tight normal "
-                    f"{format_vector(P.normal_set.normals[i])} of vertex "
-                    f"{format_vector(vert.point)}")
+                    f"assigned cone does not contain the tight normal {format_vector(normals[i])}"
+                    f" of vertex {format_vector(vert.point)}")
         assignment.append(j)
-    return IlluminationSet(
-        directions=directions,
-        epsilon=epsilon,
-        scaled=tuple(vscale(epsilon, v) for v in directions),
-        assignment=tuple(assignment),
-        delta=delta,
-    )
+    return IlluminationSet(directions=tuple(directions), epsilon=epsilon, delta=delta,
+                           scaled=tuple(vscale(epsilon, v) for v in directions),
+                           assignment=tuple(assignment))
 
 
 def _verify_with_assignment(P: HPolytope, directions: Sequence[Vec],

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .classify import check_strong_monotypy
+from . import kernel
 from .errors import InternalInvariantError, NotStronglyMonotypicError
 from .kernel import Vec, rank, simplex_dependence
 from .polytope import NormalSet
@@ -40,10 +41,12 @@ class Skeleton:
 
 
 def _first_independent_subset(N: NormalSet) -> tuple[Vec, ...]:
-    for subset in combinations(N.normals, N.dim):
-        if rank(subset) == N.dim:
-            return subset
-    raise InternalInvariantError("validated normal set has no independent subset")
+    """The first independent n-subset in `combinations` order, the greedy
+    basis: the pivot columns of the matrix whose columns are the normals."""
+    pivots = kernel._row_reduce(list(zip(*N.normals)))[2]
+    if len(pivots) != N.dim:
+        raise InternalInvariantError("validated normal set has no independent subset")
+    return tuple(N.normals[i] for i in pivots)
 
 
 def refine_basis(N: NormalSet) -> tuple[tuple[Vec, ...], tuple]:

@@ -14,14 +14,14 @@ from polyillum.errors import NotStronglyMonotypicError
 from polyillum.fan import verify_fan_uniqueness
 from polyillum.generators import randomize_offsets
 from polyillum.illuminate import (build_illumination_set, compute_delta,
-                                  compute_epsilon, cone_selections,
-                                  verify_illumination)
+                                  compute_epsilon, verify_illumination)
 from polyillum.kernel import dot, vec, vscale
 from polyillum.oracle import min_illumination_number
 from polyillum.position import is_conical_position
 from polyillum.skeleton import extract_skeleton
 from tests.conftest import (box, hexagon, simplex, simplex_product,
                             square_pyramid, triangle)
+from tests.illuminate_reference import cone_selections
 from tests.polytope_reference import INTERIOR, location, masked, tight_normals, vsub
 from tests.test_position import equivalence_case, random_basis_and_point
 
@@ -137,7 +137,7 @@ def test_criterion_6_fan_uniqueness_offset_independence():
         if not mono:
             continue
         for Q in [P] + [randomize_offsets(P, s) for s in RANDOMIZATION_SEEDS]:
-            assert verify_fan_uniqueness(Q.normal_set, Q)
+            assert verify_fan_uniqueness(Q)
 
 
 @criterion(7)

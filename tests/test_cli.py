@@ -628,6 +628,11 @@ GOLDEN_COMMANDS.update({
                                ("sp33", "simplex_product", ["3", "3"]),
                                ("box4", "box", ["4"]))
 })
+# illuminate --verify on three parts of unequal size and on parts of size 3
+GOLDEN_COMMANDS.update({
+    f"illuminate_{name}": (source, ["illuminate", "--verify"], 0)
+    for name, source in (("sp221_seed5", SP221), ("hexagon", hexagon))
+})
 
 
 class TestGoldenRuns:
@@ -804,6 +809,47 @@ def substitute(P, field: str, value) -> tuple[dict, dict]:
     else:
         dirs[field] = value
     return doc, dirs
+
+
+# offsets whose products reach past Python's 4,300-digit limit on int-to-str
+# conversion, though each literal is under it
+HUGE_SQUARE = {"dim": 2, "facets": [
+    {"normal": normal, "offset": offset} for normal, offset in (
+        (["1", "0"], "1" + "0" * 4000), (["-1", "0"], "1" + "0" * 4000),
+        (["0", "1"], "1/1" + "0" * 4000), (["0", "-1"], "1/" + "3" * 4000))]}
+
+
+class TestLastResort:
+    """Any exception a command raises ends in exit 3 and a JSON error
+    payload, never in a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["skeleton"], ["illuminate"], ["illuminate", "--verify"], ["fan"],
+        ["fan", "--verify-unique"], ["oracle"], ["verify", "--directions"]],
+        ids=" ".join)
+    def test_huge_square_through_every_file_command(self, capsys, tmp_path, argv):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(HUGE_SQUARE))
+        if argv[0] == "verify":
+            directions = tmp_path / "d.json"
+            directions.write_text(json.dumps({"epsilon": "1/2", "directions": sign_vectors(2)}))
+            argv = argv + [str(directions)]
+        code = run_command([argv[0], str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert err == "" and out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
+        # the size of what `illuminate` may print is not bounded yet: its
+        # epsilon has more digits than `str` converts
+        if argv[0] == "illuminate":
+            assert code == 3 and json.loads(out)["error"].startswith("ValueError: Exceeds")
+
+    def test_any_other_exception_is_an_internal_error(self, capsys, cube_file, monkeypatch):
+        def failing(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(COMMANDS, "classify", COMMANDS["classify"]._replace(handler=failing))
+        assert run_command(["classify", cube_file]) == 3
+        assert capsys.readouterr().out == '{"error":"RuntimeError: boom"}\n'
 
 
 class TestFuzzedDocuments:

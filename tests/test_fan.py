@@ -62,7 +62,7 @@ class TestUniqueness:
     @pytest.mark.parametrize("P", [box(3), hexagon(), simplex_product([2, 1])],
                              ids=["cube", "hexagon", "prism"])
     def test_unique(self, P):
-        assert verify_fan_uniqueness(P.normal_set, P)
+        assert verify_fan_uniqueness(P)
 
     def test_prism_has_six_cones(self):
         assert len(normal_fan(simplex_product([2, 1]))) == 6
@@ -70,7 +70,7 @@ class TestUniqueness:
     def test_rejects_non_monotypic(self):
         P = square_pyramid()
         with pytest.raises(InputError, match="monotypic"):
-            verify_fan_uniqueness(P.normal_set, P)
+            verify_fan_uniqueness(P)
 
     def test_fan_is_offset_independent(self):
         P = hexagon()
@@ -78,7 +78,7 @@ class TestUniqueness:
         for seed in range(5):
             Q = randomize_offsets(P, seed)
             assert {frozenset(c.generators) for c in normal_fan(Q)} == base
-            assert verify_fan_uniqueness(Q.normal_set, Q)
+            assert verify_fan_uniqueness(Q)
 
     def test_cone_count_equals_vertex_count(self):
         for P in (box(3), hexagon(), triangle(), simplex(3)):
@@ -185,6 +185,6 @@ class TestFanLpWork:
         for cached in (classify.circuit_table, classify.check_strong_monotypy,
                        classify.check_monotypy, fan.enumerate_primitive_bases):
             cached.cache_clear()
-        assert verify_fan_uniqueness(P.normal_set, P)
+        assert verify_fan_uniqueness(P)
         assert len(enumerate_primitive_bases(P.normal_set)) == 2 ** n
         assert calls == []

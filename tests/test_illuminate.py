@@ -1,24 +1,25 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyillum import illuminate, lp, position
+from polyillum import illuminate, kernel, lp, position
 from polyillum.classify import check_strong_monotypy
 from polyillum.errors import (AssignmentError, InputError, InternalInvariantError,
                               NotStronglyMonotypicError)
 from polyillum.generators import randomize_offsets
 from polyillum.illuminate import (IlluminationSet, build_illumination_set,
-                                  compute_delta, compute_epsilon, cone_selections,
-                                  verify_directions, verify_illumination)
+                                  compute_delta, compute_epsilon, verify_directions,
+                                  verify_illumination)
 from polyillum.kernel import dot, vadd, vec, vneg, vscale
 from polyillum.lp import solve_eq_nonneg
 from polyillum.polytope import HPolytope, NormalSet
-from polyillum.position import cone_membership
 from polyillum.skeleton import extract_skeleton
 from tests.conftest import (box, hexagon, simplex, simplex_product, square_pyramid,
                             triangle, valid_normal_sets)
+from tests.illuminate_reference import cone_directions, cone_selections, lp_assignment
 from tests.polytope_reference import (BOUNDARY, INTERIOR, location, masked, tight_normals,
                                       vsub)
 
@@ -112,15 +113,49 @@ class TestBuild:
         with pytest.raises(NotStronglyMonotypicError):
             build_illumination_set(square_pyramid())
 
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets(), st.sampled_from([1, 2, 3]))
+    def test_directions_equal_one_inverse_per_cone(self, normals, seed):
+        # v is unique, so building it part by part from one inverse of the
+        # skeleton basis must give the reference's direction exactly
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        assume(check_strong_monotypy(N)[0])
+        try:
+            P = randomize_offsets(HPolytope(N, (F(1),) * len(normals)), seed)
+        except InputError:
+            assume(False)
+        assert build_illumination_set(P).directions == cone_directions(extract_skeleton(N))
 
-def lp_assignment(P):
-    """The reference: each vertex takes the first selection, in product
-    order, whose cone contains all its tight normals by LP."""
-    selections = cone_selections(extract_skeleton(P.normal_set))
-    return tuple(next(j for j, gens in enumerate(selections)
-                      if all(cone_membership(m, gens) is not None
-                             for m in tight_normals(P, v.point)))
-                 for v in P.vertices)
+    @staticmethod
+    def count_row_reductions(monkeypatch):
+        """Per row reduction, the names of the functions on the stack."""
+        calls = []
+        row_reduce = kernel._row_reduce
+
+        def counting(matrix):
+            frame, names = sys._getframe(1), []
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            calls.append(names)
+            return row_reduce(matrix)
+
+        monkeypatch.setattr(kernel, "_row_reduce", counting)
+        return calls
+
+    @pytest.mark.parametrize("n, skeleton, cones", [(6, 14, 64), (10, 22, 1024)])
+    def test_one_inverse_per_build(self, monkeypatch, n, skeleton, cones):
+        # with the strong monotypy verdict cached, the skeleton takes the
+        # first basis, one pass of n sign classifications and its re-check
+        # (n part dependences and one rank); the build adds one inverse
+        P = box(n)
+        build_illumination_set(P)
+        calls = self.count_row_reductions(monkeypatch)
+        ill = build_illumination_set(P)
+        assert len(ill.directions) == cones
+        assert len(calls) == skeleton + 1
+        assert [names[:2] for names in calls if "extract_skeleton" not in names] == [
+            ["inverse", "build_illumination_set"]]
 
 
 class TestAssignment:
@@ -166,16 +201,36 @@ class TestAssignment:
         sk = extract_skeleton(box(3).normal_set)
         nowhere = tuple(frozenset() for _ in sk.parts)
         monkeypatch.setattr(illuminate, "_allowed_drops",
-                            lambda skeleton, normals: [nowhere] * len(normals))
+                            lambda expansions, dependences: [nowhere] * len(expansions))
         with pytest.raises(AssignmentError, match="covering claim"):
             build_illumination_set(box(3))
 
     def test_cone_that_fails_its_recheck_is_an_internal_error(self, monkeypatch):
-        # listed in reverse, each box selection is the opposite orthant
-        monkeypatch.setattr(illuminate, "cone_selections",
-                            lambda skeleton: cone_selections(skeleton)[::-1])
+        # each box part is {e_i, -e_i}: the opposite drop is the opposite
+        # orthant, which the re-check, reading no drop off the producer, refuses
+        allowed_drops = illuminate._allowed_drops
+
+        def opposite(expansions, dependences):
+            return [tuple(frozenset(1 - d for d in drops) for drops in per_normal)
+                    for per_normal in allowed_drops(expansions, dependences)]
+
+        monkeypatch.setattr(illuminate, "_allowed_drops", opposite)
         with pytest.raises(InternalInvariantError, match="does not contain"):
             build_illumination_set(box(3))
+
+    @pytest.mark.parametrize("P", [box(3), hexagon(), simplex_product([2, 2, 1])],
+                             ids=["box3", "hexagon", "sp221"])
+    def test_a_corrupted_share_fails_to_pair_to_one(self, monkeypatch, P):
+        shares = illuminate._shares
+
+        def corrupted(*args):
+            per_part, K = shares(*args)
+            per_part[-1][0][0] += 1
+            return per_part, K
+
+        monkeypatch.setattr(illuminate, "_shares", corrupted)
+        with pytest.raises(InternalInvariantError, match="does not pair to 1 exactly"):
+            build_illumination_set(P)
 
 
 class TestVerification:

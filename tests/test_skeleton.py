@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from polyillum import skeleton
 from polyillum.classify import check_strong_monotypy
 from polyillum.errors import InternalInvariantError, NotStronglyMonotypicError
-from polyillum.kernel import vec
+from polyillum.kernel import rank, vec
 from polyillum.polytope import NormalSet
 from polyillum.position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED, SignClass,
                                 captured, classify_signs, is_conical_position)
@@ -15,6 +16,27 @@ from tests.conftest import (box, hexagon, set_n, simplex, simplex_product, squar
                             valid_normal_sets)
 
 F = Fraction
+
+
+def first_independent_subset_scan(N):
+    """The reference: the first n-subset, in `combinations` order, of rank n."""
+    return next(subset for subset in combinations(N.normals, N.dim) if rank(subset) == N.dim)
+
+
+class TestFirstIndependentSubset:
+    @settings(max_examples=100, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3, 4)))
+    def test_pivot_columns_are_the_first_independent_subset(self, normals):
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        assert skeleton._first_independent_subset(N) == first_independent_subset_scan(N)
+
+    def test_skips_a_dependent_prefix(self):
+        # the normals are sorted in reverse, and the first three are dependent
+        N = NormalSet.from_vectors(3, [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                       (0, 0, -1), (-1, -1, 0)])
+        assert N.normals[:3] == (vec(1, 1, 0), vec(1, 0, 0), vec(0, 1, 0))
+        assert skeleton._first_independent_subset(N) == (
+            vec(1, 1, 0), vec(1, 0, 0), vec(0, 0, 1)) == first_independent_subset_scan(N)
 
 
 class TestRefineBasis:
