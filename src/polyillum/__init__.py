@@ -18,8 +18,7 @@ from .kernel import Vec, dot, parse_rational, solve_linear, vec
 from .oracle import (DirectionClass, enumerate_direction_classes,
                      min_illumination_number)
 from .polytope import HPolytope, NormalSet, Vertex
-from .position import (SignClass, classify_signs, cone_membership,
-                       is_conical_position, is_primitive, separator)
+from .position import cone_membership, is_conical_position, is_primitive, separator
 from .skeleton import Skeleton, extract_skeleton, refine_basis, verify_skeleton
 
 __version__ = "0.1.0"

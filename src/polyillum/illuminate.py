@@ -4,8 +4,9 @@ and epsilon, plus the two independent verification checks.
 One cone per choice of a dropped element from each skeleton part; its
 direction is the unique vector pairing to 1 with every generator. The
 parts span a direct sum, so each direction is a sum of one share per
-part, and one inverse of the skeleton basis gives all the shares and the
-normals' expansions over the basis. Each vertex is assigned the first
+part, and the inverse of the skeleton basis that the skeleton's last pass
+made gives all the shares and the normals' expansions over the basis,
+with no row reduction here. Each vertex is assigned the first
 cone, in product order, that contains all its tight normals, read part by
 part off those expansions with no LP, and each containment is re-checked
 coefficient by coefficient. The slack bound delta is half the minimum
@@ -24,7 +25,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import AssignmentError, InputError, InternalInvariantError
-from .kernel import Vec, _integers, format_vector, inverse, vscale
+from .kernel import Vec, _integers, format_vector, vscale
 from .polytope import HPolytope, _slacks
 from .skeleton import extract_skeleton
 
@@ -124,16 +125,13 @@ def _allowed_drops(expansions: Sequence[Sequence[Sequence[int]]],
 def build_illumination_set(P: HPolytope) -> IlluminationSet:
     """The illumination set of P, one direction per cone, each vertex
     assigned the first cone, in product order, that contains its tight
-    normals. One inverse of the skeleton basis B gives all of it as ints
+    normals. The skeleton's inverse of its basis B gives all of it as ints
     over one denominator D, column i of B^-1 being Q_i / D: row (a, _, c)
     has the coefficients <a, Q_i> over B, c D times those of its normal,
     so x_l's part has the positive dependence c D x_l - sum(<a, Q_i> b_i)
     == 0, with (a, _, c) the row of x_l."""
     skeleton = extract_skeleton(P.normal_set)
-    if (inv := inverse(skeleton.basis)) is None:
-        raise InternalInvariantError("skeleton basis is singular")
-    flat, D = _integers([x for row in inv for x in row])
-    columns = [flat[i::P.dim] for i in range(P.dim)]
+    columns, D = skeleton.columns, skeleton.denominator
     # per row and per part: its coefficients over the part's elements
     expansions = [[[A[i] for i in support] + [0] for support in skeleton.part_supports]
                   for A in ([sum(map(mul, a, col)) for col in columns] for a, _, _ in P.rows)]

@@ -3,9 +3,11 @@
 Every geometric verdict in this package reduces to sign decisions, so
 nothing here touches floating point. Vectors are plain tuples of
 `fractions.Fraction`, and `Fraction` is what every function takes and
-returns; inside, the arithmetic is on Python ints. `_integers` scales a
-vector to ints by the lcm of its denominators, once, for `dot` here and
-for every caller that takes many integer dot products with one vector.
+returns but `inverse`, whose callers take many integer dot products with
+its columns, so it returns them as ints over one denominator; inside, the
+arithmetic is on Python ints. `_integers` scales a vector to ints by the
+lcm of its denominators, once, for `dot` here and for every caller that
+takes many integer dot products with one vector.
 Every row reduction is one Gauss-Jordan elimination of a matrix M of
 ints over one positive denominator D, so that M / D is the rational
 matrix, with the integer pivoting of `lp`: a pivot divides nothing, and
@@ -197,9 +199,12 @@ def solve_rows(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Optional[Vec]:
     return tuple(Fraction(M[i][n], D) for i in range(n))
 
 
-def inverse(rows: Sequence[Vec]) -> Optional[tuple[Vec, ...]]:
-    """The rows of the inverse of a square matrix, by one elimination of
-    [rows | I], or None if it is singular."""
+def inverse(rows: Sequence[Vec]) -> Optional[tuple[tuple[tuple[int, ...], ...], int]]:
+    """(Q, D), with Q[j] the j-th column of D times the inverse of a square
+    matrix, as ints, by one elimination of [rows | I]; or None if it is
+    singular. The left block reduces to D I and the common gcd of the
+    reduced matrix and D is divided out, so D is the least positive
+    denominator that makes D times the inverse integral."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise InputError("inverse needs a square matrix")
@@ -207,7 +212,7 @@ def inverse(rows: Sequence[Vec]) -> Optional[tuple[Vec, ...]]:
                                 for i in range(n)])
     if pivots[:n] != list(range(n)):
         return None
-    return tuple(tuple(Fraction(x, D) for x in M[i][n:]) for i in range(n))
+    return tuple(tuple(M[i][n + j] for i in range(n)) for j in range(n)), D
 
 
 def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:

@@ -240,14 +240,12 @@ def _walk(rows: Sequence[tuple], basis: tuple[int, ...],
     """
     n = len(point)
     X, scale = _integers(point)
-    inv = inverse([rows[i][0] for i in basis])
-    if inv is None:
+    if (inv := inverse([rows[i][0] for i in basis])) is None:
         raise InternalInvariantError(
             f"start basis at {format_vector(point)} is singular")
     # D B^-1 is integral, and so are D x = D B^-1 b_B and D times each slack
-    flat, D = _integers([x for row in inv for x in row])
-    columns = [(*(sum(map(mul, a, c)) for a, _, _ in rows), *c)
-               for c in (flat[j::n] for j in range(n))]
+    Q, D = inv
+    columns = [(*(sum(map(mul, a, c)) for a, _, _ in rows), *c) for c in Q]
     columns.append(tuple(s * D // scale for s in (*_slacks(rows, X, scale), *(-x for x in X))))
     state = _Simple(tuple(basis), D, tuple(columns))
     start = sum(1 << i for i in basis)

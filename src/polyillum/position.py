@@ -1,5 +1,6 @@
-"""Pointwise geometric predicates: sign classification of a point against a
-basis, conical position, positive-hull membership, primitivity.
+"""Pointwise geometric predicates: conical position, positive-hull
+membership, primitivity. The sign pattern of a normal over a basis is read
+off the basis inverse where it is needed, in `skeleton.refine_basis`.
 
 Every negative verdict carries a witness so it can be re-checked without
 trusting the code path that produced it. A cone question asks whether x
@@ -19,42 +20,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .kernel import Vec, _integers, rank, solve_linear, vneg
+from .kernel import Vec, _integers, rank, vneg
 from .lp import _bland, _phase_one, solve_eq_nonneg
-
-ALL_NONPOSITIVE = "all_nonpositive"
-ALL_NONNEGATIVE = "all_nonnegative"
-SINGLE_POSITIVE = "single_positive"
-MIXED = "mixed"
-
-
-@dataclass(frozen=True)
-class SignClass:
-    tag: str
-    coefficients: Vec
-    positive_index: Optional[int] = None
-
-
-def classify_signs(basis: Sequence[Vec], x: Vec) -> SignClass:
-    """Sign pattern of the unique expansion of x over an independent basis.
-
-    all_nonpositive: every coefficient <= 0 (the set {x} + basis is not
-    strictly separable from the origin); all_nonnegative / single_positive:
-    one of the points lies in the positive hull of the others; mixed
-    (>= 2 positive, >= 1 negative): {x} + basis is in conical position.
-    """
-    lam = solve_linear(basis, x)
-    if lam is None:
-        raise InputError("singular basis in classify_signs")
-    pos = [i for i, c in enumerate(lam) if c > 0]
-    neg = [i for i, c in enumerate(lam) if c < 0]
-    if not pos:
-        return SignClass(ALL_NONPOSITIVE, lam)
-    if not neg:
-        return SignClass(ALL_NONNEGATIVE, lam)
-    if len(pos) == 1:
-        return SignClass(SINGLE_POSITIVE, lam, positive_index=pos[0])
-    return SignClass(MIXED, lam)
 
 
 def _cone_query(x: Vec, generators: Sequence[Vec]):

@@ -4,26 +4,27 @@ A set that is not strongly monotypic is rejected first, with the
 conical-position certificate of the cached exhaustive check. Otherwise a
 swap-stable basis B is grown inside the normal set until every other
 normal expands over B with all-nonpositive or all-nonnegative
-coefficients. Every other normal is classified once per basis, and the
-skeleton is read off the pass over the final basis. The
-all-nonpositive normals' supports form a laminar family; the
-inclusion-maximal supports partition the basis indices and each yields
-one part X_l = {b_i : i in S_l} + {x_l}, a simplex with the origin in its
-relative interior. No LP runs here.
+coefficients. Each pass inverts B once, as ints Q_i / D for the columns
+of B^-1, and reads every other normal's coefficient signs off the
+integer dot products <X, Q_i>, X the normal scaled to ints; the skeleton
+is read off the pass over the final basis, and keeps that inverse for
+the illumination build. The all-nonpositive normals' supports form a
+laminar family; the inclusion-maximal supports partition the basis
+indices and each yields one part X_l = {b_i : i in S_l} + {x_l}, a
+simplex with the origin in its relative interior. No LP runs here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+from operator import mul
 
 from .classify import check_strong_monotypy
 from . import kernel
 from .errors import InternalInvariantError, NotStronglyMonotypicError
-from .kernel import Vec, rank, simplex_dependence
+from .kernel import Vec, _integers, inverse, rank, simplex_dependence
 from .polytope import NormalSet
-from .position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED, SINGLE_POSITIVE,
-                       classify_signs)
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,9 @@ class Skeleton:
     basis: tuple[Vec, ...]
     parts: tuple[tuple[Vec, ...], ...]
     part_supports: tuple[tuple[int, ...], ...]
+    # column i of the basis inverse is columns[i] / denominator, as ints
+    columns: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    denominator: int = field(compare=False, repr=False)
 
     @property
     def product_of_part_sizes(self) -> int:
@@ -49,39 +53,44 @@ def _first_independent_subset(N: NormalSet) -> tuple[Vec, ...]:
     return tuple(N.normals[i] for i in pivots)
 
 
-def refine_basis(N: NormalSet) -> tuple[tuple[Vec, ...], tuple]:
-    """Swap-stable basis B within N, with the (normal, SignClass) pair over
-    B of every other normal, each all_nonpositive or all_nonnegative.
+def refine_basis(N: NormalSet) -> tuple[tuple[Vec, ...], tuple, tuple]:
+    """Swap-stable basis B within N, its inverse (Q, D) as `kernel.inverse`
+    gives it, and the (normal, signs) pair of every other normal, in
+    order: signs[i] is <X, Q_i>, a positive multiple of the normal's i-th
+    coefficient over B, and they are all nonpositive or all nonnegative.
 
-    A mixed pattern puts {x} + B in conical position, so a set that is not
-    strongly monotypic is rejected first. Starting from the
-    lexicographically first independent n-subset, each pass classifies
-    every other normal once; the first with a single_positive pattern
-    replaces the positively-weighted basis element, which strictly
-    enlarges pos(B), so the pass's count of all_nonnegative normals (those
-    in pos(B)) grows with every swap.
+    A mixed pattern (two positive signs and a negative one) puts {x} + B in
+    conical position, so a set that is not strongly monotypic is rejected
+    first. Starting from the lexicographically first independent n-subset,
+    each pass inverts B once; the first normal with a single positive sign
+    among negative ones replaces the basis element of that sign, which
+    strictly enlarges pos(B), so the pass's count of normals with no
+    negative sign (those in pos(B)) grows with every swap.
     """
     strong, cert = check_strong_monotypy(N)
     if not strong:
         raise NotStronglyMonotypicError(
             "skeleton extraction requires strong monotypy", cert)
     basis = list(_first_independent_subset(N))
+    scaled = [(x, _integers(x)[0]) for x in N.normals]
     count = -1
     for _ in range(len(N.normals) + 1):
-        signs = tuple((x, classify_signs(basis, x)) for x in N.normals if x not in basis)
-        tags = [sc.tag for _, sc in signs]
-        if MIXED in tags:
+        if (inv := inverse(basis)) is None:
+            raise InternalInvariantError("skeleton basis is singular")
+        signs = tuple((x, tuple(sum(map(mul, X, q)) for q in inv[0]))
+                      for x, X in scaled if x not in basis)
+        straddling = [(x, [i for i, c in enumerate(a) if c > 0])
+                      for x, a in signs if min(a) < 0 < max(a)]
+        if any(len(positive) > 1 for _, positive in straddling):
             raise InternalInvariantError("strongly monotypic set gave a mixed sign pattern")
-        now = tags.count(ALL_NONNEGATIVE)
+        now = sum(min(a) >= 0 for _, a in signs)
         if now <= count:
             raise InternalInvariantError("swap failed to enlarge the captured normal count")
         count = now
-        for x, sc in signs:
-            if sc.tag == SINGLE_POSITIVE:
-                basis[sc.positive_index] = x
-                break
-        else:
-            return tuple(basis), signs
+        if not straddling:
+            return tuple(basis), inv, signs
+        x, (i,) = straddling[0]
+        basis[i] = x
     raise InternalInvariantError("basis refinement did not terminate")
 
 
@@ -89,9 +98,9 @@ def extract_skeleton(N: NormalSet) -> Skeleton:
     """The skeleton of a strongly monotypic normal set. A swap-stable basis
     with laminar supports is necessary for strong monotypy but not
     sufficient, so `refine_basis` runs the exhaustive check first."""
-    basis, signs = refine_basis(N)
-    negatives = [(x, tuple(i for i, c in enumerate(sc.coefficients) if c != 0))
-                 for x, sc in signs if sc.tag == ALL_NONPOSITIVE]
+    basis, (columns, D), signs = refine_basis(N)
+    negatives = [(x, tuple(i for i, c in enumerate(a) if c != 0))
+                 for x, a in signs if max(a) <= 0]
 
     for (_, sx), (_, sy) in combinations(negatives, 2):
         fx, fy = set(sx), set(sy)
@@ -120,7 +129,7 @@ def extract_skeleton(N: NormalSet) -> Skeleton:
         x_l = next(x for x, sup in negatives if tuple(sorted(sup)) == key)
         parts.append(tuple(basis[i] for i in key) + (x_l,))
         part_supports.append(key)
-    skeleton = Skeleton(tuple(basis), tuple(parts), tuple(part_supports))
+    skeleton = Skeleton(tuple(basis), tuple(parts), tuple(part_supports), columns, D)
     verify_skeleton(N, skeleton)
     return skeleton
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 from itertools import product
 
 from polyillum.errors import InternalInvariantError
-from polyillum.kernel import Vec, dot, inverse
+from polyillum.kernel import Vec, dot
 from polyillum.polytope import HPolytope
 from polyillum.position import cone_membership
 from polyillum.skeleton import Skeleton, extract_skeleton
+from tests.kernel_reference import inverse
 from tests.polytope_reference import tight_normals
 
 

@@ -633,6 +633,14 @@ GOLDEN_COMMANDS.update({
     f"illuminate_{name}": (source, ["illuminate", "--verify"], 0)
     for name, source in (("sp221_seed5", SP221), ("hexagon", hexagon))
 })
+# skeleton on a basis found by one swap over two passes (the hexagon), on
+# three parts and on four, and on N, refused with its conical certificate
+GOLDEN_COMMANDS.update({
+    f"skeleton_{name}": (source, ["skeleton"], code)
+    for name, source, code in (("hexagon", hexagon, 0), ("sp221_seed5", SP221, 0),
+                               ("box4_seed5", ["box", "--dims", "4", "--seed", "5"], 0),
+                               ("set_n", set_n, 1))
+})
 
 
 class TestGoldenRuns:

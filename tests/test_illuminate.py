@@ -143,19 +143,21 @@ class TestBuild:
         monkeypatch.setattr(kernel, "_row_reduce", counting)
         return calls
 
-    @pytest.mark.parametrize("n, skeleton, cones", [(6, 14, 64), (10, 22, 1024)])
-    def test_one_inverse_per_build(self, monkeypatch, n, skeleton, cones):
+    @pytest.mark.parametrize("n, reductions, cones", [(6, 9, 64), (10, 13, 1024)])
+    def test_one_inverse_per_build(self, monkeypatch, n, reductions, cones):
         # with the strong monotypy verdict cached, the skeleton takes the
-        # first basis, one pass of n sign classifications and its re-check
-        # (n part dependences and one rank); the build adds one inverse
+        # first basis, one pass that reads every sign off one inverse, and
+        # its re-check (n part dependences and one rank); the build reuses
+        # that inverse and row-reduces nothing of its own
         P = box(n)
         build_illumination_set(P)
         calls = self.count_row_reductions(monkeypatch)
         ill = build_illumination_set(P)
         assert len(ill.directions) == cones
-        assert len(calls) == skeleton + 1
-        assert [names[:2] for names in calls if "extract_skeleton" not in names] == [
-            ["inverse", "build_illumination_set"]]
+        assert len(calls) == reductions
+        assert all("extract_skeleton" in names for names in calls)
+        assert [names[:2] for names in calls if "inverse" in names] == [
+            ["inverse", "refine_basis"]]
 
 
 class TestAssignment:
@@ -193,8 +195,8 @@ class TestAssignment:
         monkeypatch.setattr(lp, "solve_eq_nonneg", counting)
         monkeypatch.setattr(position, "solve_eq_nonneg", counting)
         build_illumination_set(P)
-        # refine_basis counts captured normals off its sign classifications,
-        # and the assignment reads cones off the skeleton basis
+        # refine_basis counts captured normals off its basis inverse, and
+        # the assignment reads cones off the skeleton basis
         assert len(calls) == 0
 
     def test_empty_part_intersection_is_an_assignment_error(self, monkeypatch):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,14 @@ F = Fraction
 
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=16)
+
+
+def fraction_inverse(inv):
+    """The rows of the inverse that `inverse` gives as (columns, D)."""
+    if inv is None:
+        return None
+    columns, D = inv
+    return tuple(tuple(F(q, D) for q in row) for row in zip(*columns))
 
 
 class TestRationalLiterals:
@@ -129,15 +138,13 @@ class TestRowsAndKernels:
         lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                            min_size=n, max_size=n)))
     def test_inverse(self, entries):
+        # the columns of D times the inverse, as ints over the least D
         rows = [vec(*r) for r in entries]
         inv = inverse(rows)
-        n = len(rows)
-        if rank(rows) < n:
-            assert inv is None
-        else:
-            columns = list(zip(*inv))
-            assert [[dot(r, c) for c in columns] for r in rows] == [
-                [int(i == j) for j in range(n)] for i in range(n)]
+        assert fraction_inverse(inv) == reference.inverse(rows)
+        if inv is not None:
+            columns, D = inv
+            assert gcd(D, *(q for column in columns for q in column)) == 1
 
     def test_kernel_of_independent_set_is_none(self):
         assert simplex_dependence([]) is None
@@ -249,7 +256,7 @@ class TestAgainstTheFractionElimination:
     def test_solve_rows_and_inverse(self, rows, data):
         rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
         assert solve_rows(rows, rhs) == reference.solve_rows(rows, rhs)
-        assert inverse(rows) == reference.inverse(rows)
+        assert fraction_inverse(inverse(rows)) == reference.inverse(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 6).flatmap(lambda n: st.tuples(

@@ -402,8 +402,8 @@ class TestVertexWalk:
 
     def test_an_unblocked_edge_is_an_internal_error(self, monkeypatch, capsys):
         # a zero inverse gives a zero tableau
-        monkeypatch.setattr(polytope, "inverse", lambda rows: tuple(
-            (F(0),) * len(rows) for _ in rows))
+        monkeypatch.setattr(polytope, "inverse", lambda rows: (tuple(
+            (0,) * len(rows) for _ in rows), 1))
         with pytest.raises(InternalInvariantError, match="no normal blocks edge 0"):
             box(3)
         assert run_command(["gen", "box", "--dims", "3"]) == 3

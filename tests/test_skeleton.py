@@ -1,19 +1,24 @@
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 
 from polyillum import skeleton
 from polyillum.classify import check_strong_monotypy
+from polyillum.cli import run_command
 from polyillum.errors import InternalInvariantError, NotStronglyMonotypicError
-from polyillum.kernel import rank, vec
+from polyillum.formats import dump, polytope_to_doc
+from polyillum.kernel import _integers, inverse, rank, vec, vscale
 from polyillum.polytope import NormalSet
-from polyillum.position import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED, SignClass,
-                                captured, classify_signs, is_conical_position)
+from polyillum.position import captured, is_conical_position
 from polyillum.skeleton import extract_skeleton, refine_basis, verify_skeleton
+from tests import skeleton_reference as reference
 from tests.conftest import (box, hexagon, set_n, simplex, simplex_product, square_pyramid,
                             valid_normal_sets)
+from tests.skeleton_reference import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED,
+                                      classify_signs, sign_tag)
 
 F = Fraction
 
@@ -47,13 +52,13 @@ class TestRefineBasis:
         N = hexagon().normal_set
         sc = classify_signs((vec(1, 1), vec(1, 0)), vec(0, 1))
         assert sc.coefficients == vec(1, -1) and sc.positive_index == 0
-        B, _ = refine_basis(N)
+        B, _, _ = refine_basis(N)
         assert B == (vec(0, 1), vec(1, 0))
 
     def test_cube_start_is_already_stable(self):
-        B, signs = refine_basis(box(3).normal_set)
+        B, _, signs = refine_basis(box(3).normal_set)
         assert B == (vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1))
-        assert [sc.tag for _, sc in signs] == [ALL_NONPOSITIVE] * 3
+        assert [sign_tag(a) for _, a in signs] == [ALL_NONPOSITIVE] * 3
 
     def test_pyramid_mixed_certificate(self):
         # a mixed pattern over a basis is a conical (n+1)-subset, so the
@@ -69,35 +74,47 @@ class TestRefineBasis:
 
     def test_default_start_reaches_stability(self):
         for N in (hexagon().normal_set, box(4).normal_set, simplex(3).normal_set):
-            B, signs = refine_basis(N)
+            B, (_, D), signs = refine_basis(N)
             assert [x for x, _ in signs] == [x for x in N.normals if x not in B]
-            for x, sc in signs:
-                assert sc == classify_signs(B, x)
-                assert sc.tag in (ALL_NONPOSITIVE, ALL_NONNEGATIVE)
+            for x, a in signs:
+                # <X, Q_i> is k D times the i-th coefficient, x == X / k
+                sc = classify_signs(B, x)
+                assert tuple(F(c, D) for c in a) == vscale(_integers(x)[1], sc.coefficients)
+                assert sign_tag(a) == sc.tag in (ALL_NONPOSITIVE, ALL_NONNEGATIVE)
 
     @settings(max_examples=40, deadline=None)
     @given(valid_normal_sets())
     def test_captured_count_agrees_with_lp(self, normals):
-        # every pass counts the normals its basis captures; record each
-        # pass's basis and count and compare them with the LP
+        # every pass counts the normals its basis captures, those with no
+        # negative sign over its inverse; record each pass's basis and
+        # inverse and compare that count with the LP
         passes = []
 
-        def recording(basis, x):
-            sc = classify_signs(basis, x)
-            if not passes or passes[-1][0] != tuple(basis):
-                passes.append((tuple(basis), 0))
-            if sc.tag == ALL_NONNEGATIVE:
-                passes[-1] = (passes[-1][0], passes[-1][1] + 1)
-            return sc
+        def recording(basis):
+            passes.append((tuple(basis), inverse(basis)))
+            return passes[-1][1]
 
         N = NormalSet.from_vectors(len(normals[0]), normals)
         assume(check_strong_monotypy(N)[0])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(skeleton, "classify_signs", recording)
+            mp.setattr(skeleton, "inverse", recording)
             refine_basis(N)
         assert passes
-        for basis, count in passes:
+        for basis, (columns, _) in passes:
+            count = sum(all(sum(map(mul, _integers(x)[0], q)) >= 0 for q in columns)
+                        for x in normals if x not in basis)
             assert count == sum(1 for _ in captured(basis, normals))
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3, 4)))
+    def test_agrees_with_the_reference(self, normals):
+        # the same final basis, and the same sign tag for every other normal
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        assume(check_strong_monotypy(N)[0])
+        B, _, signs = refine_basis(N)
+        expected_B, expected = reference.refine_basis(N)
+        assert B == expected_B
+        assert [(x, sign_tag(a)) for x, a in signs] == [(x, sc.tag) for x, sc in expected]
 
 
 class TestCartesianSupport:
@@ -178,22 +195,38 @@ class TestExtractSkeleton:
             assert sk.product_of_part_sizes <= 2 ** N.dim
 
     def test_classifies_each_normal_once_per_basis(self, monkeypatch):
-        # box(6) starts from a stable basis: one pass over its 6 other normals
+        # box(6) starts from a stable basis, and the hexagon swaps once: one
+        # inverse per pass classifies every other normal
         calls = []
 
-        def counting(basis, x):
-            calls.append(x)
-            return classify_signs(basis, x)
+        def counting(basis):
+            calls.append(tuple(basis))
+            return inverse(basis)
 
-        monkeypatch.setattr(skeleton, "classify_signs", counting)
-        extract_skeleton(box(6).normal_set)
-        assert len(calls) == 6
+        monkeypatch.setattr(skeleton, "inverse", counting)
+        for P, passes in ((box(6), 1), (hexagon(), 2)):
+            calls.clear()
+            extract_skeleton(P.normal_set)
+            assert len(calls) == passes
 
     def test_mixed_pattern_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(skeleton, "classify_signs",
-                            lambda basis, x: SignClass(MIXED, classify_signs(basis, x).coefficients))
+        # over the box's basis e_1, e_2, e_3, these columns give -e_3 the
+        # signs (1, 1, -1)
+        monkeypatch.setattr(skeleton, "inverse",
+                            lambda basis: (((1, 0, -1), (0, 1, -1), (0, 0, 1)), 1))
         with pytest.raises(InternalInvariantError, match="mixed"):
             extract_skeleton(box(3).normal_set)
+
+    @pytest.mark.parametrize("command", ["skeleton", "illuminate"])
+    def test_singular_basis_is_an_internal_error(self, monkeypatch, capsys, tmp_path,
+                                                 command):
+        path = tmp_path / "box3.json"
+        path.write_text(dump(polytope_to_doc(box(3))))
+        monkeypatch.setattr(skeleton, "inverse", lambda basis: None)
+        with pytest.raises(InternalInvariantError, match="singular"):
+            extract_skeleton(box(3).normal_set)
+        assert run_command([command, str(path)]) == 3
+        assert capsys.readouterr().out == '{"error":"skeleton basis is singular"}\n'
 
     def test_no_mixed_pattern_on_strongly_monotypic_input(self):
         for N in (box(3).normal_set, hexagon().normal_set,

@@ -17,8 +17,9 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from polyillum.errors import InternalInvariantError
-from polyillum.kernel import Vec, _integers, dot, format_vector, inverse
+from polyillum.kernel import Vec, _integers, dot, format_vector
 from polyillum.polytope import _slacks
+from tests.kernel_reference import inverse
 
 
 def _scan(rows: Sequence[tuple], candidates) -> list[tuple[Vec, tuple[int, ...]]]:
