@@ -14,7 +14,7 @@ from .generators import SplitMix64, generate, randomize_offsets
 from .illuminate import (IlluminationSet, build_illumination_set,
                          compute_delta, compute_epsilon, verify_directions,
                          verify_illumination)
-from .kernel import Vec, dot, parse_rational, solve_linear, vec
+from .kernel import Vec, dot, parse_rational, vec
 from .oracle import (DirectionClass, enumerate_direction_classes,
                      min_illumination_number)
 from .polytope import HPolytope, NormalSet, Vertex

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .classify import (NORMAL_SET_CACHE_SIZE, bitmask, check_monotypy, circuit_table,
                        circuits_inside, primitive)
 from .errors import InputError
-from .kernel import Vec, format_vector, solve_linear, vadd, zero_vec
+from .kernel import Vec, format_vector, simplex_dependence, vadd, zero_vec
 from .polytope import HPolytope, NormalSet, Vertex
 
 
@@ -68,7 +68,10 @@ def is_complete_fan(N: NormalSet, cones: Sequence[FanCone]) -> bool:
     W+b, on opposite sides of span(W): the one circuit inside W+a+b gives
     a and b the same sign. Then the number of cones covering a point is
     the same off the walls, and the sum of the first cone's generators,
-    which lies in no other closed cone, fixes it at 1.
+    which lies in no other closed cone, fixes it at 1. A cone's generators
+    are independent, so their dependence with the point is 1 at the point,
+    and the point lies in the closed cone iff every other coefficient is
+    at most 0.
     """
     if not cones:
         return False
@@ -88,7 +91,7 @@ def is_complete_fan(N: NormalSet, cones: Sequence[FanCone]) -> bool:
     point = zero_vec(N.dim)
     for g in cones[0].generators:
         point = vadd(point, g)
-    return not any(all(c >= 0 for c in solve_linear(cone.generators, point))
+    return not any(all(c <= 0 for c in simplex_dependence((*cone.generators, point))[:-1])
                    for cone in cones[1:])
 
 

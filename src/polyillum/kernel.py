@@ -8,11 +8,14 @@ its columns, so it returns them as ints over one denominator; inside, the
 arithmetic is on Python ints. `_integers` scales a vector to ints by the
 lcm of its denominators, once, for `dot` here and for every caller that
 takes many integer dot products with one vector.
-Every row reduction is one Gauss-Jordan elimination of a matrix M of
-ints over one positive denominator D, so that M / D is the rational
-matrix, with the integer pivoting of `lp`: a pivot divides nothing, and
-the common gcd of M and D is divided out after it. The pivots, and the
-reduced matrix, are those of the rational elimination.
+`_pivot` is the package's one integer pivot (Edmonds, J. Res. NBS, 1967)
+of a matrix M of ints over one positive denominator D, so that M / D is
+the rational matrix: it divides nothing, and the common gcd of M and D is
+divided out after it. Every row reduction here is a Gauss-Jordan
+elimination by it, and `lp`'s simplex and `polytope`'s vertex walk pivot
+by it too, so the pivots, and the reduced matrix, are those of the
+rational elimination. There is no square solve: the vertex walk reads its
+start off one `inverse`.
 """
 
 from __future__ import annotations
@@ -128,18 +131,34 @@ def primitive_form(v: Vec) -> Vec:
     return tuple(Fraction(i // g) for i in ints)
 
 
+def _pivot(M: Sequence[Sequence[int]], D: int, r: int, c: int) -> tuple[list, int]:
+    """One integer pivot (Edmonds) of the vectors M over D > 0 on entry c
+    of vector r, as a new (M, D): M / D is the rational matrix before and
+    after. Vector r is negated if need be, so that its entry p at c is
+    positive; then, over D * p, vector r is D times itself and every other
+    vector v is v * p - v[c] * (vector r), and is v itself if v[c] == 0 and
+    p == 1. The common gcd of M and D is divided out afterwards, which keeps
+    the entries small. No vector is changed in place: callers share them."""
+    piv = M[r] if M[r][c] > 0 else [-x for x in M[r]]
+    p = piv[c]
+    M = [[x * D for x in piv] if i == r else
+         v if (f := v[c]) == 0 and p == 1 else
+         [x * p - f * y for x, y in zip(v, piv)]
+         for i, v in enumerate(M)]
+    D *= p
+    # the gcd divides D, so there is none to take while D == 1
+    if D > 1 and (g := gcd(D, *chain.from_iterable(M))) > 1:
+        M = [[x // g for x in v] for v in M]
+        D //= g
+    return M, D
+
+
 def _row_reduce(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int, list[int]]:
     """Gauss-Jordan elimination of the rational rows: (M, D, pivot columns),
     with M a matrix of ints and D > 0 such that M / D is the reduced row
-    echelon form, up to its last pivot row.
-
-    Each row is scaled by the lcm of its denominators, which leaves the
-    reduced form unchanged. A pivot row is negated if need be, so that its
-    pivot p is positive; then, over the new denominator D * p, the pivot
-    row is the old one times D and every other row is row * p - f * pivot
-    row, with f its entry in the pivot column. Dividing out the common gcd
-    of M and D afterwards keeps the entries small.
-    """
+    echelon form, up to its last pivot row. Each row is scaled by the lcm
+    of its denominators, which leaves the reduced form unchanged, and each
+    pivot is one `_pivot` on the rows."""
     M = [_integers(row)[0] for row in rows]
     D = 1
     pivots: list[int] = []
@@ -150,21 +169,7 @@ def _row_reduce(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], in
         if pivot is None:
             continue
         M[r], M[pivot] = M[pivot], M[r]
-        piv = M[r] if M[r][c] > 0 else [-x for x in M[r]]
-        p = piv[c]
-        for i, row in enumerate(M):
-            f = row[c]
-            if i == r:
-                M[i] = [x * D for x in piv]
-            elif f:
-                M[i] = [x * p - f * y for x, y in zip(row, piv)]
-            elif p != 1:
-                M[i] = [x * p for x in row]
-        D *= p
-        # the gcd divides D, so there is none to take while D == 1
-        if D > 1 and (g := gcd(D, *chain.from_iterable(M))) > 1:
-            M = [[x // g for x in row] for row in M]
-            D //= g
+        M, D = _pivot(M, D, r, c)
         pivots.append(c)
         r += 1
         if r == len(M):
@@ -176,27 +181,6 @@ def rank(vectors: Sequence[Vec]) -> int:
     if not vectors:
         return 0
     return len(_row_reduce(vectors)[2])
-
-
-def solve_linear(basis: Sequence[Vec], target: Vec) -> Optional[Vec]:
-    """Coefficients lam with sum(lam_i * basis_i) == target, or None if the
-    basis is singular. The basis must be n vectors in dimension n."""
-    n = len(target)
-    if len(basis) != n or any(len(b) != n for b in basis):
-        raise InputError("solve_linear needs n vectors of dimension n")
-    # columns are the basis vectors
-    return solve_rows([tuple(b[i] for b in basis) for i in range(n)], target)
-
-
-def solve_rows(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Optional[Vec]:
-    """Solve the square system <rows_i, x> = rhs_i, or None if singular."""
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows) or len(rhs) != n:
-        raise InputError("solve_rows needs a square system")
-    M, D, pivots = _row_reduce([(*rows[i], rhs[i]) for i in range(n)])
-    if pivots != list(range(n)):
-        return None
-    return tuple(Fraction(M[i][n], D) for i in range(n))
 
 
 def inverse(rows: Sequence[Vec]) -> Optional[tuple[tuple[tuple[int, ...], ...], int]]:

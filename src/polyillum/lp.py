@@ -9,11 +9,11 @@ a solution y, or a Farkas certificate z with z A <= 0 and z b > 0
 The tableau is a matrix M of Python ints over one positive denominator D,
 so that M / D is the rational tableau (Applegate, Cook, Dash and
 Espinoza, *Exact solutions to linear programming problems*, Oper. Res.
-Lett. 2007). A pivot divides nothing, as in Edmonds' integer pivoting
-(J. Res. NBS, 1967), and the common gcd of M and D is divided out after
-it. Ratios are compared by cross-multiplying, so every sign and every tie,
-and with them every pivot, are those of the rational tableau. `Fraction`s
-are built only for the returned vector.
+Lett. 2007). Each pivot is `kernel._pivot`, Edmonds' integer pivot (J.
+Res. NBS, 1967), which divides nothing and divides out the common gcd of
+M and D after it. Ratios are compared by cross-multiplying, so every sign
+and every tie, and with them every pivot, are those of the rational
+tableau. `Fraction`s are built only for the returned vector.
 
 `_bland` is the one pivot loop: `solve_eq_nonneg` runs it on all columns,
 `position.signed_separators` on the columns of one sign prefix at a time.
@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
+from .kernel import _pivot
 
 
 def solve_eq_nonneg(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
@@ -94,8 +95,9 @@ def _bland(M: list[list[int]], D: int, basis: list[int], columns: Sequence[int]
            ) -> tuple[list[list[int]], int, list[int]]:
     """Bland's rule until none of `columns`, in increasing order, prices
     out: the first negative reduced cost enters, the least ratio leaves,
-    ties to the lowest basic column. Returns a new (M, D, basis)."""
-    M, basis = M[:], basis[:]
+    ties to the lowest basic column. Returns a new (M, D, basis): `_pivot`
+    changes no row in place, so callers may share the tableau."""
+    basis = basis[:]
     while True:
         enter = next((j for j in columns if M[-1][j] < 0), None)
         if enter is None:
@@ -111,21 +113,5 @@ def _bland(M: list[list[int]], D: int, basis: list[int], columns: Sequence[int]
             raise InternalInvariantError(
                 "phase-one simplex unbounded, though the artificial sum is "
                 "bounded below by zero")
-        piv = M[pr]
-        p = piv[enter]
-        # over the new denominator D * p: the pivot row is piv / p, every
-        # other row is row - f * piv / p
-        for i, row in enumerate(M):
-            f = row[enter]
-            if i == pr:
-                M[i] = [x * D for x in row]
-            elif f:
-                M[i] = [x * p - f * y for x, y in zip(row, piv)]
-            else:
-                M[i] = [x * p for x in row]
-        D *= p
-        g = gcd(D, *chain.from_iterable(M))
-        if g > 1:
-            M = [[x // g for x in row] for row in M]
-            D //= g
+        M, D = _pivot(M, D, pr, enter)
         basis[pr] = enter

@@ -5,9 +5,11 @@ Each constraint is scaled once to an integer row, so a slack is an
 integer dot product. Vertices are enumerated by a depth-first walk over
 the lexicographically feasible bases (Avis and Fukuda's pivoting
 enumeration with lrs's lexicographic rule) from the first feasible
-candidate basis in `combinations` order, pivoting on ints over one
-denominator without division (Edmonds). The rule lets the walk pass
-through vertices with more than n tight normals, which the paper's
+candidate basis in `combinations` order. The scan for that start inverts
+each candidate basis once, and the walk starts from the inverse of the
+first feasible one; each of its steps is one `kernel._pivot`, on ints
+over one denominator without division (Edmonds). The rule lets the walk
+pass through vertices with more than n tight normals, which the paper's
 monotypic polytopes never have, whatever the offsets.
 
 A NormalSet is valid by construction: its normals are nonzero, pairwise
@@ -31,17 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations
-from math import comb, gcd, lcm
+from itertools import combinations
+from math import comb, lcm
 from operator import and_, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
-from .kernel import (Vec, _integers, format_vector, inverse, is_zero, primitive_form, rank,
-                     solve_rows, vec)
+from .kernel import (Vec, _integers, _pivot as _integer_pivot, format_vector, inverse, is_zero,
+                     primitive_form, rank, vec)
 from .position import farkas_direction
 
-# Square solves the search for the walk's start may try: C(m, n) for m
+# Inverses the search for the walk's start may make: C(m, n) for m
 # facets in R^n. The guard bounds only that search.
 MAX_VERTEX_CANDIDATES = 10 ** 6
 
@@ -143,10 +145,10 @@ class HPolytope:
         """Every vertex with its tight normals, in sorted order. The normals
         positively span, so the system is bounded and it is empty exactly
         when no candidate is feasible."""
-        start = next(_feasible_candidates(self.rows, self.dim), None)
+        start = next(_starts(self.rows, self.dim), None)
         if start is None:
             raise InputError("constraint system is empty (infeasible)")
-        found = _walk(self.rows, *start)
+        found = _walk(self.rows, start)
         L = lcm(*(x.denominator for p, _ in found for x in p))  # sorted as ints over L
         return tuple(Vertex(p, sum(1 << i for i in tight))
                      for p, tight in sorted(found, key=lambda e: [
@@ -195,15 +197,6 @@ def _slacks(rows: Sequence[tuple], X: Sequence[int], k: int) -> list[int]:
     return [b * k - sum(map(mul, a, X)) for a, b, _ in rows]
 
 
-def _feasible_candidates(rows: Sequence[tuple], n: int):
-    """Each basis of n rows, in `combinations` order, whose square system
-    has a solution that satisfies every constraint, with that solution."""
-    for idx in combinations(range(len(rows)), n):
-        x = solve_rows([rows[i][0] for i in idx], [rows[i][1] for i in idx])
-        if x is not None and min(_slacks(rows, *_integers(x))) >= 0:
-            yield idx, x
-
-
 class _Simple(NamedTuple):
     """The walk's state at a basis B of n rows tight at a vertex x, as ints
     over the least D > 0 that makes D B^-1 integral: column k < n is
@@ -211,17 +204,34 @@ class _Simple(NamedTuple):
     D (b - A x, -x). A pivot treats every column alike."""
     basis: tuple[int, ...]
     denominator: int
-    columns: tuple[tuple[int, ...], ...]
+    columns: Sequence[Sequence[int]]
 
     def vertex(self) -> Vec:
         D, n = self.denominator, len(self.basis)
         return tuple(Fraction(-x, D) for x in self.columns[-1][-n:])
 
 
-def _walk(rows: Sequence[tuple], basis: tuple[int, ...],
-          point: Vec) -> list[tuple[Vec, tuple[int, ...]]]:
+def _starts(rows: Sequence[tuple], n: int):
+    """The walk's state at each basis of n rows, in `combinations` order,
+    whose vertex satisfies every constraint, from one inverse per basis:
+    D B^-1 = Q is integral, and so are D x = sum_i b_i Q_i and D times
+    each slack."""
+    for basis in combinations(range(len(rows)), n):
+        if (inv := inverse([rows[i][0] for i in basis])) is None:
+            continue
+        Q, D = inv
+        X = [sum(rows[i][1] * q for i, q in zip(basis, row)) for row in zip(*Q)]
+        slacks = _slacks(rows, X, D)
+        if min(slacks) >= 0:
+            columns = [(*(sum(map(mul, a, c)) for a, _, _ in rows), *c) for c in Q]
+            columns.append((*slacks, *(-x for x in X)))
+            yield _Simple(basis, D, tuple(columns))
+
+
+def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[Vec, tuple[int, ...]]]:
     """Every vertex with the indices of its tight rows, by a depth-first
-    walk over the lexicographically feasible bases from a start basis B0.
+    walk over the lexicographically feasible bases from the state at a
+    start basis B0.
 
     Relax each row i outside B0 by eps_i, with eps_0 >> eps_1 >> ... > 0:
     at basis B, row i's slack is then s_i + [i not in B0] eps_i -
@@ -238,17 +248,8 @@ def _walk(rows: Sequence[tuple], basis: tuple[int, ...],
     zero slacks of its state. The walk holds one state, and returns along
     an edge by the reverse pivot, which restores it exactly.
     """
-    n = len(point)
-    X, scale = _integers(point)
-    if (inv := inverse([rows[i][0] for i in basis])) is None:
-        raise InternalInvariantError(
-            f"start basis at {format_vector(point)} is singular")
-    # D B^-1 is integral, and so are D x = D B^-1 b_B and D times each slack
-    Q, D = inv
-    columns = [(*(sum(map(mul, a, c)) for a, _, _ in rows), *c) for c in Q]
-    columns.append(tuple(s * D // scale for s in (*_slacks(rows, X, scale), *(-x for x in X))))
-    state = _Simple(tuple(basis), D, tuple(columns))
-    start = sum(1 << i for i in basis)
+    n = len(state.basis)
+    start = sum(1 << i for i in state.basis)
     found, seen = {}, {start}
     pending = []  # per basis on the path: its (edge, entering row, neighbour) steps
     returns = []  # per step along the path: the (edge, row) pivot back
@@ -309,20 +310,10 @@ def _nearer(state: _Simple, start: int, k: int, i: int, r: int) -> bool:
 
 
 def _pivot(state: _Simple, k: int, r: int) -> _Simple:
-    """The state where row r replaces the k-th basis row. Over D q, with
-    -q = D T[r][k] < 0 the pivot, column k becomes -D times itself and any
-    other column q times itself plus its row-r entry times column k (shared
-    if that is 0 and q == 1); then the common gcd is divided out."""
-    D, pivot = state.denominator, state.columns[k]
-    q = -pivot[r]
-    if q <= 0:
+    """The state where row r replaces the k-th basis row: one
+    `kernel._pivot` of the columns on the entry of column k at row r,
+    -D T[r][k], which must be negative."""
+    if state.columns[k][r] >= 0:
         raise InternalInvariantError(f"pivot on row {r} along edge {k} is not negative")
-    columns = [tuple(-D * x for x in pivot) if j == k else
-               column if (f := column[r]) == 0 and q == 1 else
-               tuple(q * a + f * b for a, b in zip(column, pivot))
-               for j, column in enumerate(state.columns)]
-    D *= q
-    if D > 1 and (g := gcd(D, *chain.from_iterable(columns))) > 1:
-        columns = [tuple(x // g for x in column) for column in columns]
-        D //= g
-    return _Simple(state.basis[:k] + (r,) + state.basis[k + 1:], D, tuple(columns))
+    columns, D = _integer_pivot(state.columns, state.denominator, k, r)
+    return _Simple(state.basis[:k] + (r,) + state.basis[k + 1:], D, columns)

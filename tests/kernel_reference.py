@@ -1,7 +1,9 @@
 """The `Fraction` row reduction that `polyillum.kernel` replaced, kept as
 the reference its integer elimination is compared against: the same
 Gauss-Jordan elimination, the same pivots and the same answers, on a
-matrix of `Fraction`s, with the functions that read their answers off it.
+matrix of `Fraction`s, with the one pivot step it takes and the functions
+that read their answers off it. `solve_rows` solves a square system, which
+the package reads off its integer inverse instead.
 `circuits` is the enumeration that `polyillum.kernel.circuits` replaced: it
 row-reduces every subset of up to n + 1 vectors that holds no smaller
 circuit, whatever the structure of their matroid.
@@ -45,6 +47,14 @@ def _row_reduce(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
         if r == rows:
             break
     return matrix, pivots
+
+
+def pivot(matrix: Sequence[Sequence[Fraction]], r: int, c: int) -> list[list[Fraction]]:
+    """One Gauss-Jordan step on the vectors of a matrix: vector r over its
+    entry at c, and every other vector v less v[c] times that."""
+    piv = [x / matrix[r][c] for x in matrix[r]]
+    return [piv if i == r else [x - v[c] * y for x, y in zip(v, piv)]
+            for i, v in enumerate(matrix)]
 
 
 def rank(vectors: Sequence[Vec]) -> int:

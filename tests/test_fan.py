@@ -176,6 +176,17 @@ class TestWallTest:
     def test_rejects_an_empty_fan(self):
         assert not is_complete_fan(box(2).normal_set, ())
 
+    def test_rejects_a_fan_that_covers_the_plane_twice(self):
+        # the star d0 d2 d4 d1 d3 of five rays winds round the origin twice:
+        # every wall lies in two cones on opposite sides, so only the point
+        # test sees that the first cone's generator sum lies in another cone
+        d = [vec(1, 0), vec(1, 3), vec(-3, 2), vec(-3, -2), vec(1, -3)]
+        N = NormalSet(2, tuple(d))
+        index = {m: i for i, m in enumerate(N.normals)}
+        cones = [FanCone((d[a], d[b]), bitmask((index[d[a]], index[d[b]])))
+                 for a, b in [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]]
+        assert not is_complete_fan(N, cones)
+
 
 class TestFanLpWork:
     @pytest.mark.parametrize("n", [4, 6])

@@ -98,9 +98,26 @@ def test_lp_has_one_entry_point():
 
 
 def test_lp_imports_only_errors_from_the_package():
-    # the LP works on ints and Fractions alone, not on the package's vectors
+    # the LP works on ints and Fractions alone, not on the package's
+    # vectors; besides the errors it imports only the kernel's pivot step
     package = {p.stem for p in MODULES}
-    assert {module for module, _ in imported_names(PACKAGE / "lp.py")} & package == {"errors"}
+    names = {(module, name) for module, name in imported_names(PACKAGE / "lp.py")
+             if module in package}
+    assert {module for module, _ in names} == {"errors", "kernel"}
+    assert {name for module, name in names if module == "kernel"} == {"_pivot"}
+
+
+def test_only_the_kernel_imports_gcd():
+    # `kernel._pivot` is the one place that divides a common gcd out
+    importers = [p.name for p in MODULES if ("math", "gcd") in imported_names(p)]
+    assert importers == ["kernel.py"]
+
+
+def test_no_square_solve_is_defined():
+    # a square system is read off `kernel.inverse`, in the walk's start scan
+    defined = {node.name for p in MODULES for node in ast.walk(ast.parse(p.read_text(
+        encoding="utf-8"))) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"solve_rows", "solve_linear"}
 
 
 def test_kernel_imports_only_errors_from_the_package():

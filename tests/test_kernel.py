@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from polyillum import kernel
 from polyillum.errors import InputError
 from polyillum.kernel import (circuits, dot, format_rational, inverse, parse_rational,
-                              primitive_form, rank, simplex_dependence,
-                              solve_linear, solve_rows, vec, zero_vec)
+                              primitive_form, rank, simplex_dependence, vec, zero_vec)
 from polyillum.lp import solve_eq_nonneg
 from polyillum.position import separator
 from tests import kernel_reference as reference
@@ -90,49 +89,7 @@ class TestRationalLiterals:
             assert gcd(abs(r.numerator), r.denominator) == 1
 
 
-class TestSolveLinear:
-    def test_identity_basis(self):
-        lam = solve_linear([vec(1, 0), vec(0, 1)], vec(F(3, 2), -2))
-        assert lam == vec(F(3, 2), -2)
-
-    def test_singular(self):
-        assert solve_linear([vec(1, 1), vec(2, 2)], vec(1, 3)) is None
-
-    def test_three_dimensional_by_substitution(self):
-        basis = [vec(1, 0, 1), vec(0, 1, 1), vec(0, 0, -1)]
-        target = vec(-1, 0, 1)
-        lam = solve_linear(basis, target)
-        assert lam == vec(-1, 0, -2)
-        total = zero_vec(3)
-        for c, b in zip(lam, basis):
-            total = tuple(t + c * x for t, x in zip(total, b))
-        assert total == target
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            solve_linear([vec(1, 0)], vec(1, 2))
-
-    @given(st.lists(st.tuples(rationals, rationals, rationals),
-                    min_size=3, max_size=3),
-           st.tuples(rationals, rationals, rationals))
-    def test_solution_substitutes_exactly(self, rows, target):
-        basis = [vec(*r) for r in rows]
-        t = vec(*target)
-        lam = solve_linear(basis, t)
-        if lam is None:
-            assert rank(basis) < 3
-        else:
-            total = zero_vec(3)
-            for c, b in zip(lam, basis):
-                total = tuple(x + c * y for x, y in zip(total, b))
-            assert total == t
-
-
 class TestRowsAndKernels:
-    def test_solve_rows(self):
-        x = solve_rows([vec(1, 1), vec(1, -1)], [F(2), F(0)])
-        assert x == vec(1, 1)
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
@@ -232,6 +189,30 @@ def matrices(draw, shape=st.tuples(st.integers(0, 5), st.integers(0, 5))):
 square = st.integers(1, 4).map(lambda n: (n, n))
 
 
+@st.composite
+def pivot_steps(draw):
+    """(M, D, r, c) for `kernel._pivot`: vectors of ints, small or of up to
+    20 digits, over D > 0, and the pivot entry M[r][c], which is positive,
+    negative (the vertex walk's case) or +-1 with zeros at c in some other
+    vectors, which are then kept as they are. The vectors are lists, or
+    tuples as the walk holds them."""
+    ints = st.one_of(st.integers(-6, 6), st.integers(-10 ** 20, 10 ** 20))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    M = [draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(m)]
+    D = draw(st.one_of(st.integers(1, 12), st.integers(1, 10 ** 20)))
+    r, c = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["positive", "negative", "unit"]))
+    if kind == "unit":
+        M[r][c] = draw(st.sampled_from([1, -1]))
+        for i, v in enumerate(M):
+            if i != r and draw(st.booleans()):
+                v[c] = 0
+    else:
+        p = draw(st.one_of(st.integers(1, 6), ints.filter(bool).map(abs)))
+        M[r][c] = p if kind == "positive" else -p
+    return draw(st.sampled_from([M, [tuple(v) for v in M]])), D, r, c
+
+
 class TestAgainstTheFractionElimination:
     """The integer elimination reduces to the matrix, pivots and answers of
     the `Fraction` elimination it replaced (kept in
@@ -254,9 +235,31 @@ class TestAgainstTheFractionElimination:
     @settings(max_examples=200, deadline=None)
     @given(matrices(square), st.data())
     def test_solve_rows_and_inverse(self, rows, data):
+        # the square system's solution is sum(rhs_i Q_i) / D, as the walk's
+        # start scan reads it off the inverse
         rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-        assert solve_rows(rows, rhs) == reference.solve_rows(rows, rhs)
-        assert fraction_inverse(inverse(rows)) == reference.inverse(rows)
+        inv = inverse(rows)
+        assert fraction_inverse(inv) == reference.inverse(rows)
+        x = None if inv is None else tuple(
+            sum(F(h) * q for h, q in zip(rhs, row)) / inv[1] for row in zip(*inv[0]))
+        assert x == reference.solve_rows(rows, rhs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pivot_steps())
+    def test_pivot(self, step):
+        # M' / D' is the Fraction pivot of M / D, no vector of M changes,
+        # a vector with a zero at c is shared when p == 1 and no gcd is
+        # divided out, and D' is least
+        M, D, r, c = step
+        before = [list(v) for v in M]
+        after, E = kernel._pivot(M, D, r, c)
+        assert [list(v) for v in M] == before
+        assert E > 0 and [[F(x, E) for x in v] for v in after] == reference.pivot(
+            [[F(x, D) for x in v] for v in M], r, c)
+        if abs(M[r][c]) == 1 and E == D:
+            assert all(after[i] is v for i, v in enumerate(M) if i != r and v[c] == 0)
+        if E > 1:
+            assert gcd(E, *(x for v in after for x in v)) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 6).flatmap(lambda n: st.tuples(

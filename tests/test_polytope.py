@@ -10,12 +10,13 @@ from polyillum import kernel, polytope
 from polyillum.cli import run_command
 from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
 from polyillum.generators import generate, randomize_offsets
-from polyillum.kernel import _integers, dot, rank, solve_rows, vadd, vec, vneg, vscale, zero_vec
+from polyillum.kernel import _integers, dot, rank, vadd, vec, vneg, vscale, zero_vec
 from polyillum.polytope import HPolytope, NormalSet, Vertex
 from polyillum.position import cone_membership
 from tests import walk_reference
 from tests.conftest import (box, count_lps, cut_box_facets, n_over_apex, set_n,
                             square_pyramid, triangle, valid_normal_sets)
+from tests.kernel_reference import solve_rows
 from tests.polytope_reference import BOUNDARY, location, masked, slacks, tight_normals, vsub
 
 F = Fraction
@@ -179,17 +180,15 @@ class TestVertexEnumeration:
 
 
 def route_vertices(normals, offsets):
-    """The vertex tuples of the walk and of the candidate scan, from the
-    same start candidate."""
-    rows = polytope._rows(normals, offsets)
-    candidates = polytope._feasible_candidates(rows, len(normals[0]))
-    start = next(candidates)
+    """The vertex tuples of the walk, from its first start, and of the
+    candidate scan."""
+    rows, n = polytope._rows(normals, offsets), len(normals[0])
 
     def as_vertices(found):
         return tuple(Vertex(p, sum(1 << i for i in tight)) for p, tight in sorted(found))
 
-    return (as_vertices(polytope._walk(rows, *start)),
-            as_vertices(walk_reference._scan(rows, [start, *candidates])))
+    return (as_vertices(polytope._walk(rows, next(polytope._starts(rows, n)))),
+            as_vertices(walk_reference._scan(rows, walk_reference.feasible_candidates(rows, n))))
 
 
 def normals_and_offsets(P):
@@ -258,12 +257,24 @@ class TestVertexWalk:
             return
         assert P.vertices == scanned
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(degenerate_systems(), valid_normal_sets(dims=(2, 3, 4)).flatmap(
+        lambda normals: st.tuples(st.just(normals), st.tuples(*[st.fractions(
+            min_value=-5, max_value=5, max_denominator=7)] * len(normals))))))
+    def test_the_starts_are_the_feasible_candidates(self, system):
+        # one state per feasible basis, in the scan's order, at its vertex;
+        # offsets of any sign leave some systems empty
+        normals, offsets = system
+        rows, n = polytope._rows(normals, offsets), len(normals[0])
+        assert [(s.basis, s.vertex()) for s in polytope._starts(rows, n)] == list(
+            walk_reference.feasible_candidates(rows, n))
+
     @settings(max_examples=60, deadline=None)
     @given(degenerate_systems())
     def test_the_walk_visits_each_lexicographically_feasible_basis_once(self, system):
         normals, offsets = system
         rows = polytope._rows(normals, offsets)
-        start = next(polytope._feasible_candidates(rows, len(normals[0])))
+        start = next(polytope._starts(rows, len(normals[0])))
         visited = []
         steps = polytope._steps
 
@@ -273,9 +284,9 @@ class TestVertexWalk:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polytope, "_steps", recording)
-            polytope._walk(rows, *start)
+            polytope._walk(rows, start)
         assert len(visited) == len(set(visited))
-        assert set(visited) == walk_reference.lex_feasible_bases(rows, start[0])
+        assert set(visited) == walk_reference.lex_feasible_bases(rows, start.basis)
 
     @settings(max_examples=80, deadline=None)
     @given(valid_normal_sets(dims=(2, 3, 4)), st.sampled_from(["unit", "seed", "large"]),
@@ -294,39 +305,39 @@ class TestVertexWalk:
             rnd = random.Random(seed)
             offsets = tuple(F(rnd.randint(1, 10 ** 30), rnd.randint(1, 10 ** 20))
                             for _ in normals)
-        rows = polytope._rows(normals, offsets)
-        candidates = polytope._feasible_candidates(rows, len(normals[0]))
-        start = next(candidates)
-        walked = polytope._walk(rows, *start)
-        expected = walk_reference._walk(normals, offsets, *start)
+        rows, n = polytope._rows(normals, offsets), len(normals[0])
+        start = next(polytope._starts(rows, n))
+        walked = polytope._walk(rows, start)
+        expected = walk_reference._walk(normals, offsets, start.basis, start.vertex())
         if expected is None:  # a degenerate vertex, which the Fraction walk gives up at
-            assert sorted(walked) == sorted(walk_reference._scan(rows, [start, *candidates]))
+            assert sorted(walked) == sorted(walk_reference._scan(
+                rows, walk_reference.feasible_candidates(rows, n)))
         else:
             assert walked == list(expected.items())
 
     @settings(max_examples=40, deadline=None)
     @given(valid_normal_sets(dims=(2, 3, 4)), st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_every_state_is_the_one_of_its_basis(self, normals, seed):
-        # each state the pivots reach holds D B^-1, D A B^-1, D (b - A x)
-        # and -D x for its basis, with the least such D: the pivots keep
-        # every column's scale, not only its direction
+        # the start state and each state the pivots reach hold D B^-1,
+        # D A B^-1, D (b - A x) and -D x for their basis, with the least
+        # such D: the pivots keep every column's scale, not only its direction
         rnd = random.Random(seed)
         offsets = tuple(F(rnd.randint(1, 10 ** 6), rnd.randint(1, 10 ** 3)) for _ in normals)
         rows = polytope._rows(normals, offsets)
-        states = []
+        states = [next(polytope._starts(rows, len(normals[0])))]
         pivot = polytope._pivot
 
         def recording(state, k, r):
             states.append(pivot(state, k, r))
             return states[-1]
 
-        start = next(polytope._feasible_candidates(rows, len(normals[0])))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polytope, "_pivot", recording)
-            polytope._walk(rows, *start)
+            polytope._walk(rows, states[0])
         for state in states:
             n, D, columns = len(state.basis), state.denominator, state.columns
-            x = solve_rows([rows[i][0] for i in state.basis], [rows[i][1] for i in state.basis])
+            x = solve_rows([tuple(map(F, rows[i][0])) for i in state.basis],
+                           [F(rows[i][1]) for i in state.basis])
             assert state.vertex() == x
             for j, column in enumerate(columns[:n]):
                 inverse = column[len(rows):]
@@ -346,9 +357,9 @@ class TestVertexWalk:
     ], ids=["N", "box3", "sp221", "sp211-r3", "simplex3-rational"])
     def test_the_walk_matches_the_fraction_walk(self, P):
         normals, offsets = P.normal_set.normals, P.offsets
-        start = next(polytope._feasible_candidates(P.rows, P.dim))
-        expected = walk_reference._walk(normals, offsets, *start)
-        assert polytope._walk(P.rows, *start) == list(expected.items())
+        start = next(polytope._starts(P.rows, P.dim))
+        expected = walk_reference._walk(normals, offsets, start.basis, start.vertex())
+        assert polytope._walk(P.rows, start) == list(expected.items())
 
     @pytest.mark.parametrize("P", [
         set_n(), box(3), generate("simplex_product", (2, 2, 1)),
@@ -385,11 +396,11 @@ class TestVertexWalk:
         return calls
 
     def test_box7_row_reduces_once_per_facet(self, monkeypatch):
-        # the spanning rank, one start solve, one inverse and a rank per facet
+        # the spanning rank, the start's inverse and a rank per facet
         calls = self.count_row_reductions(monkeypatch)
         P = generate("box", (7,))
         assert len(P.vertices) == 128
-        assert len(calls) == 14 + 3
+        assert len(calls) == 14 + 2
 
     def test_cut_box8_row_reduces_once_per_facet(self, monkeypatch):
         # 8 of its vertices have 9 tight normals; the walk passes through
@@ -398,23 +409,21 @@ class TestVertexWalk:
         calls = self.count_row_reductions(monkeypatch)
         P = HPolytope.from_facets(8, facets)
         assert len(P.vertices) == 255
-        assert len(calls) == 17 + 3
+        assert len(calls) == 17 + 2
 
     def test_an_unblocked_edge_is_an_internal_error(self, monkeypatch, capsys):
-        # a zero inverse gives a zero tableau
-        monkeypatch.setattr(polytope, "inverse", lambda rows: (tuple(
-            (0,) * len(rows) for _ in rows), 1))
+        # each start keeps its slacks and point, but its tableau and
+        # inverse are zeroed, so no row blocks an edge
+        starts = polytope._starts
+        monkeypatch.setattr(polytope, "_starts", lambda rows, n: (
+            state._replace(columns=(*((0,) * len(c) for c in state.columns[:-1]),
+                                    state.columns[-1]))
+            for state in starts(rows, n)))
         with pytest.raises(InternalInvariantError, match="no normal blocks edge 0"):
             box(3)
         assert run_command(["gen", "box", "--dims", "3"]) == 3
         assert capsys.readouterr().out == (
             '{"error":"no normal blocks edge 0 at vertex (1, 1, 1)"}\n')
-
-    def test_a_singular_start_basis_is_an_internal_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(polytope, "inverse", lambda rows: None)
-        assert run_command(["gen", "box", "--dims", "3"]) == 3
-        assert capsys.readouterr().out == (
-            '{"error":"start basis at (1, 1, 1) is singular"}\n')
 
     def test_a_tie_that_no_relaxation_breaks_is_an_internal_error(self, monkeypatch, capsys):
         # with every row in B0, nothing is relaxed

@@ -2,7 +2,8 @@
 against:
 
 - the candidate scan it replaced, which solves every square system of n
-  rows;
+  rows, and whose feasible candidates `polytope._starts` still yields, in
+  the same order, as the states the walk starts from;
 - the `Fraction` walk over simple vertices it replaced: the same
   depth-first walk over the graph of the polytope, the same ratio tests
   and pivots, with the state in `Fraction`s, giving up (None) at the first
@@ -17,9 +18,21 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from polyillum.errors import InternalInvariantError
-from polyillum.kernel import Vec, _integers, dot, format_vector
+from polyillum.kernel import Vec, _integers, _row_reduce, dot, format_vector
 from polyillum.polytope import _slacks
 from tests.kernel_reference import inverse
+
+
+def feasible_candidates(rows: Sequence[tuple], n: int):
+    """Each basis of n rows, in `combinations` order, whose square system
+    has a solution that satisfies every constraint, with that solution,
+    read off one elimination of the system's integer rows [a | b]."""
+    for idx in combinations(range(len(rows)), n):
+        M, D, pivots = _row_reduce([(*rows[i][0], rows[i][1]) for i in idx])
+        if pivots == list(range(n)):
+            x = tuple(Fraction(v[n], D) for v in M)
+            if min(_slacks(rows, *_integers(x))) >= 0:
+                yield idx, x
 
 
 def _scan(rows: Sequence[tuple], candidates) -> list[tuple[Vec, tuple[int, ...]]]:
