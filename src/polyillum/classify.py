@@ -21,7 +21,6 @@ NormalSet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -42,8 +41,7 @@ ConicalCertificate = tuple[Vec, ...]
 MssCertificate = tuple[tuple[Vec, ...], tuple[Vec, ...], Vec]
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     strongly_monotypic: bool
     monotypic: bool
     strong_certificate: Optional[ConicalCertificate] = None

@@ -13,10 +13,9 @@ read off the circuit table of `classify`, so no LP runs here.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .classify import (NORMAL_SET_CACHE_SIZE, bitmask, check_monotypy, circuit_table,
                        circuits_inside, primitive)
@@ -25,10 +24,9 @@ from .kernel import Vec, format_vector, simplex_dependence, vadd, zero_vec
 from .polytope import HPolytope, NormalSet, Vertex
 
 
-@dataclass(frozen=True)
-class FanCone:
+class FanCone(NamedTuple):
     generators: tuple[Vec, ...]
-    mask: int = field(compare=False, repr=False)  # bit i: normal i generates
+    mask: int  # bit i: normal i generates
     vertex: Optional[Vertex] = None
 
 

@@ -17,12 +17,11 @@ non-tight facet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import AssignmentError, InputError, InternalInvariantError
 from .kernel import Vec, _integers, format_vector, vscale
@@ -30,8 +29,7 @@ from .polytope import HPolytope, _slacks
 from .skeleton import extract_skeleton
 
 
-@dataclass(frozen=True)
-class IlluminationSet:
+class IlluminationSet(NamedTuple):
     directions: tuple[Vec, ...]
     epsilon: Fraction
     scaled: tuple[Vec, ...]
@@ -39,8 +37,7 @@ class IlluminationSet:
     delta: Fraction
 
 
-@dataclass(frozen=True)
-class VertexReport:
+class VertexReport(NamedTuple):
     point: Vec
     direction_index: Optional[int]
     directional_ok: bool

@@ -19,11 +19,11 @@ minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import ceil
 from operator import or_
+from typing import NamedTuple
 
 from .classify import bitmask, circuit_table
 from .errors import InternalInvariantError, ScaleLimitError
@@ -34,8 +34,7 @@ from .position import signed_separators
 CELL_GUARD = 10 ** 6
 
 
-@dataclass(frozen=True)
-class DirectionClass:
+class DirectionClass(NamedTuple):
     representative: Vec
     illuminated: tuple[int, ...]  # vertex indices, aligned with P.vertices
 

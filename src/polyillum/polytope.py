@@ -30,7 +30,6 @@ derives from that order, so all outputs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -59,17 +58,28 @@ def vertex_guard(m: int, n: int) -> None:
                 f"exceed the enumeration guard ({MAX_VERTEX_CANDIDATES})")
 
 
-@dataclass(frozen=True)
-class NormalSet:
-    dim: int
-    normals: tuple[Vec, ...]
+class _Frozen:
+    """Slots that `__init__` fills once, with `object.__setattr__`."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.dim
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NormalSet(_Frozen):
+    """Equal, hashed and shown on (dim, normals); the hash is kept, since
+    every per-NormalSet cache lookup takes it."""
+    __slots__ = ("dim", "normals", "_hash")
+
+    def __init__(self, dim: int, normals: tuple[Vec, ...]):
+        n = dim
         if n <= 0:
             raise InputError(f"dimension must be positive, got {n}")
         seen: dict[Vec, int] = {}
-        for i, v in enumerate(self.normals):
+        for i, v in enumerate(normals):
             if len(v) != n:
                 raise InputError(f"normal {i} has dimension {len(v)}, expected {n}",
                                  facet_index=i)
@@ -81,9 +91,11 @@ class NormalSet:
                     f"normal {i} is a positive multiple of normal {seen[p]}",
                     facet_index=i)
             seen[p] = i
-        normals = tuple(sorted(self.normals, reverse=True))
-        object.__setattr__(self, "normals", normals)
+        normals = tuple(sorted(normals, reverse=True))
         vertex_guard(len(normals), n)
+        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "_hash", hash((n, normals)))
         # a strictly positive dependence sum((1 + y_i) n_i) == 0, y >= 0; the
         # +-e_i LPs run only to find the witness of a set that fails it
         if rank(normals) == n and farkas_direction(
@@ -99,6 +111,17 @@ class NormalSet:
                         f"constraint system is unbounded along {format_vector(d)}",
                         witness=d)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.dim, self.normals) == (other.dim, other.normals)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"NormalSet(dim={self.dim!r}, normals={self.normals!r})"
+
     @staticmethod
     def from_vectors(dim: int, vectors: Iterable) -> "NormalSet":
         return NormalSet(dim, tuple(vec(*v) for v in vectors))
@@ -110,19 +133,21 @@ class NormalSet:
         return len(self.normals)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     point: Vec
     mask: int  # bit i: normal i is tight
 
 
-@dataclass(frozen=True)
-class HPolytope:
-    normal_set: NormalSet
-    offsets: tuple[Fraction, ...]
-    # per constraint <m, x> <= h: (c m, c h, c), c the lcm of its denominators
-    rows: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
-    vertices: tuple[Vertex, ...] = field(init=False, compare=False, repr=False)
+class HPolytope(_Frozen):
+    """Equal, hashed and shown on (normal_set, offsets). `__post_init__`
+    builds the rest."""
+    # rows, per constraint <m, x> <= h: (c m, c h, c), c the lcm of its denominators
+    __slots__ = ("normal_set", "offsets", "rows", "vertices")
+
+    def __init__(self, normal_set: NormalSet, offsets: tuple[Fraction, ...]):
+        object.__setattr__(self, "normal_set", normal_set)
+        object.__setattr__(self, "offsets", offsets)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.offsets) != len(self.normal_set.normals):
@@ -130,6 +155,17 @@ class HPolytope:
         object.__setattr__(self, "rows", _rows(self.normal_set.normals, self.offsets))
         object.__setattr__(self, "vertices", self._enumerate_vertices())
         self._validate_irredundant()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.normal_set, self.offsets) == (other.normal_set, other.offsets)
+
+    def __hash__(self):
+        return hash((self.normal_set, self.offsets))
+
+    def __repr__(self):
+        return f"HPolytope(normal_set={self.normal_set!r}, offsets={self.offsets!r})"
 
     @classmethod
     def from_facets(cls, dim: int, facets: Sequence[tuple]) -> "HPolytope":

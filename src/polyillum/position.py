@@ -15,9 +15,8 @@ that table against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .kernel import Vec, _integers, rank, vneg
@@ -95,8 +94,7 @@ def signed_separators(points: Sequence[Vec], pruned: Callable[[int, int], bool]
                                      [1] * (n + 1), scale, ()))
 
 
-@dataclass(frozen=True)
-class ConicalVerdict:
+class ConicalVerdict(NamedTuple):
     in_conical_position: bool
     # witness for a positive verdict: a vector v with <s, v> >= 1 for all s
     separator: Optional[Vec] = None

@@ -16,9 +16,9 @@ simplex with the origin in its relative interior. No LP runs here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
+from typing import NamedTuple
 
 from .classify import check_strong_monotypy
 from . import kernel
@@ -27,14 +27,13 @@ from .kernel import Vec, _integers, inverse, rank, simplex_dependence
 from .polytope import NormalSet
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(NamedTuple):
     basis: tuple[Vec, ...]
     parts: tuple[tuple[Vec, ...], ...]
     part_supports: tuple[tuple[int, ...], ...]
     # column i of the basis inverse is columns[i] / denominator, as ints
-    columns: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    denominator: int = field(compare=False, repr=False)
+    columns: tuple[tuple[int, ...], ...]
+    denominator: int
 
     @property
     def product_of_part_sizes(self) -> int:

@@ -368,13 +368,15 @@ class TestParsers:
 
     def test_importing_the_cli_builds_no_parser(self, tmp_path, square_files):
         # a fresh interpreter: neither import nor any well-formed call loads
-        # argparse, or the locale module its messages would load
+        # argparse, or the locale module its messages would load, nor
+        # dataclasses and the inspect module it loads
         script = (
             "import contextlib, io, json, sys\n"
             "from polyillum.cli import run_command\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [run_command(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(codes, sorted({'argparse', 'locale'} & set(sys.modules)))\n")
+            "print(codes, sorted({'argparse', 'dataclasses', 'inspect', 'locale'}"
+            " & set(sys.modules)))\n")
         calls = [[command, *rest] for command, rest in WELL_FORMED.items()]
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
                               capture_output=True, text=True, cwd=tmp_path,

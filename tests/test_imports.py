@@ -138,3 +138,11 @@ def test_cone_questions_go_through_position(name):
     names = imported_names(PACKAGE / name)
     assert "lp" not in {module for module, _ in names}
     assert not {imported for _, imported in names} & {"solve_eq_nonneg", "cone_membership"}
+
+
+def test_no_module_imports_dataclasses():
+    # records are named tuples or slotted classes: `dataclasses` would load
+    # `inspect` on every start; the test-only reference modules may use it
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if "dataclasses" in {module for module, _ in imported_names(p)}]
+    assert importers == []
