@@ -73,10 +73,9 @@ def circuit_table(N: NormalSet) -> tuple[Circuit, ...]:
     """The circuits of the normals, in the order of `kernel.circuits`,
     each with the bitmasks of its positive and its negative elements."""
     _guard(N)
-    return tuple(
-        Circuit(idx, mu, bitmask(i for i, c in zip(idx, mu) if c > 0),
-                bitmask(i for i, c in zip(idx, mu) if c < 0))
-        for idx, mu in circuits(N.normals))
+    return tuple(Circuit(idx, mu, plus, bitmask(idx) ^ plus)  # no coefficient is zero
+                 for idx, mu in circuits(N.normals)
+                 for plus in (bitmask(i for i, c in zip(idx, mu) if c.numerator > 0),))
 
 
 def circuits_inside(mask: int, table: tuple[Circuit, ...]) -> Iterator[Circuit]:

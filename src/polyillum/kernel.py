@@ -11,18 +11,18 @@ takes many integer dot products with one vector.
 `_pivot` is the package's one integer pivot (Edmonds, J. Res. NBS, 1967)
 of a matrix M of ints over one positive denominator D, so that M / D is
 the rational matrix: it divides nothing, and the common gcd of M and D is
-divided out after it. Every row reduction here is a Gauss-Jordan
-elimination by it, and `lp`'s simplex and `polytope`'s vertex walk pivot
-by it too, so the pivots, and the reduced matrix, are those of the
-rational elimination. There is no square solve: the vertex walk reads its
-start off one `inverse`.
+divided out after it. Every row reduction here, and the prefix tree on
+one tableau of `circuits`, pivot by it, as do `lp`'s simplex and
+`polytope`'s vertex walk, so the pivots, and the reduced matrix, are
+those of the rational elimination. There is no square solve: the vertex
+walk reads its start off one `inverse`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -234,9 +234,9 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
     sum of its components, so its circuits are those of the components.
     A component K has rank |K & B|. At rank |K| it is one coloop, in no
     circuit; at rank |K| - 1 it holds one dependence, and being connected
-    it is a circuit itself. Any other component is scanned: its subsets
-    of 2..rank + 1 elements, upwards in size, each row-reduced unless it
-    holds a circuit already found, which makes it not minimal.
+    it is a circuit itself. Any other component is scanned by a prefix
+    tree on one tableau: a circuit less its last element is independent,
+    and each independent prefix is one pivot of its parent's tableau.
     """
     if not vectors:
         return []
@@ -264,27 +264,28 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
             idx = tuple(K)
             found.append((idx, simplex_dependence([vectors[i] for i in idx])))
         elif len(K) > k + 1:
-            found += _scan_circuits(vectors, K, k)
+            found += _scan_circuits(vectors, K)
     return sorted(found, key=lambda c: (len(c[0]), c[0]))
 
 
-def _scan_circuits(vectors: Sequence[Vec], elements: Sequence[int],
-                   k: int) -> list[tuple[tuple[int, ...], Vec]]:
-    """The circuits among the given vectors, of rank k, by row-reducing
-    every subset of 2..k + 1 of them that holds no circuit of a smaller
-    size, upwards in size. A circuit of its own size is never inside it."""
+def _scan_circuits(vectors: Sequence[Vec],
+                   elements: Sequence[int]) -> list[tuple[tuple[int, ...], Vec]]:
+    """The circuits among the given vectors, by a depth-first search over
+    their independent prefixes in index order on one tableau: the vectors
+    as columns, each coordinate row scaled to ints, which keeps every
+    dependence. A dependent prefix holds a circuit, so it is not extended."""
     found = []
-    smaller: list[int] = []
-    for size in range(2, k + 2):
-        supports = []
-        for idx in combinations(elements, size):
-            mask = sum(1 << i for i in idx)
-            if any(mask & support == support for support in smaller):
-                continue
-            mu = simplex_dependence([vectors[i] for i in idx])
-            if mu is None or any(c == 0 for c in mu):
-                continue
-            found.append((idx, mu))
-            supports.append(mask)
-        smaller += supports
+
+    def visit(M: list, D: int, prefix: tuple[int, ...], rows: tuple[int, ...]) -> None:
+        # M / D is pivoted on the prefix's columns, in these rows
+        free = [r for r in range(len(M)) if r not in rows]
+        for j in range(prefix[-1] + 1 if prefix else 0, len(elements)):
+            r = next((r for r in free if M[r][j]), None)
+            if r is not None:  # column j extends the prefix to an independent one
+                visit(*_pivot(M, D, r, j), (*prefix, j), (*rows, r))
+            elif all(M[p][j] for p in rows):  # j depends on all of the prefix: a circuit
+                found.append((tuple(elements[i] for i in (*prefix, j)),
+                              (*(Fraction(-M[p][j], D) for p in rows), Fraction(1))))
+
+    visit([_integers(row)[0] for row in zip(*(vectors[i] for i in elements))], 1, (), ())
     return found

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import strategies as st
@@ -62,6 +63,13 @@ def n_over_apex() -> HPolytope:
     the origin, so the polytope is not simple."""
     N = set_n().normal_set
     return HPolytope(N, tuple(Fraction(m == vec(0, -1, -1)) for m in N.normals))
+
+
+def sign_vectors_26() -> HPolytope:
+    """The 26 nonzero vectors of {-1, 0, 1}^3 as normals, each at offset
+    3 + |v|^2; they hold 5,805 circuits."""
+    return HPolytope.from_facets(3, [(v, 3 + sum(x * x for x in v))
+                                     for v in product((-1, 0, 1), repeat=3) if any(v)])
 
 
 def count_lps(monkeypatch):

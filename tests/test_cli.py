@@ -23,7 +23,8 @@ from polyillum.errors import InputError
 from polyillum.formats import dump, parse_polytope, polytope_to_doc
 from polyillum.generators import FAMILIES, generate, randomize_offsets
 from polyillum.position import is_conical_position
-from tests.conftest import box, count_lps, hexagon, n_over_apex, set_n, square_pyramid
+from tests.conftest import (box, count_lps, hexagon, n_over_apex, set_n, sign_vectors_26,
+                            square_pyramid)
 
 F = Fraction
 
@@ -644,6 +645,10 @@ GOLDEN_COMMANDS.update({
                                ("set_n", set_n, 1))
 })
 
+# classify on the 26 nonzero vectors of {-1, 0, 1}^3, whose 5,805 circuits
+# give a conical, an uncaptured and an MSS certificate
+GOLDEN_COMMANDS["classify_sign_vectors_26"] = (sign_vectors_26, ["classify"], 1)
+
 
 class TestGoldenRuns:
     """The exact payloads of successful and failing verifications."""
@@ -829,6 +834,30 @@ HUGE_SQUARE = {"dim": 2, "facets": [
         (["0", "1"], "1/1" + "0" * 4000), (["0", "-1"], "1/" + "3" * 4000))]}
 
 
+# the normals of a triangle, a square and a pentagon: any positive offsets
+# bound each, though they may make a facet of the pentagon redundant
+POLYGONS = (((1, 0), (0, 1), (-1, -1)),
+            ((1, 0), (-1, 0), (0, 1), (0, -1)),
+            ((1, 0), (0, 1), (-1, 1), (-1, -1), (1, -1)))
+long_integers = st.builds(lambda digits, low: 10 ** (digits - 1) + low,
+                          st.integers(3000, 4300), st.integers(0, 10 ** 6))
+
+
+@st.composite
+def extreme_documents(draw):
+    """Well-formed documents in R^2 with 3 to 5 facets whose literals have
+    3,000 to 4,300 digits: normals scaled by a long integer, and huge,
+    tiny and unit offsets mixed."""
+    offsets = (long_integers.map(str) | long_integers.map(lambda q: f"1/{q}")
+               | st.tuples(long_integers, long_integers).map(lambda pq: "%d/%d" % pq)
+               | st.just("1"))
+    facets = []
+    for normal in draw(st.sampled_from(POLYGONS)):
+        scale = draw(st.just(1) | long_integers)
+        facets.append({"normal": [str(scale * x) for x in normal], "offset": draw(offsets)})
+    return {"dim": 2, "facets": facets}
+
+
 class TestLastResort:
     """Any exception a command raises ends in exit 3 and a JSON error
     payload, never in a traceback."""
@@ -852,6 +881,24 @@ class TestLastResort:
         # epsilon has more digits than `str` converts
         if argv[0] == "illuminate":
             assert code == 3 and json.loads(out)["error"].startswith("ValueError: Exceeds")
+
+    @settings(max_examples=25, deadline=None)
+    @given(extreme_documents())
+    def test_extreme_literals_through_every_file_command(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            polytope, directions = Path(tmp, "p.json"), Path(tmp, "d.json")
+            polytope.write_text(json.dumps(doc))
+            directions.write_text(json.dumps({"epsilon": "1/2", "directions": sign_vectors(2)}))
+            for argv in (["classify"], ["skeleton"], ["illuminate"], ["illuminate", "--verify"],
+                         ["fan"], ["fan", "--verify-unique"], ["oracle"],
+                         ["verify", "--directions", str(directions)]):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = run_command([argv[0], str(polytope), *argv[1:]])
+                out = out.getvalue()
+                assert code in (0, 1, 2, 3) and err.getvalue() == ""
+                assert out.endswith("\n") and out.count("\n") == 1
+                assert isinstance(json.loads(out), dict)
 
     def test_any_other_exception_is_an_internal_error(self, capsys, cube_file, monkeypatch):
         def failing(args):

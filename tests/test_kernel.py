@@ -13,7 +13,7 @@ from polyillum.kernel import (circuits, dot, format_rational, inverse, parse_rat
 from polyillum.lp import solve_eq_nonneg
 from polyillum.position import separator
 from tests import kernel_reference as reference
-from tests.conftest import box, hexagon, simplex, simplex_product
+from tests.conftest import box, hexagon, set_n, sign_vectors_26, simplex, simplex_product
 
 F = Fraction
 
@@ -269,6 +269,20 @@ class TestAgainstTheFractionElimination:
         assert type(dot(a, b)) is F and dot(a, b) == reference.dot(a, b)
 
 
+def count_calls(monkeypatch, name):
+    """Patch the kernel function of that name; the returned list collects
+    one entry per call."""
+    calls = []
+    function = getattr(kernel, name)
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(kernel, name, counting)
+    return calls
+
+
 def minimal_dependent_subsets(vectors):
     """The reference: index sets, by size and then lexicographically, that
     are dependent while every subset one smaller is independent."""
@@ -306,6 +320,26 @@ def direct_sums(draw, blocks, nonzero=False):
     return draw(st.permutations(rows))
 
 
+@st.composite
+def degenerate_sets(draw):
+    """Vectors in R^2..R^4 that are small integer combinations of r < n
+    random generators, so that their components have rank below n and hold
+    many 3- and 4-circuits, with antiparallel pairs (2-circuits) and
+    repeated directions among them, in a shuffled order."""
+    n = draw(st.integers(2, 4))
+    generators = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                               min_size=1, max_size=n - 1))
+    coefficients = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(generators)),
+                                  min_size=2, max_size=7))
+    rows = [tuple(sum(c * g[i] for c, g in zip(combination, generators)) for i in range(n))
+            for combination in coefficients]
+    # negative scales make antiparallel pairs, positive ones repeated directions
+    copies = draw(st.lists(st.tuples(st.sampled_from(rows),
+                                     st.sampled_from([-2, -1, F(-1, 2), F(1, 3), 1, 3])),
+                           max_size=4))
+    return draw(st.permutations(rows + [tuple(c * x for x in row) for row, c in copies]))
+
+
 class TestCircuits:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(vector_sets(st.integers(1, 3), st.integers(1, 6), nonzero=True),
@@ -329,27 +363,39 @@ class TestCircuits:
         vectors = [vec(*r) for r in rows]
         assert circuits(vectors) == reference.circuits(vectors)
 
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_sets())
+    def test_agrees_with_the_subset_scan_on_degenerate_sets(self, rows):
+        vectors = [vec(*r) for r in rows]
+        assert circuits(vectors) == reference.circuits(vectors)
+
     @pytest.mark.parametrize("P,count,reductions", [
         (box(6), 6, 7), (simplex(7), 1, 2), (simplex_product([3, 3]), 2, 3),
-        (simplex_product([2, 2, 2, 1]), 4, 5), (hexagon(), 11, 24),
+        (simplex_product([2, 2, 2, 1]), 4, 5), (hexagon(), 11, 1),
     ], ids=["box6", "simplex7", "sp33", "sp2221", "hexagon"])
     def test_row_reductions(self, monkeypatch, P, count, reductions):
         # One elimination splits the normals into components, then one
         # dependence per component of corank 1: the 6 pairs of box6, the
         # whole of simplex7, the 2 simplices of sp33 and the 4 of sp2221.
-        # The hexagon is connected, of corank 4, and is scanned: its 15
-        # pairs and the 8 triples that hold no parallel pair. The subset
-        # scan took 722, 247, 218, 1,021 and 23.
-        calls = []
-
-        def counting(matrix):
-            calls.append(matrix)
-            return row_reduce(matrix)
-
-        row_reduce = kernel._row_reduce
-        monkeypatch.setattr(kernel, "_row_reduce", counting)
+        # The hexagon is connected, of corank 4, and is searched by a prefix
+        # tree on one tableau, which reduces no row; the scan of its subsets
+        # took 24. Scanning every subset took 722, 247, 218, 1,021 and 23.
+        calls = count_calls(monkeypatch, "_row_reduce")
         assert len(circuits(P.normal_set.normals)) == count
         assert len(calls) == reductions
+
+    @pytest.mark.parametrize("P,count,pivots", [
+        (hexagon(), 11, 20), (set_n(), 5, 28), (sign_vectors_26(), 5805, 2309),
+    ], ids=["hexagon", "N", "sign_vectors_26"])
+    def test_pivots(self, monkeypatch, P, count, pivots):
+        # The first elimination pivots 2, 3 and 3 times; the prefix tree
+        # once per independent prefix: the hexagon's 6 singletons and 12
+        # non-parallel pairs, say. The scan of subsets took 45, 68 and
+        # 23,600 pivots in 24, 26 and 8,086 row reductions.
+        reductions = count_calls(monkeypatch, "_row_reduce")
+        calls = count_calls(monkeypatch, "_pivot")
+        assert len(circuits(P.normal_set.normals)) == count
+        assert (len(reductions), len(calls)) == (1, pivots)
 
 
 class TestPrimitiveForm:
