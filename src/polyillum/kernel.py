@@ -78,6 +78,12 @@ def format_vector(v) -> str:
                            for x in v) + ")"
 
 
+def quote_vector(v: Vec) -> str:
+    """`format_vector` of v, each entry of over _QUOTE_LIMIT characters shown by its length."""
+    return format_vector(tuple(x if len(t := str(x)) <= _QUOTE_LIMIT else f"<{len(t)} characters>"
+                               for x in v))
+
+
 def vec(*entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
@@ -177,10 +183,14 @@ def _row_reduce(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], in
     return M, D, pivots
 
 
+def first_basis(vectors: Sequence[Vec]) -> tuple[int, ...]:
+    """The indices of the first basis among the vectors in index order: the
+    pivot columns of one elimination of the matrix whose columns they are."""
+    return tuple(_row_reduce(list(zip(*vectors)))[2])
+
+
 def rank(vectors: Sequence[Vec]) -> int:
-    if not vectors:
-        return 0
-    return len(_row_reduce(vectors)[2])
+    return len(first_basis(vectors))
 
 
 def inverse(rows: Sequence[Vec]) -> Optional[tuple[tuple[tuple[int, ...], ...], int]]:
@@ -207,8 +217,6 @@ def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
     Returns None unless rank(points) == len(points) - 1.
     """
     k = len(points)
-    if k == 0:
-        return None
     M, D, pivots = _row_reduce(list(zip(*points)))
     if len(pivots) != k - 1:
         return None
@@ -234,14 +242,14 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
     sum of its components, so its circuits are those of the components.
     A component K has rank |K & B|. At rank |K| it is one coloop, in no
     circuit; at rank |K| - 1 it holds one dependence, and being connected
-    it is a circuit itself. Any other component is scanned by a prefix
-    tree on one tableau: a circuit less its last element is independent,
-    and each independent prefix is one pivot of its parent's tableau.
+    it is a circuit itself, with its last element f alone outside B: its
+    dependence is 1 at f and -M[r][f] / D at the element of pivot row r.
+    Any other component is scanned by a prefix tree on one tableau: a
+    circuit less its last element is independent, and each independent
+    prefix is one pivot of its parent's tableau.
     """
-    if not vectors:
-        return []
-    M, _, basis = _row_reduce(list(zip(*vectors)))
-    in_basis = set(basis)
+    M, D, basis = _row_reduce(list(zip(*vectors)))
+    pivot_row = {b: r for r, b in enumerate(basis)}
     parent = list(range(len(vectors)))  # a union-find forest over the indices
 
     def root(i: int) -> int:
@@ -250,7 +258,7 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
         return i
 
     for f in range(len(vectors)):
-        if f not in in_basis:
+        if f not in pivot_row:
             for r, b in enumerate(basis):
                 if M[r][f]:
                     parent[root(b)] = root(f)
@@ -259,10 +267,11 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
         components.setdefault(root(i), []).append(i)
     found = []
     for K in components.values():
-        k = sum(i in in_basis for i in K)
+        k = sum(i in pivot_row for i in K)
         if len(K) == k + 1 and k:  # k == 0: a zero vector, alone
-            idx = tuple(K)
-            found.append((idx, simplex_dependence([vectors[i] for i in idx])))
+            f = K[-1]
+            found.append((tuple(K), (*(Fraction(-M[pivot_row[b]][f], D) for b in K[:-1]),
+                                     Fraction(1))))
         elif len(K) > k + 1:
             found += _scan_circuits(vectors, K)
     return sorted(found, key=lambda c: (len(c[0]), c[0]))

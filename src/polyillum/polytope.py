@@ -38,8 +38,8 @@ from operator import and_, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
-from .kernel import (Vec, _integers, _pivot as _integer_pivot, format_vector, inverse, is_zero,
-                     primitive_form, rank, vec)
+from .kernel import (Vec, _integers, _pivot as _integer_pivot, first_basis, format_vector,
+                     inverse, is_zero, primitive_form, quote_vector, vec)
 from .position import farkas_direction
 
 # Inverses the search for the walk's start may make: C(m, n) for m
@@ -71,8 +71,10 @@ class _Frozen:
 
 class NormalSet(_Frozen):
     """Equal, hashed and shown on (dim, normals); the hash is kept, since
-    every per-NormalSet cache lookup takes it."""
-    __slots__ = ("dim", "normals", "_hash")
+    every per-NormalSet cache lookup takes it. `basis`, the indices of the
+    first basis among the normals, shows that they span and is where the
+    skeleton's basis refinement starts."""
+    __slots__ = ("dim", "normals", "basis", "_hash")
 
     def __init__(self, dim: int, normals: tuple[Vec, ...]):
         n = dim
@@ -95,10 +97,11 @@ class NormalSet(_Frozen):
         vertex_guard(len(normals), n)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "basis", first_basis(normals))
         object.__setattr__(self, "_hash", hash((n, normals)))
         # a strictly positive dependence sum((1 + y_i) n_i) == 0, y >= 0; the
         # +-e_i LPs run only to find the witness of a set that fails it
-        if rank(normals) == n and farkas_direction(
+        if len(self.basis) == n and farkas_direction(
                 tuple(-sum(c) for c in zip(*normals)), normals) is None:
             return
         for i in range(n):
@@ -193,25 +196,22 @@ class HPolytope(_Frozen):
     def _validate_irredundant(self):
         """A normal tight at every vertex is an implicit equality, and one
         exists exactly when the polytope is not full-dimensional. Otherwise
-        the face cut out by normal m has as affine hull the points where
-        every normal tight at all of its vertices is tight, so it is a
-        facet iff those normals have rank 1."""
+        the face F of normal i has dimension n minus the rank of the normals
+        tight at all of its vertices (Schrijver, *Theory of Linear and
+        Integer Programming*, 8.3), so it is a facet iff they are normal i
+        alone: no other normal has its direction, and one opposite to it
+        tight on F would make normal i tight at every vertex."""
         normals = self.normal_set.normals
         if everywhere := reduce(and_, (v.mask for v in self.vertices)):
             i = (everywhere & -everywhere).bit_length() - 1
-            raise InputError(f"polytope is not full-dimensional (normal {format_vector(normals[i])}"
+            raise InputError(f"polytope is not full-dimensional (normal {quote_vector(normals[i])}"
                              f" is tight at every vertex)", facet_index=i)
         for i, m in enumerate(normals):
             tight_sets = [v.mask for v in self.vertices if v.mask >> i & 1]
-            if not tight_sets:
-                raise InputError(
-                    f"facet with normal {format_vector(m)} is redundant "
-                    f"(offset never attained)", facet_index=i)
-            common = reduce(and_, tight_sets)
-            if rank([a for j, (a, _, _) in enumerate(self.rows) if common >> j & 1]) != 1:
-                raise InputError(
-                    f"facet with normal {format_vector(m)} is redundant "
-                    f"(tight set is not a facet)", facet_index=i)
+            if not tight_sets or reduce(and_, tight_sets) != 1 << i:
+                reason = "tight set is not a facet" if tight_sets else "offset never attained"
+                raise InputError(f"facet with normal {quote_vector(m)} is redundant ({reason})",
+                                 facet_index=i)
 
     # -- queries ------------------------------------------------------------
 

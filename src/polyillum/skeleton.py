@@ -21,7 +21,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .classify import check_strong_monotypy
-from . import kernel
 from .errors import InternalInvariantError, NotStronglyMonotypicError
 from .kernel import Vec, _integers, inverse, rank, simplex_dependence
 from .polytope import NormalSet
@@ -43,15 +42,6 @@ class Skeleton(NamedTuple):
         return q
 
 
-def _first_independent_subset(N: NormalSet) -> tuple[Vec, ...]:
-    """The first independent n-subset in `combinations` order, the greedy
-    basis: the pivot columns of the matrix whose columns are the normals."""
-    pivots = kernel._row_reduce(list(zip(*N.normals)))[2]
-    if len(pivots) != N.dim:
-        raise InternalInvariantError("validated normal set has no independent subset")
-    return tuple(N.normals[i] for i in pivots)
-
-
 def refine_basis(N: NormalSet) -> tuple[tuple[Vec, ...], tuple, tuple]:
     """Swap-stable basis B within N, its inverse (Q, D) as `kernel.inverse`
     gives it, and the (normal, signs) pair of every other normal, in
@@ -61,16 +51,16 @@ def refine_basis(N: NormalSet) -> tuple[tuple[Vec, ...], tuple, tuple]:
     A mixed pattern (two positive signs and a negative one) puts {x} + B in
     conical position, so a set that is not strongly monotypic is rejected
     first. Starting from the lexicographically first independent n-subset,
-    each pass inverts B once; the first normal with a single positive sign
-    among negative ones replaces the basis element of that sign, which
-    strictly enlarges pos(B), so the pass's count of normals with no
-    negative sign (those in pos(B)) grows with every swap.
+    `N.basis`, each pass inverts B once; the first normal with a single
+    positive sign among negative ones replaces the basis element of that
+    sign, which strictly enlarges pos(B), so the pass's count of normals
+    with no negative sign (those in pos(B)) grows with every swap.
     """
     strong, cert = check_strong_monotypy(N)
     if not strong:
         raise NotStronglyMonotypicError(
             "skeleton extraction requires strong monotypy", cert)
-    basis = list(_first_independent_subset(N))
+    basis = [N.normals[i] for i in N.basis]
     scaled = [(x, _integers(x)[0]) for x in N.normals]
     count = -1
     for _ in range(len(N.normals) + 1):

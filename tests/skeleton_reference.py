@@ -15,7 +15,6 @@ from polyillum.errors import (InputError, InternalInvariantError,
                               NotStronglyMonotypicError)
 from polyillum.kernel import Vec
 from polyillum.polytope import NormalSet
-from polyillum.skeleton import _first_independent_subset
 from tests.kernel_reference import solve_rows
 
 ALL_NONPOSITIVE = "all_nonpositive"
@@ -67,7 +66,7 @@ def refine_basis(N: NormalSet) -> tuple[tuple[Vec, ...], tuple]:
     if not strong:
         raise NotStronglyMonotypicError(
             "skeleton extraction requires strong monotypy", cert)
-    basis = list(_first_independent_subset(N))
+    basis = [N.normals[i] for i in N.basis]
     count = -1
     for _ in range(len(N.normals) + 1):
         signs = tuple((x, classify_signs(basis, x)) for x in N.normals if x not in basis)

@@ -22,6 +22,7 @@ from polyillum.cli import COMMANDS, _parse, build_parser, run_command
 from polyillum.errors import InputError
 from polyillum.formats import dump, parse_polytope, polytope_to_doc
 from polyillum.generators import FAMILIES, generate, randomize_offsets
+from polyillum.polytope import HPolytope
 from polyillum.position import is_conical_position
 from tests.conftest import (box, count_lps, hexagon, n_over_apex, set_n, sign_vectors_26,
                             square_pyramid)
@@ -560,10 +561,36 @@ class TestGoldenErrors:
         assert run_command([command, str(path)]) == 2
         assert capsys.readouterr().out == expected + "\n"
 
+    @pytest.mark.parametrize("facets,message", [
+        ([((1, 1), 3)] + SQUARE,
+         "facet with normal ({0}, {0}) is redundant (offset never attained)"),
+        ([((1, 1), 2)] + SQUARE,
+         "facet with normal ({0}, {0}) is redundant (tight set is not a facet)"),
+        ([((1, 0), 0), ((-1, 0), 0)] + SQUARE[2:],
+         "polytope is not full-dimensional (normal ({0}, 0) is tight at every vertex)"),
+    ], ids=["never_attained", "not_a_facet", "flat"])
+    def test_a_huge_normal_is_quoted_short(self, capsys, tmp_path, facets, message):
+        # the first facet's normal and offset are scaled by a 3,500-digit
+        # integer, which makes that normal the first in order; an entry of
+        # more than 40 characters is quoted by its length
+        scale = 10 ** 3499 + 7
+        (normal, offset), *rest = facets
+        facets = [(tuple(scale * x for x in normal), scale * offset), *rest]
+        path = tmp_path / "p.json"
+        path.write_text(facets_doc(2, facets))
+        with pytest.raises(InputError) as exc:
+            HPolytope.from_facets(2, facets)
+        assert exc.value.facet_index == 0
+        assert run_command(["classify", str(path)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == str(exc.value) == message.format("<3500 characters>")
+        assert len(error) < 300
+
     @pytest.mark.parametrize("command", [
         "classify", "skeleton", "illuminate", "fan", "oracle", "verify"])
     def test_a_point_in_r1(self, capsys, tmp_path, command):
-        # e and -e have rank 1, so the irredundancy test takes each for a facet
+        # e and -e are both tight at the one vertex, which the flatness
+        # check, run before the facet test, rejects
         path = tmp_path / "p.json"
         path.write_text(facets_doc(1, [((1,), "2/3"), ((-1,), "-2/3")]))
         argv = [command, str(path)]

@@ -143,12 +143,13 @@ class TestBuild:
         monkeypatch.setattr(kernel, "_row_reduce", counting)
         return calls
 
-    @pytest.mark.parametrize("n, reductions, cones", [(6, 9, 64), (10, 13, 1024)])
+    @pytest.mark.parametrize("n, reductions, cones", [(6, 8, 64), (10, 12, 1024)])
     def test_one_inverse_per_build(self, monkeypatch, n, reductions, cones):
-        # with the strong monotypy verdict cached, the skeleton takes the
-        # first basis, one pass that reads every sign off one inverse, and
-        # its re-check (n part dependences and one rank); the build reuses
-        # that inverse and row-reduces nothing of its own
+        # with the strong monotypy verdict cached, the skeleton starts from
+        # the normal set's first basis, which costs no reduction, makes one
+        # pass that reads every sign off one inverse, and its re-check (n
+        # part dependences and one rank); the build reuses that inverse and
+        # row-reduces nothing of its own
         P = box(n)
         build_illumination_set(P)
         calls = self.count_row_reductions(monkeypatch)

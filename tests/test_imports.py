@@ -113,6 +113,20 @@ def test_only_the_kernel_imports_gcd():
     assert importers == ["kernel.py"]
 
 
+def test_only_the_kernel_names_its_row_reduction():
+    # circuits, the normal set's first basis, `rank`, `inverse` and
+    # `simplex_dependence` each make one elimination in the kernel; no other
+    # module reduces rows of its own, and the facet test ranks nothing
+    def named(path):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        return ({node.id for node in nodes if isinstance(node, ast.Name)}
+                | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+                | {name for _, name in imported_names(path)})
+
+    assert [p.name for p in MODULES if "_row_reduce" in named(p)] == ["kernel.py"]
+    assert ("kernel", "rank") not in imported_names(PACKAGE / "polytope.py")
+
+
 def test_no_square_solve_is_defined():
     # a square system is read off `kernel.inverse`, in the walk's start scan
     defined = {node.name for p in MODULES for node in ast.walk(ast.parse(p.read_text(

@@ -340,6 +340,15 @@ def degenerate_sets(draw):
     return draw(st.permutations(rows + [tuple(c * x for x in row) for row, c in copies]))
 
 
+@st.composite
+def rational_direct_sums(draw):
+    """`direct_sums` of two or three blocks with each entry scaled by one of
+    +-1/2, +-2/3 and 3, so that the dependences have denominators."""
+    scales = st.sampled_from([F(1, 2), F(-1, 2), F(2, 3), F(-2, 3), F(3)])
+    return [tuple(x * draw(scales) for x in row)
+            for row in draw(direct_sums(st.integers(2, 3), nonzero=True))]
+
+
 class TestCircuits:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(vector_sets(st.integers(1, 3), st.integers(1, 6), nonzero=True),
@@ -364,25 +373,46 @@ class TestCircuits:
         assert circuits(vectors) == reference.circuits(vectors)
 
     @settings(max_examples=150, deadline=None)
+    @given(rational_direct_sums())
+    def test_agrees_with_the_subset_scan_on_rational_entries(self, rows):
+        # components of corank 1 are read off the first elimination, which
+        # divides by its denominator
+        vectors = [vec(*r) for r in rows]
+        found = circuits(vectors)
+        assert found == reference.circuits(vectors)
+        assert all(mu[-1] == 1 for _, mu in found)
+
+    def test_reads_a_fractional_dependence_off_the_elimination(self, monkeypatch):
+        # (2, 0), (0, 3) and (3, 2) are one circuit, whose coefficients
+        # over the basis are -3/2 and -2/3
+        dependences = count_calls(monkeypatch, "simplex_dependence")
+        assert circuits([vec(2, 0), vec(0, 3), vec(3, 2)]) == [
+            ((0, 1, 2), (F(-3, 2), F(-2, 3), F(1)))]
+        assert dependences == []
+
+    @settings(max_examples=150, deadline=None)
     @given(degenerate_sets())
     def test_agrees_with_the_subset_scan_on_degenerate_sets(self, rows):
         vectors = [vec(*r) for r in rows]
         assert circuits(vectors) == reference.circuits(vectors)
 
     @pytest.mark.parametrize("P,count,reductions", [
-        (box(6), 6, 7), (simplex(7), 1, 2), (simplex_product([3, 3]), 2, 3),
-        (simplex_product([2, 2, 2, 1]), 4, 5), (hexagon(), 11, 1),
+        (box(6), 6, 1), (simplex(7), 1, 1), (simplex_product([3, 3]), 2, 1),
+        (simplex_product([2, 2, 2, 1]), 4, 1), (hexagon(), 11, 1),
     ], ids=["box6", "simplex7", "sp33", "sp2221", "hexagon"])
     def test_row_reductions(self, monkeypatch, P, count, reductions):
-        # One elimination splits the normals into components, then one
-        # dependence per component of corank 1: the 6 pairs of box6, the
-        # whole of simplex7, the 2 simplices of sp33 and the 4 of sp2221.
-        # The hexagon is connected, of corank 4, and is searched by a prefix
-        # tree on one tableau, which reduces no row; the scan of its subsets
-        # took 24. Scanning every subset took 722, 247, 218, 1,021 and 23.
+        # One elimination splits the normals into components and reads the
+        # dependence of each component of corank 1 off its pivot rows: the
+        # 6 pairs of box6, the whole of simplex7, the 2 simplices of sp33
+        # and the 4 of sp2221, which took one more reduction each by
+        # `simplex_dependence`. The hexagon is connected, of corank 4, and
+        # is searched by a prefix tree on one tableau, which reduces no
+        # row; the scan of its subsets took 24. Scanning every subset took
+        # 722, 247, 218, 1,021 and 23.
         calls = count_calls(monkeypatch, "_row_reduce")
+        dependences = count_calls(monkeypatch, "simplex_dependence")
         assert len(circuits(P.normal_set.normals)) == count
-        assert len(calls) == reductions
+        assert (len(calls), dependences) == (reductions, [])
 
     @pytest.mark.parametrize("P,count,pivots", [
         (hexagon(), 11, 20), (set_n(), 5, 28), (sign_vectors_26(), 5805, 2309),

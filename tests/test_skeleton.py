@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -5,7 +6,7 @@ from operator import mul
 import pytest
 from hypothesis import assume, given, settings
 
-from polyillum import skeleton
+from polyillum import kernel, skeleton
 from polyillum.classify import check_strong_monotypy
 from polyillum.cli import run_command
 from polyillum.errors import InternalInvariantError, NotStronglyMonotypicError
@@ -28,20 +29,32 @@ def first_independent_subset_scan(N):
     return next(subset for subset in combinations(N.normals, N.dim) if rank(subset) == N.dim)
 
 
+def start_basis(N):
+    """The basis refinement's start: the normals at `N.basis`."""
+    return tuple(N.normals[i] for i in N.basis)
+
+
 class TestFirstIndependentSubset:
     @settings(max_examples=100, deadline=None)
     @given(valid_normal_sets(dims=(2, 3, 4)))
     def test_pivot_columns_are_the_first_independent_subset(self, normals):
         N = NormalSet.from_vectors(len(normals[0]), normals)
-        assert skeleton._first_independent_subset(N) == first_independent_subset_scan(N)
+        assert start_basis(N) == first_independent_subset_scan(N)
 
     def test_skips_a_dependent_prefix(self):
         # the normals are sorted in reverse, and the first three are dependent
         N = NormalSet.from_vectors(3, [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                                        (0, 0, -1), (-1, -1, 0)])
         assert N.normals[:3] == (vec(1, 1, 0), vec(1, 0, 0), vec(0, 1, 0))
-        assert skeleton._first_independent_subset(N) == (
+        assert N.basis == (0, 1, 3)
+        assert start_basis(N) == (
             vec(1, 1, 0), vec(1, 0, 0), vec(0, 0, 1)) == first_independent_subset_scan(N)
+
+    def test_the_basis_is_not_part_of_equality(self):
+        N = box(3).normal_set
+        M = NormalSet(N.dim, N.normals)
+        assert M.basis == N.basis and M == N and hash(M) == hash(N)
+        assert "basis" not in repr(N)
 
 
 class TestRefineBasis:
@@ -208,6 +221,28 @@ class TestExtractSkeleton:
             calls.clear()
             extract_skeleton(P.normal_set)
             assert len(calls) == passes
+
+    @pytest.mark.parametrize("P,passes", [(hexagon(), 2), (box(4), 1)],
+                             ids=["hexagon", "box4"])
+    def test_row_reductions(self, monkeypatch, P, passes):
+        # with the circuit table warm, one inverse per pass, then the
+        # re-check's dependence per part and its one rank; the start basis
+        # is the normal set's, which costs none
+        N = P.normal_set
+        extract_skeleton(N)
+        calls = []
+        row_reduce = kernel._row_reduce
+
+        def counting(matrix):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in ("inverse", "simplex_dependence", "rank"):
+                frame = frame.f_back
+            calls.append(frame.f_code.co_name)
+            return row_reduce(matrix)
+
+        monkeypatch.setattr(kernel, "_row_reduce", counting)
+        sk = extract_skeleton(N)
+        assert calls == ["inverse"] * passes + ["simplex_dependence"] * len(sk.parts) + ["rank"]
 
     def test_mixed_pattern_is_an_internal_error(self, monkeypatch):
         # over the box's basis e_1, e_2, e_3, these columns give -e_3 the
