@@ -16,7 +16,8 @@ and every tie, and with them every pivot, are those of the rational
 tableau. `Fraction`s are built only for the returned vector.
 
 `_bland` is the one pivot loop: `solve_eq_nonneg` runs it on all columns,
-`position.signed_separators` on the columns of one sign prefix at a time.
+`position.signed_separators` on the columns of one prefix of the given
+sign vectors at a time.
 """
 
 from __future__ import annotations

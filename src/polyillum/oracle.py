@@ -5,16 +5,16 @@ products with the tight normals, so directions are quantified over the
 full-dimensional cells of the central hyperplane arrangement of the
 normals. A sign vector is a cell exactly when no circuit (minimal
 dependent subset) of the normals has signs that agree with it, or with
-its negation, on the circuit's support (Gordan's alternative). A
-depth-first search over sign prefixes, +1 before -1, drops a prefix once
-a circuit of the table of `classify` within it agrees with it (Avis and
-Fukuda, *Reverse search for enumeration*, 1996). The representative is
-the strict separator of the signed normals s_i n_i from the origin, and
-the cells below one prefix share its LP pivots. A vertex is lit in the
-cell exactly when its tight normals all have sign +1, so its lit set is
-read off bitmasks: the vertex's tight-normal mask lies inside the cell's
+its negation, on the circuit's support (Gordan's alternative). A search
+over sign prefixes, +1 before -1, drops a prefix once a circuit of the
+table of `classify` within it agrees with it (Avis and Fukuda, *Reverse
+search for enumeration*, 1996), with no LP. A vertex is lit in the cell
+exactly when its tight normals all have sign +1, so its lit set is read
+off bitmasks: the vertex's tight-normal mask lies inside the cell's
 positive-sign mask. Exhaustive set cover over the cells gives the true
-minimum.
+minimum. A representative is the strict separator of the signed normals
+s_i n_i from the origin, and the cells below one prefix share its LP
+pivots.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import reduce
 from itertools import combinations
 from math import ceil
 from operator import or_
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .classify import bitmask, circuit_table
 from .errors import InternalInvariantError, ScaleLimitError
@@ -39,11 +39,10 @@ class DirectionClass(NamedTuple):
     illuminated: tuple[int, ...]  # vertex indices, aligned with P.vertices
 
 
-def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
-    """One interior representative per full-dimensional cell of the
-    arrangement {<n, .> == 0}, with the set of vertices it illuminates."""
-    normals = P.normal_set.normals
-    m = len(normals)
+def _cells(P: HPolytope) -> list[int]:
+    """The +1 mask of every full-dimensional cell, in `product((1, -1))`
+    order, decided over the circuit table alone."""
+    m = len(P.normal_set.normals)
     if 2 ** m > CELL_GUARD:
         raise ScaleLimitError(
             f"2^{m} sign vectors exceed the cell guard ({CELL_GUARD})")
@@ -51,18 +50,33 @@ def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
     filed = [[] for _ in range(m)]
     for c in circuit_table(P.normal_set):
         filed[(c.plus | c.minus).bit_length() - 1].append((c.plus | c.minus, c.plus, c.minus))
-    classes = []
-    for pos, rep in signed_separators(normals, lambda k, p: any(
-            p & support in (plus, minus) for support, plus, minus in filed[k])):
+    prefixes = [0]
+    for k in range(m):
+        prefixes = [p for q in prefixes for p in (q | 1 << k, q)
+                    if not any(p & support in (plus, minus) for support, plus, minus in filed[k])]
+    return prefixes
+
+
+def _lit(P: HPolytope, pos: int) -> tuple[int, ...]:
+    # a direction in the cell has <n_i, x> > 0 exactly when s_i == 1
+    return tuple(i for i, v in enumerate(P.vertices) if v.mask & pos == v.mask)
+
+
+def _certified(P: HPolytope, cells: Sequence[int]) -> Iterator[tuple[int, Vec]]:
+    """(+1 mask, checked separator) of each of the given cells, in order."""
+    m = len(P.normal_set.normals)
+    for pos, rep in signed_separators(P.normal_set.normals, cells):
         if rep is None:
             raise InternalInvariantError(
                 f"sign vector {tuple(1 if pos >> i & 1 else -1 for i in range(m))} "
                 "agrees with no circuit, yet its cell is empty")
-        # the checked separator has s_i <n_i, rep> >= 1, so <n_i, rep> > 0
-        # exactly when s_i == 1
-        lit = tuple(i for i, v in enumerate(P.vertices) if v.mask & pos == v.mask)
-        classes.append(DirectionClass(rep, lit))
-    return tuple(classes)
+        yield pos, rep
+
+
+def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
+    """One interior representative per full-dimensional cell of the
+    arrangement {<n, .> == 0}, with the set of vertices it illuminates."""
+    return tuple(DirectionClass(rep, _lit(P, pos)) for pos, rep in _certified(P, _cells(P)))
 
 
 def min_illumination_number(P: HPolytope) -> tuple[int, tuple[Vec, ...]]:
@@ -71,12 +85,15 @@ def min_illumination_number(P: HPolytope) -> tuple[int, tuple[Vec, ...]]:
 
     Each cell's lit set is a bitmask over the vertices. Cells whose lit
     sets are contained in another cell's are dominated and dropped; the
-    remainder is searched exhaustively by increasing cover size, so the
-    result is the certified optimum.
+    remainder is searched exhaustively by increasing cover size. Only the
+    k cells of the cover found get an LP, and each printed direction is a
+    re-checked separator, so it lies in its cell and the k directions are
+    a real cover. The circuit-decided cells contain every real cell, so
+    no smaller cover exists, and k is the minimum.
     """
-    classes = enumerate_direction_classes(P)
-    sets = [bitmask(c.illuminated) for c in classes]
-    keep = [(s, c) for i, (s, c) in enumerate(zip(sets, classes))
+    cells = _cells(P)
+    sets = [bitmask(_lit(P, pos)) for pos in cells]
+    keep = [(s, pos) for i, (s, pos) in enumerate(zip(sets, cells))
             if not any(s & t == s and (s != t or j < i) for j, t in enumerate(sets) if j != i)]
     universe = (1 << len(P.vertices)) - 1
     if reduce(or_, (s for s, _ in keep), 0) != universe:
@@ -85,5 +102,5 @@ def min_illumination_number(P: HPolytope) -> tuple[int, tuple[Vec, ...]]:
     for k in range(max(1, ceil(len(P.vertices) / largest)), len(keep) + 1):
         for combo in combinations(keep, k):
             if reduce(or_, (s for s, _ in combo)) == universe:
-                return k, tuple(c.representative for _, c in combo)
+                return k, tuple(rep for _, rep in _certified(P, [pos for _, pos in combo]))
     raise InternalInvariantError("exhaustive cover search found no cover")

@@ -16,7 +16,7 @@ that table against.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .kernel import Vec, _integers, rank, vneg
@@ -59,13 +59,13 @@ def separator(points: Sequence[Vec]) -> Optional[Vec]:
     return None if d is None else vneg(d[:-1])
 
 
-def signed_separators(points: Sequence[Vec], pruned: Callable[[int, int], bool]
+def signed_separators(points: Sequence[Vec], masks: Sequence[int]
                       ) -> Iterator[tuple[int, Optional[Vec]]]:
-    """(plus, `separator` of the signed points s_j p_j) for each sign vector
-    s in `product((1, -1))` order, plus its +1 mask, that is never pruned:
-    pruned(k, p) is asked of each prefix of length k + 1, p its +1 mask. One
-    tableau holds (p_j, 1) and (-p_j, 1), scaled, as columns 2j and 2j + 1,
-    and a prefix pivots by Bland's rule on the columns it chose. That rule
+    """(plus, `separator` of the signed points s_j p_j) for each of the
+    distinct sign vectors s given by their +1 masks `plus`, in
+    `product((1, -1))` order. One tableau holds (p_j, 1) and (-p_j, 1),
+    scaled, as columns 2j and 2j + 1, and each prefix of the given sign
+    vectors pivots once, by Bland's rule on the columns it chose. That rule
     enters the lowest column that prices out, so these are the first pivots
     of every sign vector below it, and each ends on `separator`'s basis."""
     m, n, chosen = 2 * len(points), len(points[0]), []
@@ -73,24 +73,25 @@ def signed_separators(points: Sequence[Vec], pruned: Callable[[int, int], bool]
     columns = [[s * x for x in flat[j:j + n]] + [scale]
                for j in range(0, len(flat), n) for s in (1, -1)]
 
-    def search(plus, M, D, basis):
+    def search(masks, M, D, basis):
         k = len(chosen)
         if 2 * k < m:
-            for c, p in ((2 * k, plus | 1 << k), (2 * k + 1, plus)):
-                if not pruned(k, p):
+            for c, below in ((2 * k, [p for p in masks if p >> k & 1]),
+                             (2 * k + 1, [p for p in masks if not p >> k & 1])):
+                if below:
                     chosen.append(c)
-                    yield from search(p, *_bland(M, D, basis, chosen))
+                    yield from search(below, *_bland(M, D, basis, chosen))
                     chosen.pop()
         elif any(c >= m and M[i][-1] for i, c in enumerate(basis)):
             # z = Z / D, with <z, column c> <= 0 for each chosen c and z_n > 0
             Z = [D - M[-1][m + i] for i in range(n + 1)]
             if Z[n] <= 0 or any(sum(z * a for z, a in zip(Z, columns[c])) > 0 for c in chosen):
                 raise InternalInvariantError("Farkas certificate fails its check")
-            yield plus, tuple(Fraction(-z, Z[n]) for z in Z[:n])
+            yield masks[0], tuple(Fraction(-z, Z[n]) for z in Z[:n])
         else:
-            yield plus, None
+            yield masks[0], None
 
-    yield from search(0, *_phase_one([list(r) for r in zip(*columns)], [0] * n + [scale],
+    yield from search(masks, *_phase_one([list(r) for r in zip(*columns)], [0] * n + [scale],
                                      [1] * (n + 1), scale, ()))
 
 

@@ -9,11 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 from polyillum import oracle, position
 from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
 from polyillum.generators import randomize_offsets
-from polyillum.illuminate import build_illumination_set, verify_directions
+from polyillum.illuminate import (build_illumination_set, compute_delta, compute_epsilon,
+                                  verify_directions)
 from polyillum.kernel import dot, vec, vscale
 from polyillum.oracle import enumerate_direction_classes, min_illumination_number
 from polyillum.polytope import HPolytope, NormalSet
 from polyillum.position import separator
+from tests import oracle_reference
 from tests.conftest import (box, count_lps, hexagon, n_over_apex, simplex, simplex_product,
                             square_pyramid, triangle, valid_normal_sets)
 from tests.oracle_reference import cell_separators, cell_sign_vectors
@@ -33,6 +35,34 @@ def assert_lit_sets_match_definition(P):
         assert c.illuminated == tuple(
             i for i, v in enumerate(P.vertices)
             if all(dot(m, c.representative) > 0 for m in tight_normals(P, v.point)))
+
+
+@st.composite
+def fractional_polytopes(draw, dims=(2, 3, 4)):
+    """A polytope in R^n, n drawn from dims, with up to n + 5 normals whose
+    entries have denominators up to 3, and offsets close to the normals'
+    lengths, so that no facet is redundant. Invalid draws are redrawn from
+    a stream seeded by hypothesis."""
+    dim = draw(st.sampled_from(dims))
+    size = draw(st.integers(min_value=dim + 1, max_value=dim + 5))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    while True:
+        vectors = [[F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(dim)]
+                   for _ in range(size)]
+        try:
+            N = NormalSet.from_vectors(dim, vectors)
+            return HPolytope(N, tuple(F(round(1000 * math.hypot(*map(float, m))), 1000)
+                                      for m in N.normals))
+        except InputError:
+            continue
+
+
+def assert_optimal_directions_illuminate(P):
+    # checked by explicit interior displacement, apart from the oracle
+    k, dirs = min_illumination_number(P)
+    assert len(dirs) == k <= len(list(cell_sign_vectors(P.normal_set)))
+    ok, _ = verify_directions(P, dirs, compute_epsilon(P, dirs, compute_delta(P)))
+    assert ok
 
 
 class TestDirectionClasses:
@@ -101,13 +131,13 @@ class TestMinimum:
         assert k == expected
 
     def test_optimal_directions_actually_illuminate(self):
-        from polyillum.illuminate import compute_delta, compute_epsilon
         for P in (hexagon(), box(3), triangle(), square_pyramid()):
-            k, dirs = min_illumination_number(P)
-            assert len(dirs) == k
-            eps = compute_epsilon(P, dirs, compute_delta(P))
-            ok, _ = verify_directions(P, dirs, eps)
-            assert ok
+            assert_optimal_directions_illuminate(P)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fractional_polytopes())
+    def test_optimal_directions_illuminate_random_polytopes(self, P):
+        assert_optimal_directions_illuminate(P)
 
     def test_oracle_never_exceeds_construction(self):
         for P in (box(2), box(3), hexagon(), simplex(2), simplex(3),
@@ -164,30 +194,32 @@ class TestCircuitFilter:
             enumerate_direction_classes(box(3))
 
 
+def signs_of(P, direction):
+    return tuple(1 if dot(m, direction) > 0 else -1 for m in P.normal_set.normals)
+
+
 def searched_cells(P):
     """(signs, representative) of every cell the oracle finds, in order."""
-    return [(tuple(1 if dot(m, c.representative) > 0 else -1 for m in P.normal_set.normals),
-             c.representative) for c in enumerate_direction_classes(P)]
+    return [(signs_of(P, c.representative), c.representative)
+            for c in enumerate_direction_classes(P)]
 
 
-@st.composite
-def fractional_polytopes(draw, dims=(2, 3, 4)):
-    """A polytope in R^n, n drawn from dims, with up to n + 5 normals whose
-    entries have denominators up to 3, and offsets close to the normals'
-    lengths, so that no facet is redundant. Invalid draws are redrawn from
-    a stream seeded by hypothesis."""
-    dim = draw(st.sampled_from(dims))
-    size = draw(st.integers(min_value=dim + 1, max_value=dim + 5))
-    rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-    while True:
-        vectors = [[F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(dim)]
-                   for _ in range(size)]
-        try:
-            N = NormalSet.from_vectors(dim, vectors)
-            return HPolytope(N, tuple(F(round(1000 * math.hypot(*map(float, m))), 1000)
-                                      for m in N.normals))
-        except InputError:
-            continue
+def prefix_count(sign_vectors):
+    """The number of distinct nonempty prefixes of the sign vectors."""
+    return len({s[:k] for s in sign_vectors for k in range(1, len(s) + 1)})
+
+
+def counting_bland(monkeypatch):
+    """Patch the shared-tableau pivot loop; the returned list collects one
+    entry per prefix pivoted."""
+    bland, calls = position._bland, []
+
+    def counting(M, D, basis, columns):
+        calls.append(tuple(columns))
+        return bland(M, D, basis, columns)
+
+    monkeypatch.setattr(position, "_bland", counting)
+    return calls
 
 
 class TestPrefixSearch:
@@ -210,16 +242,9 @@ class TestPrefixSearch:
     def test_pivots_once_per_prefix_of_a_cell(self, monkeypatch, P):
         # every prefix the search keeps extends to a cell, so it pivots on
         # exactly the prefixes of the cells
-        bland, calls = position._bland, []
-
-        def counting(M, D, basis, columns):
-            calls.append(tuple(columns))
-            return bland(M, D, basis, columns)
-
-        monkeypatch.setattr(position, "_bland", counting)
+        calls = counting_bland(monkeypatch)
         enumerate_direction_classes(P)
-        cells = list(cell_sign_vectors(P.normal_set))
-        assert len(calls) == len({s[:k] for s in cells for k in range(1, len(s) + 1)})
+        assert len(calls) == prefix_count(cell_sign_vectors(P.normal_set))
 
     def test_a_wrong_certificate_fails_its_check(self, monkeypatch):
         # without pivots every cell keeps the start basis, whose multipliers
@@ -227,3 +252,41 @@ class TestPrefixSearch:
         monkeypatch.setattr(position, "_bland", lambda M, D, basis, columns: (M, D, basis))
         with pytest.raises(InternalInvariantError, match="Farkas certificate fails its check"):
             enumerate_direction_classes(hexagon())
+
+
+class TestCoverCertification:
+    """The minimum decides its cells by circuits and runs the shared-tableau
+    LP only down the prefixes of the cover it prints."""
+
+    @pytest.mark.parametrize("P", [hexagon(), square_pyramid(), n_over_apex(),
+                                   simplex_product([2, 2, 1]), simplex(5)],
+                             ids=["hexagon", "pyramid", "n_apex", "sp221", "simplex5"])
+    def test_matches_the_reference_on_fixed_sets(self, P):
+        assert min_illumination_number(P) == oracle_reference.min_illumination_number(P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fractional_polytopes())
+    def test_matches_the_reference_on_random_fractional_normals(self, P):
+        assert min_illumination_number(P) == oracle_reference.min_illumination_number(P)
+
+    @pytest.mark.parametrize("P,pivots", [
+        (hexagon(), 17), (simplex(3), 13), (box(3), 38), (square_pyramid(), 21),
+        (simplex(5), 26), (simplex_product([3, 3]), 77),
+    ], ids=["hexagon", "simplex3", "box3", "pyramid", "simplex5", "sp33"])
+    def test_pivots_once_per_prefix_of_a_chosen_cell(self, monkeypatch, P, pivots):
+        calls = counting_bland(monkeypatch)
+        _, dirs = min_illumination_number(P)
+        assert len(calls) == prefix_count(signs_of(P, d) for d in dirs) == pivots
+
+    def test_empty_chosen_cell_is_an_internal_error(self, monkeypatch):
+        # with no circuit to prune them, every sign vector is taken for a
+        # cell, and the all +1 one, which lights every vertex, is a cover of
+        # one; its cell is empty
+        monkeypatch.setattr(oracle, "circuit_table", lambda N: ())
+        with pytest.raises(InternalInvariantError, match="agrees with no circuit"):
+            min_illumination_number(hexagon())
+
+    def test_a_wrong_certificate_of_a_chosen_cell_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(position, "_bland", lambda M, D, basis, columns: (M, D, basis))
+        with pytest.raises(InternalInvariantError, match="Farkas certificate fails its check"):
+            min_illumination_number(hexagon())
