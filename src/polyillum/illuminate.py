@@ -55,10 +55,9 @@ def compute_delta(P: HPolytope) -> Fraction:
     Both are read off one table of slacks, a row per vertex, as ints over
     one denominator K: no slack may be negative, and the normals with
     slack at most delta must be exactly the vertex's tight normals."""
-    points = [_integers(v.point) for v in P.vertices]
-    K = lcm(*(c for _, _, c in P.rows)) * lcm(*(k for _, k in points))
+    K = lcm(*(c for _, _, c in P.rows)) * lcm(*(k for _, k in P.vertex_table))
     table = [[s * (K // (c * k)) for s, (_, _, c) in zip(_slacks(P.rows, X, k), P.rows)]
-             for X, k in points]
+             for X, k in P.vertex_table]
     least = min((s for row in table for s in row if s > 0), default=0)
     if not least:
         raise InternalInvariantError("no positive vertex-facet slack")
@@ -177,23 +176,20 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
                            assignment=tuple(assignment))
 
 
-def _verify_with_assignment(P: HPolytope, directions: Sequence[Vec],
-                            epsilon: Fraction,
-                            assignment: Sequence[Optional[int]]):
+def _checks(P: HPolytope, directions: Sequence[Vec], epsilon: Fraction):
+    """Both checks of each direction v_j, scaled to ints once: the bitmask
+    of the normals pairing positively with it, and inside(X, k, j), whether
+    x - epsilon v_j is strictly inside P, x == X / k from the vertex table."""
     scaled = [_integers(v, P.dim) for v in directions]
+    positive = [sum(1 << i for i, (a, _, _) in enumerate(P.rows) if sum(map(mul, a, V)) > 0)
+                for V, _ in scaled]
     steps = [([epsilon.numerator * x for x in V], epsilon.denominator * l) for V, l in scaled]
-    reports = []
-    for vert, j in zip(P.vertices, assignment):
-        if j is None:
-            reports.append(VertexReport(vert.point, None, False, False))
-            continue
-        (V, _), (W, l), (X, k) = scaled[j], steps[j], _integers(vert.point)
-        directional = all(sum(map(mul, a, V)) > 0
-                          for i, (a, _, _) in enumerate(P.rows) if vert.mask >> i & 1)
-        # x == X / k and epsilon v == W / l, so x - epsilon v == (l X - k W) / (k l)
-        interior = min(_slacks(P.rows, [l * x - k * w for x, w in zip(X, W)], k * l)) > 0
-        reports.append(VertexReport(vert.point, j, directional, interior))
-    return all(r.ok for r in reports), tuple(reports)
+
+    def inside(X: Sequence[int], k: int, j: int) -> bool:
+        # epsilon v == W / l, so x - epsilon v == (l X - k W) / (k l)
+        W, l = steps[j]
+        return min(_slacks(P.rows, [l * x - k * w for x, w in zip(X, W)], k * l)) > 0
+    return positive, inside
 
 
 def verify_illumination(P: HPolytope, ill: IlluminationSet):
@@ -204,18 +200,27 @@ def verify_illumination(P: HPolytope, ill: IlluminationSet):
     the vertices covers the whole boundary."""
     if len(ill.assignment) != len(P.vertices):
         raise InputError("assignment length does not match the vertex count")
-    return _verify_with_assignment(P, ill.directions, ill.epsilon, ill.assignment)
+    positive, inside = _checks(P, ill.directions, ill.epsilon)
+    reports = tuple(VertexReport(v.point, j, v.mask & positive[j] == v.mask, inside(X, k, j))
+                    for v, (X, k), j in zip(P.vertices, P.vertex_table, ill.assignment))
+    return all(r.ok for r in reports), reports
 
 
 def verify_directions(P: HPolytope, directions: Sequence[Vec],
                       epsilon: Fraction):
     """Assignment-free variant for externally supplied direction sets: each
-    vertex takes the first direction illuminating it, if any."""
+    vertex takes the first direction passing both checks, else the first
+    passing the directional one, else none, so the verdict does not depend
+    on the order of the directions."""
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    # bit i of positive[j]: normal i pairs positively with direction j
-    positive = [sum(1 << i for i, (a, _, _) in enumerate(P.rows) if sum(map(mul, a, V)) > 0)
-                for V, _ in (_integers(v, P.dim) for v in directions)]
-    assignment = [next((j for j, p in enumerate(positive) if v.mask & p == v.mask), None)
-                  for v in P.vertices]
-    return _verify_with_assignment(P, directions, epsilon, assignment)
+    positive, inside = _checks(P, directions, epsilon)
+    reports = []
+    for v, (X, k) in zip(P.vertices, P.vertex_table):
+        lit = (j for j, p in enumerate(positive) if v.mask & p == v.mask)
+        first = next(lit, None)
+        j = first if first is None or inside(X, k, first) else next(
+            (j for j in lit if inside(X, k, j)), None)
+        reports.append(VertexReport(v.point, first if j is None else j, first is not None,
+                                    j is not None))
+    return all(r.ok for r in reports), tuple(reports)

@@ -4,10 +4,11 @@ Every geometric verdict in this package reduces to sign decisions, so
 nothing here touches floating point. Vectors are plain tuples of
 `fractions.Fraction`, and `Fraction` is what every function takes and
 returns but `inverse`, whose callers take many integer dot products with
-its columns, so it returns them as ints over one denominator; inside, the
-arithmetic is on Python ints. `_integers` scales a vector to ints by the
-lcm of its denominators, once, for `dot` here and for every caller that
-takes many integer dot products with one vector.
+its columns, so it returns them as ints over one denominator, and
+`primitive_form`; inside, the arithmetic is on Python ints. `_integers`
+scales a vector to ints by the lcm of its denominators, once, for `dot`
+here and for every caller that takes many integer dot products with one
+vector; `_lowest_terms` gives it for ints over a denominator.
 `_pivot` is the package's one integer pivot (Edmonds, J. Res. NBS, 1967)
 of a matrix M of ints over one positive denominator D, so that M / D is
 the rational matrix: it divides nothing, and the common gcd of M and D is
@@ -85,7 +86,7 @@ def quote_vector(v: Vec) -> str:
 
 
 def vec(*entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 
 def zero_vec(dim: int) -> Vec:
@@ -107,6 +108,12 @@ def _integers(v, n: Optional[int] = None) -> tuple[list[int], int]:
     return [x.numerator * (k // x.denominator) for x in v], k
 
 
+def _lowest_terms(X: Sequence[int], D: int) -> tuple[tuple[int, ...], int]:
+    """`_integers(X / D)`, D > 0, with a tuple: the lcm of its denominators is D / gcd(D, *X)."""
+    g = gcd(D, *X)
+    return tuple(x // g for x in X), D // g
+
+
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -120,21 +127,16 @@ def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
-
-
-def primitive_form(v: Vec) -> Vec:
-    """Scale v by a positive rational so its entries are coprime integers.
+def primitive_form(v: Vec) -> tuple[int, ...]:
+    """v scaled by a positive rational to coprime integers.
 
     Two vectors are positive multiples of each other iff their primitive
     forms coincide; negation flips the form.
     """
-    if is_zero(v):
-        raise InputError("zero vector has no direction")
     ints = _integers(v)[0]
-    g = gcd(*ints)
-    return tuple(Fraction(i // g) for i in ints)
+    if not (g := gcd(*ints)):
+        raise InputError("zero vector has no direction")
+    return tuple(i // g for i in ints)
 
 
 def _pivot(M: Sequence[Sequence[int]], D: int, r: int, c: int) -> tuple[list, int]:

@@ -10,7 +10,9 @@ each candidate basis once, and the walk starts from the inverse of the
 first feasible one; each of its steps is one `kernel._pivot`, on ints
 over one denominator without division (Edmonds). The rule lets the walk
 pass through vertices with more than n tight normals, which the paper's
-monotypic polytopes never have, whatever the offsets.
+monotypic polytopes never have, whatever the offsets. It keys each
+vertex on its point in lowest terms as ints, hashing no `Fraction`, and
+the polytope keeps those ints as its vertex table for the illumination.
 
 A NormalSet is valid by construction: its normals are nonzero, pairwise
 distinct directions that positively span the space, so every offset
@@ -34,12 +36,12 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import comb, lcm
-from operator import and_, mul
+from operator import and_, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
-from .kernel import (Vec, _integers, _pivot as _integer_pivot, first_basis, format_vector,
-                     inverse, is_zero, primitive_form, quote_vector, vec)
+from .kernel import (Vec, _integers, _lowest_terms, _pivot as _integer_pivot, first_basis,
+                     format_vector, inverse, primitive_form, quote_vector, vec)
 from .position import farkas_direction
 
 # Inverses the search for the walk's start may make: C(m, n) for m
@@ -80,12 +82,12 @@ class NormalSet(_Frozen):
         n = dim
         if n <= 0:
             raise InputError(f"dimension must be positive, got {n}")
-        seen: dict[Vec, int] = {}
+        seen: dict[tuple[int, ...], int] = {}
         for i, v in enumerate(normals):
             if len(v) != n:
                 raise InputError(f"normal {i} has dimension {len(v)}, expected {n}",
                                  facet_index=i)
-            if is_zero(v):
+            if not any(v):
                 raise InputError(f"normal {i} is the zero vector", facet_index=i)
             p = primitive_form(v)
             if p in seen:
@@ -144,8 +146,9 @@ class Vertex(NamedTuple):
 class HPolytope(_Frozen):
     """Equal, hashed and shown on (normal_set, offsets). `__post_init__`
     builds the rest."""
-    # rows, per constraint <m, x> <= h: (c m, c h, c), c the lcm of its denominators
-    __slots__ = ("normal_set", "offsets", "rows", "vertices")
+    # rows, per constraint <m, x> <= h: (c m, c h, c), c the lcm of its denominators;
+    # vertex_table, per vertex: `_integers` of its point, with a tuple
+    __slots__ = ("normal_set", "offsets", "rows", "vertices", "vertex_table")
 
     def __init__(self, normal_set: NormalSet, offsets: tuple[Fraction, ...]):
         object.__setattr__(self, "normal_set", normal_set)
@@ -156,7 +159,7 @@ class HPolytope(_Frozen):
         if len(self.offsets) != len(self.normal_set.normals):
             raise InputError("offset count does not match normal count")
         object.__setattr__(self, "rows", _rows(self.normal_set.normals, self.offsets))
-        object.__setattr__(self, "vertices", self._enumerate_vertices())
+        self._enumerate_vertices()
         self._validate_irredundant()
 
     def __eq__(self, other):
@@ -173,25 +176,26 @@ class HPolytope(_Frozen):
     @classmethod
     def from_facets(cls, dim: int, facets: Sequence[tuple]) -> "HPolytope":
         pairs = [(vec(*n), Fraction(h)) for n, h in facets]
-        N = NormalSet.from_vectors(dim, [n for n, _ in pairs])
-        lookup = dict(pairs)
-        offsets = tuple(lookup[n] for n in N.normals)
-        return cls(N, offsets)
+        N = NormalSet(dim, tuple(n for n, _ in pairs))
+        # the normals are distinct, so sorting the pairs by normal puts them in N's order
+        return cls(N, tuple(h for _, h in sorted(pairs, key=itemgetter(0), reverse=True)))
 
     # -- validation ---------------------------------------------------------
 
-    def _enumerate_vertices(self) -> tuple[Vertex, ...]:
-        """Every vertex with its tight normals, in sorted order. The normals
-        positively span, so the system is bounded and it is empty exactly
-        when no candidate is feasible."""
+    def _enumerate_vertices(self):
+        """Every vertex with its tight normals, in sorted order, and the
+        vertex table. The normals positively span, so the system is bounded
+        and it is empty exactly when no candidate is feasible."""
         start = next(_starts(self.rows, self.dim), None)
         if start is None:
             raise InputError("constraint system is empty (infeasible)")
         found = _walk(self.rows, start)
-        L = lcm(*(x.denominator for p, _ in found for x in p))  # sorted as ints over L
-        return tuple(Vertex(p, sum(1 << i for i in tight))
-                     for p, tight in sorted(found, key=lambda e: [
-                         x.numerator * (L // x.denominator) for x in e[0]]))
+        L = lcm(*(k for (_, k), _ in found))  # sorted as ints over L
+        found.sort(key=lambda e: [x * (L // e[0][1]) for x in e[0][0]])
+        object.__setattr__(self, "vertices", tuple(
+            Vertex(tuple(Fraction(x, k) for x in X), sum(1 << i for i in tight))
+            for (X, k), tight in found))
+        object.__setattr__(self, "vertex_table", tuple(key for key, _ in found))
 
     def _validate_irredundant(self):
         """A normal tight at every vertex is an implicit equality, and one
@@ -264,10 +268,11 @@ def _starts(rows: Sequence[tuple], n: int):
             yield _Simple(basis, D, tuple(columns))
 
 
-def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[Vec, tuple[int, ...]]]:
+def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[tuple, tuple[int, ...]]]:
     """Every vertex with the indices of its tight rows, by a depth-first
     walk over the lexicographically feasible bases from the state at a
-    start basis B0.
+    start basis B0. A vertex x is given as (X, k), x == X / k as ints over
+    the least k > 0, read off D x in its state by `_lowest_terms`.
 
     Relax each row i outside B0 by eps_i, with eps_0 >> eps_1 >> ... > 0:
     at basis B, row i's slack is then s_i + [i not in B0] eps_i -
@@ -280,7 +285,7 @@ def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[Vec, tuple[int, .
     Edge k keeps every basis row but the k-th tight and runs along
     -(column k of B^-1); row i blocks it after slack_i / -T[i][k] if
     T[i][k] < 0, relaxed slacks breaking a tie, and the nearest enters the
-    basis by one pivot. A vertex is keyed on its point, its tight rows the
+    basis by one pivot. A vertex is keyed on its (X, k), its tight rows the
     zero slacks of its state. The walk holds one state, and returns along
     an edge by the reverse pivot, which restores it exactly.
     """
@@ -294,7 +299,8 @@ def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[Vec, tuple[int, .
         if not set(state.basis) <= set(tight):
             raise InternalInvariantError(
                 f"a basis row is not tight at vertex {format_vector(state.vertex())}")
-        found.setdefault(state.vertex(), tuple(tight))
+        found.setdefault(_lowest_terms([-x for x in state.columns[-1][-n:]], state.denominator),
+                         tuple(tight))
         pending.append(iter(_steps(state, start)))
         while pending:
             step = next((s for s in pending[-1] if s[2] not in seen), None)

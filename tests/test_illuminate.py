@@ -236,6 +236,29 @@ class TestAssignment:
             build_illumination_set(P)
 
 
+def reference_choice(P, x, directions, epsilon):
+    """The direction `verify_directions` assigns to vertex x, by the
+    reference geometry: the first passing both checks, else the first
+    passing the directional one, else None."""
+    lit = [j for j, v in enumerate(directions)
+           if all(dot(m, v) > 0 for m in tight_normals(P, x))]
+    return next((j for j in lit if location(P, vsub(x, vscale(epsilon, directions[j])))
+                 == INTERIOR), lit[0] if lit else None)
+
+
+def count_integers(monkeypatch):
+    """Patch `_integers` in `illuminate`; the returned list collects one entry per call."""
+    calls = []
+    integers = kernel._integers
+
+    def counting(v, n=None):
+        calls.append(v)
+        return integers(v, n)
+
+    monkeypatch.setattr(illuminate, "_integers", counting)
+    return calls
+
+
 class TestVerification:
     @pytest.mark.parametrize("P", [box(2), box(3), hexagon(), triangle(),
                                    simplex(3), simplex_product([2, 1])],
@@ -325,19 +348,66 @@ class TestVerification:
     def test_verify_directions_picks_the_first_illuminating_direction(self, P):
         # the vertices and their negatives in a shuffled order, half of them
         # dropped, so some vertices are lit by several directions and some
-        # by none
+        # by none; each vertex takes the first direction passing both
+        # checks, else the first passing the directional one, else none
         points = [v.point for v in P.vertices]
         directions = points + [vneg(p) for p in points]
         rnd = random.Random(len(points))
         rnd.shuffle(directions)
         directions = directions[:len(points)]
         _, reports = verify_directions(P, directions, F(1, 4))
-        expected = [next((j for j, v in enumerate(directions)
-                          if all(dot(m, v) > 0 for m in tight_normals(P, vert.point))),
-                         None)
+        expected = [reference_choice(P, vert.point, directions, F(1, 4))
                     for vert in P.vertices]
         assert [r.direction_index for r in reports] == expected
         assert None in expected and len(set(expected)) > 2
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_verify_directions_does_not_depend_on_the_order(self, first):
+        # (10, 1) lights (1, 1) but leaves the square at epsilon 1/2;
+        # (1, 1) passes both checks there, listed first or not
+        directions = [vec(10, 1), vec(1, 1), vec(-1, -1), vec(1, -1), vec(-1, 1)]
+        if first:
+            directions[:2] = directions[1::-1]
+        P = box(2)
+        ok, reports = verify_directions(P, directions, F(1, 2))
+        assert ok
+        i = [v.point for v in P.vertices].index(vec(1, 1))
+        assert reports[i] == (vec(1, 1), 1 - first, True, True)
+
+    def test_verify_directions_reports_a_direction_that_fails_inside(self):
+        # no direction passes both checks at (1, 1): the first one lighting
+        # it is reported, failing the interior check
+        P = box(2)
+        directions = [vec(-1, -1), vec(10, 1), vec(1, 10), vec(1, -1), vec(-1, 1)]
+        ok, reports = verify_directions(P, directions, F(1, 2))
+        assert not ok
+        i = [v.point for v in P.vertices].index(vec(1, 1))
+        assert reports[i] == (vec(1, 1), 1, True, False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3)), st.data())
+    def test_shuffling_the_directions_keeps_the_verdict(self, normals, data):
+        try:
+            P = HPolytope(NormalSet(len(normals[0]), normals), (F(1),) * len(normals))
+        except InputError:
+            assume(False)
+        n = P.dim
+        directions = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n).filter(any).map(
+            lambda v: vec(*v)), min_size=1, max_size=8))
+        epsilon = data.draw(st.fractions(min_value=F(1, 8), max_value=2).filter(bool))
+        shuffled = data.draw(st.permutations(directions))
+        ok, reports = verify_directions(P, directions, epsilon)
+        assert verify_directions(P, shuffled, epsilon)[0] == ok
+        assert [r.direction_index for r in reports] == [
+            reference_choice(P, v.point, directions, epsilon) for v in P.vertices]
+
+    def test_verify_directions_scales_each_direction_once(self, monkeypatch):
+        # the vertices' ints are read off the polytope's vertex table
+        P = box(7)
+        calls = count_integers(monkeypatch)
+        ok, _ = verify_directions(P, [v.point for v in P.vertices], F(1, 4))
+        assert ok
+        assert len(calls) == 128
 
     def test_delta_postcondition_at_every_vertex(self):
         for P in (box(3), hexagon(), triangle()):

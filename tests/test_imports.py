@@ -72,6 +72,23 @@ def test_fan_decides_without_an_lp():
     assert not modules & {"lp", "position"}
 
 
+def points_scaled_to_ints(source: str) -> list[int]:
+    """The lines of the calls to `_integers` with a `.point` in their arguments."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and "_integers" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and any(isinstance(a, ast.Attribute) and a.attr == "point"
+                    for arg in node.args for a in ast.walk(arg))]
+
+
+def test_vertex_integers_come_only_from_the_polytope():
+    # the vertex walk keeps each vertex as ints, in `HPolytope.vertex_table`,
+    # so no module scales a vertex's `Fraction` point back to them
+    assert points_scaled_to_ints("x = 1\ny = kernel._integers(v.point, n)\n_integers(w)\n") == [2]
+    assert [(p.name, line) for p in MODULES
+            for line in points_scaled_to_ints(p.read_text(encoding="utf-8"))] == []
+
+
 def test_skeleton_decides_without_an_lp():
     # the skeleton reads every sign off its basis inverse, which the
     # illumination build reuses instead of inverting the basis again

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -185,7 +186,8 @@ def route_vertices(normals, offsets):
     rows, n = polytope._rows(normals, offsets), len(normals[0])
 
     def as_vertices(found):
-        return tuple(Vertex(p, sum(1 << i for i in tight)) for p, tight in sorted(found))
+        return tuple(sorted(Vertex(tuple(F(x, k) for x in X), sum(1 << i for i in tight))
+                            for (X, k), tight in found))
 
     return (as_vertices(polytope._walk(rows, next(polytope._starts(rows, n)))),
             as_vertices(walk_reference._scan(rows, walk_reference.feasible_candidates(rows, n))))
@@ -235,6 +237,7 @@ class TestVertexWalk:
             P = randomize_offsets(P, seed)
         walked, scanned = route_vertices(P.normal_set.normals, P.offsets)
         assert P.vertices == walked == scanned
+        assert P.vertex_table == tuple(walk_reference.integer_key(v.point) for v in P.vertices)
 
     @settings(max_examples=150, deadline=None)
     @given(degenerate_systems())
@@ -256,6 +259,7 @@ class TestVertexWalk:
         except InputError:
             return
         assert P.vertices == scanned
+        assert P.vertex_table == tuple(walk_reference.integer_key(v.point) for v in P.vertices)
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(degenerate_systems(), valid_normal_sets(dims=(2, 3, 4)).flatmap(
@@ -411,6 +415,22 @@ class TestVertexWalk:
         P = HPolytope.from_facets(8, facets)
         assert len(P.vertices) == 255
         assert len(calls) == 2
+
+    def test_box7_hashes_only_its_normal_set(self, monkeypatch):
+        # the walk keys each vertex on ints, and the facets pair with their
+        # offsets by sorting: the 14 * 7 entries hashed are those of the
+        # normal set's own hash
+        callers = []
+        fraction_hash = Fraction.__hash__
+
+        def counting(x):
+            callers.append(sys._getframe(1).f_code.co_qualname)
+            return fraction_hash(x)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        generate("box", (7,))
+        monkeypatch.undo()
+        assert callers == ["NormalSet.__init__"] * 98
 
     def test_an_unblocked_edge_is_an_internal_error(self, monkeypatch, capsys):
         # each start keeps its slacks and point, but its tableau and

@@ -9,6 +9,10 @@ against:
   and pivots, with the state in `Fraction`s, giving up (None) at the first
   vertex with more than n tight normals;
 - the lexicographically feasible bases, each found from a fresh inverse.
+
+The walk keys each vertex x on (X, k), x == X / k as ints over the least
+k > 0; the references give their vertices as the same keys, by
+`integer_key`, which scales a `Fraction` point independently of the walk.
 """
 
 from __future__ import annotations
@@ -23,6 +27,12 @@ from polyillum.polytope import _slacks
 from tests.kernel_reference import inverse
 
 
+def integer_key(x: Vec) -> tuple[tuple[int, ...], int]:
+    """The walk's key of the point x: `_integers(x)`, with a tuple."""
+    X, k = _integers(x)
+    return tuple(X), k
+
+
 def feasible_candidates(rows: Sequence[tuple], n: int):
     """Each basis of n rows, in `combinations` order, whose square system
     has a solution that satisfies every constraint, with that solution,
@@ -35,11 +45,11 @@ def feasible_candidates(rows: Sequence[tuple], n: int):
                 yield idx, x
 
 
-def _scan(rows: Sequence[tuple], candidates) -> list[tuple[Vec, tuple[int, ...]]]:
-    """The candidate route: the point of every feasible candidate, with the
-    indices of the rows tight there."""
-    return [(x, tuple(i for i, s in enumerate(_slacks(rows, *_integers(x))) if s == 0))
-            for x in {x for _, x in candidates}]
+def _scan(rows: Sequence[tuple], candidates) -> list[tuple[tuple, tuple[int, ...]]]:
+    """The candidate route: the key of every feasible candidate's point,
+    with the indices of the rows tight there."""
+    return [(key, tuple(i for i, s in enumerate(_slacks(rows, *key)) if s == 0))
+            for key in {integer_key(x) for _, x in candidates}]
 
 
 def lex_feasible_bases(rows: Sequence[tuple], start: Sequence[int]) -> set[tuple[int, ...]]:
@@ -84,10 +94,10 @@ def _tableau(normals: Sequence[Vec], columns: Sequence[Vec]) -> tuple[Vec, ...]:
 
 
 def _walk(normals: Sequence[Vec], offsets: Sequence[Fraction], basis: tuple[int, ...],
-          point: Vec) -> Optional[dict[Vec, tuple[int, ...]]]:
-    """Every vertex with the indices of its tight normals, by a depth-first
-    walk over the graph of the polytope from a start vertex, or None at
-    the first vertex with more than n tight normals.
+          point: Vec) -> Optional[dict[tuple, tuple[int, ...]]]:
+    """Every vertex, by its key, with the indices of its tight normals, by
+    a depth-first walk over the graph of the polytope from a start vertex,
+    or None at the first vertex with more than n tight normals.
 
     At a simple vertex, edge k keeps every basis normal but the k-th tight
     and runs along -(column k of B^-1); normal i leaves the polytope after
@@ -110,7 +120,7 @@ def _walk(normals: Sequence[Vec], offsets: Sequence[Fraction], basis: tuple[int,
             f"start basis at {format_vector(point)} is singular")
     columns = tuple(zip(*rows))
     state = _Simple(tuple(basis), point, slacks, columns, _tableau(normals, columns))
-    found = {point: tuple(sorted(basis))}
+    found = {integer_key(point): tuple(sorted(basis))}
     seen = {sum(1 << i for i in basis)}
     pending = []  # per vertex on the path: its (edge, entering normal, neighbour) steps
     returns = []  # per step along the path: the (edge, normal) pivot back
@@ -132,7 +142,7 @@ def _walk(normals: Sequence[Vec], offsets: Sequence[Fraction], basis: tuple[int,
         seen.add(key)
         returns.append((k, state.basis[k]))
         state = _pivot(state, k, r)
-        found[state.point] = tuple(sorted(state.basis))
+        found[integer_key(state.point)] = tuple(sorted(state.basis))
 
 
 def _steps(state: _Simple) -> Optional[list[tuple[int, int, int]]]:
