@@ -21,13 +21,13 @@ NormalSet.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InternalInvariantError, ScaleLimitError
-from .kernel import Vec, circuits, vadd, vscale, zero_vec
+from .kernel import Vec, circuits, vadd, vscale
 from .polytope import NormalSet
 from .position import captured, is_conical_position, is_primitive
 
@@ -183,11 +183,13 @@ def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
     common point sum over mu_i > 0 of mu_i n_i, nonzero since its positive
     half is independent. A false verdict returns the first such circuit's
     halves, in the order of `kernel.circuits`, and that point; both halves
-    are re-checked by LP. Circuits share halves, so each distinct half is
+    are re-checked by LP. A half is a proper subset of its circuit, so it
+    is independent and no circuit lies inside it: it is primitive iff it
+    captures no normal. Circuits share halves, so each distinct half is
     tested once.
     """
     table = circuit_table(N)
-    primitive_half = lru_cache(maxsize=None)(lambda mask: primitive(mask, table))
+    primitive_half = lru_cache(maxsize=None)(lambda mask: not captures(mask, table))
     for c in table:
         if not (c.plus and c.minus and primitive_half(c.plus)
                 and primitive_half(c.minus)):
@@ -196,10 +198,8 @@ def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
         v2 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu < 0)
         if not (is_primitive(v1, N.normals) and is_primitive(v2, N.normals)):
             raise InternalInvariantError("circuit halves fail their primitivity re-check")
-        point = zero_vec(N.dim)
-        for i, mu in zip(c.indices, c.dependence):
-            if mu > 0:
-                point = vadd(point, vscale(mu, N.normals[i]))
+        point = reduce(vadd, (vscale(mu, N.normals[i])
+                              for i, mu in zip(c.indices, c.dependence) if mu > 0))
         return False, (v1, v2, point)
     return True, None
 

@@ -18,9 +18,10 @@ non-tight facet.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm
-from operator import mul
+from operator import and_, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import AssignmentError, InputError, InternalInvariantError
@@ -74,9 +75,15 @@ def compute_epsilon(P: HPolytope, directions: Sequence[Vec],
                     delta: Fraction) -> Fraction:
     """delta divided by the largest |<n, v_j>| over strictly negative
     products; delta itself in the (degenerate) absence of any."""
+    return _epsilon(P, [_integers(v, P.dim) for v in directions], delta)
+
+
+def _epsilon(P: HPolytope, scaled: Sequence[tuple[Sequence[int], int]],
+             delta: Fraction) -> Fraction:
+    """`compute_epsilon` of the directions V / k given as (V, k) pairs of
+    ints; k need not be the least denominator."""
     if delta <= 0:
         raise InputError("delta must be positive")
-    scaled = [_integers(v, P.dim) for v in directions]
     # <m, v> == <a, V> / (c k) for row (a, b, c) and v = V / k
     K = lcm(*(c for _, _, c in P.rows)) * lcm(*(k for _, k in scaled))
     top = Fraction(max((-sum(map(mul, a, V)) * (K // (c * k))
@@ -104,17 +111,17 @@ def _shares(supports: Sequence[Sequence[int]], columns: Sequence[Sequence[int]],
 
 
 def _allowed_drops(expansions: Sequence[Sequence[Sequence[int]]],
-                   dependences: Sequence[Sequence[int]]) -> list[tuple[frozenset[int], ...]]:
-    """Per normal, by its index, and per part, the drops d (indices into
-    the part) whose cones contain the normal, whatever is dropped from the
-    other parts. Within the part the normal is sum(a_x x), a == 0 at x_l,
-    so it is sum((a_x - t c_x) x) for every t, and the cone that drops d
-    takes t == a_d / c_d: all those coefficients are nonnegative iff d
-    minimises a_x / c_x over the part."""
+                   dependences: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Per normal, by its index, and per part, the bitmask of the drops d
+    (indices into the part) whose cones contain the normal, whatever is
+    dropped from the other parts. Within the part the normal is
+    sum(a_x x), a == 0 at x_l, so it is sum((a_x - t c_x) x) for every t,
+    and the cone that drops d takes t == a_d / c_d: all those coefficients
+    are nonnegative iff d minimises a_x / c_x over the part."""
     def drops(a, c):
         ratios = [Fraction(a_x, c_x) for a_x, c_x in zip(a, c)]
         low = min(ratios)
-        return frozenset(d for d, r in enumerate(ratios) if r == low)
+        return sum(1 << d for d, r in enumerate(ratios) if r == low)
     return [tuple(map(drops, per_normal, dependences)) for per_normal in expansions]
 
 
@@ -137,29 +144,30 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
                    for l, x in enumerate(apexes)]
     shares, K = _shares(skeleton.part_supports, columns, dependences)
     generators = [[_integers(g) for g in part] for part in skeleton.parts]
-    directions = []
+    integral, directions = [], []
     for drop in product(*(range(len(part)) for part in skeleton.parts)):
         V = [sum(x) for x in zip(*(share[d] for share, d in zip(shares, drop)))]
         # g == G / k and v == V / (D K), so <g, v> == 1 iff <G, V> == k D K
         if any(e != d and sum(map(mul, G, V)) != k * D * K
                for part, d in zip(generators, drop) for e, (G, k) in enumerate(part)):
             raise InternalInvariantError("direction does not pair to 1 exactly")
+        integral.append((V, D * K))
         directions.append(tuple(Fraction(x, D * K) for x in V))
     if len(directions) > 2 ** P.dim:
         raise InternalInvariantError("more cones than 2^n")
     delta = compute_delta(P)
-    epsilon = compute_epsilon(P, directions, delta)
+    epsilon = _epsilon(P, integral, delta)
     allowed = _allowed_drops(expansions, dependences)
     assignment = []
     for vert in P.vertices:
         tight = [i for i in range(len(P.rows)) if vert.mask >> i & 1]
         j, chosen = 0, []
         for l, c in enumerate(dependences):
-            drops = set(range(len(c))).intersection(*(allowed[i][l] for i in tight))
+            drops = reduce(and_, (allowed[i][l] for i in tight), (1 << len(c)) - 1)
             if not drops:
                 raise AssignmentError(f"no cone contains the tight normals of vertex "
                                       f"{format_vector(vert.point)}; the covering claim fails")
-            chosen.append(min(drops))
+            chosen.append((drops & -drops).bit_length() - 1)
             j = j * len(c) + chosen[-1]
         # re-checked without the producer: each coefficient a_x - a_d c_x / c_d
         # of a tight normal over the cone's generators is nonnegative

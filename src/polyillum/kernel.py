@@ -22,6 +22,7 @@ walk reads its start off one `inverse`.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -33,7 +34,7 @@ from .errors import InputError
 Vec = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
-# Longest rejected literal that an error message quotes in full.
+# Longest rejected literal or vector entry that an error message shows in full.
 _QUOTE_LIMIT = 40
 
 
@@ -67,22 +68,26 @@ def _quote(text: str) -> str:
 
 
 def format_rational(x: Fraction | int) -> str:
-    """The literal "p" or "p/q" of x: a `Fraction` is kept in lowest
-    terms, so its `str` is already that literal."""
-    return str(x)
+    """The literal "p" or "p/q" of x, a `Fraction` in lowest terms, exact at
+    any length: `parse_rational` still refuses a literal so long."""
+    try:
+        return str(x)
+    except ValueError:  # Python's integer string-conversion limit, lifted for this call
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def format_vector(v) -> str:
     """A vector, or a tuple of vectors, as an error message shows it:
-    (1/2, -1), ((1, 0), (0, 1))."""
-    return "(" + ", ".join(format_vector(x) if isinstance(x, tuple) else format_rational(x)
-                           for x in v) + ")"
-
-
-def quote_vector(v: Vec) -> str:
-    """`format_vector` of v, each entry of over _QUOTE_LIMIT characters shown by its length."""
-    return format_vector(tuple(x if len(t := str(x)) <= _QUOTE_LIMIT else f"<{len(t)} characters>"
-                               for x in v))
+    (1/2, -1), ((1, 0), (0, 1)); an entry of over _QUOTE_LIMIT characters
+    is shown by its length, so the message stays short."""
+    return "(" + ", ".join(format_vector(x) if isinstance(x, tuple) else
+                           (t if len(t := format_rational(x)) <= _QUOTE_LIMIT
+                            else f"<{len(t)} characters>") for x in v) + ")"
 
 
 def vec(*entries) -> Vec:

@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
 from .kernel import (Vec, _integers, _lowest_terms, _pivot as _integer_pivot, first_basis,
-                     format_vector, inverse, primitive_form, quote_vector, vec)
+                     format_vector, inverse, primitive_form, vec)
 from .position import farkas_direction
 
 # Inverses the search for the walk's start may make: C(m, n) for m
@@ -131,12 +131,6 @@ class NormalSet(_Frozen):
     def from_vectors(dim: int, vectors: Iterable) -> "NormalSet":
         return NormalSet(dim, tuple(vec(*v) for v in vectors))
 
-    def __iter__(self):
-        return iter(self.normals)
-
-    def __len__(self):
-        return len(self.normals)
-
 
 class Vertex(NamedTuple):
     point: Vec
@@ -208,13 +202,13 @@ class HPolytope(_Frozen):
         normals = self.normal_set.normals
         if everywhere := reduce(and_, (v.mask for v in self.vertices)):
             i = (everywhere & -everywhere).bit_length() - 1
-            raise InputError(f"polytope is not full-dimensional (normal {quote_vector(normals[i])}"
+            raise InputError(f"polytope is not full-dimensional (normal {format_vector(normals[i])}"
                              f" is tight at every vertex)", facet_index=i)
         for i, m in enumerate(normals):
             tight_sets = [v.mask for v in self.vertices if v.mask >> i & 1]
             if not tight_sets or reduce(and_, tight_sets) != 1 << i:
                 reason = "tight set is not a facet" if tight_sets else "offset never attained"
-                raise InputError(f"facet with normal {quote_vector(m)} is redundant ({reason})",
+                raise InputError(f"facet with normal {format_vector(m)} is redundant ({reason})",
                                  facet_index=i)
 
     # -- queries ------------------------------------------------------------

@@ -8,16 +8,18 @@ coefficients. Each pass inverts B once, as ints Q_i / D for the columns
 of B^-1, and reads every other normal's coefficient signs off the
 integer dot products <X, Q_i>, X the normal scaled to ints; the skeleton
 is read off the pass over the final basis, and keeps that inverse for
-the illumination build. The all-nonpositive normals' supports form a
-laminar family; the inclusion-maximal supports partition the basis
-indices and each yields one part X_l = {b_i : i in S_l} + {x_l}, a
-simplex with the origin in its relative interior. No LP runs here.
+the illumination build. The all-nonpositive normals' supports, bitmasks
+over the basis indices, form a laminar family; the inclusion-maximal
+supports partition the basis indices and each yields one part X_l =
+{b_i : i in S_l} + {x_l}, a simplex with the origin in its relative
+interior, its apex x_l the first normal with support S_l. No LP here.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
-from operator import mul
+from operator import mul, or_
 from typing import NamedTuple
 
 from .classify import check_strong_monotypy
@@ -88,36 +90,26 @@ def extract_skeleton(N: NormalSet) -> Skeleton:
     with laminar supports is necessary for strong monotypy but not
     sufficient, so `refine_basis` runs the exhaustive check first."""
     basis, (columns, D), signs = refine_basis(N)
-    negatives = [(x, tuple(i for i, c in enumerate(a) if c != 0))
-                 for x, a in signs if max(a) <= 0]
-
-    for (_, sx), (_, sy) in combinations(negatives, 2):
-        fx, fy = set(sx), set(sy)
-        if fx & fy and not (fx <= fy or fy <= fx):
+    negatives = [(x, sum(1 << i for i, c in enumerate(a) if c)) for x, a in signs if max(a) <= 0]
+    for (_, s), (_, t) in combinations(negatives, 2):
+        if s & t not in (0, s, t):
             raise InternalInvariantError(
                 "strongly monotypic set has overlapping non-nested supports")
-
-    supports = {frozenset(s) for _, s in negatives}
-    maximal = sorted((s for s in supports
-                      if not any(s < t for t in supports)),
-                     key=min)
-    covered: set[int] = set()
-    for s in maximal:
-        if covered & s:
-            raise InternalInvariantError("maximal supports are not disjoint")
-        covered |= s
-    if covered != set(range(N.dim)):
+    # one pass keeps each inclusion-maximal support with its first normal
+    maximal: list[tuple[int, Vec]] = []
+    for x, s in negatives:
+        if all(s & t != s for t, _ in maximal):  # s lies in no kept support
+            maximal = [(t, y) for t, y in maximal if t & s != t] + [(s, x)]
+    maximal.sort(key=lambda p: p[0] & -p[0])
+    union = reduce(or_, (s for s, _ in maximal), 0)
+    if sum(s for s, _ in maximal) != union:
+        raise InternalInvariantError("maximal supports are not disjoint")
+    if union != (1 << N.dim) - 1:
         # an uncovered index i would make b_i* >= 0 on every normal, so the
         # normals would not positively span
         raise InternalInvariantError("maximal supports do not cover the basis")
-
-    parts = []
-    part_supports = []
-    for s in maximal:
-        key = tuple(sorted(s))
-        x_l = next(x for x, sup in negatives if tuple(sorted(sup)) == key)
-        parts.append(tuple(basis[i] for i in key) + (x_l,))
-        part_supports.append(key)
+    part_supports = [tuple(i for i in range(N.dim) if s >> i & 1) for s, _ in maximal]
+    parts = [tuple(basis[i] for i in key) + (x,) for key, (_, x) in zip(part_supports, maximal)]
     skeleton = Skeleton(tuple(basis), tuple(parts), tuple(part_supports), columns, D)
     verify_skeleton(N, skeleton)
     return skeleton

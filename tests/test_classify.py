@@ -189,9 +189,9 @@ class TestMonotypyMss:
 
         def counting(mask, table):
             calls.append(mask)
-            return primitive(mask, table)
+            return captures(mask, table)
 
-        monkeypatch.setattr(classify, "primitive", counting)
+        monkeypatch.setattr(classify, "captures", counting)
         check_monotypy_mss.cache_clear()
         assert check_monotypy_mss(N) == (True, None)
         assert sum(1 for c in circuit_table(N) if c.plus and c.minus) == 336

@@ -22,6 +22,8 @@ from polyillum.cli import COMMANDS, _parse, build_parser, run_command
 from polyillum.errors import InputError
 from polyillum.formats import dump, parse_polytope, polytope_to_doc
 from polyillum.generators import FAMILIES, generate, randomize_offsets
+from polyillum.illuminate import build_illumination_set, compute_epsilon
+from polyillum.kernel import format_rational
 from polyillum.polytope import HPolytope
 from polyillum.position import is_conical_position
 from tests.conftest import (box, count_lps, hexagon, n_over_apex, set_n, sign_vectors_26,
@@ -904,10 +906,14 @@ class TestLastResort:
         out, err = capsys.readouterr()
         assert err == "" and out.endswith("\n") and out.count("\n") == 1
         assert isinstance(json.loads(out), dict)
-        # the size of what `illuminate` may print is not bounded yet: its
-        # epsilon has more digits than `str` converts
+        # output is exact at any length: epsilon has more digits than `str`
+        # converts by default
         if argv[0] == "illuminate":
-            assert code == 3 and json.loads(out)["error"].startswith("ValueError: Exceeds")
+            P = parse_polytope(json.dumps(HUGE_SQUARE))
+            ill = build_illumination_set(P)
+            assert code == 0
+            assert json.loads(out)["epsilon"] == format_rational(
+                compute_epsilon(P, ill.directions, ill.delta))
 
     @settings(max_examples=25, deadline=None)
     @given(extreme_documents())
@@ -923,7 +929,7 @@ class TestLastResort:
                 with redirect_stdout(out), redirect_stderr(err):
                     code = run_command([argv[0], str(polytope), *argv[1:]])
                 out = out.getvalue()
-                assert code in (0, 1, 2, 3) and err.getvalue() == ""
+                assert code in (0, 1, 2) and err.getvalue() == ""
                 assert out.endswith("\n") and out.count("\n") == 1
                 assert isinstance(json.loads(out), dict)
 

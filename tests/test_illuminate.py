@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyillum import illuminate, kernel, lp, position
+from polyillum import illuminate, kernel, lp, position, skeleton
 from polyillum.classify import check_strong_monotypy
 from polyillum.errors import (AssignmentError, InputError, InternalInvariantError,
                               NotStronglyMonotypicError)
@@ -160,6 +160,16 @@ class TestBuild:
         assert [names[:2] for names in calls if "inverse" in names] == [
             ["inverse", "refine_basis"]]
 
+    def test_epsilon_takes_the_builds_own_integer_directions(self, monkeypatch):
+        # a cached box6 build scales its 12 normals for the refinement and
+        # its 12 part generators to ints, and none of its 64 directions
+        P = box(6)
+        build_illumination_set(P)
+        calls = count_integers(monkeypatch)
+        ill = build_illumination_set(P)
+        assert len(calls) == 24
+        assert ill.epsilon == compute_epsilon(P, ill.directions, ill.delta)
+
 
 class TestAssignment:
     @pytest.mark.parametrize("P", [
@@ -202,7 +212,7 @@ class TestAssignment:
 
     def test_empty_part_intersection_is_an_assignment_error(self, monkeypatch):
         sk = extract_skeleton(box(3).normal_set)
-        nowhere = tuple(frozenset() for _ in sk.parts)
+        nowhere = (0,) * len(sk.parts)
         monkeypatch.setattr(illuminate, "_allowed_drops",
                             lambda expansions, dependences: [nowhere] * len(expansions))
         with pytest.raises(AssignmentError, match="covering claim"):
@@ -214,7 +224,8 @@ class TestAssignment:
         allowed_drops = illuminate._allowed_drops
 
         def opposite(expansions, dependences):
-            return [tuple(frozenset(1 - d for d in drops) for drops in per_normal)
+            # drop d becomes drop 1 - d: bits 0 and 1 of each mask swap
+            return [tuple((drops & 1) << 1 | drops >> 1 for drops in per_normal)
                     for per_normal in allowed_drops(expansions, dependences)]
 
         monkeypatch.setattr(illuminate, "_allowed_drops", opposite)
@@ -247,7 +258,8 @@ def reference_choice(P, x, directions, epsilon):
 
 
 def count_integers(monkeypatch):
-    """Patch `_integers` in `illuminate`; the returned list collects one entry per call."""
+    """Patch `_integers` in `illuminate` and `skeleton`; the returned list
+    collects one entry per call."""
     calls = []
     integers = kernel._integers
 
@@ -256,6 +268,7 @@ def count_integers(monkeypatch):
         return integers(v, n)
 
     monkeypatch.setattr(illuminate, "_integers", counting)
+    monkeypatch.setattr(skeleton, "_integers", counting)
     return calls
 
 

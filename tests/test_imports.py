@@ -130,16 +130,18 @@ def test_only_the_kernel_imports_gcd():
     assert importers == ["kernel.py"]
 
 
+def named(path: Path) -> set[str]:
+    """Every name a module uses, reads an attribute of or imports."""
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    return ({node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            | {name for _, name in imported_names(path)})
+
+
 def test_only_the_kernel_names_its_row_reduction():
     # circuits, the normal set's first basis, `rank`, `inverse` and
     # `simplex_dependence` each make one elimination in the kernel; no other
     # module reduces rows of its own, and the facet test ranks nothing
-    def named(path):
-        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
-        return ({node.id for node in nodes if isinstance(node, ast.Name)}
-                | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-                | {name for _, name in imported_names(path)})
-
     assert [p.name for p in MODULES if "_row_reduce" in named(p)] == ["kernel.py"]
     assert ("kernel", "rank") not in imported_names(PACKAGE / "polytope.py")
 
@@ -177,3 +179,9 @@ def test_no_module_imports_dataclasses():
     importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
                  if "dataclasses" in {module for module, _ in imported_names(p)}]
     assert importers == []
+
+
+def test_no_module_names_frozenset_or_quote_vector():
+    # supports, drops and tight sets are index bitmasks, and `format_vector`
+    # alone keeps an error message's entries short
+    assert [p.name for p in MODULES if named(p) & {"frozenset", "quote_vector"}] == []
