@@ -2,12 +2,17 @@
 illumination sets, verdicts and certificates.
 
 Rationals travel as strings ("p" or "p/q"), never floats, so documents
-round-trip bit-exactly and stay language-neutral.
+round-trip bit-exactly and stay language-neutral. A document repeats few
+distinct literals (a box's normals are 0 and +-1), so each parser keeps
+one dict, local to its call, from a literal to its `Fraction`, and parses
+each distinct literal once; the first bad literal in document order still
+raises its `InputError`.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .errors import InputError
 from .kernel import Vec, format_rational, parse_rational
@@ -19,9 +24,24 @@ def vector_to_strings(v: Vec) -> list[str]:
 
 
 def strings_to_vector(items: list[str]) -> Vec:
+    return _vector(items, {})
+
+
+def _rational(text, parsed: dict[str, Fraction]) -> Fraction:
+    """`parse_rational(text)`, made once per distinct string in `parsed`. A
+    value that is not a string, unhashable perhaps, goes straight to
+    `parse_rational`, which rejects it."""
+    if not isinstance(text, str):
+        return parse_rational(text)
+    if (x := parsed.get(text)) is None:
+        x = parsed[text] = parse_rational(text)
+    return x
+
+
+def _vector(items, parsed: dict[str, Fraction]) -> Vec:
     if not isinstance(items, list):
         raise InputError(f"a vector must be a JSON list, got {type(items).__name__}")
-    return tuple(parse_rational(s) for s in items)
+    return tuple(_rational(s, parsed) for s in items)
 
 
 def polytope_to_doc(P: HPolytope) -> dict:
@@ -44,17 +64,17 @@ def doc_to_polytope(doc) -> HPolytope:
         raise InputError(f"'dim' must be a JSON integer, got {type(dim).__name__}")
     if not isinstance(facets, list) or not facets:
         raise InputError("'facets' must be a nonempty list")
-    parsed = []
+    pairs, parsed = [], {}
     for i, facet in enumerate(facets):
         try:
-            normal = strings_to_vector(facet["normal"])
-            offset = parse_rational(facet["offset"])
+            normal = _vector(facet["normal"], parsed)
+            offset = _rational(facet["offset"], parsed)
         except (KeyError, TypeError) as err:
             raise InputError(f"facet {i} is malformed: {err}", facet_index=i)
         except InputError as err:
             raise InputError(f"facet {i}: {err}", facet_index=i)
-        parsed.append((normal, offset))
-    return HPolytope.from_facets(dim, parsed)
+        pairs.append((normal, offset))
+    return HPolytope.from_facets(dim, pairs)
 
 
 def _load_json(text: str):
@@ -74,14 +94,15 @@ def parse_directions(text: str):
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise InputError("directions document must be a JSON object")
+    parsed = {}
     try:
-        epsilon = parse_rational(doc["epsilon"])
+        epsilon = _rational(doc["epsilon"], parsed)
         items = doc["directions"]
     except KeyError as err:
         raise InputError(f"directions document needs 'epsilon' and 'directions': {err}")
     if not isinstance(items, list):
         raise InputError(f"'directions' must be a JSON list, got {type(items).__name__}")
-    directions = [strings_to_vector(v) for v in items]
+    directions = [_vector(v, parsed) for v in items]
     if not directions:
         raise InputError("directions list is empty")
     return directions, epsilon

@@ -5,7 +5,10 @@ nothing here touches floating point. Vectors are plain tuples of
 `fractions.Fraction`, and `Fraction` is what every function takes and
 returns but `inverse`, whose callers take many integer dot products with
 its columns, so it returns them as ints over one denominator, and
-`primitive_form`; inside, the arithmetic is on Python ints. `_integers`
+`primitive_form`; inside, the arithmetic is on Python ints. An int has a
+numerator and a denominator too, so a function that reads a vector's
+entries only through those, as `first_basis` and `lp.solve_eq_nonneg`
+do, takes int vectors as well, such as primitive forms. `_integers`
 scales a vector to ints by the lcm of its denominators, once, for `dot`
 here and for every caller that takes many integer dot products with one
 vector; `_lowest_terms` gives it for ints over a denominator.

@@ -12,7 +12,8 @@ over one denominator without division (Edmonds). The rule lets the walk
 pass through vertices with more than n tight normals, which the paper's
 monotypic polytopes never have, whatever the offsets. It keys each
 vertex on its point in lowest terms as ints, hashing no `Fraction`, and
-the polytope keeps those ints as its vertex table for the illumination.
+the polytope keeps those ints as its vertex table for the illumination;
+its vertices' points share one `Fraction` per distinct coordinate.
 
 A NormalSet is valid by construction: its normals are nonzero, pairwise
 distinct directions that positively span the space, so every offset
@@ -20,10 +21,14 @@ vector gives a bounded system, and they pass the vertex-enumeration
 guard. Positive spanning is decided here once, and nowhere else. The
 normals positively span exactly when they have rank n and -sum(n_i) lies
 in their positive hull (Davis, *Theory of positive linear dependence*,
-Amer. J. Math. 1954), which takes one LP. Only when that fails does one
-LP run for each of +-e_i: either e_i lies in the positive hull of the
-normals, or the LP's Farkas certificate is a direction along which every
-system with these normals is unbounded.
+Amer. J. Math. 1954), which takes one LP. Both depend only on the
+normals' rays: scaling a normal by a positive number moves no pivot
+column and keeps a strictly positive dependence strictly positive. So
+the rank and that LP run on the normals' primitive forms, coprime ints,
+and the set is hashed on them. Only when the test fails does one LP run, on
+the normals as given, for each of +-e_i: either e_i lies in the positive
+hull of the normals, or the LP's Farkas certificate is a direction along
+which every system with these normals is unbounded.
 
 Normal sets are kept in a canonical descending lexicographic order; every
 downstream tie-break (certificates, basis refinement, cone listings)
@@ -33,10 +38,9 @@ derives from that order, so all outputs are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import comb, lcm
-from operator import and_, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalInvariantError, ScaleLimitError
@@ -72,10 +76,11 @@ class _Frozen:
 
 
 class NormalSet(_Frozen):
-    """Equal, hashed and shown on (dim, normals); the hash is kept, since
-    every per-NormalSet cache lookup takes it. `basis`, the indices of the
-    first basis among the normals, shows that they span and is where the
-    skeleton's basis refinement starts."""
+    """Equal and shown on (dim, normals), and hashed on dim and the normals'
+    primitive forms, which are equal when the normals are; the hash is
+    kept, since every per-NormalSet cache lookup takes it. `basis`, the
+    indices of the first basis among the normals, shows that they span and
+    is where the skeleton's basis refinement starts."""
     __slots__ = ("dim", "normals", "basis", "_hash")
 
     def __init__(self, dim: int, normals: tuple[Vec, ...]):
@@ -95,16 +100,19 @@ class NormalSet(_Frozen):
                     f"normal {i} is a positive multiple of normal {seen[p]}",
                     facet_index=i)
             seen[p] = i
-        normals = tuple(sorted(normals, reverse=True))
+        forms = tuple(seen)  # normal i's primitive form is the i-th key
+        order = sorted(range(len(normals)), key=normals.__getitem__, reverse=True)
+        normals = tuple(normals[i] for i in order)
+        forms = tuple(forms[i] for i in order)
         vertex_guard(len(normals), n)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "basis", first_basis(normals))
-        object.__setattr__(self, "_hash", hash((n, normals)))
+        object.__setattr__(self, "basis", first_basis(forms))
+        object.__setattr__(self, "_hash", hash((n, forms)))
         # a strictly positive dependence sum((1 + y_i) n_i) == 0, y >= 0; the
         # +-e_i LPs run only to find the witness of a set that fails it
         if len(self.basis) == n and farkas_direction(
-                tuple(-sum(c) for c in zip(*normals)), normals) is None:
+                tuple(-sum(c) for c in zip(*forms)), forms) is None:
             return
         for i in range(n):
             for sign in (1, -1):
@@ -169,7 +177,7 @@ class HPolytope(_Frozen):
 
     @classmethod
     def from_facets(cls, dim: int, facets: Sequence[tuple]) -> "HPolytope":
-        pairs = [(vec(*n), Fraction(h)) for n, h in facets]
+        pairs = [(vec(*n), h if isinstance(h, Fraction) else Fraction(h)) for n, h in facets]
         N = NormalSet(dim, tuple(n for n, _ in pairs))
         # the normals are distinct, so sorting the pairs by normal puts them in N's order
         return cls(N, tuple(h for _, h in sorted(pairs, key=itemgetter(0), reverse=True)))
@@ -186,8 +194,9 @@ class HPolytope(_Frozen):
         found = _walk(self.rows, start)
         L = lcm(*(k for (_, k), _ in found))  # sorted as ints over L
         found.sort(key=lambda e: [x * (L // e[0][1]) for x in e[0][0]])
+        made = _Fractions()
         object.__setattr__(self, "vertices", tuple(
-            Vertex(tuple(Fraction(x, k) for x in X), sum(1 << i for i in tight))
+            Vertex(tuple(made[x, k] for x in X), sum(1 << i for i in tight))
             for (X, k), tight in found))
         object.__setattr__(self, "vertex_table", tuple(key for key, _ in found))
 
@@ -200,14 +209,24 @@ class HPolytope(_Frozen):
         alone: no other normal has its direction, and one opposite to it
         tight on F would make normal i tight at every vertex."""
         normals = self.normal_set.normals
-        if everywhere := reduce(and_, (v.mask for v in self.vertices)):
+        # one sweep: the AND and the OR of all masks, and per normal the
+        # AND of the masks of the vertices where it is tight (-1 if none)
+        everywhere, attained, common = -1, 0, [-1] * len(normals)
+        for v in self.vertices:
+            everywhere &= v.mask
+            attained |= v.mask
+            rest = v.mask
+            while rest:
+                common[(rest & -rest).bit_length() - 1] &= v.mask
+                rest &= rest - 1
+        if everywhere:
             i = (everywhere & -everywhere).bit_length() - 1
             raise InputError(f"polytope is not full-dimensional (normal {format_vector(normals[i])}"
                              f" is tight at every vertex)", facet_index=i)
         for i, m in enumerate(normals):
-            tight_sets = [v.mask for v in self.vertices if v.mask >> i & 1]
-            if not tight_sets or reduce(and_, tight_sets) != 1 << i:
-                reason = "tight set is not a facet" if tight_sets else "offset never attained"
+            if common[i] != 1 << i:
+                reason = ("tight set is not a facet" if attained >> i & 1
+                          else "offset never attained")
                 raise InputError(f"facet with normal {format_vector(m)} is redundant ({reason})",
                                  facet_index=i)
 
@@ -219,6 +238,15 @@ class HPolytope(_Frozen):
 
 
 # -- vertex enumeration -------------------------------------------------------
+
+class _Fractions(dict):
+    """(x, k) -> Fraction(x, k), made on its first lookup: one `Fraction`
+    per distinct coordinate of the vertices of one build."""
+
+    def __missing__(self, key):
+        x = self[key] = Fraction(*key)
+        return x
+
 
 def _rows(normals: Sequence[Vec], offsets: Sequence[Fraction]) -> tuple[tuple, ...]:
     """The rows of `HPolytope`."""
