@@ -6,26 +6,30 @@ direction is the unique vector pairing to 1 with every generator. The
 parts span a direct sum, so each direction is a sum of one share per
 part, and the inverse of the skeleton basis that the skeleton's last pass
 made gives all the shares and the normals' expansions over the basis,
-with no row reduction here. Each vertex is assigned the first
-cone, in product order, that contains all its tight normals, read part by
-part off those expansions with no LP, and each containment is re-checked
-coefficient by coefficient. The slack bound delta is half the minimum
-positive vertex-facet slack, and epsilon = delta / max |<n, v_j>| over the
-strictly negative products, so that stepping by epsilon*v never crosses a
-non-tight facet.
+with no row reduction here. Whether a cone contains a normal depends only
+on the normal, the part and the element it drops, not on the vertex: each
+normal allows a bitmask of drops per part, found by comparing ratios as
+cross-multiplied ints, and every allowed drop is re-checked coefficient
+by coefficient once per build. Each vertex is then assigned the first
+cone, in product order, that contains all its tight normals, reading per
+part only the normals that do not allow every drop, with no LP. The
+directions stay ints over one denominator until they are returned, with
+one `Fraction` per distinct entry. The slack bound delta is half the
+minimum positive vertex-facet slack, and epsilon = delta / max |<n, v_j>|
+over the strictly negative products, so that stepping by epsilon*v never
+crosses a non-tight facet.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from math import lcm
-from operator import and_, mul
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import AssignmentError, InputError, InternalInvariantError
-from .kernel import Vec, _integers, format_vector, vscale
+from .kernel import Vec, _integers, format_vector
 from .polytope import HPolytope, _slacks
 from .skeleton import extract_skeleton
 
@@ -117,12 +121,34 @@ def _allowed_drops(expansions: Sequence[Sequence[Sequence[int]]],
     dropped from the other parts. Within the part the normal is
     sum(a_x x), a == 0 at x_l, so it is sum((a_x - t c_x) x) for every t,
     and the cone that drops d takes t == a_d / c_d: all those coefficients
-    are nonnegative iff d minimises a_x / c_x over the part."""
+    are nonnegative iff d minimises a_x / c_x over the part. With every c_x
+    positive, a_x / c_x < a_y / c_y iff a_x c_y < a_y c_x, on ints."""
+    if any(c_x <= 0 for c in dependences for c_x in c):
+        raise InternalInvariantError("a part dependence has a nonpositive coefficient")
+
     def drops(a, c):
-        ratios = [Fraction(a_x, c_x) for a_x, c_x in zip(a, c)]
-        low = min(ratios)
-        return sum(1 << d for d, r in enumerate(ratios) if r == low)
+        low = 0
+        for d in range(1, len(c)):
+            if a[d] * c[low] < a[low] * c[d]:
+                low = d
+        return sum(1 << d for d in range(len(c)) if a[d] * c[low] == a[low] * c[d])
     return [tuple(map(drops, per_normal, dependences)) for per_normal in expansions]
+
+
+def _contains(a: Sequence[int], c: Sequence[int], d: int) -> bool:
+    """Whether the cone that drops d from a part of dependence c contains
+    a normal of coefficients a over the part: each of its coefficients
+    a_x - a_d c_x / c_d over the cone's generators is nonnegative."""
+    return all(a_x * c[d] - a[d] * c_x >= 0 for a_x, c_x in zip(a, c))
+
+
+def _constraining(allowed: Sequence[Sequence[int]],
+                  dependences: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Per part, the (bit, drops) pair of each normal that does not allow
+    every drop of the part: only those can narrow a vertex's choice."""
+    return [[(1 << i, per_normal[l]) for i, per_normal in enumerate(allowed)
+             if per_normal[l] != (1 << len(c)) - 1]
+            for l, c in enumerate(dependences)]
 
 
 def build_illumination_set(P: HPolytope) -> IlluminationSet:
@@ -144,7 +170,7 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
                    for l, x in enumerate(apexes)]
     shares, K = _shares(skeleton.part_supports, columns, dependences)
     generators = [[_integers(g) for g in part] for part in skeleton.parts]
-    integral, directions = [], []
+    integral = []
     for drop in product(*(range(len(part)) for part in skeleton.parts)):
         V = [sum(x) for x in zip(*(share[d] for share, d in zip(shares, drop)))]
         # g == G / k and v == V / (D K), so <g, v> == 1 iff <G, V> == k D K
@@ -152,36 +178,42 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
                for part, d in zip(generators, drop) for e, (G, k) in enumerate(part)):
             raise InternalInvariantError("direction does not pair to 1 exactly")
         integral.append((V, D * K))
-        directions.append(tuple(Fraction(x, D * K) for x in V))
-    if len(directions) > 2 ** P.dim:
+    if len(integral) > 2 ** P.dim:
         raise InternalInvariantError("more cones than 2^n")
     delta = compute_delta(P)
     epsilon = _epsilon(P, integral, delta)
     allowed = _allowed_drops(expansions, dependences)
+    # re-checked without the producer, once per allowed drop of each normal
+    for i, per_normal in enumerate(allowed):
+        for l, (drops, a, c) in enumerate(zip(per_normal, expansions[i], dependences)):
+            for d in range(len(c)):
+                if drops >> d & 1 and not _contains(a, c, d):
+                    raise InternalInvariantError(
+                        f"the cone that drops element {d} of part {l} does not contain "
+                        f"the normal {format_vector(normals[i])}")
+    constraining = _constraining(allowed, dependences)
     assignment = []
     for vert in P.vertices:
-        tight = [i for i in range(len(P.rows)) if vert.mask >> i & 1]
-        j, chosen = 0, []
-        for l, c in enumerate(dependences):
-            drops = reduce(and_, (allowed[i][l] for i in tight), (1 << len(c)) - 1)
+        j = 0
+        for pairs, c in zip(constraining, dependences):
+            drops = (1 << len(c)) - 1
+            for bit, mask in pairs:
+                if vert.mask & bit:
+                    drops &= mask
             if not drops:
                 raise AssignmentError(f"no cone contains the tight normals of vertex "
                                       f"{format_vector(vert.point)}; the covering claim fails")
-            chosen.append((drops & -drops).bit_length() - 1)
-            j = j * len(c) + chosen[-1]
-        # re-checked without the producer: each coefficient a_x - a_d c_x / c_d
-        # of a tight normal over the cone's generators is nonnegative
-        for i in tight:
-            if any(a_x * c[d] - a[d] * c_x < 0
-                   for a, c, d in zip(expansions[i], dependences, chosen)
-                   for a_x, c_x in zip(a, c)):
-                raise InternalInvariantError(
-                    f"assigned cone does not contain the tight normal {format_vector(normals[i])}"
-                    f" of vertex {format_vector(vert.point)}")
+            j = j * len(c) + (drops & -drops).bit_length() - 1
         assignment.append(j)
-    return IlluminationSet(directions=tuple(directions), epsilon=epsilon, delta=delta,
-                           scaled=tuple(vscale(epsilon, v) for v in directions),
-                           assignment=tuple(assignment))
+    # one Fraction per distinct entry of the directions, and of their steps
+    values = {x for V, _ in integral for x in V}
+    e, f = epsilon.numerator, epsilon.denominator * D * K
+    fractions = {x: Fraction(x, D * K) for x in values}
+    steps = {x: Fraction(e * x, f) for x in values}
+    return IlluminationSet(
+        directions=tuple(tuple(map(fractions.__getitem__, V)) for V, _ in integral),
+        scaled=tuple(tuple(map(steps.__getitem__, V)) for V, _ in integral),
+        epsilon=epsilon, delta=delta, assignment=tuple(assignment))
 
 
 def _checks(P: HPolytope, directions: Sequence[Vec], epsilon: Fraction):

@@ -116,17 +116,21 @@ def extract_skeleton(N: NormalSet) -> Skeleton:
 
 
 def verify_skeleton(N: NormalSet, skeleton: Skeleton) -> None:
-    """Independent recheck of the three structural claims: each part is a
-    simplex with the origin in its relative interior, the part spans are
-    independent, and they sum to the whole space."""
+    """Independent recheck of the structural claims: the parts are
+    pairwise disjoint sets of normals of N, each part is a simplex with the
+    origin in its relative interior, the part spans are independent, and
+    they sum to the whole space."""
     n = N.dim
-    seen: set[Vec] = set()
+    seen = 0  # bitmask of the normals' indices in N, so no vector is hashed
     for part, support in zip(skeleton.parts, skeleton.part_supports):
         if len(part) != len(support) + 1:
             raise InternalInvariantError("part size does not match its support")
-        if seen & set(part):
+        mask = sum(1 << i for i, x in enumerate(N.normals) if x in part)
+        if mask.bit_count() != len(part):
+            raise InternalInvariantError("part elements are not distinct normals of the set")
+        if seen & mask:
             raise InternalInvariantError("parts are not pairwise disjoint")
-        seen |= set(part)
+        seen |= mask
         dep = simplex_dependence(part)
         if dep is None:
             raise InternalInvariantError("part is not a simplex with a unique dependence")

@@ -19,7 +19,9 @@ from polyillum.polytope import HPolytope, NormalSet
 from polyillum.skeleton import extract_skeleton
 from tests.conftest import (box, hexagon, simplex, simplex_product, square_pyramid,
                             triangle, valid_normal_sets)
-from tests.illuminate_reference import cone_directions, cone_selections, lp_assignment
+from tests.illuminate_reference import (cone_directions, cone_selections,
+                                        fraction_allowed_drops, lp_assignment,
+                                        per_vertex_build)
 from tests.polytope_reference import (BOUNDARY, INTERIOR, location, masked, tight_normals,
                                       vsub)
 
@@ -170,6 +172,66 @@ class TestBuild:
         assert len(calls) == 24
         assert ill.epsilon == compute_epsilon(P, ill.directions, ill.delta)
 
+    def test_a_cached_box6_build_hashes_no_fraction(self, monkeypatch):
+        # the directions' Fractions are keyed on ints, and the skeleton's
+        # parts are told apart by their elements' indices among the normals
+        P = box(6)
+        build_illumination_set(P)
+        callers = []
+        fraction_hash = Fraction.__hash__
+
+        def counting(x):
+            callers.append(sys._getframe(1).f_code.co_qualname)
+            return fraction_hash(x)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        build_illumination_set(P)
+        monkeypatch.undo()
+        assert callers == []
+
+    def test_one_fraction_per_distinct_direction_entry(self):
+        # box6's 64 directions have 384 entries of two values, +-1; their
+        # steps are epsilon times those
+        ill = build_illumination_set(box(6))
+        entries = [x for v in ill.directions for x in v]
+        assert len(entries) == 384 and len({id(x) for x in entries}) == 2
+        assert len({id(x) for v in ill.scaled for x in v}) == 2
+
+
+class TestPerVertexReference:
+    @pytest.mark.parametrize("P", [
+        box(3), box(4), box(5), box(6), simplex(3), simplex(4), simplex(5),
+        simplex_product([2, 2, 1]), hexagon(),
+    ], ids=["box3", "box4", "box5", "box6", "simplex3", "simplex4", "simplex5", "sp221",
+            "hexagon"])
+    def test_agrees_with_the_per_vertex_build(self, P):
+        assert build_illumination_set(P) == per_vertex_build(P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets(), st.sampled_from([None, 1, 2, 3]))
+    def test_agrees_with_the_per_vertex_build_on_random_sets(self, normals, seed):
+        # assignment, directions, scaled, delta and epsilon all at once
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        assume(check_strong_monotypy(N)[0])
+        try:
+            P = HPolytope(N, (F(1),) * len(normals))
+        except InputError:
+            assume(False)
+        if seed is not None:
+            P = randomize_offsets(P, seed)
+        assert build_illumination_set(P) == per_vertex_build(P)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), min_size=2, max_size=5))
+    def test_int_ratios_pick_the_fraction_minima(self, pairs):
+        a, c = [list(t) for t in zip(*pairs)]
+        assert illuminate._allowed_drops([[a]], [c]) == fraction_allowed_drops([[a]], [c])
+
+    def test_a_nonpositive_dependence_coefficient_is_an_internal_error(self):
+        # a_x c_y < a_y c_x orders the ratios only when c is positive
+        with pytest.raises(InternalInvariantError, match="nonpositive coefficient"):
+            illuminate._allowed_drops([[[0, 0]]], [[1, -1]])
+
 
 class TestAssignment:
     @pytest.mark.parametrize("P", [
@@ -231,6 +293,58 @@ class TestAssignment:
         monkeypatch.setattr(illuminate, "_allowed_drops", opposite)
         with pytest.raises(InternalInvariantError, match="does not contain"):
             build_illumination_set(box(3))
+
+    def test_an_allowed_drop_no_vertex_picks_is_rechecked(self, monkeypatch):
+        # a normal allowing only drop 0 of a part now allows drop 1 too;
+        # each vertex still takes the lowest allowed drop, so only a re-check
+        # of every allowed drop, not of the chosen ones, finds it
+        allowed_drops = illuminate._allowed_drops
+
+        def widened(expansions, dependences):
+            return [tuple(drops | 2 if drops == 1 else drops for drops in per_normal)
+                    for per_normal in allowed_drops(expansions, dependences)]
+
+        monkeypatch.setattr(illuminate, "_allowed_drops", widened)
+        with pytest.raises(InternalInvariantError,
+                           match=r"drops element 1 of part \d does not contain the normal"):
+            build_illumination_set(box(3))
+
+    @pytest.mark.parametrize("n, rechecks", [(6, 132), (10, 380)])
+    def test_one_recheck_per_allowed_drop(self, monkeypatch, n, rechecks):
+        # each of the 2n normals +-e_i allows one drop of its own part and
+        # both drops of the n - 1 others: 2n (2(n - 1) + 1) re-checks, where
+        # a re-check per vertex made 2^n n n steps
+        calls = []
+        contains = illuminate._contains
+
+        def counting(a, c, d):
+            calls.append(d)
+            return contains(a, c, d)
+
+        monkeypatch.setattr(illuminate, "_contains", counting)
+        build_illumination_set(box(n))
+        assert len(calls) == rechecks
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_a_box_part_is_narrowed_by_its_own_pair(self, monkeypatch, n):
+        # +-e_l's part is {e_l, -e_l}; every other normal allows both drops
+        constraining = illuminate._constraining
+        seen = []
+
+        def keeping(*args):
+            seen.append(constraining(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(illuminate, "_constraining", keeping)
+        P = box(n)
+        build_illumination_set(P)
+        normals = P.normal_set.normals
+        (per_part,) = seen
+        assert len(per_part) == n
+        for pairs in per_part:
+            assert len(pairs) == 2
+            (x, y) = (normals[bit.bit_length() - 1] for bit, _ in pairs)
+            assert x == vneg(y)
 
     @pytest.mark.parametrize("P", [box(3), hexagon(), simplex_product([2, 2, 1])],
                              ids=["box3", "hexagon", "sp221"])

@@ -207,6 +207,20 @@ class TestExtractSkeleton:
             verify_skeleton(N, sk)  # raises on violation
             assert sk.product_of_part_sizes <= 2 ** N.dim
 
+    def test_a_part_element_that_is_no_normal_fails_the_recheck(self):
+        N = box(3).normal_set
+        sk = extract_skeleton(N)
+        (x, y), *rest = sk.parts
+        with pytest.raises(InternalInvariantError, match="not distinct normals"):
+            verify_skeleton(N, sk._replace(parts=((vscale(2, x), y), *rest)))
+
+    def test_overlapping_parts_fail_the_recheck(self):
+        N = box(3).normal_set
+        sk = extract_skeleton(N)
+        first, _, third = sk.parts
+        with pytest.raises(InternalInvariantError, match="not pairwise disjoint"):
+            verify_skeleton(N, sk._replace(parts=(first, first, third)))
+
     def test_classifies_each_normal_once_per_basis(self, monkeypatch):
         # box(6) starts from a stable basis, and the hexagon swaps once: one
         # inverse per pass classifies every other normal
