@@ -15,8 +15,7 @@ from .illuminate import (IlluminationSet, build_illumination_set,
                          compute_delta, compute_epsilon, verify_directions,
                          verify_illumination)
 from .kernel import Vec, dot, parse_rational, vec
-from .oracle import (DirectionClass, enumerate_direction_classes,
-                     min_illumination_number)
+from .oracle import min_illumination_number
 from .polytope import HPolytope, NormalSet, Vertex
 from .position import cone_membership, is_conical_position, is_primitive, separator
 from .skeleton import Skeleton, extract_skeleton, refine_basis, verify_skeleton

@@ -23,10 +23,6 @@ def vector_to_strings(v: Vec) -> list[str]:
     return [format_rational(x) for x in v]
 
 
-def strings_to_vector(items: list[str]) -> Vec:
-    return _vector(items, {})
-
-
 def _rational(text, parsed: dict[str, Fraction]) -> Fraction:
     """`parse_rational(text)`, made once per distinct string in `parsed`. A
     value that is not a string, unhashable perhaps, goes straight to

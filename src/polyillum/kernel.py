@@ -131,10 +131,6 @@ def vscale(c, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def primitive_form(v: Vec) -> tuple[int, ...]:
     """v scaled by a positive rational to coprime integers.
 

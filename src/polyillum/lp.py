@@ -15,9 +15,10 @@ M and D after it. Ratios are compared by cross-multiplying, so every sign
 and every tie, and with them every pivot, are those of the rational
 tableau. `Fraction`s are built only for the returned vector.
 
-`_bland` is the one pivot loop: `solve_eq_nonneg` runs it on all columns,
-`position.signed_separators` on the columns of one prefix of the given
-sign vectors at a time.
+`_bland` is the one pivot loop, with two drivers. `solve_eq_nonneg` runs
+it on all columns, for membership and Farkas directions.
+`position.signed_separators`, the one separation LP, runs it on the
+columns of one prefix of the given sign vectors at a time.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ off bitmasks: the vertex's tight-normal mask lies inside the cell's
 positive-sign mask. Exhaustive set cover over the cells gives the true
 minimum. A representative is the strict separator of the signed normals
 s_i n_i from the origin, and the cells below one prefix share its LP
-pivots.
+pivots. `min_illumination_number` is the one public function, and it
+runs that LP only for the cells of the cover it prints.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import reduce
 from itertools import combinations
 from math import ceil
 from operator import or_
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .classify import bitmask, circuit_table
 from .errors import InternalInvariantError, ScaleLimitError
@@ -32,11 +33,6 @@ from .polytope import HPolytope
 from .position import signed_separators
 
 CELL_GUARD = 10 ** 6
-
-
-class DirectionClass(NamedTuple):
-    representative: Vec
-    illuminated: tuple[int, ...]  # vertex indices, aligned with P.vertices
 
 
 def _cells(P: HPolytope) -> list[int]:
@@ -57,11 +53,6 @@ def _cells(P: HPolytope) -> list[int]:
     return prefixes
 
 
-def _lit(P: HPolytope, pos: int) -> tuple[int, ...]:
-    # a direction in the cell has <n_i, x> > 0 exactly when s_i == 1
-    return tuple(i for i, v in enumerate(P.vertices) if v.mask & pos == v.mask)
-
-
 def _certified(P: HPolytope, cells: Sequence[int]) -> Iterator[tuple[int, Vec]]:
     """(+1 mask, checked separator) of each of the given cells, in order."""
     m = len(P.normal_set.normals)
@@ -71,12 +62,6 @@ def _certified(P: HPolytope, cells: Sequence[int]) -> Iterator[tuple[int, Vec]]:
                 f"sign vector {tuple(1 if pos >> i & 1 else -1 for i in range(m))} "
                 "agrees with no circuit, yet its cell is empty")
         yield pos, rep
-
-
-def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
-    """One interior representative per full-dimensional cell of the
-    arrangement {<n, .> == 0}, with the set of vertices it illuminates."""
-    return tuple(DirectionClass(rep, _lit(P, pos)) for pos, rep in _certified(P, _cells(P)))
 
 
 def min_illumination_number(P: HPolytope) -> tuple[int, tuple[Vec, ...]]:
@@ -92,7 +77,9 @@ def min_illumination_number(P: HPolytope) -> tuple[int, tuple[Vec, ...]]:
     no smaller cover exists, and k is the minimum.
     """
     cells = _cells(P)
-    sets = [bitmask(_lit(P, pos)) for pos in cells]
+    # a direction in the cell has <n_i, x> > 0 exactly when s_i == 1
+    sets = [bitmask(i for i, v in enumerate(P.vertices) if v.mask & pos == v.mask)
+            for pos in cells]
     keep = [(s, pos) for i, (s, pos) in enumerate(zip(sets, cells))
             if not any(s & t == s and (s != t or j < i) for j, t in enumerate(sets) if j != i)]
     universe = (1 << len(P.vertices)) - 1

@@ -5,12 +5,14 @@ off the basis inverse where it is needed, in `skeleton.refine_basis`.
 Every negative verdict carries a witness so it can be re-checked without
 trusting the code path that produced it. A cone question asks whether x
 lies in the positive hull of some generators, and `lp` answers it either
-way with a proof, the coefficients or a Farkas direction: in one
-`solve_eq_nonneg` call, or for many sign vectors on one tableau in
-`signed_separators`. Verdicts about subsets of a normal set are decided
-over its circuit table in `classify`; the LP predicates here re-check
-each emitted certificate once, and are the reference the tests compare
-that table against.
+way with a proof, the coefficients or a Farkas direction. Membership and
+the Farkas direction are one `solve_eq_nonneg` call each. Separation,
+whether the origin is a convex combination of some signed points, is
+posed only in `signed_separators`, for many sign vectors on one tableau;
+`separator` is its answer for the all +1 sign vector. Verdicts about
+subsets of a normal set are decided over its circuit table in
+`classify`; the LP predicates here re-check each emitted certificate
+once, and are the reference the tests compare that table against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .kernel import Vec, _integers, rank, vneg
+from .kernel import Vec, _integers, rank
 from .lp import _bland, _phase_one, solve_eq_nonneg
 
 
@@ -51,24 +53,28 @@ def farkas_direction(x: Vec, generators: Sequence[Vec]) -> Optional[Vec]:
 
 def separator(points: Sequence[Vec]) -> Optional[Vec]:
     """v with <p, v> >= 1 for every point, or None if some convex
-    combination of the points is the origin, that is, if (0, 1) lies in
-    pos{(p, 1)}. Otherwise a Farkas direction (d, 1) has <p, d> + 1 <= 0,
-    so v = -d."""
-    lifted = [tuple(p) + (Fraction(1),) for p in points]
-    d = farkas_direction((Fraction(0),) * len(points[0]) + (Fraction(1),), lifted)
-    return None if d is None else vneg(d[:-1])
+    combination of the points is the origin: `signed_separators` on the
+    sign vector that is +1 everywhere."""
+    return next(signed_separators(points, [(1 << len(points)) - 1]))[1]
 
 
 def signed_separators(points: Sequence[Vec], masks: Sequence[int]
                       ) -> Iterator[tuple[int, Optional[Vec]]]:
-    """(plus, `separator` of the signed points s_j p_j) for each of the
-    distinct sign vectors s given by their +1 masks `plus`, in
-    `product((1, -1))` order. One tableau holds (p_j, 1) and (-p_j, 1),
-    scaled, as columns 2j and 2j + 1, and each prefix of the given sign
-    vectors pivots once, by Bland's rule on the columns it chose. That rule
-    enters the lowest column that prices out, so these are the first pivots
-    of every sign vector below it, and each ends on `separator`'s basis."""
+    """(plus, v) for each of the distinct sign vectors s given by their +1
+    masks `plus`, in `product((1, -1))` order: v has <s_j p_j, v> >= 1 for
+    every j, or is None if some convex combination of the signed points
+    s_j p_j is the origin, that is, if (0, 1) lies in pos{(s_j p_j, 1)}.
+    Otherwise a Farkas direction (d, d_n) with d_n > 0 has
+    <s_j p_j, d> + d_n <= 0, so v = -d / d_n.
+
+    One tableau holds (p_j, 1) and (-p_j, 1), scaled, as columns 2j and
+    2j + 1, and each prefix of the given sign vectors pivots once, by
+    Bland's rule on the columns it chose. That rule enters the lowest
+    column that prices out, so these are the first pivots of every sign
+    vector below it, and each ends on the basis of its own LP."""
     m, n, chosen = 2 * len(points), len(points[0]), []
+    if any(len(p) != n for p in points):
+        raise InputError("dimension mismatch in a cone question")
     flat, scale = _integers([x for p in points for x in p])
     columns = [[s * x for x in flat[j:j + n]] + [scale]
                for j in range(0, len(flat), n) for s in (1, -1)]
@@ -89,6 +95,11 @@ def signed_separators(points: Sequence[Vec], masks: Sequence[int]
                 raise InternalInvariantError("Farkas certificate fails its check")
             yield masks[0], tuple(Fraction(-z, Z[n]) for z in Z[:n])
         else:
+            # y_c = v / D on each basic chosen column c with value v
+            support = [(c, M[i][-1]) for i, c in enumerate(basis) if c < m and M[i][-1]]
+            if any(sum(columns[c][r] * v for c, v in support) != (r == n) * scale * D
+                   for r in range(n + 1)):
+                raise InternalInvariantError("phase-one solution fails its substitution check")
             yield masks[0], None
 
     yield from search(masks, *_phase_one([list(r) for r in zip(*columns)], [0] * n + [scale],
@@ -127,9 +138,8 @@ def is_conical_position(points: Sequence[Vec]) -> ConicalVerdict:
 def captured(subset: Sequence[Vec], normals: Sequence[Vec]) -> Iterator[Vec]:
     """The normals outside the subset that lie in its positive hull, in
     order. Lazy: a caller that stops at the first one runs no further LP."""
-    members = set(subset)
     return (m for m in normals
-            if m not in members and cone_membership(m, subset) is not None)
+            if m not in subset and cone_membership(m, subset) is not None)
 
 
 def is_primitive(subset: Sequence[Vec], all_normals: Sequence[Vec]) -> bool:

@@ -5,11 +5,12 @@ from itertools import product
 import pytest
 from hypothesis import strategies as st
 
-from polyillum import HPolytope, NormalSet, lp, position
+from polyillum import HPolytope, NormalSet, lp, oracle, position
 from polyillum.errors import InputError
 from polyillum.generators import generate
 from polyillum.kernel import vec
 from polyillum.lp import solve_eq_nonneg
+from polyillum.position import signed_separators
 
 HEXAGON_FACETS = [
     ((1, 0), 1), ((-1, 0), 1), ((0, 1), 1),
@@ -73,15 +74,36 @@ def sign_vectors_26() -> HPolytope:
 
 
 def count_lps(monkeypatch):
-    """Patch the LP entry point; the returned list collects one entry per solve."""
+    """Patch both LP drivers; the returned list collects one entry per
+    `solve_eq_nonneg` solve, its rows, and one per `signed_separators`
+    tableau, its points."""
     calls = []
 
     def counting(rows, rhs):
         calls.append(rows)
         return solve_eq_nonneg(rows, rhs)
 
+    def counting_signed(points, masks):
+        calls.append(points)
+        return signed_separators(points, masks)
+
     monkeypatch.setattr(lp, "solve_eq_nonneg", counting)
     monkeypatch.setattr(position, "solve_eq_nonneg", counting)
+    monkeypatch.setattr(position, "signed_separators", counting_signed)
+    monkeypatch.setattr(oracle, "signed_separators", counting_signed)
+    return calls
+
+
+def counting_bland(monkeypatch):
+    """Patch the shared-tableau pivot loop; the returned list collects one
+    entry per prefix pivoted."""
+    bland, calls = position._bland, []
+
+    def counting(M, D, basis, columns):
+        calls.append(tuple(columns))
+        return bland(M, D, basis, columns)
+
+    monkeypatch.setattr(position, "_bland", counting)
     return calls
 
 

@@ -1,23 +1,37 @@
-"""The references `polyillum.oracle` is compared against: the scan of all
-2^m sign vectors its cell search replaced, each tested against every
-circuit, with one `separator` LP per cell it keeps; and the cover search
-over every cell's LP-certified representative that its minimum, which
-certifies only the cells of the cover it prints, replaced."""
+"""The references `polyillum.oracle` and `polyillum.position` are compared
+against: the scan of all 2^m sign vectors the oracle's cell search
+replaced, each tested against every circuit, with one lifted separator LP
+per cell it keeps; the enumeration of every cell with its certified
+representative and lit set; and the cover search over that enumeration
+that the oracle's minimum, which certifies only the cells of the cover it
+prints, replaced."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from math import ceil
 from operator import or_
-from typing import Iterator
+from typing import Iterator, NamedTuple, Optional, Sequence
 
+from polyillum import oracle
 from polyillum.classify import bitmask, circuit_table
 from polyillum.errors import InternalInvariantError
-from polyillum.kernel import vneg
-from polyillum.oracle import enumerate_direction_classes
+from polyillum.kernel import Vec
 from polyillum.polytope import HPolytope, NormalSet
-from polyillum.position import separator
+from polyillum.position import farkas_direction
+from tests.polytope_reference import vneg
+
+
+def lifted_separator(points: Sequence[Vec]) -> Optional[Vec]:
+    """v with <p, v> >= 1 for every point, or None if some convex
+    combination of the points is the origin, that is, if (0, 1) lies in
+    pos{(p, 1)}. Otherwise a Farkas direction (d, 1) has <p, d> + 1 <= 0,
+    so v = -d. One `solve_eq_nonneg` LP on the lifted points."""
+    lifted = [tuple(p) + (Fraction(1),) for p in points]
+    d = farkas_direction((Fraction(0),) * len(points[0]) + (Fraction(1),), lifted)
+    return None if d is None else vneg(d[:-1])
 
 
 def cell_sign_vectors(N: NormalSet) -> Iterator[tuple[int, ...]]:
@@ -36,9 +50,25 @@ def cell_sign_vectors(N: NormalSet) -> Iterator[tuple[int, ...]]:
 
 
 def cell_separators(N: NormalSet) -> list[tuple[tuple[int, ...], tuple]]:
-    """(signs, `separator` of the signed normals) for every cell, in order."""
-    return [(signs, separator([m if s > 0 else vneg(m) for s, m in zip(signs, N.normals)]))
+    """(signs, `lifted_separator` of the signed normals) for every cell, in order."""
+    return [(signs, lifted_separator([m if s > 0 else vneg(m)
+                                      for s, m in zip(signs, N.normals)]))
             for signs in cell_sign_vectors(N)]
+
+
+class DirectionClass(NamedTuple):
+    representative: Vec
+    illuminated: tuple[int, ...]  # vertex indices, aligned with P.vertices
+
+
+def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
+    """One certified interior representative per full-dimensional cell of
+    the arrangement {<n, .> == 0}, from the oracle's cell search and its
+    shared-tableau LP, with the vertices whose tight normals all have
+    sign +1 in the cell."""
+    return tuple(DirectionClass(rep, tuple(i for i, v in enumerate(P.vertices)
+                                           if v.mask & pos == v.mask))
+                 for pos, rep in oracle._certified(P, oracle._cells(P)))
 
 
 def min_illumination_number(P: HPolytope):

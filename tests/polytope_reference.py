@@ -24,6 +24,10 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
+def vneg(a: Vec) -> Vec:
+    return tuple(-x for x in a)
+
+
 def slacks(P: HPolytope, x: Vec) -> list[Fraction]:
     return [h - dot(m, x) for m, h in zip(P.normal_set.normals, P.offsets)]
 

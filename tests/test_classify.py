@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -297,9 +298,29 @@ class TestLpWork:
                                        (square_pyramid(), 12)],
                              ids=["box3", "box4", "simplex4", "pyramid"])
     def test_lp_solves(self, monkeypatch, P, lps):
-        # pyramid: 5 re-check the conical certificate, 1 its uncaptured
-        # normal, and 2 * 3 the primitivity of the two circuit halves
+        # pyramid: 1 shared tableau (`signed_separators`, for the
+        # separator) and 4 `solve_eq_nonneg` membership LPs re-check the
+        # conical certificate, 1 `solve_eq_nonneg` its uncaptured normal,
+        # and 2 * 3 the primitivity of the two circuit halves
         calls = count_lps(monkeypatch)
         clear_caches()
         classify_normal_set(P.normal_set)
         assert len(calls) == lps
+
+    @pytest.mark.parametrize("N", [set_n().normal_set, square_pyramid().normal_set],
+                             ids=["N", "pyramid"])
+    def test_hashes_no_fraction(self, monkeypatch, N):
+        # `captured` tests membership in its subset by equality, and every
+        # other set classify builds holds indices or bitmasks
+        callers = []
+        fraction_hash = Fraction.__hash__
+
+        def counting(x):
+            callers.append(sys._getframe(1).f_code.co_qualname)
+            return fraction_hash(x)
+
+        clear_caches()
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        classify_normal_set(N)
+        monkeypatch.undo()
+        assert callers == []

@@ -10,13 +10,13 @@ from polyillum.errors import InputError
 from polyillum.fan import (FanCone, enumerate_primitive_bases, is_complete_fan,
                            normal_fan, verify_fan_uniqueness)
 from polyillum.generators import randomize_offsets
-from polyillum.kernel import rank, vadd, vec, vneg, zero_vec
-from polyillum.oracle import enumerate_direction_classes
+from polyillum.kernel import rank, vadd, vec, zero_vec
 from polyillum.polytope import NormalSet
 from polyillum.position import cone_membership, is_primitive
 from tests.conftest import (box, count_lps, hexagon, simplex, simplex_product,
                             square_pyramid, triangle, valid_normal_sets)
-from tests.polytope_reference import masked, tight_normals, vsub
+from tests.oracle_reference import enumerate_direction_classes
+from tests.polytope_reference import masked, tight_normals, vneg, vsub
 
 F = Fraction
 

@@ -13,7 +13,7 @@ from polyillum.generators import randomize_offsets
 from polyillum.illuminate import (IlluminationSet, build_illumination_set,
                                   compute_delta, compute_epsilon, verify_directions,
                                   verify_illumination)
-from polyillum.kernel import dot, vadd, vec, vneg, vscale
+from polyillum.kernel import dot, vadd, vec, vscale
 from polyillum.lp import solve_eq_nonneg
 from polyillum.polytope import HPolytope, NormalSet
 from polyillum.skeleton import extract_skeleton
@@ -23,7 +23,7 @@ from tests.illuminate_reference import (cone_directions, cone_selections,
                                         fraction_allowed_drops, lp_assignment,
                                         per_vertex_build)
 from tests.polytope_reference import (BOUNDARY, INTERIOR, location, masked, tight_normals,
-                                      vsub)
+                                      vneg, vsub)
 
 F = Fraction
 

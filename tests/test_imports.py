@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it, and the modules keep their
+"""Every name a module imports is used in it, every top-level definition
+of the package is named outside itself, and the modules keep their
 layering.
 
 No linter is a dependency of this project, so this test is the gate: it
@@ -44,6 +45,41 @@ def test_detects_an_unused_import():
     p.name if p.parent == PACKAGE else str(p.relative_to(ROOT))))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def statement_names(statement: ast.stmt) -> set[str]:
+    """Every name a statement uses, reads an attribute of or imports."""
+    nodes = list(ast.walk(statement))
+    return ({node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            | {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+               for alias in node.names})
+
+
+def uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name for each top-level function or class of the given
+    modules that no statement of any of them names, apart from its own
+    definition."""
+    statements = [(module, statement) for module, source in sources.items()
+                  for statement in ast.parse(source).body]
+    named = [statement_names(statement) for _, statement in statements]
+    return [f"{module}.{statement.name}" for k, (module, statement) in enumerate(statements)
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+            and not any(statement.name in names for j, names in enumerate(named) if j != k)]
+
+
+def test_detects_an_uncalled_definition():
+    assert uncalled_definitions({
+        "a": "def f(n):\n    return f(n - 1)\n\ndef g():\n    pass\n\nclass C:\n    pass\n",
+        "b": "from .a import g\n\ndef h():\n    return x.C\n",
+        "__init__": "from .b import h\n",
+    }) == ["a.f"]
+
+
+def test_every_definition_has_a_caller():
+    # an import into `__init__.py`, the package's public names, counts
+    assert uncalled_definitions({p.stem: p.read_text(encoding="utf-8")
+                                 for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
 def imported_names(path: Path) -> set[tuple[str, str]]:

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from polyillum import lp, position
 from polyillum.errors import InputError, InternalInvariantError
 from polyillum.lp import solve_eq_nonneg
-from polyillum.position import separator
 from tests.conftest import box, hexagon, simplex
 from tests.lp_reference import solve_eq_nonneg as reference
+from tests.oracle_reference import lifted_separator
 
 F = Fraction
 
@@ -81,7 +81,7 @@ class TestAgainstTheFractionTableau:
     @pytest.mark.parametrize("P", [box(3), hexagon(), simplex(4)],
                              ids=["box3", "hexagon", "simplex4"])
     def test_separator_systems(self, monkeypatch, P):
-        # the LP `separator` poses for every sign vector, cell or not
+        # the LP the lifted separator poses for every sign vector, cell or not
         systems = []
 
         def recording(rows, rhs):
@@ -91,7 +91,7 @@ class TestAgainstTheFractionTableau:
         monkeypatch.setattr(position, "solve_eq_nonneg", recording)
         normals = P.normal_set.normals
         for signs in product((1, -1), repeat=len(normals)):
-            separator([tuple(s * x for x in m) for s, m in zip(signs, normals)])
+            lifted_separator([tuple(s * x for x in m) for s, m in zip(signs, normals)])
         assert len(systems) == 2 ** len(normals)
         assert {reference(*system)[0] is None for system in systems} == {True, False}
         for rows, rhs in systems:

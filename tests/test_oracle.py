@@ -12,22 +12,22 @@ from polyillum.generators import randomize_offsets
 from polyillum.illuminate import (build_illumination_set, compute_delta, compute_epsilon,
                                   verify_directions)
 from polyillum.kernel import dot, vec, vscale
-from polyillum.oracle import enumerate_direction_classes, min_illumination_number
+from polyillum.oracle import min_illumination_number
 from polyillum.polytope import HPolytope, NormalSet
-from polyillum.position import separator
 from tests import oracle_reference
-from tests.conftest import (box, count_lps, hexagon, n_over_apex, simplex, simplex_product,
-                            square_pyramid, triangle, valid_normal_sets)
-from tests.oracle_reference import cell_separators, cell_sign_vectors
+from tests.conftest import (box, count_lps, counting_bland, hexagon, n_over_apex, simplex,
+                            simplex_product, square_pyramid, triangle, valid_normal_sets)
+from tests.oracle_reference import (cell_separators, cell_sign_vectors,
+                                    enumerate_direction_classes, lifted_separator)
 from tests.polytope_reference import tight_normals
 
 F = Fraction
 
 
 def lp_cells(normals):
-    """Sign vectors whose open cell an exact LP finds nonempty."""
+    """Sign vectors whose open cell the lifted LP finds nonempty."""
     return {signs for signs in product((1, -1), repeat=len(normals))
-            if separator([vscale(s, m) for s, m in zip(signs, normals)]) is not None}
+            if lifted_separator([vscale(s, m) for s, m in zip(signs, normals)]) is not None}
 
 
 def assert_lit_sets_match_definition(P):
@@ -173,7 +173,7 @@ class TestCircuitFilter:
         # the cells share one tableau; no cell solves an LP of its own
         calls = count_lps(monkeypatch)
         assert len(enumerate_direction_classes(P)) == cells
-        assert calls == []
+        assert calls == [P.normal_set.normals]
 
     def test_empty_surviving_cell_is_an_internal_error(self, monkeypatch):
         # with no circuit to prune them, empty cells reach the LP, whose
@@ -191,7 +191,7 @@ class TestCircuitFilter:
         monkeypatch.setattr(position, "_phase_one", forbidden)
         monkeypatch.setattr(position, "_bland", forbidden)
         with pytest.raises(ScaleLimitError, match="cell guard"):
-            enumerate_direction_classes(box(3))
+            min_illumination_number(box(3))
 
 
 def signs_of(P, direction):
@@ -209,22 +209,9 @@ def prefix_count(sign_vectors):
     return len({s[:k] for s in sign_vectors for k in range(1, len(s) + 1)})
 
 
-def counting_bland(monkeypatch):
-    """Patch the shared-tableau pivot loop; the returned list collects one
-    entry per prefix pivoted."""
-    bland, calls = position._bland, []
-
-    def counting(M, D, basis, columns):
-        calls.append(tuple(columns))
-        return bland(M, D, basis, columns)
-
-    monkeypatch.setattr(position, "_bland", counting)
-    return calls
-
-
 class TestPrefixSearch:
     """The search gives the reference's cells, in its order, each with the
-    reference's `separator` as its representative."""
+    reference's `lifted_separator` as its representative."""
 
     @pytest.mark.parametrize("P", [square_pyramid(), n_over_apex(), hexagon(), box(3),
                                    simplex_product([2, 2, 1])],

@@ -11,7 +11,7 @@ from polyillum import kernel, polytope
 from polyillum.cli import run_command
 from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
 from polyillum.generators import generate, randomize_offsets
-from polyillum.kernel import _integers, dot, rank, vadd, vec, vneg, vscale, zero_vec
+from polyillum.kernel import _integers, dot, rank, vadd, vec, vscale, zero_vec
 from polyillum.polytope import HPolytope, NormalSet, Vertex
 from polyillum.position import cone_membership
 from tests import walk_reference
@@ -19,7 +19,7 @@ from tests.conftest import (box, count_lps, cut_box_facets, n_over_apex, set_n,
                             square_pyramid, triangle, valid_normal_sets)
 from tests.kernel_reference import solve_rows
 from tests.polytope_reference import (BOUNDARY, location, masked, normal_set_verdict, slacks,
-                                      tight_normals, vsub)
+                                      tight_normals, vneg, vsub)
 
 F = Fraction
 

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from polyillum.errors import InputError
+from polyillum import position
+from polyillum.errors import InputError, InternalInvariantError
 from polyillum.kernel import circuits, dot, rank, vec, vscale, zero_vec
 from polyillum.position import (cone_membership, farkas_direction, is_conical_position,
-                                is_primitive, separator)
+                                is_primitive, separator, signed_separators)
+from tests.conftest import count_lps, counting_bland
+from tests.oracle_reference import lifted_separator
 from tests.skeleton_reference import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED,
                                       SINGLE_POSITIVE, classify_signs)
 
@@ -62,6 +65,15 @@ class TestConicalPosition:
         assert verdict
         assert all(dot(p, verdict.separator) >= 1 for p in pts)
 
+    def test_separates_on_the_shared_tableau(self, monkeypatch):
+        # one pivot per prefix of the all +1 sign vector, on the +p_j
+        # columns 2j; the membership LPs go to `solve_eq_nonneg`
+        pts = [vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)]
+        pivots, lps = counting_bland(monkeypatch), count_lps(monkeypatch)
+        assert is_conical_position(pts)
+        assert pivots == [(0,), (0, 2), (0, 2, 4), (0, 2, 4, 6)]
+        assert lps[0] == pts and len(lps) == 1 + len(pts)
+
     @settings(max_examples=60)
     @given(st.lists(nonzero_vec2, min_size=3, max_size=3))
     def test_no_planar_triple_is_conical(self, pts):
@@ -89,6 +101,15 @@ def origin_in_convex_hull(points):
                for _, mu in circuits(points))
 
 
+@st.composite
+def point_sets(draw):
+    """1 to 6 points in R^1 to R^4 with small rational entries, zeros and
+    zero points among them."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(st.just(F(0)), small_fraction)
+    return draw(st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=6))
+
+
 class TestSeparator:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(nonzero_vec2, min_size=1, max_size=5))
@@ -97,6 +118,36 @@ class TestSeparator:
         assert (v is None) == origin_in_convex_hull(pts)
         if v is not None:
             assert all(dot(p, v) >= 1 for p in pts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets())
+    @example([vec(1, F(1, 2)), vec(-2, -1), vec(0, 3)])
+    def test_equals_the_lifted_lp(self, pts):
+        # the shared tableau on the all +1 sign vector ends on the basis,
+        # and so on the vector, of the lifted LP
+        assert separator(pts) == lifted_separator(pts)
+
+
+def test_a_wrong_none_fails_its_substitution_check(monkeypatch):
+    # with every value zeroed no artificial stays basic, so the answer is
+    # None, but no chosen column then solves the system
+    bland = position._bland
+
+    def zero_values(M, D, basis, columns):
+        M, D, basis = bland(M, D, basis, columns)
+        return [row[:-1] + [0] for row in M], D, basis
+
+    monkeypatch.setattr(position, "_bland", zero_values)
+    with pytest.raises(InternalInvariantError, match="substitution check"):
+        separator([vec(1, 0), vec(0, 1)])
+
+
+@pytest.mark.parametrize("ask", [lambda pts: list(signed_separators(pts, [3])),
+                                 separator, is_conical_position],
+                         ids=["signed_separators", "separator", "is_conical_position"])
+def test_ragged_points_are_an_input_error(ask):
+    with pytest.raises(InputError, match="dimension mismatch in a cone question"):
+        ask([vec(1, 0), vec(0, 1, 1)])
 
 
 class TestConeMembership:

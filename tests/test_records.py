@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from polyillum import (HPolytope, build_illumination_set, classify_normal_set,
-                       enumerate_direction_classes, extract_skeleton, is_conical_position,
-                       normal_fan, verify_illumination)
+                       extract_skeleton, is_conical_position, normal_fan, verify_illumination)
 from polyillum.classify import circuit_table
 from tests.conftest import HEXAGON_FACETS, box
+from tests.oracle_reference import enumerate_direction_classes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,7 +22,8 @@ TRIANGLE_NORMALS = ("((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fractio
 
 
 def records():
-    """One instance of every record type with its fields."""
+    """One instance of every record type with its fields, the oracle
+    reference's `DirectionClass` among them."""
     P = box(2)
     N = P.normal_set
     ill = build_illumination_set(P)
