@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 from .classify import (NORMAL_SET_CACHE_SIZE, bitmask, check_monotypy, circuit_table,
                        circuits_inside, primitive)
 from .errors import InputError
-from .kernel import Vec, format_vector, simplex_dependence, vadd, zero_vec
+from .kernel import Vec, format_vector
 from .polytope import HPolytope, NormalSet, Vertex
 
 
@@ -65,32 +65,54 @@ def is_complete_fan(N: NormalSet, cones: Sequence[FanCone]) -> bool:
     wall (n-1 generators of a cone) must lie in exactly two cones W+a and
     W+b, on opposite sides of span(W): the one circuit inside W+a+b gives
     a and b the same sign. Then the number of cones covering a point is
-    the same off the walls, and the sum of the first cone's generators,
-    which lies in no other closed cone, fixes it at 1. A cone's generators
-    are independent, so their dependence with the point is 1 at the point,
-    and the point lies in the closed cone iff every other coefficient is
-    at most 0.
+    the same off the walls, and the sum q of the first cone's generators,
+    which lies in no other closed cone, fixes it at 1.
+
+    q is written over each cone by crossing walls from the first cone,
+    where its coefficients are all 1: with the circuit mu of the wall,
+    q = sum(x_i v_i) over W+a is sum((x_i - x_a mu_i / mu_a) v_i) over
+    W+b, with -x_a mu_b / mu_a at b. It lies in the closed cone iff every
+    coefficient is at least 0. The cones that crossings reach from the
+    first cover the space as a pseudomanifold of their own, so a cone that
+    none reaches lies in a second cover, which holds q too: then they do
+    not form a complete fan either.
     """
     if not cones:
         return False
     table = circuit_table(N)
     ends = defaultdict(list)
-    for cone in cones:
+    for c, cone in enumerate(cones):
         for i in range(len(N.normals)):
             if bit := cone.mask & 1 << i:
-                ends[cone.mask ^ bit].append(bit)
+                ends[cone.mask ^ bit].append((i, c))
+    crossings = defaultdict(list)  # per cone: (neighbour, leaving, entering, circuit)
     for wall, sides in ends.items():
         if len(sides) != 2:
             return False
-        a, b = sides
-        circuit = next(circuits_inside(wall | a | b, table))
-        if bool(circuit.plus & a) != bool(circuit.plus & b):
+        (a, c), (b, d) = sides
+        circuit = next(circuits_inside(wall | 1 << a | 1 << b, table))
+        if bool(circuit.plus >> a & 1) != bool(circuit.plus >> b & 1):
             return False
-    point = zero_vec(N.dim)
-    for g in cones[0].generators:
-        point = vadd(point, g)
-    return not any(all(c <= 0 for c in simplex_dependence((*cone.generators, point))[:-1])
-                   for cone in cones[1:])
+        crossings[c].append((d, a, b, circuit))
+        crossings[d].append((c, b, a, circuit))
+    # per cone reached: q's coefficient at each of its generators, by index
+    over = {0: {i: 1 for i in range(len(N.normals)) if cones[0].mask >> i & 1}}
+    pending = [0]
+    while pending:
+        c = pending.pop()
+        for d, a, b, circuit in crossings[c]:
+            if d in over:
+                continue
+            mu = dict(zip(circuit.indices, circuit.dependence))
+            x = over[c]
+            t = x[a] / mu[a]
+            y = {i: x_i - t * mu[i] if i in mu else x_i for i, x_i in x.items() if i != a}
+            y[b] = -t * mu[b]
+            if all(y_i >= 0 for y_i in y.values()):
+                return False
+            over[d] = y
+            pending.append(d)
+    return len(over) == len(cones)
 
 
 def verify_fan_uniqueness(P: HPolytope) -> bool:

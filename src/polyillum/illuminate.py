@@ -58,15 +58,18 @@ def compute_delta(P: HPolytope) -> Fraction:
     slack-delta tight set at every vertex equals the exact tight set.
 
     Both are read off one table of slacks, a row per vertex, as ints over
-    one denominator K: no slack may be negative, and the normals with
-    slack at most delta must be exactly the vertex's tight normals."""
+    one denominator K L, L the rows' scale: no slack may be negative, and
+    the normals with slack at most delta must be exactly the vertex's
+    tight normals."""
+    L = P.scale
     K = lcm(*(c for _, _, c in P.rows)) * lcm(*(k for _, k in P.vertex_table))
-    table = [[s * (K // (c * k)) for s, (_, _, c) in zip(_slacks(P.rows, X, k), P.rows)]
+    table = [[s * (K // (c * k))
+              for s, (_, _, c) in zip(_slacks(P.rows, [L * x for x in X], k), P.rows)]
              for X, k in P.vertex_table]
     least = min((s for row in table for s in row if s > 0), default=0)
     if not least:
         raise InternalInvariantError("no positive vertex-facet slack")
-    delta = Fraction(least, 2 * K)
+    delta = Fraction(least, 2 * K * L)
     for v, row in zip(P.vertices, table):
         if min(row) < 0 or v.mask != sum(1 << i for i, s in enumerate(row) if 2 * s <= least):
             raise InternalInvariantError(
@@ -224,11 +227,12 @@ def _checks(P: HPolytope, directions: Sequence[Vec], epsilon: Fraction):
     positive = [sum(1 << i for i, (a, _, _) in enumerate(P.rows) if sum(map(mul, a, V)) > 0)
                 for V, _ in scaled]
     steps = [([epsilon.numerator * x for x in V], epsilon.denominator * l) for V, l in scaled]
+    L = P.scale
 
     def inside(X: Sequence[int], k: int, j: int) -> bool:
-        # epsilon v == W / l, so x - epsilon v == (l X - k W) / (k l)
+        # epsilon v == W / l, so L (x - epsilon v) == L (l X - k W) / (k l)
         W, l = steps[j]
-        return min(_slacks(P.rows, [l * x - k * w for x, w in zip(X, W)], k * l)) > 0
+        return min(_slacks(P.rows, [L * (l * x - k * w) for x, w in zip(X, W)], k * l)) > 0
     return positive, inside
 
 

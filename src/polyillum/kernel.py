@@ -97,10 +97,6 @@ def vec(*entries) -> Vec:
     return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 
-def zero_vec(dim: int) -> Vec:
-    return (Fraction(0),) * dim
-
-
 def dot(a: Vec, b: Vec) -> Fraction:
     (ia, ka), (ib, kb) = _integers(a), _integers(b, len(a))
     return Fraction(sum(map(mul, ia, ib)), ka * kb)
@@ -252,7 +248,9 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
     dependence is 1 at f and -M[r][f] / D at the element of pivot row r.
     Any other component is scanned by a prefix tree on one tableau: a
     circuit less its last element is independent, and each independent
-    prefix is one pivot of its parent's tableau.
+    prefix short of the component's rank is one pivot of its parent's
+    tableau. The last level is read off 2x2 minors of the tableau of a
+    prefix one short of the rank, with no pivot (`_scan_circuits`).
     """
     M, D, basis = _row_reduce(list(zip(*vectors)))
     pivot_row = {b: r for r, b in enumerate(basis)}
@@ -279,28 +277,45 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
             found.append((tuple(K), (*(Fraction(-M[pivot_row[b]][f], D) for b in K[:-1]),
                                      Fraction(1))))
         elif len(K) > k + 1:
-            found += _scan_circuits(vectors, K)
+            found += _scan_circuits(vectors, K, k)
     return sorted(found, key=lambda c: (len(c[0]), c[0]))
 
 
-def _scan_circuits(vectors: Sequence[Vec],
-                   elements: Sequence[int]) -> list[tuple[tuple[int, ...], Vec]]:
-    """The circuits among the given vectors, by a depth-first search over
-    their independent prefixes in index order on one tableau: the vectors
-    as columns, each coordinate row scaled to ints, which keeps every
-    dependence. A dependent prefix holds a circuit, so it is not extended."""
+def _scan_circuits(vectors: Sequence[Vec], elements: Sequence[int],
+                   rank: int) -> list[tuple[tuple[int, ...], Vec]]:
+    """The circuits among the given vectors, of the given rank, by a
+    depth-first search over their independent prefixes in index order on
+    one tableau: the vectors as columns, each coordinate row scaled to
+    ints, which keeps every dependence. A dependent prefix holds a
+    circuit, so it is not extended, and a prefix of rank - 1 is not
+    pivoted: a column j with an entry M[f][j] != 0 in a free row f would
+    fill the rank, leaving every free row zero, so a later column j' closes
+    a circuit with the prefix and j iff M[f][j'] != 0 and each minor
+    M[p][j'] M[f][j] - M[f][j'] M[p][j] over a prefix row p is nonzero,
+    and the dependence is -minor / (D M[f][j]) at the prefix's elements,
+    -M[f][j'] / M[f][j] at j and 1 at j'."""
     found = []
 
     def visit(M: list, D: int, prefix: tuple[int, ...], rows: tuple[int, ...]) -> None:
         # M / D is pivoted on the prefix's columns, in these rows
         free = [r for r in range(len(M)) if r not in rows]
+        last = len(prefix) == rank - 1
         for j in range(prefix[-1] + 1 if prefix else 0, len(elements)):
-            r = next((r for r in free if M[r][j]), None)
-            if r is not None:  # column j extends the prefix to an independent one
-                visit(*_pivot(M, D, r, j), (*prefix, j), (*rows, r))
-            elif all(M[p][j] for p in rows):  # j depends on all of the prefix: a circuit
-                found.append((tuple(elements[i] for i in (*prefix, j)),
-                              (*(Fraction(-M[p][j], D) for p in rows), Fraction(1))))
+            f = next((r for r in free if M[r][j]), None)
+            if f is None:
+                if all(M[p][j] for p in rows):  # j depends on all of the prefix: a circuit
+                    found.append((tuple(elements[i] for i in (*prefix, j)),
+                                  (*(Fraction(-M[p][j], D) for p in rows), Fraction(1))))
+            elif not last:  # column j extends the prefix to an independent one
+                visit(*_pivot(M, D, f, j), (*prefix, j), (*rows, f))
+            else:
+                e = M[f][j]
+                for k in range(j + 1, len(elements)):
+                    if (g := M[f][k]) and all(
+                            minors := [M[p][k] * e - g * M[p][j] for p in rows]):
+                        found.append((tuple(elements[i] for i in (*prefix, j, k)), (
+                            *(Fraction(-x, D * e) for x in minors), Fraction(-g, e),
+                            Fraction(1))))
 
     visit([_integers(row)[0] for row in zip(*(vectors[i] for i in elements))], 1, (), ())
     return found

@@ -1,9 +1,17 @@
 """The H-polytope model: validated normal sets and exact vertex
 enumeration, each vertex with the index bitmask of its tight normals.
 
-Each constraint is scaled once to an integer row, so a slack is an
-integer dot product. Vertices are enumerated by a depth-first walk over
-the lexicographically feasible bases (Avis and Fukuda's pivoting
+The constraints are kept as one integer system: each normal is scaled to
+its own integers c m, c the lcm of its denominators, and the offsets c h
+are put over one common scale L, the lcm of the offsets' denominators,
+so the system is A y <= b in y = L x, and a slack is an integer dot
+product. Every tableau of the walk then depends on the normals alone: on
+a unimodular set of normals, as every generated family is, each pivot is
+on a unit over the denominator 1, whatever the offsets. Scaling a row by
+a positive number changes no choice of the walk's ratio test.
+
+Vertices are enumerated by a depth-first walk over the
+lexicographically feasible bases (Avis and Fukuda's pivoting
 enumeration with lrs's lexicographic rule) from the first feasible
 candidate basis in `combinations` order. The scan for that start inverts
 each candidate basis once, and the walk starts from the inverse of the
@@ -148,9 +156,10 @@ class Vertex(NamedTuple):
 class HPolytope(_Frozen):
     """Equal, hashed and shown on (normal_set, offsets). `__post_init__`
     builds the rest."""
-    # rows, per constraint <m, x> <= h: (c m, c h, c), c the lcm of its denominators;
+    # rows, per constraint <m, x> <= h: (c m, L c h, c), c the lcm of m's
+    # denominators and L, the scale, the lcm of the offsets' denominators;
     # vertex_table, per vertex: `_integers` of its point, with a tuple
-    __slots__ = ("normal_set", "offsets", "rows", "vertices", "vertex_table")
+    __slots__ = ("normal_set", "offsets", "rows", "scale", "vertices", "vertex_table")
 
     def __init__(self, normal_set: NormalSet, offsets: tuple[Fraction, ...]):
         object.__setattr__(self, "normal_set", normal_set)
@@ -160,7 +169,9 @@ class HPolytope(_Frozen):
     def __post_init__(self):
         if len(self.offsets) != len(self.normal_set.normals):
             raise InputError("offset count does not match normal count")
-        object.__setattr__(self, "rows", _rows(self.normal_set.normals, self.offsets))
+        rows, scale = _rows(self.normal_set.normals, self.offsets)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scale", scale)
         self._enumerate_vertices()
         self._validate_irredundant()
 
@@ -188,7 +199,7 @@ class HPolytope(_Frozen):
         """Every vertex with its tight normals, in sorted order, and the
         vertex table. The normals positively span, so the system is bounded
         and it is empty exactly when no candidate is feasible."""
-        start = next(_starts(self.rows, self.dim), None)
+        start = next(_starts(self.rows, self.dim, self.scale), None)
         if start is None:
             raise InputError("constraint system is empty (infeasible)")
         found = _walk(self.rows, start)
@@ -248,14 +259,16 @@ class _Fractions(dict):
         return x
 
 
-def _rows(normals: Sequence[Vec], offsets: Sequence[Fraction]) -> tuple[tuple, ...]:
-    """The rows of `HPolytope`."""
-    return tuple((tuple(ints[:-1]), ints[-1], c) for ints, c in
-                 (_integers((*m, h)) for m, h in zip(normals, offsets)))
+def _rows(normals: Sequence[Vec], offsets: Sequence[Fraction]) -> tuple[tuple[tuple, ...], int]:
+    """The rows of `HPolytope` and its scale L."""
+    L = lcm(*(h.denominator for h in offsets))
+    return tuple((tuple(a), c * h.numerator * (L // h.denominator), c)
+                 for (a, c), h in zip(map(_integers, normals), offsets)), L
 
 
 def _slacks(rows: Sequence[tuple], X: Sequence[int], k: int) -> list[int]:
-    """b k - <a, X> for each row (a, b, c): its slack at X / k times c k."""
+    """b k - <a, X> for each row (a, b, c): its slack at y = X / k times k,
+    that is, c L k times the constraint's slack at x = y / L."""
     return [b * k - sum(map(mul, a, X)) for a, b, _ in rows]
 
 
@@ -263,21 +276,23 @@ class _Simple(NamedTuple):
     """The walk's state at a basis B of n rows tight at a vertex x, as ints
     over the least D > 0 that makes D B^-1 integral: column k < n is
     D (T[., k], B^-1[., k]), T = A B^-1 the tableau, and column n is
-    D (b - A x, -x). A pivot treats every column alike."""
+    D (b - A y, -y), y = L x with L the rows' scale. A pivot treats every
+    column alike."""
     basis: tuple[int, ...]
     denominator: int
     columns: Sequence[Sequence[int]]
+    scale: int
 
     def vertex(self) -> Vec:
-        D, n = self.denominator, len(self.basis)
+        D, n = self.denominator * self.scale, len(self.basis)
         return tuple(Fraction(-x, D) for x in self.columns[-1][-n:])
 
 
-def _starts(rows: Sequence[tuple], n: int):
+def _starts(rows: Sequence[tuple], n: int, scale: int):
     """The walk's state at each basis of n rows, in `combinations` order,
     whose vertex satisfies every constraint, from one inverse per basis:
-    D B^-1 = Q is integral, and so are D x = sum_i b_i Q_i and D times
-    each slack."""
+    D B^-1 = Q is integral, and so are D y = sum_i b_i Q_i and D times
+    each slack, for rows of the given scale."""
     for basis in combinations(range(len(rows)), n):
         if (inv := inverse([rows[i][0] for i in basis])) is None:
             continue
@@ -287,14 +302,14 @@ def _starts(rows: Sequence[tuple], n: int):
         if min(slacks) >= 0:
             columns = [(*(sum(map(mul, a, c)) for a, _, _ in rows), *c) for c in Q]
             columns.append((*slacks, *(-x for x in X)))
-            yield _Simple(basis, D, tuple(columns))
+            yield _Simple(basis, D, tuple(columns), scale)
 
 
 def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[tuple, tuple[int, ...]]]:
     """Every vertex with the indices of its tight rows, by a depth-first
     walk over the lexicographically feasible bases from the state at a
     start basis B0. A vertex x is given as (X, k), x == X / k as ints over
-    the least k > 0, read off D x in its state by `_lowest_terms`.
+    the least k > 0, read off D y == D L x in its state by `_lowest_terms`.
 
     Relax each row i outside B0 by eps_i, with eps_0 >> eps_1 >> ... > 0:
     at basis B, row i's slack is then s_i + [i not in B0] eps_i -
@@ -321,7 +336,8 @@ def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[tuple, tuple[int,
         if not set(state.basis) <= set(tight):
             raise InternalInvariantError(
                 f"a basis row is not tight at vertex {format_vector(state.vertex())}")
-        found.setdefault(_lowest_terms([-x for x in state.columns[-1][-n:]], state.denominator),
+        found.setdefault(_lowest_terms([-x for x in state.columns[-1][-n:]],
+                                       state.denominator * state.scale),
                          tuple(tight))
         pending.append(iter(_steps(state, start)))
         while pending:
@@ -380,4 +396,4 @@ def _pivot(state: _Simple, k: int, r: int) -> _Simple:
     if state.columns[k][r] >= 0:
         raise InternalInvariantError(f"pivot on row {r} along edge {k} is not negative")
     columns, D = _integer_pivot(state.columns, state.denominator, k, r)
-    return _Simple(state.basis[:k] + (r,) + state.basis[k + 1:], D, columns)
+    return _Simple(state.basis[:k] + (r,) + state.basis[k + 1:], D, columns, state.scale)

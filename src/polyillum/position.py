@@ -72,6 +72,8 @@ def signed_separators(points: Sequence[Vec], masks: Sequence[int]
     Bland's rule on the columns it chose. That rule enters the lowest
     column that prices out, so these are the first pivots of every sign
     vector below it, and each ends on the basis of its own LP."""
+    if not points:
+        raise InputError("a separator needs a nonempty set of points")
     m, n, chosen = 2 * len(points), len(points[0]), []
     if any(len(p) != n for p in points):
         raise InputError("dimension mismatch in a cone question")

@@ -6,7 +6,10 @@ that read their answers off it. `solve_rows` solves a square system, which
 the package reads off its integer inverse instead.
 `circuits` is the enumeration that `polyillum.kernel.circuits` replaced: it
 row-reduces every subset of up to n + 1 vectors that holds no smaller
-circuit, whatever the structure of their matroid.
+circuit, whatever the structure of their matroid. `scan_circuits` is the
+prefix tree that `polyillum.kernel._scan_circuits` replaced: it pivots
+every independent prefix, up to the full rank, and reads each dependence
+off the pivoted tableau.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from polyillum.errors import InputError
-from polyillum.kernel import Vec
+from polyillum.kernel import Vec, _integers, _pivot
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
@@ -137,4 +140,27 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
             found.append((idx, mu))
             supports.append(mask)
         smaller += supports
+    return found
+
+
+def scan_circuits(vectors: Sequence[Vec],
+                  elements: Sequence[int]) -> list[tuple[tuple[int, ...], Vec]]:
+    """The circuits among the given vectors, by a depth-first search over
+    their independent prefixes in index order on one tableau: the vectors
+    as columns, each coordinate row scaled to ints, which keeps every
+    dependence. A dependent prefix holds a circuit, so it is not extended."""
+    found = []
+
+    def visit(M: list, D: int, prefix: tuple[int, ...], rows: tuple[int, ...]) -> None:
+        # M / D is pivoted on the prefix's columns, in these rows
+        free = [r for r in range(len(M)) if r not in rows]
+        for j in range(prefix[-1] + 1 if prefix else 0, len(elements)):
+            r = next((r for r in free if M[r][j]), None)
+            if r is not None:  # column j extends the prefix to an independent one
+                visit(*_pivot(M, D, r, j), (*prefix, j), (*rows, r))
+            elif all(M[p][j] for p in rows):  # j depends on all of the prefix: a circuit
+                found.append((tuple(elements[i] for i in (*prefix, j)),
+                              (*(Fraction(-M[p][j], D) for p in rows), Fraction(1))))
+
+    visit([_integers(row)[0] for row in zip(*(vectors[i] for i in elements))], 1, (), ())
     return found

@@ -28,6 +28,10 @@ def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
+def zero_vec(dim: int) -> Vec:
+    return (Fraction(0),) * dim
+
+
 def slacks(P: HPolytope, x: Vec) -> list[Fraction]:
     return [h - dot(m, x) for m, h in zip(P.normal_set.normals, P.offsets)]
 

@@ -1,22 +1,24 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
-from polyillum import classify, fan
+from polyillum import classify, fan, kernel
 from polyillum.classify import bitmask
 from polyillum.errors import InputError
 from polyillum.fan import (FanCone, enumerate_primitive_bases, is_complete_fan,
                            normal_fan, verify_fan_uniqueness)
 from polyillum.generators import randomize_offsets
-from polyillum.kernel import rank, vadd, vec, zero_vec
+from polyillum.kernel import rank, vadd, vec
 from polyillum.polytope import NormalSet
 from polyillum.position import cone_membership, is_primitive
 from tests.conftest import (box, count_lps, hexagon, simplex, simplex_product,
                             square_pyramid, triangle, valid_normal_sets)
+from tests.fan_reference import per_cone_complete_fan
 from tests.oracle_reference import enumerate_direction_classes
-from tests.polytope_reference import masked, tight_normals, vneg, vsub
+from tests.polytope_reference import masked, tight_normals, vneg, vsub, zero_vec
 
 F = Fraction
 
@@ -163,18 +165,19 @@ class TestWallTest:
         # cones each, and interiors overlap
         N = square_pyramid().normal_set
         cones = enumerate_primitive_bases(N)
-        assert not is_complete_fan(N, cones)
+        assert not is_complete_fan(N, cones) and not per_cone_complete_fan(N, cones)
         assert not no_pair_meets(cones)
 
     def test_rejects_a_fan_with_a_cone_removed(self):
         # the walls of the missing orthant now lie in one cone each
         N = box(3).normal_set
         cones = enumerate_primitive_bases(N)[1:]
-        assert not is_complete_fan(N, cones)
+        assert not is_complete_fan(N, cones) and not per_cone_complete_fan(N, cones)
         assert no_pair_meets(cones)
 
     def test_rejects_an_empty_fan(self):
         assert not is_complete_fan(box(2).normal_set, ())
+        assert not per_cone_complete_fan(box(2).normal_set, ())
 
     def test_rejects_a_fan_that_covers_the_plane_twice(self):
         # the star d0 d2 d4 d1 d3 of five rays winds round the origin twice:
@@ -185,7 +188,65 @@ class TestWallTest:
         index = {m: i for i, m in enumerate(N.normals)}
         cones = [FanCone((d[a], d[b]), bitmask((index[d[a]], index[d[b]])))
                  for a, b in [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]]
-        assert not is_complete_fan(N, cones)
+        assert not is_complete_fan(N, cones) and not per_cone_complete_fan(N, cones)
+
+    def test_rejects_two_fans_that_share_no_wall(self):
+        # the fans over {e1, e2, -e1-e2} and over {-e1, -e2, e1+e2} cover
+        # the plane once each: every wall lies in two cones on opposite
+        # sides, but no crossing from the first cone reaches the second fan
+        N = NormalSet.from_vectors(2, [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)])
+        first, second = (plane_fan(N, [vec(*r) for r in rays])
+                         for rays in ([(1, 0), (0, 1), (-1, -1)], [(-1, 0), (0, -1), (1, 1)]))
+        assert is_complete_fan(N, first) and is_complete_fan(N, second)
+        assert not is_complete_fan(N, first + second)
+        assert not per_cone_complete_fan(N, first + second)
+
+    def test_coverage_makes_no_elimination(self, monkeypatch):
+        # the first cone's generator sum is carried across the walls by
+        # their circuits: no `simplex_dependence`, no row reduction at all
+        for P in (box(4), hexagon(), simplex_product([2, 2])):
+            N = P.normal_set
+            cones = enumerate_primitive_bases(N)
+            reductions = []
+            row_reduce = kernel._row_reduce
+            monkeypatch.setattr(kernel, "_row_reduce",
+                                lambda rows: reductions.append(rows) or row_reduce(rows))
+            assert is_complete_fan(N, cones)
+            monkeypatch.undo()
+            assert reductions == []
+        assert not hasattr(fan, "simplex_dependence")
+
+
+def plane_fan(N, rays):
+    """The cones over consecutive rays, in the order given, of N in R^2."""
+    index = {m: i for i, m in enumerate(N.normals)}
+    return [FanCone((r, s), bitmask((index[r], index[s])))
+            for r, s in zip(rays, rays[1:] + rays[:1])]
+
+
+class TestAgainstThePerConeTest:
+    @settings(max_examples=80, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3, 4)))
+    def test_the_primitive_bases(self, normals):
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        cones = enumerate_primitive_bases(N)
+        assert is_complete_fan(N, cones) == per_cone_complete_fan(N, cones)
+
+    @settings(max_examples=80, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3)), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(box(2).normal_set.normals, 0)
+    def test_shuffled_cone_sets(self, normals, seed):
+        # the primitive bases, less some and with other bases added, in a
+        # random order: walls in one or three cones, and a first cone anywhere
+        N = NormalSet.from_vectors(len(normals[0]), normals)
+        rnd = random.Random(seed)
+        bases = [FanCone(tuple(N.normals[i] for i in idx), bitmask(idx))
+                 for idx in combinations(range(len(N.normals)), N.dim)
+                 if rank([N.normals[i] for i in idx]) == N.dim]
+        primitive = set(enumerate_primitive_bases(N))
+        cones = [c for c in bases if (c in primitive) != (rnd.random() < 0.2)]
+        rnd.shuffle(cones)
+        assert is_complete_fan(N, cones) == per_cone_complete_fan(N, cones)
 
 
 class TestFanLpWork:

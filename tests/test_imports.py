@@ -36,6 +36,20 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml requires Python >= 3.10: no module may use a later syntax
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_detects_a_syntax_newer_than_3_10():
+    # exception groups came in Python 3.11
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse(source, feature_version=(3, 10))
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom math import comb, gcd\nprint(gcd)\n") == [
         "line 1: os", "line 2: comb"]

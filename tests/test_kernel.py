@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from polyillum import kernel
 from polyillum.errors import InputError
 from polyillum.kernel import (circuits, dot, format_rational, inverse, parse_rational,
-                              primitive_form, rank, simplex_dependence, vec, zero_vec)
+                              primitive_form, rank, simplex_dependence, vec)
 from polyillum.lp import solve_eq_nonneg
 from polyillum.position import separator
 from tests import kernel_reference as reference
 from tests.conftest import box, hexagon, set_n, sign_vectors_26, simplex, simplex_product
+from tests.polytope_reference import zero_vec
 
 F = Fraction
 
@@ -349,7 +350,46 @@ def rational_direct_sums(draw):
             for row in draw(direct_sums(st.integers(2, 3), nonzero=True))]
 
 
+@st.composite
+def ranked_sets(draw):
+    """Vectors of rank up to r in R^r..R^5, r in 1..5, with rational
+    entries: integer combinations of r drawn generators, then up to three
+    forced dependences a u + b v of two of them, a nonzero, which are
+    multiples of u when b == 0 or v == u; and at least half of their
+    indices, in order."""
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(r, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    generators = draw(st.lists(st.tuples(*[entry] * n), min_size=r, max_size=r))
+    coefficients = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r),
+                                 min_size=r, max_size=r + 3))
+    vectors = [tuple(sum(c * g[i] for c, g in zip(combination, generators)) for i in range(n))
+               for combination in coefficients]
+    index = st.integers(0, len(vectors) - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = vectors[draw(index)], vectors[draw(index)]
+        a, b = draw(st.sampled_from([F(-2), F(-1, 2), F(1, 3), F(1), F(3, 2)])), draw(entry)
+        vectors.append(tuple(a * x + b * y for x, y in zip(u, v)))
+    vectors = [vec(*v) for v in vectors]
+    left_out = draw(st.sets(st.integers(0, len(vectors) - 1), max_size=len(vectors) // 2))
+    return vectors, [i for i in range(len(vectors)) if i not in left_out]
+
+
 class TestCircuits:
+    @settings(max_examples=150, deadline=None)
+    @given(ranked_sets())
+    def test_the_scan_agrees_with_the_full_prefix_tree(self, drawn):
+        # the last level read off 2x2 minors finds the circuits, with their
+        # dependences and in the order, that pivoting every prefix found
+        vectors, elements = drawn
+        found = kernel._scan_circuits(vectors, elements, rank([vectors[i] for i in elements]))
+        assert found == reference.scan_circuits(vectors, elements)
+        for idx, mu in found:
+            total = zero_vec(len(vectors[0]))
+            for c, i in zip(mu, idx):
+                total = tuple(x + c * y for x, y in zip(total, vectors[i]))
+            assert total == zero_vec(len(vectors[0])) and mu[-1] == 1
+
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(vector_sets(st.integers(1, 3), st.integers(1, 6), nonzero=True),
                      direct_sums(st.just(2), nonzero=True)))
@@ -415,13 +455,17 @@ class TestCircuits:
         assert (len(calls), dependences) == (reductions, [])
 
     @pytest.mark.parametrize("P,count,pivots", [
-        (hexagon(), 11, 20), (set_n(), 5, 28), (sign_vectors_26(), 5805, 2309),
+        (hexagon(), 11, 8), (set_n(), 5, 18), (sign_vectors_26(), 5805, 341),
     ], ids=["hexagon", "N", "sign_vectors_26"])
     def test_pivots(self, monkeypatch, P, count, pivots):
         # The first elimination pivots 2, 3 and 3 times; the prefix tree
-        # once per independent prefix: the hexagon's 6 singletons and 12
-        # non-parallel pairs, say. The scan of subsets took 45, 68 and
-        # 23,600 pivots in 24, 26 and 8,086 row reductions.
+        # once per independent prefix short of the rank, whose last circuits
+        # are read off 2x2 minors: the hexagon's 6 singletons; N's 5
+        # singletons and 10 pairs; the 26 vectors' singletons and their 312
+        # pairs that are not antiparallel. Pivoting the full-rank prefixes
+        # too took 20, 28 and 2,309 pivots (12 pairs of the hexagon, 10
+        # triples of N and 1,968 of the 26 vectors), and the scan of
+        # subsets took 45, 68 and 23,600 in 24, 26 and 8,086 row reductions.
         reductions = count_calls(monkeypatch, "_row_reduce")
         calls = count_calls(monkeypatch, "_pivot")
         assert len(circuits(P.normal_set.normals)) == count

@@ -11,7 +11,7 @@ from polyillum import kernel, polytope
 from polyillum.cli import run_command
 from polyillum.errors import InputError, InternalInvariantError, ScaleLimitError
 from polyillum.generators import generate, randomize_offsets
-from polyillum.kernel import _integers, dot, rank, vadd, vec, vscale, zero_vec
+from polyillum.kernel import _integers, dot, rank, vadd, vec, vscale
 from polyillum.polytope import HPolytope, NormalSet, Vertex
 from polyillum.position import cone_membership
 from tests import walk_reference
@@ -19,7 +19,7 @@ from tests.conftest import (box, count_lps, cut_box_facets, n_over_apex, set_n,
                             square_pyramid, triangle, valid_normal_sets)
 from tests.kernel_reference import solve_rows
 from tests.polytope_reference import (BOUNDARY, location, masked, normal_set_verdict, slacks,
-                                      tight_normals, vneg, vsub)
+                                      tight_normals, vneg, vsub, zero_vec)
 
 F = Fraction
 
@@ -209,14 +209,15 @@ class TestVertexEnumeration:
 def route_vertices(normals, offsets):
     """The vertex tuples of the walk, from its first start, and of the
     candidate scan."""
-    rows, n = polytope._rows(normals, offsets), len(normals[0])
+    (rows, L), n = polytope._rows(normals, offsets), len(normals[0])
 
     def as_vertices(found):
         return tuple(sorted(Vertex(tuple(F(x, k) for x in X), sum(1 << i for i in tight))
                             for (X, k), tight in found))
 
-    return (as_vertices(polytope._walk(rows, next(polytope._starts(rows, n)))),
-            as_vertices(walk_reference._scan(rows, walk_reference.feasible_candidates(rows, n))))
+    return (as_vertices(polytope._walk(rows, next(polytope._starts(rows, n, L)))),
+            as_vertices(walk_reference._scan(
+                rows, L, walk_reference.feasible_candidates(rows, n, L))))
 
 
 def normals_and_offsets(P):
@@ -295,16 +296,16 @@ class TestVertexWalk:
         # one state per feasible basis, in the scan's order, at its vertex;
         # offsets of any sign leave some systems empty
         normals, offsets = system
-        rows, n = polytope._rows(normals, offsets), len(normals[0])
-        assert [(s.basis, s.vertex()) for s in polytope._starts(rows, n)] == list(
-            walk_reference.feasible_candidates(rows, n))
+        (rows, L), n = polytope._rows(normals, offsets), len(normals[0])
+        assert [(s.basis, s.vertex()) for s in polytope._starts(rows, n, L)] == list(
+            walk_reference.feasible_candidates(rows, n, L))
 
     @settings(max_examples=60, deadline=None)
     @given(degenerate_systems())
     def test_the_walk_visits_each_lexicographically_feasible_basis_once(self, system):
         normals, offsets = system
-        rows = polytope._rows(normals, offsets)
-        start = next(polytope._starts(rows, len(normals[0])))
+        rows, L = polytope._rows(normals, offsets)
+        start = next(polytope._starts(rows, len(normals[0]), L))
         visited = []
         steps = polytope._steps
 
@@ -335,13 +336,13 @@ class TestVertexWalk:
             rnd = random.Random(seed)
             offsets = tuple(F(rnd.randint(1, 10 ** 30), rnd.randint(1, 10 ** 20))
                             for _ in normals)
-        rows, n = polytope._rows(normals, offsets), len(normals[0])
-        start = next(polytope._starts(rows, n))
+        (rows, L), n = polytope._rows(normals, offsets), len(normals[0])
+        start = next(polytope._starts(rows, n, L))
         walked = polytope._walk(rows, start)
         expected = walk_reference._walk(normals, offsets, start.basis, start.vertex())
         if expected is None:  # a degenerate vertex, which the Fraction walk gives up at
             assert sorted(walked) == sorted(walk_reference._scan(
-                rows, walk_reference.feasible_candidates(rows, n)))
+                rows, L, walk_reference.feasible_candidates(rows, n, L)))
         else:
             assert walked == list(expected.items())
 
@@ -349,12 +350,13 @@ class TestVertexWalk:
     @given(valid_normal_sets(dims=(2, 3, 4)), st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_every_state_is_the_one_of_its_basis(self, normals, seed):
         # the start state and each state the pivots reach hold D B^-1,
-        # D A B^-1, D (b - A x) and -D x for their basis, with the least
-        # such D: the pivots keep every column's scale, not only its direction
+        # D A B^-1, D (b - A y) and -D y for their basis, y = L x, with the
+        # least such D: the pivots keep every column's scale, not only its
+        # direction
         rnd = random.Random(seed)
         offsets = tuple(F(rnd.randint(1, 10 ** 6), rnd.randint(1, 10 ** 3)) for _ in normals)
-        rows = polytope._rows(normals, offsets)
-        states = [next(polytope._starts(rows, len(normals[0])))]
+        rows, L = polytope._rows(normals, offsets)
+        states = [next(polytope._starts(rows, len(normals[0]), L))]
         pivot = polytope._pivot
 
         def recording(state, k, r):
@@ -366,19 +368,73 @@ class TestVertexWalk:
             polytope._walk(rows, states[0])
         for state in states:
             n, D, columns = len(state.basis), state.denominator, state.columns
-            x = solve_rows([tuple(map(F, rows[i][0])) for i in state.basis],
+            y = solve_rows([tuple(map(F, rows[i][0])) for i in state.basis],
                            [F(rows[i][1]) for i in state.basis])
-            assert state.vertex() == x
+            assert state.vertex() == tuple(c / L for c in y)
             for j, column in enumerate(columns[:n]):
                 inverse = column[len(rows):]
                 assert [sum(a * c for a, c in zip(rows[i][0], inverse)) for i in state.basis] == [
                     D * (i == j) for i in range(n)]
                 assert list(column[:len(rows)]) == [
                     sum(a * c for a, c in zip(row[0], inverse)) for row in rows]
-            X, k = kernel._integers(x)
+            X, k = kernel._integers(y)
             assert list(columns[n][:len(rows)]) == [
                 s * D // k for s in polytope._slacks(rows, X, k)]
             assert gcd(D, *(c for column in columns[:n] for c in column[len(rows):])) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3, 4)), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_scaling_each_facet_keeps_the_walk(self, normals, seed):
+        # each facet, normal and offset together, times its own positive
+        # rational, with offsets over denominators the normals lack: the
+        # lexicographic ratio test makes the same choices, so the walk
+        # meets the same bases in the same order, and the polytope keeps
+        # its vertices, each tight at the images of its old normals
+        rnd = random.Random(seed)
+        offsets = tuple(F(rnd.randint(1, 30), rnd.choice([1, 3, 7, 9])) for _ in normals)
+        try:
+            P = HPolytope(NormalSet(len(normals[0]), normals), offsets)
+        except InputError:
+            assume(False)
+        scales = [F(rnd.randint(1, 9), rnd.choice([1, 2, 5])) for _ in normals]
+        scaled = ([vscale(c, m) for c, m in zip(scales, normals)],
+                  [c * h for c, h in zip(scales, offsets)])
+        walks = []
+        for system in ((normals, offsets), scaled):
+            (rows, L), visited = polytope._rows(*system), []
+            steps = polytope._steps
+
+            def recording(state, start):
+                visited.append(state.basis)
+                return steps(state, start)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polytope, "_steps", recording)
+                walks.append((polytope._walk(rows, next(polytope._starts(rows, P.dim, L))),
+                              visited))
+        assert walks[0] == walks[1]
+        Q = HPolytope.from_facets(P.dim, list(zip(*scaled)))
+        image = dict(zip(normals, scaled[0]))
+        assert [v.point for v in Q.vertices] == [v.point for v in P.vertices]
+        for v, w in zip(P.vertices, Q.vertices):
+            assert set(masked(Q, w.mask)) == {image[m] for m in masked(P, v.mask)}
+
+    def test_a_unimodular_walk_pivots_on_units(self, monkeypatch):
+        # box6 with seeded offsets over 16: the offsets stay out of the
+        # tableau, so the start's inverse and every pivot are over D = 1,
+        # and each pivot entry is a unit, which takes no gcd
+        entries = []
+        pivot = polytope._integer_pivot
+
+        def recording(M, D, r, c):
+            entries.append((M[r][c], D))
+            return pivot(M, D, r, c)
+
+        monkeypatch.setattr(polytope, "_integer_pivot", recording)
+        P = randomize_offsets(generate("box", (6,)), 5)
+        assert len(P.vertices) == 64 and len(entries) >= 63
+        assert set(entries) <= {(1, 1), (-1, 1)}
+        assert P.scale == 16 and any(h.denominator == 16 for h in P.offsets)
 
     @pytest.mark.parametrize("P", [
         set_n(), box(3), generate("simplex_product", (2, 2, 1)),
@@ -387,7 +443,7 @@ class TestVertexWalk:
     ], ids=["N", "box3", "sp221", "sp211-r3", "simplex3-rational"])
     def test_the_walk_matches_the_fraction_walk(self, P):
         normals, offsets = P.normal_set.normals, P.offsets
-        start = next(polytope._starts(P.rows, P.dim))
+        start = next(polytope._starts(P.rows, P.dim, P.scale))
         expected = walk_reference._walk(normals, offsets, start.basis, start.vertex())
         assert polytope._walk(P.rows, start) == list(expected.items())
 
@@ -462,10 +518,10 @@ class TestVertexWalk:
         # each start keeps its slacks and point, but its tableau and
         # inverse are zeroed, so no row blocks an edge
         starts = polytope._starts
-        monkeypatch.setattr(polytope, "_starts", lambda rows, n: (
+        monkeypatch.setattr(polytope, "_starts", lambda rows, n, scale: (
             state._replace(columns=(*((0,) * len(c) for c in state.columns[:-1]),
                                     state.columns[-1]))
-            for state in starts(rows, n)))
+            for state in starts(rows, n, scale)))
         with pytest.raises(InternalInvariantError, match="no normal blocks edge 0"):
             box(3)
         assert run_command(["gen", "box", "--dims", "3"]) == 3
@@ -498,7 +554,7 @@ class TestVertexWalk:
 
     def test_a_pivot_that_is_not_negative_is_an_internal_error(self):
         # the walk's state for the interval [-1, 1] at x = 1, with basis row 0
-        state = polytope._Simple((0,), 1, ((1, -1, 1), (0, 2, -1)))
+        state = polytope._Simple((0,), 1, ((1, -1, 1), (0, 2, -1)), 1)
         assert polytope._pivot(state, 0, 1).vertex() == (F(-1),)
         with pytest.raises(InternalInvariantError, match="pivot on row 0 along edge 0"):
             polytope._pivot(state, 0, 0)
@@ -570,10 +626,11 @@ class TestIrredundancy:
 
 
 def slacks_in_units(P, x):
-    """The slacks of the integer rows of P at x, each divided back by its
-    row's scale c and by the denominator k of x."""
-    X, k = _integers(x)
-    return [F(s, c * k) for s, (_, _, c) in zip(polytope._slacks(P.rows, X, k), P.rows)]
+    """The slacks of the integer rows of P at y = L x, each divided back by
+    its row's scale c, by L and by the denominator k of x."""
+    X, k, L = *_integers(x), P.scale
+    return [F(s, c * k * L)
+            for s, (_, _, c) in zip(polytope._slacks(P.rows, [L * e for e in X], k), P.rows)]
 
 
 class TestQueries:

@@ -6,11 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from polyillum import position
 from polyillum.errors import InputError, InternalInvariantError
-from polyillum.kernel import circuits, dot, rank, vec, vscale, zero_vec
+from polyillum.kernel import circuits, dot, rank, vec, vscale
 from polyillum.position import (cone_membership, farkas_direction, is_conical_position,
                                 is_primitive, separator, signed_separators)
 from tests.conftest import count_lps, counting_bland
 from tests.oracle_reference import lifted_separator
+from tests.polytope_reference import zero_vec
 from tests.skeleton_reference import (ALL_NONNEGATIVE, ALL_NONPOSITIVE, MIXED,
                                       SINGLE_POSITIVE, classify_signs)
 
@@ -148,6 +149,14 @@ def test_a_wrong_none_fails_its_substitution_check(monkeypatch):
 def test_ragged_points_are_an_input_error(ask):
     with pytest.raises(InputError, match="dimension mismatch in a cone question"):
         ask([vec(1, 0), vec(0, 1, 1)])
+
+
+@pytest.mark.parametrize("ask", [lambda pts: list(signed_separators(pts, [0])), separator],
+                         ids=["signed_separators", "separator"])
+def test_no_points_are_an_input_error(ask):
+    # as for `is_conical_position`, not an IndexError from the first point
+    with pytest.raises(InputError, match="nonempty set of points"):
+        ask([])
 
 
 class TestConeMembership:

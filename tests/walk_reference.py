@@ -33,23 +33,25 @@ def integer_key(x: Vec) -> tuple[tuple[int, ...], int]:
     return tuple(X), k
 
 
-def feasible_candidates(rows: Sequence[tuple], n: int):
+def feasible_candidates(rows: Sequence[tuple], n: int, scale: int):
     """Each basis of n rows, in `combinations` order, whose square system
-    has a solution that satisfies every constraint, with that solution,
-    read off one elimination of the system's integer rows [a | b]."""
+    has a solution y that satisfies every constraint, with the point
+    x = y / scale, y read off one elimination of the system's integer
+    rows [a | b]."""
     for idx in combinations(range(len(rows)), n):
         M, D, pivots = _row_reduce([(*rows[i][0], rows[i][1]) for i in idx])
         if pivots == list(range(n)):
-            x = tuple(Fraction(v[n], D) for v in M)
-            if min(_slacks(rows, *_integers(x))) >= 0:
-                yield idx, x
+            y = tuple(Fraction(v[n], D) for v in M)
+            if min(_slacks(rows, *_integers(y))) >= 0:
+                yield idx, tuple(c / scale for c in y)
 
 
-def _scan(rows: Sequence[tuple], candidates) -> list[tuple[tuple, tuple[int, ...]]]:
+def _scan(rows: Sequence[tuple], scale: int, candidates) -> list[tuple[tuple, tuple[int, ...]]]:
     """The candidate route: the key of every feasible candidate's point,
     with the indices of the rows tight there."""
-    return [(key, tuple(i for i, s in enumerate(_slacks(rows, *key)) if s == 0))
-            for key in {integer_key(x) for _, x in candidates}]
+    return [((X, k), tuple(i for i, s in enumerate(_slacks(rows, [scale * x for x in X], k))
+                           if s == 0))
+            for X, k in {integer_key(x) for _, x in candidates}]
 
 
 def lex_feasible_bases(rows: Sequence[tuple], start: Sequence[int]) -> set[tuple[int, ...]]:
