@@ -12,7 +12,7 @@ alternative and conformal decomposition into circuits, Rockafellar
 
 Monotypy is decided by two routes that `classify_normal_set` cross-checks:
 the conical-position-with-captured-normal test, and the disjoint-primitive-
-subsets test. Each emitted certificate is re-checked once by the LP
+subsets test. Each emitted certificate is re-checked once by the
 predicates of `position`. A NormalSet positively spans by construction,
 so no verdict validates its input again. Verdicts depend only on the
 normal set, so results, and the circuit table they share, are cached per
@@ -127,10 +127,10 @@ def check_strong_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertifica
     """True iff no (n+1)-subset of the normals is in conical position.
 
     A false verdict returns the first such subset in lexicographic order
-    over the canonical normal order, re-checked by LP. A balanced circuit
-    is in conical position itself and extends to n+1 normals by adding
-    normals outside its span, so N is strongly monotypic iff it has no
-    balanced circuit.
+    over the canonical normal order, re-checked by `is_conical_position`.
+    A balanced circuit is in conical position itself and extends to n+1
+    normals by adding normals outside its span, so N is strongly monotypic
+    iff it has no balanced circuit.
     """
     if not any(_balanced(c) for c in circuit_table(N)):
         return True, None
@@ -149,8 +149,8 @@ def check_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertificate]]:
     containing some further normal of N.
 
     A false verdict returns the first uncaptured conical subset, re-checked
-    by LP; the strong certificate has been re-checked for conical position
-    already.
+    by an LP per further normal; the strong certificate has been re-checked
+    for conical position already.
     """
     strong, first_conical = check_strong_monotypy(N)
     if strong:
@@ -183,9 +183,9 @@ def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
     common point sum over mu_i > 0 of mu_i n_i, nonzero since its positive
     half is independent. A false verdict returns the first such circuit's
     halves, in the order of `kernel.circuits`, and that point; both halves
-    are re-checked by LP. A half is a proper subset of its circuit, so it
-    is independent and no circuit lies inside it: it is primitive iff it
-    captures no normal. Circuits share halves, so each distinct half is
+    are re-checked by one elimination each. A half is a proper subset of
+    its circuit, so it is independent and no circuit lies inside it: it is
+    primitive iff it captures no normal. Circuits share halves, so each distinct half is
     tested once.
     """
     table = circuit_table(N)

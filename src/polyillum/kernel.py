@@ -4,8 +4,9 @@ Every geometric verdict in this package reduces to sign decisions, so
 nothing here touches floating point. Vectors are plain tuples of
 `fractions.Fraction`, and `Fraction` is what every function takes and
 returns but `inverse`, whose callers take many integer dot products with
-its columns, so it returns them as ints over one denominator, and
-`primitive_form`; inside, the arithmetic is on Python ints. An int has a
+its columns, so it returns them as ints over one denominator, the
+separating rows of `coordinates` and `primitive_form`; inside, the
+arithmetic is on Python ints. An int has a
 numerator and a denominator too, so a function that reads a vector's
 entries only through those, as `first_basis` and `lp.solve_eq_nonneg`
 do, takes int vectors as well, such as primitive forms. `_integers`
@@ -32,7 +33,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 
 Vec = tuple[Fraction, ...]
 
@@ -209,6 +210,36 @@ def inverse(rows: Sequence[Vec]) -> Optional[tuple[tuple[tuple[int, ...], ...], 
     if pivots[:n] != list(range(n)):
         return None
     return tuple(tuple(M[i][n + j] for i in range(n)) for j in range(n)), D
+
+
+def coordinates(generators: Sequence[Vec], targets: Sequence[Vec]) -> Optional[list[tuple]]:
+    """For each target x, (mu, None) with x == sum(mu_i g_i), or (None, z),
+    z ints with <z, g> == 0 for every generator and <z, x> != 0; None if
+    the generators are dependent. The last block of one elimination of
+    [generators | targets | I], as columns scaled to ints by one lcm, is
+    the row operations E: E x is mu above the generators' pivot rows if it
+    vanishes below them, and else a row of E below them is z; each answer
+    is checked exactly against the input."""
+    k, n = len(generators), len(next(iter((*generators, *targets)), ()))
+    flat, _ = _integers([x for v in (*generators, *targets) for x in v])
+    cols = [flat[j * n:j * n + n] for j in range(k + len(targets))]
+    M, D, pivots = _row_reduce([[c[s] for c in cols] + [int(s == i) for i in range(n)]
+                                for s in range(n)])
+    if pivots[:k] != list(range(k)):
+        return None
+    found = []
+    for j, x in enumerate(cols[k:], k):
+        if (r := next((r for r in range(k, n) if M[r][j]), None)) is not None:
+            z = tuple(M[r][len(cols):])
+            if any(sum(map(mul, z, g)) for g in cols[:k]) or not sum(map(mul, z, x)):
+                raise InternalInvariantError("separating row fails its check")
+            found.append((None, z))
+        elif any(sum(c[s] * M[i][j] for i, c in enumerate(cols[:k])) != D * x[s]
+                 for s in range(n)):
+            raise InternalInvariantError("coordinates fail their substitution check")
+        else:
+            found.append((tuple(Fraction(M[i][j], D) for i in range(k)), None))
+    return found
 
 
 def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:

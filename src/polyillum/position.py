@@ -5,32 +5,41 @@ off the basis inverse where it is needed, in `skeleton.refine_basis`.
 Every negative verdict carries a witness so it can be re-checked without
 trusting the code path that produced it. A cone question asks whether x
 lies in the positive hull of some generators, and `lp` answers it either
-way with a proof, the coefficients or a Farkas direction. Membership and
-the Farkas direction are one `solve_eq_nonneg` call each. Separation,
-whether the origin is a convex combination of some signed points, is
-posed only in `signed_separators`, for many sign vectors on one tableau;
-`separator` is its answer for the all +1 sign vector. Verdicts about
-subsets of a normal set are decided over its circuit table in
-`classify`; the LP predicates here re-check each emitted certificate
-once, and are the reference the tests compare that table against.
+way with a proof, the coefficients or a Farkas direction: one
+`solve_eq_nonneg` call each. Separation, whether the origin is a convex
+combination of some signed points, is posed only in `signed_separators`,
+for many sign vectors on one tableau; `separator` is its answer for the
+all +1 sign vector. Verdicts about subsets of a normal set are decided
+over its circuit table in `classify`; the predicates here re-check each
+emitted certificate once, with no LP where the generators are independent:
+`is_primitive` by one `kernel.coordinates`, and `is_conical_position` on
+n + 1 points of rank n by their one dependence and one `kernel.inverse`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .kernel import Vec, _integers, rank
+from .kernel import Vec, _integers, coordinates, inverse, simplex_dependence
 from .lp import _bland, _phase_one, solve_eq_nonneg
 
 
 def _cone_query(x: Vec, generators: Sequence[Vec]):
     """(mu, None) with mu >= 0 and x == sum(mu_i * g_i), or (None, z) with
     <g, z> <= 0 for every generator and <x, z> > 0."""
-    if any(len(g) != len(x) for g in generators):
+    n = _dimension([x, *generators])
+    return solve_eq_nonneg([[g[i] for g in generators] for i in range(n)], x)
+
+
+def _dimension(vectors: Sequence[Vec]) -> int:
+    """The common length of the vectors, 0 if there are none."""
+    n = len(vectors[0]) if vectors else 0
+    if any(len(v) != n for v in vectors):
         raise InputError("dimension mismatch in a cone question")
-    return solve_eq_nonneg([[g[i] for g in generators] for i in range(len(x))], x)
+    return n
 
 
 def cone_membership(x: Vec, generators: Sequence[Vec]) -> Optional[tuple[Fraction, ...]]:
@@ -74,9 +83,7 @@ def signed_separators(points: Sequence[Vec], masks: Sequence[int]
     vector below it, and each ends on the basis of its own LP."""
     if not points:
         raise InputError("a separator needs a nonempty set of points")
-    m, n, chosen = 2 * len(points), len(points[0]), []
-    if any(len(p) != n for p in points):
-        raise InputError("dimension mismatch in a cone question")
+    m, n, chosen = 2 * len(points), _dimension(points), []
     flat, scale = _integers([x for p in points for x in p])
     columns = [[s * x for x in flat[j:j + n]] + [scale]
                for j in range(0, len(flat), n) for s in (1, -1)]
@@ -123,18 +130,39 @@ class ConicalVerdict(NamedTuple):
 
 def is_conical_position(points: Sequence[Vec]) -> ConicalVerdict:
     """A set is in conical position iff it is strictly separated from the
-    origin and no point lies in the positive hull of the others."""
+    origin and no point lies in the positive hull of the others. On n + 1
+    points of rank n, with lam their one dependence: they are separated iff
+    lam has both signs; p_i lies in pos(others) iff lam_i != 0 and no other
+    entry has its sign, as sum(-lam_j / lam_i p_j); and else v = B^-1 1,
+    for B all points but the first i with lam_i * sum(lam) < 0 (lam_i != 0
+    if the sum is 0), has <p_i, v> = 1 - sum(lam) / lam_i >= 1 too. Any
+    other set takes LPs: a separator and a membership per point."""
     if not points:
         raise InputError("is_conical_position needs a nonempty set")
-    v = separator(points)
-    if v is None:
+    n = _dimension(points)
+    if len(points) != n + 1 or (lam := simplex_dependence(points)) is None:
+        if (v := separator(points)) is None:
+            return ConicalVerdict(False, not_separated=True)
+        for i, p in enumerate(points):
+            if (mu := cone_membership(p, points[:i] + points[i + 1:])) is not None:
+                return ConicalVerdict(False, hull_member=p, hull_coefficients=mu)
+        return ConicalVerdict(True, separator=v)
+    flat, scale = _integers([x for p in points for x in p])
+    P, (L, _) = [flat[j * n:j * n + n] for j in range(n + 1)], _integers(lam)
+    if any(sum(c * p[r] for c, p in zip(L, P)) for r in range(n)):
+        raise InternalInvariantError("dependence fails its substitution check")
+    if min(L) >= 0 or max(L) <= 0:
         return ConicalVerdict(False, not_separated=True)
-    for i, p in enumerate(points):
-        others = [q for j, q in enumerate(points) if j != i]
-        mu = cone_membership(p, others)
-        if mu is not None:
-            return ConicalVerdict(False, hull_member=p, hull_coefficients=mu)
-    return ConicalVerdict(True, separator=v)
+    for i, c in enumerate(L):
+        if c and all(c * d <= 0 for j, d in enumerate(L) if j != i):
+            return ConicalVerdict(False, hull_member=points[i], hull_coefficients=tuple(
+                -lam[j] / lam[i] for j in range(n + 1) if j != i))
+    i = next(i for i, c in enumerate(L) if c * sum(L) < 0 or c and not sum(L))
+    Q, D = inverse(points[:i] + points[i + 1:])
+    V = [sum(q[r] for q in Q) for r in range(n)]
+    if any(sum(map(mul, p, V)) < scale * D for p in P):
+        raise InternalInvariantError("separator fails its check")
+    return ConicalVerdict(True, separator=tuple(Fraction(x, D) for x in V))
 
 
 def captured(subset: Sequence[Vec], normals: Sequence[Vec]) -> Iterator[Vec]:
@@ -145,5 +173,9 @@ def captured(subset: Sequence[Vec], normals: Sequence[Vec]) -> Iterator[Vec]:
 
 
 def is_primitive(subset: Sequence[Vec], all_normals: Sequence[Vec]) -> bool:
-    """Independent normals whose positive hull contains no other normal."""
-    return rank(subset) == len(subset) and not any(captured(subset, all_normals))
+    """Independent normals whose positive hull contains no other normal: no
+    normal's `coordinates` over them are all >= 0."""
+    _dimension([*subset, *all_normals])
+    found = coordinates(subset, [m for m in all_normals if m not in subset])
+    return found is not None and not any(
+        mu is not None and all(c >= 0 for c in mu) for mu, _ in found)

@@ -17,7 +17,8 @@ from polyillum.lp import solve_eq_nonneg
 from polyillum.polytope import NormalSet
 from polyillum.position import (captured, cone_membership, is_conical_position,
                                 is_primitive)
-from tests.conftest import (box, count_lps, set_n, simplex, simplex_product,
+from tests import position_reference as reference
+from tests.conftest import (box, count_lps, set_n, sign_vectors_26, simplex, simplex_product,
                             square_pyramid, valid_normal_sets)
 
 F = Fraction
@@ -244,7 +245,8 @@ class TestCaches:
 
 
 class TestCircuitPredicates:
-    """The bitmask predicates against the LP predicates of `position`."""
+    """The bitmask predicates against the predicates of `position` and the
+    LP form of `is_primitive`."""
 
     @settings(max_examples=60, deadline=None)
     @given(valid_normal_sets())
@@ -259,6 +261,7 @@ class TestCircuitPredicates:
                 if rank(subset) == size:
                     assert captures(mask, table) == bitmask(
                         N.normals.index(m) for m in captured(subset, N.normals))
+                assert primitive(mask, table) == reference.is_primitive(subset, N.normals)
                 assert primitive(mask, table) == is_primitive(subset, N.normals)
 
 
@@ -295,17 +298,26 @@ class TestLpWork:
     """Classification runs LPs only to re-check the certificates it emits."""
 
     @pytest.mark.parametrize("P,lps", [(box(3), 0), (box(4), 0), (simplex(4), 0),
-                                       (square_pyramid(), 12)],
+                                       (square_pyramid(), 1)],
                              ids=["box3", "box4", "simplex4", "pyramid"])
     def test_lp_solves(self, monkeypatch, P, lps):
-        # pyramid: 1 shared tableau (`signed_separators`, for the
-        # separator) and 4 `solve_eq_nonneg` membership LPs re-check the
-        # conical certificate, 1 `solve_eq_nonneg` its uncaptured normal,
-        # and 2 * 3 the primitivity of the two circuit halves
+        # pyramid: the conical certificate, four slants of rank 3, and the
+        # primitivity of the two circuit halves are re-checked by one
+        # elimination each; 1 `solve_eq_nonneg` re-checks that the base
+        # normal is not captured
         calls = count_lps(monkeypatch)
         clear_caches()
         classify_normal_set(P.normal_set)
         assert len(calls) == lps
+
+    @pytest.mark.parametrize("P", [set_n(), sign_vectors_26()], ids=["N", "sign_vectors_26"])
+    def test_mss_route_poses_no_lp(self, monkeypatch, P):
+        # both fail through a circuit with primitive halves, each re-checked
+        # by one elimination
+        calls = count_lps(monkeypatch)
+        clear_caches()
+        assert not check_monotypy_mss(P.normal_set)[0]
+        assert calls == []
 
     @pytest.mark.parametrize("N", [set_n().normal_set, square_pyramid().normal_set],
                              ids=["N", "pyramid"])

@@ -13,12 +13,13 @@ from polyillum.fan import (FanCone, enumerate_primitive_bases, is_complete_fan,
 from polyillum.generators import randomize_offsets
 from polyillum.kernel import rank, vadd, vec
 from polyillum.polytope import NormalSet
-from polyillum.position import cone_membership, is_primitive
+from polyillum.position import cone_membership
 from tests.conftest import (box, count_lps, hexagon, simplex, simplex_product,
                             square_pyramid, triangle, valid_normal_sets)
 from tests.fan_reference import per_cone_complete_fan
 from tests.oracle_reference import enumerate_direction_classes
 from tests.polytope_reference import masked, tight_normals, vneg, vsub, zero_vec
+from tests.position_reference import is_primitive as lp_primitive
 
 F = Fraction
 
@@ -116,7 +117,7 @@ def lp_primitive_bases(N):
     return tuple(FanCone(subset, bitmask(idx))
                  for idx in combinations(range(len(N.normals)), N.dim)
                  for subset in [tuple(N.normals[i] for i in idx)]
-                 if rank(subset) == N.dim and is_primitive(subset, N.normals))
+                 if rank(subset) == N.dim and lp_primitive(subset, N.normals))
 
 
 def interiors_meet(v1, v2):

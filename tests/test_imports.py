@@ -196,6 +196,15 @@ def test_only_the_kernel_names_its_row_reduction():
     assert ("kernel", "rank") not in imported_names(PACKAGE / "polytope.py")
 
 
+def test_primitivity_poses_no_lp():
+    # `is_primitive` reads every normal off one `kernel.coordinates`
+    tree = ast.parse((PACKAGE / "position.py").read_text(encoding="utf-8"))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "is_primitive")
+    assert not statement_names(body) & {"cone_membership", "captured", "_cone_query",
+                                        "solve_eq_nonneg"}
+
+
 def test_no_square_solve_is_defined():
     # a square system is read off `kernel.inverse`, in the walk's start scan
     defined = {node.name for p in MODULES for node in ast.walk(ast.parse(p.read_text(

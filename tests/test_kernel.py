@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from polyillum import kernel
 from polyillum.errors import InputError
-from polyillum.kernel import (circuits, dot, format_rational, inverse, parse_rational,
-                              primitive_form, rank, simplex_dependence, vec)
+from polyillum.kernel import (circuits, coordinates, dot, format_rational, inverse,
+                              parse_rational, primitive_form, rank, simplex_dependence, vec)
 from polyillum.lp import solve_eq_nonneg
 from polyillum.position import separator
 from tests import kernel_reference as reference
@@ -150,6 +150,48 @@ class TestRowsAndKernels:
         monkeypatch.setattr(kernel, "_row_reduce", counting)
         assert simplex_dependence([vec(1, 0), vec(0, 1), vec(-1, -1)]) is not None
         assert len(calls) == 1
+
+
+@st.composite
+def coordinate_questions(draw):
+    """(generators, targets) in R^1 to R^4: up to n + 1 generators and up
+    to 5 targets, with zero entries and fractions."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    vector = st.tuples(*[st.one_of(st.just(F(0)), st.fractions(
+        min_value=-4, max_value=4, max_denominator=3))] * n)
+    return (draw(st.lists(vector, max_size=n + 1)), draw(st.lists(vector, max_size=5)))
+
+
+class TestCoordinates:
+    @settings(max_examples=120, deadline=None)
+    @given(coordinate_questions())
+    def test_coefficients_in_the_span_and_a_separating_row_outside(self, question):
+        generators, targets = question
+        found = coordinates(generators, targets)
+        assert (found is None) == (rank(generators) < len(generators))
+        if found is None:
+            return
+        assert len(found) == len(targets)
+        for x, (mu, z) in zip(targets, found):
+            if rank([*generators, x]) == len(generators):
+                assert z is None
+                assert all(sum((c * g[r] for c, g in zip(mu, generators)), F(0)) == x[r]
+                           for r in range(len(x)))
+            else:
+                assert mu is None and all(isinstance(c, int) for c in z)
+                assert all(dot(g, z) == 0 for g in generators) and dot(x, z) != 0
+
+    def test_row_reduces_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_row_reduce")
+        assert coordinates([vec(1, 0, 1), vec(0, 1, 1)], [vec(1, 1, 2), vec(0, 0, 1)]) == [
+            ((F(1), F(1)), None), (None, (-1, -1, 1))]
+        assert len(calls) == 1
+
+    def test_dependent_generators_give_none(self):
+        assert coordinates([vec(1, 2), vec(2, 4)], [vec(1, 0)]) is None
+        assert coordinates([vec(0, 0)], []) is None
+        assert coordinates([], [vec(0, 0), vec(1, 0)]) == [((), None), (None, (1, 0))]
+        assert coordinates([], []) == []
 
 
 entries = st.one_of(

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyillum import position
+from polyillum import kernel, position
 from polyillum.errors import InputError, InternalInvariantError
 from polyillum.kernel import circuits, dot, rank, vec, vscale
 from polyillum.position import (cone_membership, farkas_direction, is_conical_position,
                                 is_primitive, separator, signed_separators)
+from tests import position_reference as reference
 from tests.conftest import count_lps, counting_bland
 from tests.oracle_reference import lifted_separator
 from tests.polytope_reference import zero_vec
@@ -66,14 +67,24 @@ class TestConicalPosition:
         assert verdict
         assert all(dot(p, verdict.separator) >= 1 for p in pts)
 
+    def test_pyramid_slants_pose_no_lp(self, monkeypatch):
+        # four points of rank 3: one dependence and one inverse decide them
+        lps = count_lps(monkeypatch)
+        assert is_conical_position(SLANTS)
+        assert lps == []
+
     def test_separates_on_the_shared_tableau(self, monkeypatch):
-        # one pivot per prefix of the all +1 sign vector, on the +p_j
-        # columns 2j; the membership LPs go to `solve_eq_nonneg`
-        pts = [vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)]
+        # four coplanar points in R^3 have rank 2, so they take the LPs: one
+        # pivot per prefix of the all +1 sign vector, on the +p_j columns
+        # 2j, then membership LPs in `solve_eq_nonneg` until the third,
+        # (1, 0, 1) / 2 + (-1, 0, 1) / 2, is found in the others' hull
+        pts = [vec(1, 0, 1), vec(-1, 0, 1), vec(0, 0, 1), vec(1, 0, 2)]
         pivots, lps = counting_bland(monkeypatch), count_lps(monkeypatch)
-        assert is_conical_position(pts)
+        verdict = is_conical_position(pts)
+        assert verdict.hull_member == vec(0, 0, 1)
+        assert verdict.hull_coefficients == (F(1, 2), F(1, 2), F(0))
         assert pivots == [(0,), (0, 2), (0, 2, 4), (0, 2, 4, 6)]
-        assert lps[0] == pts and len(lps) == 1 + len(pts)
+        assert lps[0] == pts and len(lps) == 1 + 3
 
     @settings(max_examples=60)
     @given(st.lists(nonzero_vec2, min_size=3, max_size=3))
@@ -144,8 +155,13 @@ def test_a_wrong_none_fails_its_substitution_check(monkeypatch):
 
 
 @pytest.mark.parametrize("ask", [lambda pts: list(signed_separators(pts, [3])),
-                                 separator, is_conical_position],
-                         ids=["signed_separators", "separator", "is_conical_position"])
+                                 separator, is_conical_position,
+                                 lambda pts: is_conical_position([*pts, vec(1, 1)]),
+                                 lambda pts: is_primitive(pts[:1], pts),
+                                 lambda pts: is_primitive(pts, [])],
+                         ids=["signed_separators", "separator", "is_conical_position",
+                              "is_conical_position_n_plus_1", "is_primitive_normals",
+                              "is_primitive_subset"])
 def test_ragged_points_are_an_input_error(ask):
     with pytest.raises(InputError, match="dimension mismatch in a cone question"):
         ask([vec(1, 0), vec(0, 1, 1)])
@@ -196,6 +212,183 @@ class TestPrimitivity:
 
     def test_dependent_not_primitive(self):
         assert not is_primitive([vec(1, 0), vec(-1, 0)], self.HEX)
+
+
+SLANTS = [vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)]
+
+# Fixed degenerate sets: zero dependence entries (conical, captured and one
+# signed), zero points, repeated directions, a dependence summing to
+# nonzero, four coplanar points in R^3 and sizes other than n + 1.
+DEGENERATE_SETS = [
+    [vec(1, 0, 1, 0), vec(-1, 0, 1, 0), vec(0, 1, 1, 0), vec(0, -1, 1, 0), vec(0, 0, 0, 1)],
+    [vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0), vec(0, 0, 1)],
+    [vec(1, 0), vec(-1, 0), vec(0, 1)],
+    [vec(0, 0), vec(1, 0), vec(0, 1)],
+    [vec(1, 0), vec(2, 0), vec(0, 1)],
+    [vec(1, 0), vec(-2, 0), vec(0, 1)],
+    [vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 2), vec(0, -1, 2)],
+    SLANTS,
+    [vec(1, 0, 1), vec(-1, 0, 1), vec(0, 0, 1), vec(1, 0, 2)],
+    [vec(1, 0, 1), vec(-1, 0, 1), vec(1, 0, 2), vec(-1, 0, 2)],
+    [vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1)],
+    SLANTS + [vec(1, 1, 1), vec(0, 0, 1)],
+    [vec(2)], [vec(1), vec(-1)], [vec(1), vec(2)], [vec(1), vec(0)], [vec(0)],
+]
+
+
+@st.composite
+def conical_questions(draw, balanced=False):
+    """Point sets in R^1 to R^4: n + 1 points with a dependence drawn with
+    zero entries, of one sign or alternating; n + 1 points of rank below
+    n, such as four coplanar points in R^3; or 1 to n + 3 points. Zero
+    points and repeated or opposite directions are mixed in. `balanced`
+    draws only n + 1 points in R^3 or R^4 with alternating signs, most of
+    them in conical position."""
+    dim = draw(st.integers(min_value=3 if balanced else 1, max_value=4))
+    point = st.tuples(*[st.one_of(st.just(F(0)), small_fraction)] * dim)
+    coefficient = st.integers(min_value=-2, max_value=2)
+    shape = "dependence" if balanced else draw(
+        st.sampled_from(["dependence", "dependence", "flat", "any"]))
+    if shape == "dependence":
+        # n points, triangular or free, and the last from the dependence
+        if draw(st.booleans()):
+            points = [tuple(F(r == j) if r <= j else draw(small_fraction) for r in range(dim))
+                      for j in range(dim)]
+        else:
+            points = draw(st.lists(point, min_size=dim, max_size=dim))
+        lam = draw(st.lists(st.sampled_from([1, 2, 0]), min_size=dim, max_size=dim))
+        if balanced or draw(st.booleans()):  # balanced from n = 3 on, but for zeros
+            lam = [c * (-1) ** j for j, c in enumerate(lam)]
+        last = draw(st.sampled_from([-2, -1, 1, 2]))
+        points.append(tuple(-sum(c * p[r] for c, p in zip(lam, points)) / last
+                            for r in range(dim)))
+    elif shape == "flat":
+        rank_ = draw(st.integers(min_value=0, max_value=dim - 1))
+        basis = draw(st.lists(point, min_size=rank_, max_size=rank_))
+        points = [tuple(F(sum(c * b[r] for c, b in zip(cs, basis))) for r in range(dim))
+                  for cs in draw(st.lists(st.lists(coefficient, min_size=rank_, max_size=rank_),
+                                          min_size=dim + 1, max_size=dim + 1))]
+    else:
+        points = draw(st.lists(point, min_size=1, max_size=dim + 3))
+    indices = st.integers(min_value=0, max_value=len(points) - 1)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i, j = draw(indices), draw(indices)
+        points[j] = vscale(draw(st.sampled_from([2, F(1, 2), -1])), points[i])
+    draw(st.randoms(use_true_random=False)).shuffle(points)
+    return points
+
+
+@st.composite
+def primitivity_questions(draw):
+    """(subset, normals) in R^1 to R^4: up to n + 1 of 1 to 7 drawn
+    vectors, with zero vectors, repeated directions and combinations of two
+    subset elements, nonnegative or not, among the normals."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    point = st.tuples(*[st.one_of(st.just(F(0)), small_fraction)] * dim)
+    normals = draw(st.lists(point, min_size=1, max_size=7))
+    indices = st.integers(min_value=0, max_value=len(normals) - 1)
+    subset = [normals[i] for i in draw(st.lists(indices, max_size=dim + 1, unique=True))]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        a, b = (draw(st.sampled_from([F(0), F(1), F(2), F(1, 2), F(-1)])) for _ in "ab")
+        g, h = (draw(st.sampled_from(subset)) for _ in "gh") if subset else (normals[0],) * 2
+        normals.append(tuple(a * x + b * y for x, y in zip(g, h)))
+    return subset, normals
+
+
+def conical_fields(verdict):
+    return (bool(verdict), verdict.not_separated, verdict.hull_member,
+            verdict.hull_coefficients)
+
+
+class TestAgainstTheLpReference:
+    """The linear-algebra re-checks against their LP forms in
+    `tests/position_reference.py`."""
+
+    @pytest.mark.parametrize("points", DEGENERATE_SETS)
+    def test_degenerate_conical_sets(self, points):
+        self.check_conical(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(conical_questions())
+    def test_conical_position(self, points):
+        self.check_conical(points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(conical_questions(balanced=True))
+    def test_balanced_dependences(self, points):
+        self.check_conical(points)
+
+    @staticmethod
+    def check_conical(points):
+        verdict = is_conical_position(points)
+        assert conical_fields(verdict) == conical_fields(reference.is_conical_position(points))
+        if verdict:
+            assert all(dot(p, verdict.separator) >= 1 for p in points)
+
+    @pytest.mark.parametrize("subset,normals", [
+        ([], []), ([], [vec(0, 0)]), ([], [vec(1, 0)]),
+        ([vec(1, 0), vec(0, 0)], [vec(1, 1)]),
+        ([vec(1, 0)], [vec(2, 0)]), ([vec(1, 0)], [vec(-1, 0)]),
+        ([vec(1, 0, 0), vec(0, 1, 0)], [vec(1, 1, 0), vec(0, 0, 1)]),
+        ([vec(1, 0, 0), vec(0, 1, 0)], [vec(1, -1, 0), vec(0, 0, 1)]),
+        *(([vec(1, 0), vec(1, 1)], [m]) for m in TestPrimitivity.HEX),
+    ])
+    def test_degenerate_primitivity(self, subset, normals):
+        assert is_primitive(subset, normals) == reference.is_primitive(subset, normals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(primitivity_questions())
+    def test_primitivity(self, question):
+        assert is_primitive(*question) == reference.is_primitive(*question)
+
+
+class TestRechecksAreExact:
+    """One corrupted entry of a linear-algebra answer is an internal error."""
+
+    @staticmethod
+    def corrupt_reduction(monkeypatch, row, column):
+        reduce = kernel._row_reduce
+
+        def corrupted(rows):
+            M, D, pivots = reduce(rows)
+            M = [list(r) for r in M]
+            M[row][column] += 1
+            return M, D, pivots
+
+        monkeypatch.setattr(kernel, "_row_reduce", corrupted)
+
+    def test_a_corrupted_coefficient(self, monkeypatch):
+        # [g1 g2 | x | I] reduces to [I | (1, 1) | I]: x = g1 + g2
+        self.corrupt_reduction(monkeypatch, 0, 2)
+        with pytest.raises(InternalInvariantError, match="coordinates fail"):
+            is_primitive([vec(1, 0), vec(0, 1)], [vec(1, 1)])
+
+    def test_a_corrupted_separating_row(self, monkeypatch):
+        # [g | x | I] = [(1, 0) | (0, 1) | I]: z = (0, 1), row 1 of I, and
+        # its first entry becomes 1
+        self.corrupt_reduction(monkeypatch, 1, 2)
+        with pytest.raises(InternalInvariantError, match="separating row fails"):
+            is_primitive([vec(1, 0)], [vec(0, 1)])
+
+    def test_a_corrupted_dependence(self, monkeypatch):
+        dependence = position.simplex_dependence
+        monkeypatch.setattr(position, "simplex_dependence",
+                            lambda points: (dependence(points)[0] + 1, *dependence(points)[1:]))
+        with pytest.raises(InternalInvariantError, match="dependence fails"):
+            is_conical_position(SLANTS)
+
+    def test_a_corrupted_separator(self, monkeypatch):
+        # each slant has third entry 1, so lowering the third entry of v
+        # takes <p, v> below 1 at the points of B
+        inverse = position.inverse
+
+        def corrupted(rows):
+            Q, D = inverse(rows)
+            return ((*Q[0][:2], Q[0][2] - 1), *Q[1:]), D
+
+        monkeypatch.setattr(position, "inverse", corrupted)
+        with pytest.raises(InternalInvariantError, match="separator fails"):
+            is_conical_position(SLANTS)
 
 
 def random_fraction(rnd):
