@@ -8,10 +8,16 @@ alternative and conformal decomposition into circuits, Rockafellar
 - S is independent iff no circuit lies inside S;
 - a normal m outside S lies in pos(S) iff m is the only element of one
   sign of a circuit inside S + {m} (S *captures* m);
-- S is primitive iff it is independent and captures nothing.
+- S is primitive iff it is independent and captures nothing;
+- S is in conical position iff every circuit inside it is balanced, with
+  two or more elements of each sign: else the origin or one point of S
+  lies in the positive hull of the others.
 
-Monotypy is decided by two routes that `classify_normal_set` cross-checks:
-the conical-position-with-captured-normal test, and the disjoint-primitive-
+So each listing of subsets is one search, `avoiding`, for the masks S
+with no S & support == pattern over some circuits (Avis and Fukuda,
+*Reverse search for enumeration*, 1996): no C(m, k) scan. Monotypy is
+decided by two routes that `classify_normal_set` cross-checks: the
+conical-position-with-captured-normal test, and the disjoint-primitive-
 subsets test. Each emitted certificate is re-checked once by the
 predicates of `position`. A NormalSet positively spans by construction,
 so no verdict validates its input again. Verdicts depend only on the
@@ -22,8 +28,8 @@ NormalSet.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations
 from math import comb
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InternalInvariantError, ScaleLimitError
@@ -87,39 +93,54 @@ def captures(mask: int, table: tuple[Circuit, ...]) -> int:
     """Bitmask of the normals outside `mask` that lie in the positive hull
     of the normals inside it: each is the only element of one sign of a
     circuit whose other elements lie inside `mask`."""
-    found = 0
-    for c in table:
-        for lone, rest in ((c.plus, c.minus), (c.minus, c.plus)):
-            if (lone and lone & (lone - 1) == 0 and not lone & mask
-                    and rest & ~mask == 0):
-                found |= lone
-    return found
+    return reduce(or_, (s ^ rest for s, rest in capture_patterns(table) if mask & s == rest), 0)
 
 
-def primitive(mask: int, table: tuple[Circuit, ...]) -> bool:
-    """Independent normals whose positive hull holds no other normal."""
-    return not any(circuits_inside(mask, table)) and not captures(mask, table)
+def capture_patterns(table: tuple[Circuit, ...]) -> Iterator[tuple[int, int]]:
+    """(support, rest) for each circuit with a single element of one sign and
+    rest the other sign: a mask with `mask & support == rest` captures it."""
+    return ((c.plus | c.minus, rest) for c in table
+            for lone, rest in ((c.plus, c.minus), (c.minus, c.plus))
+            if lone and lone & (lone - 1) == 0)
 
 
-def _balanced(c: Circuit) -> bool:
-    return c.plus.bit_count() >= 2 and c.minus.bit_count() >= 2
+def _unbalanced(table: tuple[Circuit, ...]) -> list[tuple[int, int]]:
+    """(support, support) for each circuit with fewer than two elements of
+    one sign: a mask in conical position holds none of their supports."""
+    return [(c.plus | c.minus,) * 2 for c in table
+            if c.plus.bit_count() < 2 or c.minus.bit_count() < 2]
 
 
-def _conical_subsets(N: NormalSet) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The (n+1)-subsets in conical position, as index tuples and bitmasks,
-    in `combinations` order.
+def avoiding(m: int, patterns: Iterable[tuple[int, int]],
+             size: Optional[int] = None) -> Iterator[int]:
+    """Lazily, the masks over range(m), with `size` bits if given, that have
+    `mask & support != pattern` for every pair, in `product((1, 0))` order
+    (for a size, `combinations` order). A prefix is dropped once it matches
+    a pair whose highest support bit it has just set, or has too many or
+    too few bits."""
+    filed = [[] for _ in range(m)]
+    for support, pattern in patterns:
+        filed[support.bit_length() - 1].append((support, pattern))
+    low, high = (-m, m) if size is None else (size - m, size)
+    stack = [(0, 0)]
+    while stack:
+        k, prefix = stack.pop()
+        if k == m:
+            yield prefix
+            continue
+        for p in (prefix, prefix | 1 << k):  # pushed unset first, so set comes first
+            if low + k < p.bit_count() <= high:
+                for s, t in filed[k]:
+                    if p & s == t:
+                        break
+                else:
+                    stack.append((k + 1, p))
 
-    A subset is strictly separated from the origin iff no circuit inside it
-    has a single sign, and none of its points lies in the positive hull of
-    the others iff no circuit inside it has a single element of one sign.
-    So it is in conical position iff every circuit inside it is balanced,
-    with at least two positive and two negative signs.
-    """
-    unbalanced = [c.plus | c.minus for c in circuit_table(N) if not _balanced(c)]
-    for idx in combinations(range(len(N.normals)), N.dim + 1):
-        mask = bitmask(idx)
-        if not any(mask & support == support for support in unbalanced):
-            yield idx, mask
+
+def _first(N: NormalSet, patterns: list[tuple[int, int]]) -> Optional[tuple[Vec, ...]]:
+    """The first (n+1)-subset of the normals that matches no pattern."""
+    mask = next(avoiding(len(N.normals), patterns, N.dim + 1), None)
+    return None if mask is None else tuple(x for i, x in enumerate(N.normals) if mask >> i & 1)
 
 
 @lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
@@ -132,15 +153,16 @@ def check_strong_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertifica
     normals by adding normals outside its span, so N is strongly monotypic
     iff it has no balanced circuit.
     """
-    if not any(_balanced(c) for c in circuit_table(N)):
+    table = circuit_table(N)
+    unbalanced = _unbalanced(table)
+    if len(unbalanced) == len(table):
         return True, None
-    for idx, _ in _conical_subsets(N):
-        subset = tuple(N.normals[i] for i in idx)
-        if not is_conical_position(subset):
-            raise InternalInvariantError(
-                "subset without an unbalanced circuit is not in conical position")
-        return False, subset
-    raise InternalInvariantError("balanced circuit extends to no conical (n+1)-subset")
+    if (subset := _first(N, unbalanced)) is None:
+        raise InternalInvariantError("balanced circuit extends to no conical (n+1)-subset")
+    if not is_conical_position(subset):
+        raise InternalInvariantError(
+            "subset without an unbalanced circuit is not in conical position")
+    return False, subset
 
 
 @lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
@@ -156,16 +178,12 @@ def check_monotypy(N: NormalSet) -> tuple[bool, Optional[ConicalCertificate]]:
     if strong:
         return True, None
     table = circuit_table(N)
-    for idx, mask in _conical_subsets(N):
-        if captures(mask, table):
-            continue
-        subset = tuple(N.normals[i] for i in idx)
-        if ((subset != first_conical and not is_conical_position(subset))
-                or any(captured(subset, N.normals))):
-            raise InternalInvariantError(
-                "uncaptured conical subset fails its re-check")
-        return False, subset
-    return True, None
+    if (subset := _first(N, [*_unbalanced(table), *capture_patterns(table)])) is None:
+        return True, None
+    if ((subset != first_conical and not is_conical_position(subset))
+            or any(captured(subset, N.normals))):
+        raise InternalInvariantError("uncaptured conical subset fails its re-check")
+    return False, subset
 
 
 @lru_cache(maxsize=NORMAL_SET_CACHE_SIZE)
@@ -191,16 +209,14 @@ def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
     table = circuit_table(N)
     primitive_half = lru_cache(maxsize=None)(lambda mask: not captures(mask, table))
     for c in table:
-        if not (c.plus and c.minus and primitive_half(c.plus)
-                and primitive_half(c.minus)):
-            continue
-        v1 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu > 0)
-        v2 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu < 0)
-        if not (is_primitive(v1, N.normals) and is_primitive(v2, N.normals)):
-            raise InternalInvariantError("circuit halves fail their primitivity re-check")
-        point = reduce(vadd, (vscale(mu, N.normals[i])
-                              for i, mu in zip(c.indices, c.dependence) if mu > 0))
-        return False, (v1, v2, point)
+        if c.plus and c.minus and primitive_half(c.plus) and primitive_half(c.minus):
+            v1 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu > 0)
+            v2 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu < 0)
+            if not (is_primitive(v1, N.normals) and is_primitive(v2, N.normals)):
+                raise InternalInvariantError("circuit halves fail their primitivity re-check")
+            point = reduce(vadd, (vscale(mu, N.normals[i])
+                                  for i, mu in zip(c.indices, c.dependence) if mu > 0))
+            return False, (v1, v2, point)
     return True, None
 
 

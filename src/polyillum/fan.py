@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .classify import (NORMAL_SET_CACHE_SIZE, bitmask, check_monotypy, circuit_table,
-                       circuits_inside, primitive)
+from .classify import (NORMAL_SET_CACHE_SIZE, avoiding, capture_patterns, check_monotypy,
+                       circuit_table, circuits_inside)
 from .errors import InputError
 from .kernel import Vec, format_vector
 from .polytope import HPolytope, NormalSet, Vertex
@@ -36,9 +35,9 @@ def enumerate_primitive_bases(N: NormalSet) -> tuple[FanCone, ...]:
     the canonical normal order. Each spans a pointed full-dimensional
     simplicial cone."""
     table = circuit_table(N)
-    return tuple(FanCone(tuple(N.normals[i] for i in idx), mask)
-                 for idx in combinations(range(len(N.normals)), N.dim)
-                 if primitive(mask := bitmask(idx), table))
+    patterns = [*((c.plus | c.minus,) * 2 for c in table), *capture_patterns(table)]
+    return tuple(FanCone(tuple(m for i, m in enumerate(N.normals) if mask >> i & 1), mask)
+                 for mask in avoiding(len(N.normals), patterns, N.dim))
 
 
 def normal_fan(P: HPolytope) -> tuple[FanCone, ...]:

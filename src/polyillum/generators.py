@@ -43,21 +43,14 @@ def simplex_product_normals(dims) -> list[tuple[Fraction, ...]]:
     normals = []
     offset = 0
     for d in dims:
-        for i in range(d):
-            normals.append(_unit(total, offset + i))
+        normals.extend(_unit(total, offset + i) for i in range(d))
         normals.append(tuple(Fraction(-1 if offset <= j < offset + d else 0)
                              for j in range(total)))
         offset += d
     return normals
 
 
-SQUARE_PYRAMID_NORMALS = [
-    (Fraction(0), Fraction(0), Fraction(-1)),
-    (Fraction(1), Fraction(0), Fraction(1)),
-    (Fraction(-1), Fraction(0), Fraction(1)),
-    (Fraction(0), Fraction(1), Fraction(1)),
-    (Fraction(0), Fraction(-1), Fraction(1)),
-]
+SQUARE_PYRAMID_NORMALS = [(0, 0, -1), (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
 
 
 def generate(family: str, dims: tuple[int, ...] = ()) -> HPolytope:

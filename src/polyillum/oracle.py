@@ -5,10 +5,9 @@ products with the tight normals, so directions are quantified over the
 full-dimensional cells of the central hyperplane arrangement of the
 normals. A sign vector is a cell exactly when no circuit (minimal
 dependent subset) of the normals has signs that agree with it, or with
-its negation, on the circuit's support (Gordan's alternative). A search
-over sign prefixes, +1 before -1, drops a prefix once a circuit of the
-table of `classify` within it agrees with it (Avis and Fukuda, *Reverse
-search for enumeration*, 1996), with no LP. A vertex is lit in the cell
+its negation, on the circuit's support (Gordan's alternative): the +1
+masks of the cells are the search `classify.avoiding` lists with both
+sign patterns of every circuit, +1 before -1, with no LP. A vertex is lit in the cell
 exactly when its tight normals all have sign +1, so its lit set is read
 off bitmasks: the vertex's tight-normal mask lies inside the cell's
 positive-sign mask. Exhaustive set cover over the cells gives the true
@@ -26,31 +25,24 @@ from math import ceil
 from operator import or_
 from typing import Iterator, Sequence
 
-from .classify import bitmask, circuit_table
+from .classify import avoiding, bitmask, circuit_table
 from .errors import InternalInvariantError, ScaleLimitError
 from .kernel import Vec
-from .polytope import HPolytope
+from .polytope import HPolytope, NormalSet
 from .position import signed_separators
 
 CELL_GUARD = 10 ** 6
 
 
-def _cells(P: HPolytope) -> list[int]:
+def _cells(N: NormalSet) -> list[int]:
     """The +1 mask of every full-dimensional cell, in `product((1, -1))`
-    order, decided over the circuit table alone."""
-    m = len(P.normal_set.normals)
+    order: no circuit's signs or their negation agree with its signs."""
+    m = len(N.normals)
     if 2 ** m > CELL_GUARD:
         raise ScaleLimitError(
             f"2^{m} sign vectors exceed the cell guard ({CELL_GUARD})")
-    # a circuit is tested once its last normal has a sign
-    filed = [[] for _ in range(m)]
-    for c in circuit_table(P.normal_set):
-        filed[(c.plus | c.minus).bit_length() - 1].append((c.plus | c.minus, c.plus, c.minus))
-    prefixes = [0]
-    for k in range(m):
-        prefixes = [p for q in prefixes for p in (q | 1 << k, q)
-                    if not any(p & support in (plus, minus) for support, plus, minus in filed[k])]
-    return prefixes
+    return list(avoiding(m, [(c.plus | c.minus, sign) for c in circuit_table(N)
+                             for sign in (c.plus, c.minus)]))
 
 
 def _certified(P: HPolytope, cells: Sequence[int]) -> Iterator[tuple[int, Vec]]:
@@ -76,7 +68,7 @@ def min_illumination_number(P: HPolytope) -> tuple[int, tuple[Vec, ...]]:
     a real cover. The circuit-decided cells contain every real cell, so
     no smaller cover exists, and k is the minimum.
     """
-    cells = _cells(P)
+    cells = _cells(P.normal_set)
     # a direction in the cell has <n_i, x> > 0 exactly when s_i == 1
     sets = [bitmask(i for i, v in enumerate(P.vertices) if v.mask & pos == v.mask)
             for pos in cells]

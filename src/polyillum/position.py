@@ -35,10 +35,12 @@ def _cone_query(x: Vec, generators: Sequence[Vec]):
 
 
 def _dimension(vectors: Sequence[Vec]) -> int:
-    """The common length of the vectors, 0 if there are none."""
+    """The common length of the vectors, which is positive, 0 if there are none."""
     n = len(vectors[0]) if vectors else 0
     if any(len(v) != n for v in vectors):
         raise InputError("dimension mismatch in a cone question")
+    if vectors and not n:
+        raise InputError("a cone question needs vectors of positive length")
     return n
 
 

@@ -38,10 +38,7 @@ class Skeleton(NamedTuple):
 
     @property
     def product_of_part_sizes(self) -> int:
-        q = 1
-        for part in self.parts:
-            q *= len(part)
-        return q
+        return reduce(mul, map(len, self.parts), 1)
 
 
 def refine_basis(N: NormalSet) -> tuple[tuple[Vec, ...], tuple, tuple]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -121,6 +122,26 @@ def valid_normal_sets(draw, dims=(2, 3)):
         vectors = [[rnd.randint(-2, 2) for _ in range(dim)] for _ in range(size)]
         try:
             return NormalSet.from_vectors(dim, vectors).normals
+        except InputError:
+            continue
+
+
+@st.composite
+def fractional_polytopes(draw, dims=(2, 3, 4)):
+    """A polytope in R^n, n drawn from dims, with up to n + 5 normals whose
+    entries have denominators up to 3, and offsets close to the normals'
+    lengths, so that no facet is redundant. Invalid draws are redrawn from
+    a stream seeded by hypothesis."""
+    dim = draw(st.sampled_from(dims))
+    size = draw(st.integers(min_value=dim + 1, max_value=dim + 5))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    while True:
+        vectors = [[Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(dim)]
+                   for _ in range(size)]
+        try:
+            N = NormalSet.from_vectors(dim, vectors)
+            return HPolytope(N, tuple(Fraction(round(1000 * math.hypot(*map(float, m))), 1000)
+                                      for m in N.normals))
         except InputError:
             continue
 

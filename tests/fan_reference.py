@@ -2,18 +2,30 @@
 the reference it is compared against: the same wall test, then one
 `simplex_dependence` per cone, which writes the sum of the first cone's
 generators over that cone's generators afresh, where the package carries
-it from cone to cone across the walls."""
+it from cone to cone across the walls. And the scan of every n-subset
+that `polyillum.fan.enumerate_primitive_bases` replaced by a search over
+the circuit table."""
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import combinations
 from typing import Sequence
 
-from polyillum.classify import circuit_table, circuits_inside
+from polyillum.classify import bitmask, circuit_table, circuits_inside
 from polyillum.fan import FanCone
 from polyillum.kernel import simplex_dependence, vadd
 from polyillum.polytope import NormalSet
+from tests.classify_reference import primitive
 from tests.polytope_reference import zero_vec
+
+
+def scanned_primitive_bases(N: NormalSet) -> tuple[FanCone, ...]:
+    """Every n-subset that `primitive` accepts, in `combinations` order."""
+    table = circuit_table(N)
+    return tuple(FanCone(tuple(N.normals[i] for i in idx), mask)
+                 for idx in combinations(range(len(N.normals)), N.dim)
+                 if primitive(mask := bitmask(idx), table))
 
 
 def per_cone_complete_fan(N: NormalSet, cones: Sequence[FanCone]) -> bool:

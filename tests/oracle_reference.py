@@ -1,10 +1,11 @@
 """The references `polyillum.oracle` and `polyillum.position` are compared
 against: the scan of all 2^m sign vectors the oracle's cell search
 replaced, each tested against every circuit, with one lifted separator LP
-per cell it keeps; the enumeration of every cell with its certified
-representative and lit set; and the cover search over that enumeration
-that the oracle's minimum, which certifies only the cells of the cover it
-prints, replaced."""
+per cell it keeps; the level-by-level search over sign prefixes that the
+shared search `polyillum.classify.avoiding` replaced; the enumeration of
+every cell with its certified representative and lit set; and the cover
+search over that enumeration that the oracle's minimum, which certifies
+only the cells of the cover it prints, replaced."""
 
 from __future__ import annotations
 
@@ -49,6 +50,22 @@ def cell_sign_vectors(N: NormalSet) -> Iterator[tuple[int, ...]]:
             yield signs
 
 
+def level_cells(N: NormalSet) -> list[int]:
+    """The +1 mask of every cell, in `product((1, -1))` order: all prefixes
+    of one length at a time, each extended by +1 then -1 at the next
+    normal, and dropped once it, or its negation, agrees on the support of
+    a circuit whose last normal is the one just signed."""
+    m = len(N.normals)
+    filed = [[] for _ in range(m)]
+    for c in circuit_table(N):
+        filed[(c.plus | c.minus).bit_length() - 1].append((c.plus | c.minus, c.plus, c.minus))
+    prefixes = [0]
+    for k in range(m):
+        prefixes = [p for q in prefixes for p in (q | 1 << k, q)
+                    if not any(p & support in (plus, minus) for support, plus, minus in filed[k])]
+    return prefixes
+
+
 def cell_separators(N: NormalSet) -> list[tuple[tuple[int, ...], tuple]]:
     """(signs, `lifted_separator` of the signed normals) for every cell, in order."""
     return [(signs, lifted_separator([m if s > 0 else vneg(m)
@@ -68,7 +85,7 @@ def enumerate_direction_classes(P: HPolytope) -> tuple[DirectionClass, ...]:
     sign +1 in the cell."""
     return tuple(DirectionClass(rep, tuple(i for i, v in enumerate(P.vertices)
                                            if v.mask & pos == v.mask))
-                 for pos, rep in oracle._certified(P, oracle._cells(P)))
+                 for pos, rep in oracle._certified(P, oracle._cells(P.normal_set)))
 
 
 def min_illumination_number(P: HPolytope):

@@ -1,28 +1,34 @@
+import json
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from polyillum import classify, lp, position
-from polyillum.classify import (NORMAL_SET_CACHE_SIZE, bitmask, captures,
-                                check_monotypy, check_monotypy_mss,
+from polyillum import classify, lp, oracle, position
+from polyillum.classify import (NORMAL_SET_CACHE_SIZE, avoiding, bitmask, capture_patterns,
+                                captures, check_monotypy, check_monotypy_mss,
                                 check_strong_monotypy, circuit_table,
-                                circuits_inside, classify_normal_set, primitive)
+                                circuits_inside, classify_normal_set)
 from polyillum.errors import InternalInvariantError, ScaleLimitError
+from polyillum.fan import enumerate_primitive_bases
 from polyillum.kernel import rank, vec, vscale
 from polyillum.lp import solve_eq_nonneg
 from polyillum.polytope import NormalSet
 from polyillum.position import (captured, cone_membership, is_conical_position,
                                 is_primitive)
+from tests import classify_reference, fan_reference, oracle_reference
 from tests import position_reference as reference
-from tests.conftest import (box, count_lps, set_n, sign_vectors_26, simplex, simplex_product,
-                            square_pyramid, valid_normal_sets)
+from tests.conftest import (box, count_lps, fractional_polytopes, hexagon, set_n,
+                            sign_vectors_26, simplex, simplex_product, square_pyramid,
+                            valid_normal_sets)
 
 F = Fraction
 
+GOLDEN = Path(__file__).parent / "golden"
 PYRAMID_CERT = {vec(1, 0, 1), vec(-1, 0, 1), vec(0, 1, 1), vec(0, -1, 1)}
 
 
@@ -245,8 +251,9 @@ class TestCaches:
 
 
 class TestCircuitPredicates:
-    """The bitmask predicates against the predicates of `position` and the
-    LP form of `is_primitive`."""
+    """The bitmask predicates, and the primitivity test the fan's scan
+    called, against the predicates of `position` and the LP form of
+    `is_primitive`."""
 
     @settings(max_examples=60, deadline=None)
     @given(valid_normal_sets())
@@ -261,8 +268,107 @@ class TestCircuitPredicates:
                 if rank(subset) == size:
                     assert captures(mask, table) == bitmask(
                         N.normals.index(m) for m in captured(subset, N.normals))
-                assert primitive(mask, table) == reference.is_primitive(subset, N.normals)
-                assert primitive(mask, table) == is_primitive(subset, N.normals)
+                primitive = classify_reference.primitive(mask, table)
+                assert primitive == reference.is_primitive(subset, N.normals)
+                assert primitive == is_primitive(subset, N.normals)
+
+
+def product_order(m):
+    """Every mask over range(m), in `product((1, 0))` order."""
+    return [sum(b << i for i, b in enumerate(bits)) for bits in product((1, 0), repeat=m)]
+
+
+@st.composite
+def pattern_sets(draw):
+    """m, and (support, pattern) pairs over range(m), each pattern inside
+    its nonzero support."""
+    m = draw(st.integers(min_value=1, max_value=8))
+    supports = st.integers(min_value=1, max_value=2 ** m - 1)
+    pairs = draw(st.lists(supports.flatmap(lambda s: st.tuples(
+        st.just(s), st.integers(min_value=0, max_value=s).map(lambda p: p & s))), max_size=8))
+    return m, pairs
+
+
+def subset_of(N, mask):
+    return tuple(x for i, x in enumerate(N.normals) if mask >> i & 1)
+
+
+def assert_listings_match_the_scans(N):
+    """The conical subsets, the uncaptured ones, the primitive bases and
+    the cells, each from the search, equal the reference scan's list, and
+    the certificates are the first of those lists."""
+    table, m = circuit_table(N), len(N.normals)
+    conical = list(avoiding(m, classify._unbalanced(table), N.dim + 1))
+    assert conical == classify_reference.conical_subsets(N)
+    uncaptured = list(avoiding(m, [*classify._unbalanced(table), *capture_patterns(table)],
+                               N.dim + 1))
+    assert uncaptured == classify_reference.uncaptured_conical_subsets(N)
+    assert check_strong_monotypy(N) == (
+        (False, subset_of(N, conical[0])) if conical else (True, None))
+    assert check_monotypy(N) == (
+        (False, subset_of(N, uncaptured[0])) if uncaptured else (True, None))
+    assert enumerate_primitive_bases(N) == fan_reference.scanned_primitive_bases(N)
+    assert oracle._cells(N) == oracle_reference.level_cells(N)
+
+
+class TestPatternSearch:
+    """One search over prefixes lists what the scans it replaced list, in
+    their order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pattern_sets(), st.one_of(st.none(), st.integers(min_value=0, max_value=8)))
+    def test_lists_the_masks_that_match_no_pattern(self, drawn, size):
+        m, pairs = drawn
+        assert list(avoiding(m, pairs, size)) == [
+            mask for mask in product_order(m)
+            if all(mask & s != p for s, p in pairs)
+            and (size is None or mask.bit_count() == size)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_normal_sets(dims=(2, 3, 4)))
+    def test_matches_the_scans_on_random_normal_sets(self, normals):
+        assert_listings_match_the_scans(NormalSet.from_vectors(len(normals[0]), normals))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fractional_polytopes())
+    def test_matches_the_scans_on_random_fractional_normals(self, P):
+        assert_listings_match_the_scans(P.normal_set)
+
+    @pytest.mark.parametrize("P", [square_pyramid(), set_n(), hexagon(), box(3),
+                                   simplex(3), simplex_product([2, 1])],
+                             ids=["pyramid", "N", "hexagon", "box3", "simplex3", "sp21"])
+    def test_matches_the_scans_on_fixed_sets(self, P):
+        assert_listings_match_the_scans(P.normal_set)
+
+    def test_sign_vectors_26(self):
+        # 2,052 of the C(26, 4) = 14,950 subsets are in conical position;
+        # the first is the pinned certificate of both conical routes
+        N = sign_vectors_26().normal_set
+        conical = list(avoiding(26, classify._unbalanced(circuit_table(N)), 4))
+        assert len(conical) == 2052
+        assert conical == classify_reference.conical_subsets(N)
+        pinned = json.loads((GOLDEN / "classify_sign_vectors_26.json").read_text())
+        verdict = classify_normal_set(N)
+        assert (verdict.strongly_monotypic, verdict.monotypic) == (
+            pinned["strongly_monotypic"], pinned["monotypic"])
+        for cert, name in ((verdict.strong_certificate, "conical_subset"),
+                           (verdict.mono_certificate, "uncaptured_conical_subset")):
+            assert cert == subset_of(N, conical[0])
+            assert [[str(x) for x in v] for v in cert] == pinned["certificates"][name]
+
+    def test_box10_primitive_bases(self):
+        # the 2^10 orthants, in `combinations` order
+        N = box(10).normal_set
+        bases = enumerate_primitive_bases(N)
+        assert len(bases) == 1024
+        assert bases == fan_reference.scanned_primitive_bases(N)
+
+    def test_is_lazy(self):
+        # C(200, 3) masks in all, and C(200, 100) > 10^58 with 100 bits:
+        # each first mask is found down one path of the search
+        assert next(avoiding(200, [], 3)) == 0b111
+        assert next(avoiding(200, [], 100)) == 2 ** 100 - 1
+        assert next(avoiding(200, [(0b11, 0b11)], 3)) == 0b1101
 
 
 class TestRechecks:

@@ -122,6 +122,13 @@ def test_fan_decides_without_an_lp():
     assert not modules & {"lp", "position"}
 
 
+@pytest.mark.parametrize("name", ["classify.py", "fan.py"])
+def test_subsets_come_from_the_pattern_search(name):
+    # conical subsets, uncaptured subsets and primitive bases are each one
+    # `classify.avoiding` search over the circuit table, not a C(m, k) scan
+    assert ("itertools", "combinations") not in imported_names(PACKAGE / name)
+
+
 def points_scaled_to_ints(source: str) -> list[int]:
     """The lines of the calls to `_integers` with a `.point` in their arguments."""
     return [node.lineno for node in ast.walk(ast.parse(source))

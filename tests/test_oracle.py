@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,8 +14,9 @@ from polyillum.kernel import dot, vec, vscale
 from polyillum.oracle import min_illumination_number
 from polyillum.polytope import HPolytope, NormalSet
 from tests import oracle_reference
-from tests.conftest import (box, count_lps, counting_bland, hexagon, n_over_apex, simplex,
-                            simplex_product, square_pyramid, triangle, valid_normal_sets)
+from tests.conftest import (box, count_lps, counting_bland, fractional_polytopes, hexagon,
+                            n_over_apex, simplex, simplex_product, square_pyramid, triangle,
+                            valid_normal_sets)
 from tests.oracle_reference import (cell_separators, cell_sign_vectors,
                                     enumerate_direction_classes, lifted_separator)
 from tests.polytope_reference import tight_normals
@@ -35,26 +35,6 @@ def assert_lit_sets_match_definition(P):
         assert c.illuminated == tuple(
             i for i, v in enumerate(P.vertices)
             if all(dot(m, c.representative) > 0 for m in tight_normals(P, v.point)))
-
-
-@st.composite
-def fractional_polytopes(draw, dims=(2, 3, 4)):
-    """A polytope in R^n, n drawn from dims, with up to n + 5 normals whose
-    entries have denominators up to 3, and offsets close to the normals'
-    lengths, so that no facet is redundant. Invalid draws are redrawn from
-    a stream seeded by hypothesis."""
-    dim = draw(st.sampled_from(dims))
-    size = draw(st.integers(min_value=dim + 1, max_value=dim + 5))
-    rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-    while True:
-        vectors = [[F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(dim)]
-                   for _ in range(size)]
-        try:
-            N = NormalSet.from_vectors(dim, vectors)
-            return HPolytope(N, tuple(F(round(1000 * math.hypot(*map(float, m))), 1000)
-                                      for m in N.normals))
-        except InputError:
-            continue
 
 
 def assert_optimal_directions_illuminate(P):

@@ -175,6 +175,19 @@ def test_no_points_are_an_input_error(ask):
         ask([])
 
 
+@pytest.mark.parametrize("ask", [lambda pts: list(signed_separators(pts, [1])),
+                                 lambda pts: list(signed_separators(pts * 2, [1, 2])),
+                                 separator, lambda pts: separator(pts * 2),
+                                 is_conical_position, lambda pts: is_conical_position(pts * 2)],
+                         ids=["signed_separators", "signed_separators_two", "separator",
+                              "separator_two", "is_conical_position",
+                              "is_conical_position_two"])
+def test_zero_length_points_are_an_input_error(ask):
+    # not a ValueError from slicing the integer columns by a step of 0
+    with pytest.raises(InputError, match="vectors of positive length"):
+        ask([()])
+
+
 class TestConeMembership:
     def test_member(self):
         assert cone_membership(vec(1, 1), [vec(1, 0), vec(0, 1)]) == (F(1), F(1))
