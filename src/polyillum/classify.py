@@ -27,9 +27,9 @@ NormalSet.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
-from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InternalInvariantError, ScaleLimitError
@@ -56,8 +56,9 @@ class ClassificationVerdict(NamedTuple):
 
 
 class Circuit(NamedTuple):
+    """A circuit, with its dependence as the coprime ints of `kernel.circuits`."""
     indices: tuple[int, ...]
-    dependence: Vec
+    dependence: tuple[int, ...]
     plus: int   # index bitmask of the normals with a positive coefficient
     minus: int  # index bitmask of the normals with a negative coefficient
 
@@ -79,9 +80,13 @@ def circuit_table(N: NormalSet) -> tuple[Circuit, ...]:
     """The circuits of the normals, in the order of `kernel.circuits`,
     each with the bitmasks of its positive and its negative elements."""
     _guard(N)
-    return tuple(Circuit(idx, mu, plus, bitmask(idx) ^ plus)  # no coefficient is zero
-                 for idx, mu in circuits(N.normals)
-                 for plus in (bitmask(i for i, c in zip(idx, mu) if c.numerator > 0),))
+    table = []
+    for idx, mu in circuits(N.normals):
+        signs = [0, 0]  # plus, minus: no coefficient is zero
+        for i, c in zip(idx, mu):
+            signs[c < 0] |= 1 << i
+        table.append(Circuit(idx, mu, *signs))
+    return tuple(table)
 
 
 def circuits_inside(mask: int, table: tuple[Circuit, ...]) -> Iterator[Circuit]:
@@ -89,11 +94,22 @@ def circuits_inside(mask: int, table: tuple[Circuit, ...]) -> Iterator[Circuit]:
     return (c for c in table if (c.plus | c.minus) & ~mask == 0)
 
 
-def captures(mask: int, table: tuple[Circuit, ...]) -> int:
-    """Bitmask of the normals outside `mask` that lie in the positive hull
-    of the normals inside it: each is the only element of one sign of a
-    circuit whose other elements lie inside `mask`."""
-    return reduce(or_, (s ^ rest for s, rest in capture_patterns(table) if mask & s == rest), 0)
+def capture_index(table: tuple[Circuit, ...]) -> dict[int, int]:
+    """Per `rest` of the capture patterns, the bitmask of its lone elements."""
+    index: dict[int, int] = {}
+    for support, rest in capture_patterns(table):
+        index[rest] = index.get(rest, 0) | support ^ rest
+    return index
+
+
+def captures(mask: int, index: dict[int, int]) -> int:
+    """Bitmask of the normals outside `mask` in the positive hull of those
+    inside it: each is the lone element of one sign of a circuit whose
+    other sign is a submask of `mask`, in that submask's index entry."""
+    found, sub = 0, mask
+    while sub:
+        found, sub = found | index.get(sub, 0), sub - 1 & mask
+    return found & ~mask
 
 
 def capture_patterns(table: tuple[Circuit, ...]) -> Iterator[tuple[int, int]]:
@@ -198,23 +214,27 @@ def check_monotypy_mss(N: NormalSet) -> tuple[bool, Optional[MssCertificate]]:
     negative half in V2; neither half is empty because V1 and V2 are
     independent, and both are primitive because subsets of primitive sets
     are. Conversely a circuit mu whose halves are both primitive gives the
-    common point sum over mu_i > 0 of mu_i n_i, nonzero since its positive
-    half is independent. A false verdict returns the first such circuit's
-    halves, in the order of `kernel.circuits`, and that point; both halves
-    are re-checked by one elimination each. A half is a proper subset of
+    common point sum over mu_i > 0 of mu_i n_i / mu_last, nonzero since its
+    positive half is independent. A false verdict returns the first such
+    circuit's halves, in the order of `kernel.circuits`, and that point;
+    both halves are re-checked by one elimination each. A half is a proper subset of
     its circuit, so it is independent and no circuit lies inside it: it is
-    primitive iff it captures no normal. Circuits share halves, so each distinct half is
-    tested once.
+    primitive iff it captures no normal, one lookup per submask in the
+    table's `capture_index`: no more work than the table, as a spanning
+    component of corank 1 is one positive circuit, so `kernel.circuits`
+    pivoted every subset of each two-signed circuit's halves. Each
+    distinct half, shared by circuits, is tested once.
     """
     table = circuit_table(N)
-    primitive_half = lru_cache(maxsize=None)(lambda mask: not captures(mask, table))
+    index = capture_index(table)
+    primitive_half = lru_cache(maxsize=None)(lambda mask: not captures(mask, index))
     for c in table:
         if c.plus and c.minus and primitive_half(c.plus) and primitive_half(c.minus):
             v1 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu > 0)
             v2 = tuple(N.normals[i] for i, mu in zip(c.indices, c.dependence) if mu < 0)
             if not (is_primitive(v1, N.normals) and is_primitive(v2, N.normals)):
                 raise InternalInvariantError("circuit halves fail their primitivity re-check")
-            point = reduce(vadd, (vscale(mu, N.normals[i])
+            point = reduce(vadd, (vscale(Fraction(mu, c.dependence[-1]), N.normals[i])
                                   for i, mu in zip(c.indices, c.dependence) if mu > 0))
             return False, (v1, v2, point)
     return True, None

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 from .classify import (NORMAL_SET_CACHE_SIZE, avoiding, capture_patterns, check_monotypy,
                        circuit_table, circuits_inside)
 from .errors import InputError
-from .kernel import Vec, format_vector
+from .kernel import Vec, format_vector, primitive_form
 from .polytope import HPolytope, NormalSet, Vertex
 
 
@@ -71,19 +71,23 @@ def is_complete_fan(N: NormalSet, cones: Sequence[FanCone]) -> bool:
     where its coefficients are all 1: with the circuit mu of the wall,
     q = sum(x_i v_i) over W+a is sum((x_i - x_a mu_i / mu_a) v_i) over
     W+b, with -x_a mu_b / mu_a at b. It lies in the closed cone iff every
-    coefficient is at least 0. The cones that crossings reach from the
-    first cover the space as a pseudomanifold of their own, so a cone that
-    none reaches lies in a second cover, which holds q too: then they do
-    not form a complete fan either.
+    coefficient is at least 0, so a cone carries coprime ints of the same
+    signs: |mu_a| x_i - sgn(mu_a) x_a mu_i, -sgn(mu_a) x_a mu_b at b, over
+    their gcd. The cones that crossings reach from the first cover the
+    space as a pseudomanifold of their own, so a cone that none reaches
+    lies in a second cover, which holds q too: then they do not form a
+    complete fan either.
     """
     if not cones:
         return False
     table = circuit_table(N)
     ends = defaultdict(list)
     for c, cone in enumerate(cones):
-        for i in range(len(N.normals)):
-            if bit := cone.mask & 1 << i:
-                ends[cone.mask ^ bit].append((i, c))
+        rest = cone.mask
+        while rest:  # one wall per generator, its lowest bit first
+            bit = rest & -rest
+            ends[cone.mask ^ bit].append((bit.bit_length() - 1, c))
+            rest ^= bit
     crossings = defaultdict(list)  # per cone: (neighbour, leaving, entering, circuit)
     for wall, sides in ends.items():
         if len(sides) != 2:
@@ -94,7 +98,7 @@ def is_complete_fan(N: NormalSet, cones: Sequence[FanCone]) -> bool:
             return False
         crossings[c].append((d, a, b, circuit))
         crossings[d].append((c, b, a, circuit))
-    # per cone reached: q's coefficient at each of its generators, by index
+    # per cone reached: a positive multiple of q's coefficients over its generators, by index
     over = {0: {i: 1 for i in range(len(N.normals)) if cones[0].mask >> i & 1}}
     pending = [0]
     while pending:
@@ -104,12 +108,12 @@ def is_complete_fan(N: NormalSet, cones: Sequence[FanCone]) -> bool:
                 continue
             mu = dict(zip(circuit.indices, circuit.dependence))
             x = over[c]
-            t = x[a] / mu[a]
-            y = {i: x_i - t * mu[i] if i in mu else x_i for i, x_i in x.items() if i != a}
-            y[b] = -t * mu[b]
-            if all(y_i >= 0 for y_i in y.values()):
+            scale, t = abs(mu[a]), x[a] if mu[a] > 0 else -x[a]
+            kept = [i for i in x if i != a]
+            y = [scale * x[i] - t * mu.get(i, 0) for i in kept] + [-t * mu[b]]
+            if all(y_i >= 0 for y_i in y):
                 return False
-            over[d] = y
+            over[d] = dict(zip((*kept, b), primitive_form(y)))
             pending.append(d)
     return len(over) == len(cones)
 

@@ -82,19 +82,18 @@ def compute_epsilon(P: HPolytope, directions: Sequence[Vec],
                     delta: Fraction) -> Fraction:
     """delta divided by the largest |<n, v_j>| over strictly negative
     products; delta itself in the (degenerate) absence of any."""
-    return _epsilon(P, [_integers(v, P.dim) for v in directions], delta)
-
-
-def _epsilon(P: HPolytope, scaled: Sequence[tuple[Sequence[int], int]],
-             delta: Fraction) -> Fraction:
-    """`compute_epsilon` of the directions V / k given as (V, k) pairs of
-    ints; k need not be the least denominator."""
-    if delta <= 0:
-        raise InputError("delta must be positive")
+    scaled = [_integers(v, P.dim) for v in directions]
     # <m, v> == <a, V> / (c k) for row (a, b, c) and v = V / k
     K = lcm(*(c for _, _, c in P.rows)) * lcm(*(k for _, k in scaled))
-    top = Fraction(max((-sum(map(mul, a, V)) * (K // (c * k))
-                        for V, k in scaled for a, _, c in P.rows), default=0), K)
+    top = max((-sum(map(mul, a, V)) * (K // (c * k)) for V, k in scaled for a, _, c in P.rows),
+              default=0)
+    return _epsilon(delta, Fraction(top, K))
+
+
+def _epsilon(delta: Fraction, top: Fraction) -> Fraction:
+    """delta / top, top the largest -<n, v_j>, or delta if top <= 0."""
+    if delta <= 0:
+        raise InputError("delta must be positive")
     epsilon = delta / top if top > 0 else delta
     if epsilon <= 0 or (top > 0 and epsilon * top > delta):
         raise InternalInvariantError("epsilon bound failed its own check")
@@ -172,19 +171,24 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
     dependences = [[-a for a in expansions[x][l][:-1]] + [P.rows[x][2] * D]
                    for l, x in enumerate(apexes)]
     shares, K = _shares(skeleton.part_supports, columns, dependences)
-    generators = [[_integers(g) for g in part] for part in skeleton.parts]
-    integral = []
-    for drop in product(*(range(len(part)) for part in skeleton.parts)):
-        V = [sum(x) for x in zip(*(share[d] for share, d in zip(shares, drop)))]
-        # g == G / k and v == V / (D K), so <g, v> == 1 iff <G, V> == k D K
-        if any(e != d and sum(map(mul, G, V)) != k * D * K
-               for part, d in zip(generators, drop) for e, (G, k) in enumerate(part)):
-            raise InternalInvariantError("direction does not pair to 1 exactly")
-        integral.append((V, D * K))
+    # v == V / (D K) sums one share per part, so g == G / k pairs to 1 with every v
+    # whose cone keeps g iff <G, S> is k D K at its part's other drops, 0 at other parts
+    for l, part in enumerate(skeleton.parts):
+        for e, (G, k) in enumerate(map(_integers, part)):
+            if any(sum(map(mul, G, S)) != (k * D * K if m == l else 0)
+                   for m, share in enumerate(shares)
+                   for d, S in enumerate(share) if m != l or d != e):
+                raise InternalInvariantError("direction does not pair to 1 exactly")
+    integral = [[sum(x) for x in zip(*(share[d] for share, d in zip(shares, drop)))]
+                for drop in product(*(range(len(part)) for part in skeleton.parts))]
     if len(integral) > 2 ** P.dim:
         raise InternalInvariantError("more cones than 2^n")
     delta = compute_delta(P)
-    epsilon = _epsilon(P, integral, delta)
+    # -<a, V> is largest at the largest -<a, S> per part; <m, v> == <a, V> / (c D K)
+    L = lcm(*(c for _, _, c in P.rows))
+    epsilon = _epsilon(delta, Fraction(max(
+        sum(max(-sum(map(mul, a, S)) for S in share) for share in shares) * (L // c)
+        for a, _, c in P.rows), L * D * K))
     allowed = _allowed_drops(expansions, dependences)
     # re-checked without the producer, once per allowed drop of each normal
     for i, per_normal in enumerate(allowed):
@@ -209,13 +213,13 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
             j = j * len(c) + (drops & -drops).bit_length() - 1
         assignment.append(j)
     # one Fraction per distinct entry of the directions, and of their steps
-    values = {x for V, _ in integral for x in V}
+    values = {x for V in integral for x in V}
     e, f = epsilon.numerator, epsilon.denominator * D * K
     fractions = {x: Fraction(x, D * K) for x in values}
     steps = {x: Fraction(e * x, f) for x in values}
     return IlluminationSet(
-        directions=tuple(tuple(map(fractions.__getitem__, V)) for V, _ in integral),
-        scaled=tuple(tuple(map(steps.__getitem__, V)) for V, _ in integral),
+        directions=tuple(tuple(map(fractions.__getitem__, V)) for V in integral),
+        scaled=tuple(tuple(map(steps.__getitem__, V)) for V in integral),
         epsilon=epsilon, delta=delta, assignment=tuple(assignment))
 
 

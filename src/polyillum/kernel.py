@@ -5,14 +5,15 @@ nothing here touches floating point. Vectors are plain tuples of
 `fractions.Fraction`, and `Fraction` is what every function takes and
 returns but `inverse`, whose callers take many integer dot products with
 its columns, so it returns them as ints over one denominator, the
-separating rows of `coordinates` and `primitive_form`; inside, the
-arithmetic is on Python ints. An int has a
-numerator and a denominator too, so a function that reads a vector's
-entries only through those, as `first_basis` and `lp.solve_eq_nonneg`
-do, takes int vectors as well, such as primitive forms. `_integers`
-scales a vector to ints by the lcm of its denominators, once, for `dot`
-here and for every caller that takes many integer dot products with one
-vector; `_lowest_terms` gives it for ints over a denominator.
+separating rows of `coordinates`, the dependences of `circuits`, as
+coprime ints, and `primitive_form`; inside, the arithmetic is on Python
+ints. An int has a numerator and a denominator too, so a function that
+reads a vector's entries only through those, as `first_basis`,
+`primitive_form` and `lp.solve_eq_nonneg` do, takes int vectors as well,
+such as primitive forms. `_integers` scales a vector to ints by the lcm
+of its denominators, once, for `dot` here and for every caller that
+takes many integer dot products with one vector; `_lowest_terms` gives
+it for ints over a denominator.
 `_pivot` is the package's one integer pivot (Edmonds, J. Res. NBS, 1967)
 of a matrix M of ints over one positive denominator D, so that M / D is
 the rational matrix: it divides nothing, and the common gcd of M and D is
@@ -261,11 +262,12 @@ def simplex_dependence(points: Sequence[Vec]) -> Optional[Vec]:
     return tuple(mu)
 
 
-def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
+def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The circuits (minimal dependent subsets) of the vectors, as (indices,
     dependence) pairs, by size and then by indices; the dependence has no
-    zero coefficient and is unique up to scale, 1 at the circuit's last
-    element. A zero vector lies in no circuit of two or more.
+    zero coefficient and is unique up to scale: coprime ints, positive at
+    the circuit's last element, made with no `Fraction`. A zero vector
+    lies in no circuit of two or more.
 
     One elimination of the matrix whose columns are the vectors gives the
     first basis B in index order, and each other vector's nonzero pivot
@@ -276,7 +278,8 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
     A component K has rank |K & B|. At rank |K| it is one coloop, in no
     circuit; at rank |K| - 1 it holds one dependence, and being connected
     it is a circuit itself, with its last element f alone outside B: its
-    dependence is 1 at f and -M[r][f] / D at the element of pivot row r.
+    dependence is D at f and -M[r][f] at the element of pivot row r, over
+    their gcd (`_lowest_terms`), as in the scan.
     Any other component is scanned by a prefix tree on one tableau: a
     circuit less its last element is independent, and each independent
     prefix short of the component's rank is one pivot of its parent's
@@ -304,16 +307,15 @@ def circuits(vectors: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
     for K in components.values():
         k = sum(i in pivot_row for i in K)
         if len(K) == k + 1 and k:  # k == 0: a zero vector, alone
-            f = K[-1]
-            found.append((tuple(K), (*(Fraction(-M[pivot_row[b]][f], D) for b in K[:-1]),
-                                     Fraction(1))))
+            X, L = _lowest_terms([-M[pivot_row[b]][K[-1]] for b in K[:-1]], D)
+            found.append((tuple(K), (*X, L)))
         elif len(K) > k + 1:
             found += _scan_circuits(vectors, K, k)
     return sorted(found, key=lambda c: (len(c[0]), c[0]))
 
 
 def _scan_circuits(vectors: Sequence[Vec], elements: Sequence[int],
-                   rank: int) -> list[tuple[tuple[int, ...], Vec]]:
+                   rank: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The circuits among the given vectors, of the given rank, by a
     depth-first search over their independent prefixes in index order on
     one tableau: the vectors as columns, each coordinate row scaled to
@@ -323,8 +325,8 @@ def _scan_circuits(vectors: Sequence[Vec], elements: Sequence[int],
     fill the rank, leaving every free row zero, so a later column j' closes
     a circuit with the prefix and j iff M[f][j'] != 0 and each minor
     M[p][j'] M[f][j] - M[f][j'] M[p][j] over a prefix row p is nonzero,
-    and the dependence is -minor / (D M[f][j]) at the prefix's elements,
-    -M[f][j'] / M[f][j] at j and 1 at j'."""
+    and the dependence, in ints, is -s minor at the prefix's elements,
+    -s D M[f][j'] at j and D |M[f][j]| at j', s the sign of M[f][j]."""
     found = []
 
     def visit(M: list, D: int, prefix: tuple[int, ...], rows: tuple[int, ...]) -> None:
@@ -335,18 +337,18 @@ def _scan_circuits(vectors: Sequence[Vec], elements: Sequence[int],
             f = next((r for r in free if M[r][j]), None)
             if f is None:
                 if all(M[p][j] for p in rows):  # j depends on all of the prefix: a circuit
-                    found.append((tuple(elements[i] for i in (*prefix, j)),
-                                  (*(Fraction(-M[p][j], D) for p in rows), Fraction(1))))
+                    X, L = _lowest_terms([-M[p][j] for p in rows], D)
+                    found.append((tuple(elements[i] for i in (*prefix, j)), (*X, L)))
             elif not last:  # column j extends the prefix to an independent one
                 visit(*_pivot(M, D, f, j), (*prefix, j), (*rows, f))
             else:
                 e = M[f][j]
+                s = 1 if e > 0 else -1
                 for k in range(j + 1, len(elements)):
                     if (g := M[f][k]) and all(
                             minors := [M[p][k] * e - g * M[p][j] for p in rows]):
-                        found.append((tuple(elements[i] for i in (*prefix, j, k)), (
-                            *(Fraction(-x, D * e) for x in minors), Fraction(-g, e),
-                            Fraction(1))))
+                        X, L = _lowest_terms([-s * x for x in minors] + [-s * g * D], D * s * e)
+                        found.append((tuple(elements[i] for i in (*prefix, j, k)), (*X, L)))
 
     visit([_integers(row)[0] for row in zip(*(vectors[i] for i in elements))], 1, (), ())
     return found

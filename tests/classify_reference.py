@@ -2,8 +2,9 @@
 references its listings are compared against: every (n+1)-subset, in
 `combinations` order, tested against every circuit that is not balanced,
 and each conical one tested for captures by a loop over the whole
-circuit table; and the primitivity test of one subset that the fan's
-scan of every n-subset called."""
+circuit table, the loop that `classify.captures` replaced by lookups in
+the capture index; and the primitivity test of one subset that the
+fan's scan of every n-subset called."""
 
 from __future__ import annotations
 

@@ -95,6 +95,19 @@ def count_lps(monkeypatch):
     return calls
 
 
+def count_fractions(monkeypatch):
+    """Patch `Fraction.__new__`; the returned list collects the arguments
+    of each `Fraction` made, by a call or by `Fraction` arithmetic."""
+    new, calls = Fraction.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return calls
+
+
 def counting_bland(monkeypatch):
     """Patch the shared-tableau pivot loop; the returned list collects one
     entry per prefix pivoted."""
@@ -144,6 +157,14 @@ def fractional_polytopes(draw, dims=(2, 3, 4)):
                                       for m in N.normals))
         except InputError:
             continue
+
+
+def integer_or_fractional_normal_sets():
+    """A NormalSet drawn by `valid_normal_sets(dims=(2, 3, 4))` or by
+    `fractional_polytopes()`."""
+    return st.one_of(valid_normal_sets(dims=(2, 3, 4)).map(
+        lambda normals: NormalSet.from_vectors(len(normals[0]), normals)),
+        fractional_polytopes().map(lambda P: P.normal_set))
 
 
 @pytest.fixture

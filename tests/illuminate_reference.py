@@ -11,7 +11,9 @@ against:
 - the build per vertex, the loop the construction replaced: the allowed
   drops by `Fraction` ratios, each vertex's drops the AND over every one of
   its tight normals, and the chosen cone re-checked at every vertex, with
-  one `Fraction` per direction entry and one product per scaled entry.
+  one `Fraction` per direction entry and one product per scaled entry;
+  each direction paired with its cone's generators, and epsilon read off
+  every (row, direction) pair.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import product
 from operator import and_, mul
 
 from polyillum.errors import AssignmentError, InternalInvariantError
-from polyillum.illuminate import IlluminationSet, _epsilon, _shares, compute_delta
+from polyillum.illuminate import IlluminationSet, _shares, compute_delta, compute_epsilon
 from polyillum.kernel import Vec, _integers, dot, format_vector, vscale
 from polyillum.polytope import HPolytope
 from polyillum.position import cone_membership
@@ -89,18 +91,17 @@ def per_vertex_build(P: HPolytope) -> IlluminationSet:
                    for l, x in enumerate(apexes)]
     shares, K = _shares(skeleton.part_supports, columns, dependences)
     generators = [[_integers(g) for g in part] for part in skeleton.parts]
-    integral, directions = [], []
+    directions = []
     for drop in product(*(range(len(part)) for part in skeleton.parts)):
         V = [sum(x) for x in zip(*(share[d] for share, d in zip(shares, drop)))]
         if any(e != d and sum(map(mul, G, V)) != k * D * K
                for part, d in zip(generators, drop) for e, (G, k) in enumerate(part)):
             raise InternalInvariantError("direction does not pair to 1 exactly")
-        integral.append((V, D * K))
         directions.append(tuple(Fraction(x, D * K) for x in V))
     if len(directions) > 2 ** P.dim:
         raise InternalInvariantError("more cones than 2^n")
     delta = compute_delta(P)
-    epsilon = _epsilon(P, integral, delta)
+    epsilon = compute_epsilon(P, directions, delta)
     allowed = fraction_allowed_drops(expansions, dependences)
     assignment = []
     for vert in P.vertices:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyillum import classify, lp, oracle, position
-from polyillum.classify import (NORMAL_SET_CACHE_SIZE, avoiding, bitmask, capture_patterns,
-                                captures, check_monotypy, check_monotypy_mss,
+from polyillum.classify import (NORMAL_SET_CACHE_SIZE, avoiding, bitmask, capture_index,
+                                capture_patterns, captures, check_monotypy, check_monotypy_mss,
                                 check_strong_monotypy, circuit_table,
                                 circuits_inside, classify_normal_set)
 from polyillum.errors import InternalInvariantError, ScaleLimitError
@@ -22,9 +22,9 @@ from polyillum.position import (captured, cone_membership, is_conical_position,
                                 is_primitive)
 from tests import classify_reference, fan_reference, oracle_reference
 from tests import position_reference as reference
-from tests.conftest import (box, count_lps, fractional_polytopes, hexagon, set_n,
-                            sign_vectors_26, simplex, simplex_product, square_pyramid,
-                            valid_normal_sets)
+from tests.conftest import (box, count_fractions, count_lps, fractional_polytopes, hexagon,
+                            integer_or_fractional_normal_sets, set_n, sign_vectors_26,
+                            simplex, simplex_product, square_pyramid, valid_normal_sets)
 
 F = Fraction
 
@@ -195,9 +195,9 @@ class TestMonotypyMss:
                                        if gcd(a, b) == 1])
         calls = []
 
-        def counting(mask, table):
+        def counting(mask, index):
             calls.append(mask)
-            return captures(mask, table)
+            return captures(mask, index)
 
         monkeypatch.setattr(classify, "captures", counting)
         check_monotypy_mss.cache_clear()
@@ -260,17 +260,62 @@ class TestCircuitPredicates:
     def test_masks_agree_with_lp_predicates(self, normals):
         N = NormalSet.from_vectors(len(normals[0]), normals)
         table = circuit_table(N)
+        index = capture_index(table)
         for size in range(1, N.dim + 1):
             for idx in combinations(range(len(N.normals)), size):
                 mask = bitmask(idx)
                 subset = [N.normals[i] for i in idx]
                 assert (not any(circuits_inside(mask, table))) == (rank(subset) == size)
                 if rank(subset) == size:
-                    assert captures(mask, table) == bitmask(
+                    assert captures(mask, index) == bitmask(
                         N.normals.index(m) for m in captured(subset, N.normals))
                 primitive = classify_reference.primitive(mask, table)
                 assert primitive == reference.is_primitive(subset, N.normals)
                 assert primitive == is_primitive(subset, N.normals)
+
+
+def large_halves(n):
+    """e_1..e_n, (1, ..., 1, -1) and (-1, ..., -1): four circuits, two of
+    them two-signed, one with a half of n - 1 elements and one with a half
+    of n."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return NormalSet.from_vectors(n, units + [(1,) * (n - 1) + (-1,), (-1,) * n])
+
+
+class TestCaptureIndex:
+    """The captures of a mask, by one lookup per submask in the capture
+    index, against the loop over the whole table that they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_or_fractional_normal_sets())
+    def test_agrees_with_the_table_scan(self, N):
+        table = circuit_table(N)
+        index = capture_index(table)
+        for size in range(1, N.dim + 1):
+            for idx in combinations(range(len(N.normals)), size):
+                mask = bitmask(idx)
+                assert captures(mask, index) == classify_reference.captures(mask, table)
+
+    def test_large_halves(self):
+        N = large_halves(12)
+        table = circuit_table(N)
+        index = capture_index(table)
+        halves = {h for c in table if c.plus and c.minus for h in (c.plus, c.minus)}
+        assert len(table) == 4 and max(h.bit_count() for h in halves) == 12
+        for half in halves:
+            assert captures(half, index) == classify_reference.captures(half, table)
+        clear_caches()
+        verdict = classify_normal_set(N)
+        assert not verdict.monotypic and verdict.mss_certificate is not None
+
+    def test_the_table_makes_no_fraction(self, monkeypatch):
+        # every dependence is read off the scan as coprime ints
+        N = sign_vectors_26().normal_set
+        circuit_table.cache_clear()
+        made = count_fractions(monkeypatch)
+        assert len(circuit_table(N)) == 5805
+        monkeypatch.undo()
+        assert made == []
 
 
 def product_order(m):

@@ -14,7 +14,8 @@ from polyillum.generators import randomize_offsets
 from polyillum.kernel import rank, vadd, vec
 from polyillum.polytope import NormalSet
 from polyillum.position import cone_membership
-from tests.conftest import (box, count_lps, hexagon, simplex, simplex_product,
+from tests.conftest import (box, count_fractions, count_lps, hexagon,
+                            integer_or_fractional_normal_sets, simplex, simplex_product,
                             square_pyramid, triangle, valid_normal_sets)
 from tests.fan_reference import per_cone_complete_fan
 from tests.oracle_reference import enumerate_direction_classes
@@ -217,6 +218,15 @@ class TestWallTest:
             assert reductions == []
         assert not hasattr(fan, "simplex_dependence")
 
+    def test_coverage_makes_no_fraction(self, monkeypatch):
+        # q's coefficients are carried as coprime ints from the circuits' ints
+        N = box(5).normal_set
+        cones = enumerate_primitive_bases(N)
+        made = count_fractions(monkeypatch)
+        assert is_complete_fan(N, cones)
+        monkeypatch.undo()
+        assert made == []
+
 
 def plane_fan(N, rays):
     """The cones over consecutive rays, in the order given, of N in R^2."""
@@ -227,11 +237,13 @@ def plane_fan(N, rays):
 
 class TestAgainstThePerConeTest:
     @settings(max_examples=80, deadline=None)
-    @given(valid_normal_sets(dims=(2, 3, 4)))
-    def test_the_primitive_bases(self, normals):
-        N = NormalSet.from_vectors(len(normals[0]), normals)
+    @given(integer_or_fractional_normal_sets(), st.integers(min_value=0))
+    def test_the_primitive_bases(self, N, drop):
+        # and the same bases with one cone dropped
         cones = enumerate_primitive_bases(N)
         assert is_complete_fan(N, cones) == per_cone_complete_fan(N, cones)
+        fewer = cones[:drop % len(cones)] + cones[drop % len(cones) + 1:] if cones else ()
+        assert is_complete_fan(N, fewer) == per_cone_complete_fan(N, fewer)
 
     @settings(max_examples=80, deadline=None)
     @given(valid_normal_sets(dims=(2, 3)), st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,7 +86,7 @@ class TestRationalLiterals:
         # lowest terms with positive denominator is the Fraction contract
         for r in (a + b, a * b):
             assert r.denominator > 0
-            from math import gcd
+            from math import gcd, lcm
             assert gcd(abs(r.numerator), r.denominator) == 1
 
 
@@ -417,6 +417,13 @@ def ranked_sets(draw):
     return vectors, [i for i in range(len(vectors)) if i not in left_out]
 
 
+def coprime(found):
+    """The reference's circuits with each dependence, 1 at its last
+    element, times the lcm of its denominators: coprime ints."""
+    return [(idx, tuple(int(c * k) for c in mu))
+            for idx, mu in found for k in (lcm(*(c.denominator for c in mu)),)]
+
+
 class TestCircuits:
     @settings(max_examples=150, deadline=None)
     @given(ranked_sets())
@@ -425,12 +432,12 @@ class TestCircuits:
         # dependences and in the order, that pivoting every prefix found
         vectors, elements = drawn
         found = kernel._scan_circuits(vectors, elements, rank([vectors[i] for i in elements]))
-        assert found == reference.scan_circuits(vectors, elements)
+        assert found == coprime(reference.scan_circuits(vectors, elements))
         for idx, mu in found:
             total = zero_vec(len(vectors[0]))
             for c, i in zip(mu, idx):
                 total = tuple(x + c * y for x, y in zip(total, vectors[i]))
-            assert total == zero_vec(len(vectors[0])) and mu[-1] == 1
+            assert total == zero_vec(len(vectors[0])) and mu[-1] > 0 and gcd(*mu) == 1
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(vector_sets(st.integers(1, 3), st.integers(1, 6), nonzero=True),
@@ -452,7 +459,7 @@ class TestCircuits:
     def test_agrees_with_the_subset_scan(self, rows):
         # zero vectors included: they lie in no circuit of either
         vectors = [vec(*r) for r in rows]
-        assert circuits(vectors) == reference.circuits(vectors)
+        assert circuits(vectors) == coprime(reference.circuits(vectors))
 
     @settings(max_examples=150, deadline=None)
     @given(rational_direct_sums())
@@ -461,22 +468,21 @@ class TestCircuits:
         # divides by its denominator
         vectors = [vec(*r) for r in rows]
         found = circuits(vectors)
-        assert found == reference.circuits(vectors)
-        assert all(mu[-1] == 1 for _, mu in found)
+        assert found == coprime(reference.circuits(vectors))
+        assert all(type(c) is int for _, mu in found for c in mu)
 
     def test_reads_a_fractional_dependence_off_the_elimination(self, monkeypatch):
         # (2, 0), (0, 3) and (3, 2) are one circuit, whose coefficients
-        # over the basis are -3/2 and -2/3
+        # over the basis are -3/2 and -2/3: times 6, coprime ints
         dependences = count_calls(monkeypatch, "simplex_dependence")
-        assert circuits([vec(2, 0), vec(0, 3), vec(3, 2)]) == [
-            ((0, 1, 2), (F(-3, 2), F(-2, 3), F(1)))]
+        assert circuits([vec(2, 0), vec(0, 3), vec(3, 2)]) == [((0, 1, 2), (-9, -4, 6))]
         assert dependences == []
 
     @settings(max_examples=150, deadline=None)
     @given(degenerate_sets())
     def test_agrees_with_the_subset_scan_on_degenerate_sets(self, rows):
         vectors = [vec(*r) for r in rows]
-        assert circuits(vectors) == reference.circuits(vectors)
+        assert circuits(vectors) == coprime(reference.circuits(vectors))
 
     @pytest.mark.parametrize("P,count,reductions", [
         (box(6), 6, 1), (simplex(7), 1, 1), (simplex_product([3, 3]), 2, 1),
