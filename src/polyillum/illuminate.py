@@ -144,15 +144,6 @@ def _contains(a: Sequence[int], c: Sequence[int], d: int) -> bool:
     return all(a_x * c[d] - a[d] * c_x >= 0 for a_x, c_x in zip(a, c))
 
 
-def _constraining(allowed: Sequence[Sequence[int]],
-                  dependences: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
-    """Per part, the (bit, drops) pair of each normal that does not allow
-    every drop of the part: only those can narrow a vertex's choice."""
-    return [[(1 << i, per_normal[l]) for i, per_normal in enumerate(allowed)
-             if per_normal[l] != (1 << len(c)) - 1]
-            for l, c in enumerate(dependences)]
-
-
 def build_illumination_set(P: HPolytope) -> IlluminationSet:
     """The illumination set of P, one direction per cone, each vertex
     assigned the first cone, in product order, that contains its tight
@@ -166,15 +157,13 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
     # per row and per part: its coefficients over the part's elements
     expansions = [[[A[i] for i in support] + [0] for support in skeleton.part_supports]
                   for A in ([sum(map(mul, a, col)) for col in columns] for a, _, _ in P.rows)]
-    normals = P.normal_set.normals
-    apexes = [normals.index(part[-1]) for part in skeleton.parts]
-    dependences = [[-a for a in expansions[x][l][:-1]] + [P.rows[x][2] * D]
-                   for l, x in enumerate(apexes)]
+    dependences = [[-a for a in expansions[part[-1]][l][:-1]] + [P.rows[part[-1]][2] * D]
+                   for l, part in enumerate(skeleton.part_indices)]
     shares, K = _shares(skeleton.part_supports, columns, dependences)
     # v == V / (D K) sums one share per part, so g == G / k pairs to 1 with every v
     # whose cone keeps g iff <G, S> is k D K at its part's other drops, 0 at other parts
-    for l, part in enumerate(skeleton.parts):
-        for e, (G, k) in enumerate(map(_integers, part)):
+    for l, part in enumerate(skeleton.part_indices):
+        for e, (G, _, k) in enumerate(P.rows[i] for i in part):
             if any(sum(map(mul, G, S)) != (k * D * K if m == l else 0)
                    for m, share in enumerate(shares)
                    for d, S in enumerate(share) if m != l or d != e):
@@ -189,16 +178,18 @@ def build_illumination_set(P: HPolytope) -> IlluminationSet:
     epsilon = _epsilon(delta, Fraction(max(
         sum(max(-sum(map(mul, a, S)) for S in share) for share in shares) * (L // c)
         for a, _, c in P.rows), L * D * K))
-    allowed = _allowed_drops(expansions, dependences)
-    # re-checked without the producer, once per allowed drop of each normal
-    for i, per_normal in enumerate(allowed):
+    # re-checked without the producer, once per allowed drop of each normal; only
+    # a normal that does not allow every drop of a part narrows a vertex's choice
+    constraining = [[] for _ in dependences]
+    for i, per_normal in enumerate(_allowed_drops(expansions, dependences)):
         for l, (drops, a, c) in enumerate(zip(per_normal, expansions[i], dependences)):
             for d in range(len(c)):
                 if drops >> d & 1 and not _contains(a, c, d):
                     raise InternalInvariantError(
                         f"the cone that drops element {d} of part {l} does not contain "
-                        f"the normal {format_vector(normals[i])}")
-    constraining = _constraining(allowed, dependences)
+                        f"the normal {format_vector(P.normal_set.normals[i])}")
+            if drops != (1 << len(c)) - 1:
+                constraining[l].append((1 << i, drops))
     assignment = []
     for vert in P.vertices:
         j = 0

@@ -67,6 +67,15 @@ def n_over_apex() -> HPolytope:
     return HPolytope(N, tuple(Fraction(m == vec(0, -1, -1)) for m in N.normals))
 
 
+def rank_three_certificates() -> HPolytope:
+    """Nine normals of R^4 at unit offsets, with 16 vertices. Their first
+    five, the conical and the uncaptured certificate both, span only the
+    hyperplane x_4 = 0, so neither is n + 1 points of rank n."""
+    return HPolytope.from_facets(4, [(v, 1) for v in (
+        (2, 0, 1, 0), (1, 2, 1, 0), (0, -2, 1, 0), (-1, 2, 1, 0), (-2, 0, 1, 0),
+        (-4, 2, -2, -1), (-5, 2, 3, 2), (-5, 1, -3, 3), (-5, -1, -3, 0))])
+
+
 def sign_vectors_26() -> HPolytope:
     """The 26 nonzero vectors of {-1, 0, 1}^3 as normals, each at offset
     3 + |v|^2; they hold 5,805 circuits."""

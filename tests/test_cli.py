@@ -26,8 +26,8 @@ from polyillum.illuminate import build_illumination_set, compute_epsilon
 from polyillum.kernel import format_rational
 from polyillum.polytope import HPolytope
 from polyillum.position import is_conical_position
-from tests.conftest import (box, count_lps, hexagon, n_over_apex, set_n, sign_vectors_26,
-                            square_pyramid)
+from tests.conftest import (box, count_lps, hexagon, n_over_apex, rank_three_certificates,
+                            set_n, sign_vectors_26, square_pyramid)
 
 F = Fraction
 
@@ -677,6 +677,10 @@ GOLDEN_COMMANDS.update({
 # classify on the 26 nonzero vectors of {-1, 0, 1}^3, whose 5,805 circuits
 # give a conical, an uncaptured and an MSS certificate
 GOLDEN_COMMANDS["classify_sign_vectors_26"] = (sign_vectors_26, ["classify"], 1)
+# classify on nine normals of R^4 whose conical and uncaptured certificates
+# both have rank 3: `is_conical_position` decides them by its LP, as does
+# `captured` the further normals
+GOLDEN_COMMANDS["classify_rank3_r4"] = (rank_three_certificates, ["classify"], 1)
 
 
 class TestGoldenRuns:

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyillum import illuminate, kernel, lp, position, skeleton
+from polyillum import classify, illuminate, kernel, lp, position, skeleton
 from polyillum.classify import check_strong_monotypy
 from polyillum.errors import (AssignmentError, InputError, InternalInvariantError,
                               NotStronglyMonotypicError)
-from polyillum.generators import randomize_offsets
+from polyillum.generators import generate, randomize_offsets
 from polyillum.illuminate import (IlluminationSet, build_illumination_set,
                                   compute_delta, compute_epsilon, verify_directions,
                                   verify_illumination)
@@ -163,13 +163,14 @@ class TestBuild:
             ["inverse", "refine_basis"]]
 
     def test_epsilon_takes_the_builds_own_integer_directions(self, monkeypatch):
-        # a cached box6 build scales its 12 normals for the refinement and
-        # its 12 part generators to ints, and none of its 64 directions
+        # a cached box6 build scales its 12 normals for the refinement to
+        # ints, reads its 12 part generators' ints off the polytope's rows,
+        # and scales none of its 64 directions
         P = box(6)
         build_illumination_set(P)
         calls = count_integers(monkeypatch)
         ill = build_illumination_set(P)
-        assert len(calls) == 24
+        assert len(calls) == 12
         assert ill.epsilon == compute_epsilon(P, ill.directions, ill.delta)
 
     def test_a_cached_box6_build_hashes_no_fraction(self, monkeypatch):
@@ -188,6 +189,26 @@ class TestBuild:
         build_illumination_set(P)
         monkeypatch.undo()
         assert callers == []
+
+    def test_a_cold_simplex40_build_compares_one_fraction_per_part_element(self, monkeypatch):
+        # normals are told apart by index: the only Fraction comparisons
+        # left are the re-check's, of the part dependence's 41 coefficients
+        # with 0 (21,481 when the skeleton found its normals by value)
+        P = generate("simplex", (40,))
+        for cached in (classify.circuit_table, classify.check_strong_monotypy):
+            cached.cache_clear()
+        calls = []
+        fraction_eq = Fraction.__eq__
+
+        def counting(x, y):
+            calls.append(sys._getframe(1).f_code.co_qualname)
+            return fraction_eq(x, y)
+
+        monkeypatch.setattr(Fraction, "__eq__", counting)
+        ill = build_illumination_set(P)
+        monkeypatch.undo()
+        assert len(ill.directions) == 41
+        assert calls == ["verify_skeleton.<locals>.<genexpr>"] * 41
 
     def test_one_fraction_per_distinct_direction_entry(self):
         # box6's 64 directions have 384 entries of two values, +-1; their
@@ -328,22 +349,23 @@ class TestAssignment:
     @pytest.mark.parametrize("n", [3, 6])
     def test_a_box_part_is_narrowed_by_its_own_pair(self, monkeypatch, n):
         # +-e_l's part is {e_l, -e_l}; every other normal allows both drops
-        constraining = illuminate._constraining
+        allowed_drops = illuminate._allowed_drops
         seen = []
 
         def keeping(*args):
-            seen.append(constraining(*args))
+            seen.append(allowed_drops(*args))
             return seen[-1]
 
-        monkeypatch.setattr(illuminate, "_constraining", keeping)
+        monkeypatch.setattr(illuminate, "_allowed_drops", keeping)
         P = box(n)
         build_illumination_set(P)
         normals = P.normal_set.normals
-        (per_part,) = seen
-        assert len(per_part) == n
-        for pairs in per_part:
-            assert len(pairs) == 2
-            (x, y) = (normals[bit.bit_length() - 1] for bit, _ in pairs)
+        (allowed,) = seen
+        assert len(allowed) == 2 * n and all(len(per_normal) == n for per_normal in allowed)
+        for l in range(n):
+            narrowing = [i for i, per_normal in enumerate(allowed) if per_normal[l] != 0b11]
+            assert len(narrowing) == 2
+            (x, y) = (normals[i] for i in narrowing)
             assert x == vneg(y)
 
     @pytest.mark.parametrize("P", [box(3), hexagon(), simplex_product([2, 2, 1])],

@@ -154,6 +154,24 @@ def test_skeleton_decides_without_an_lp():
     assert ("kernel", "inverse") not in imported_names(PACKAGE / "illuminate.py")
 
 
+def index_calls(source: str) -> list[int]:
+    """The lines of the calls to a method named `index`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "index"]
+
+
+def test_detects_an_index_call():
+    assert index_calls("i = normals.index(x)\nj = index(x)\nk = f(x).index(y)\n") == [1, 3]
+
+
+@pytest.mark.parametrize("name", ["skeleton.py", "illuminate.py"])
+def test_no_normal_is_looked_up_by_value(name):
+    # the skeleton names every normal by its index into the normal set, and
+    # the build reads its apexes off `Skeleton.part_indices`
+    assert index_calls((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
 def test_only_polytope_decides_positive_spanning():
     # outside `position`, only NormalSet construction reads a Farkas direction
     importers = [p.name for p in MODULES if p.name != "position.py"

@@ -32,7 +32,8 @@ def records():
         (P, ("normal_set", "offsets", "rows", "vertices")),
         (P.vertices[0], ("point", "mask")),
         (normal_fan(P)[0], ("generators", "mask", "vertex")),
-        (extract_skeleton(N), ("basis", "parts", "part_supports", "columns", "denominator")),
+        (extract_skeleton(N), ("basis", "parts", "part_supports", "part_indices", "columns",
+                                "denominator")),
         (classify_normal_set(N), ("strongly_monotypic", "monotypic", "strong_certificate",
                                   "mono_certificate", "mss_certificate")),
         (is_conical_position(N.normals[:2]), ("in_conical_position", "separator",

@@ -57,6 +57,13 @@ class TestFirstIndependentSubset:
         assert "basis" not in repr(N)
 
 
+def refined(N):
+    """`refine_basis` with its indices mapped through `N.normals`: the
+    basis vectors, the inverse, and the (normal, signs) pairs."""
+    B, inv, signs = refine_basis(N)
+    return tuple(N.normals[i] for i in B), inv, tuple((N.normals[j], a) for j, a in signs)
+
+
 class TestRefineBasis:
     def test_hexagon_single_swap(self):
         # the first independent pair is {(1,1),(1,0)}, and the normal (0,1)
@@ -66,10 +73,11 @@ class TestRefineBasis:
         sc = classify_signs((vec(1, 1), vec(1, 0)), vec(0, 1))
         assert sc.coefficients == vec(1, -1) and sc.positive_index == 0
         B, _, _ = refine_basis(N)
-        assert B == (vec(0, 1), vec(1, 0))
+        assert B == (2, 1)
+        assert tuple(N.normals[i] for i in B) == (vec(0, 1), vec(1, 0))
 
     def test_cube_start_is_already_stable(self):
-        B, _, signs = refine_basis(box(3).normal_set)
+        B, _, signs = refined(box(3).normal_set)
         assert B == (vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1))
         assert [sign_tag(a) for _, a in signs] == [ALL_NONPOSITIVE] * 3
 
@@ -87,7 +95,7 @@ class TestRefineBasis:
 
     def test_default_start_reaches_stability(self):
         for N in (hexagon().normal_set, box(4).normal_set, simplex(3).normal_set):
-            B, (_, D), signs = refine_basis(N)
+            B, (_, D), signs = refined(N)
             assert [x for x, _ in signs] == [x for x in N.normals if x not in B]
             for x, a in signs:
                 # <X, Q_i> is k D times the i-th coefficient, x == X / k
@@ -124,7 +132,7 @@ class TestRefineBasis:
         # the same final basis, and the same sign tag for every other normal
         N = NormalSet.from_vectors(len(normals[0]), normals)
         assume(check_strong_monotypy(N)[0])
-        B, _, signs = refine_basis(N)
+        B, _, signs = refined(N)
         expected_B, expected = reference.refine_basis(N)
         assert B == expected_B
         assert [(x, sign_tag(a)) for x, a in signs] == [(x, sc.tag) for x, sc in expected]
@@ -218,8 +226,50 @@ class TestExtractSkeleton:
         N = box(3).normal_set
         sk = extract_skeleton(N)
         first, _, third = sk.parts
+        i, _, k = sk.part_indices
         with pytest.raises(InternalInvariantError, match="not pairwise disjoint"):
-            verify_skeleton(N, sk._replace(parts=(first, first, third)))
+            verify_skeleton(N, sk._replace(parts=(first, first, third),
+                                           part_indices=(i, i, k)))
+
+    def test_an_index_shared_by_two_parts_fails_the_recheck(self):
+        # the second part becomes {e_2, -e_1}, named consistently by its
+        # indices, so only the first part's -e_1 overlaps it
+        N = box(3).normal_set
+        sk = extract_skeleton(N)
+        (a, b), (c, _), third = sk.part_indices
+        parts = tuple(tuple(N.normals[i] for i in part) for part in ((a, b), (c, b), third))
+        assert parts[1] == (vec(0, 1, 0), vec(-1, 0, 0))
+        with pytest.raises(InternalInvariantError, match="not pairwise disjoint"):
+            verify_skeleton(N, sk._replace(parts=parts, part_indices=((a, b), (c, b), third)))
+
+    def test_an_index_naming_another_normal_fails_the_recheck(self):
+        # the first part's indices name its elements in the wrong order, and
+        # then its apex by the second part's apex
+        N = box(3).normal_set
+        sk = extract_skeleton(N)
+        (a, b), (c, d), third = sk.part_indices
+        for first in ((b, a), (a, d)):
+            with pytest.raises(InternalInvariantError,
+                               match="^part elements are not distinct normals of the set$"):
+                verify_skeleton(N, sk._replace(part_indices=(first, (c, d), third)))
+
+    def test_indices_for_fewer_parts_fail_the_recheck(self):
+        N = box(3).normal_set
+        sk = extract_skeleton(N)
+        with pytest.raises(InternalInvariantError, match="not distinct normals"):
+            verify_skeleton(N, sk._replace(part_indices=sk.part_indices[:2]))
+
+    @pytest.mark.parametrize("P", [box(3), hexagon(), simplex_product([2, 2, 1]), simplex(4)],
+                             ids=["box3", "hexagon", "sp221", "simplex4"])
+    def test_part_indices_name_the_part_vectors(self, P):
+        # per part, the basis elements in support order, then the apex
+        N = P.normal_set
+        sk = extract_skeleton(N)
+        assert sk.parts == tuple(tuple(N.normals[i] for i in part) for part in sk.part_indices)
+        B = refine_basis(N)[0]
+        assert sk.basis == tuple(N.normals[i] for i in B)
+        assert [part[:-1] for part in sk.part_indices] == [
+            tuple(B[i] for i in support) for support in sk.part_supports]
 
     def test_classifies_each_normal_once_per_basis(self, monkeypatch):
         # box(6) starts from a stable basis, and the hexagon swaps once: one
