@@ -96,6 +96,9 @@ def format_vector(v) -> str:
 
 
 def vec(*entries) -> Vec:
+    for e in entries:  # an int, not a bool, or a `Fraction`; never a float
+        if type(e) is not int and not isinstance(e, Fraction):
+            raise InputError(f"rational must be an int or a Fraction, got {type(e).__name__}")
     return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 

@@ -26,17 +26,24 @@ its vertices' points share one `Fraction` per distinct coordinate.
 A NormalSet is valid by construction: its normals are nonzero, pairwise
 distinct directions that positively span the space, so every offset
 vector gives a bounded system, and they pass the vertex-enumeration
-guard. Positive spanning is decided here once, and nowhere else. The
-normals positively span exactly when they have rank n and -sum(n_i) lies
-in their positive hull (Davis, *Theory of positive linear dependence*,
-Amer. J. Math. 1954), which takes one LP. Both depend only on the
-normals' rays: scaling a normal by a positive number moves no pivot
-column and keeps a strictly positive dependence strictly positive. So
-the rank and that LP run on the normals' primitive forms, coprime ints,
-and the set is hashed on them. Only when the test fails does one LP run, on
-the normals as given, for each of +-e_i: either e_i lies in the positive
-hull of the normals, or the LP's Farkas certificate is a direction along
-which every system with these normals is unbounded.
+guard. Positive spanning is decided once per set: by the vertex walk for
+a polytope built from facets, and by LP for a bare normal set. The walk
+rests on three facts: a nonempty polyhedron of rank n is pointed; the
+graph of its lexicographic bases is connected (Balinski); and an
+unbounded pointed polyhedron has an unbounded edge at some vertex. So a
+walk that finishes proves the system bounded, and a bounded nonempty
+system has positively spanning normals; a build that finds no start, or
+whose walk fails, runs the LP test first. The normals positively span
+exactly when they have rank n and -sum(n_i) lies in their positive hull
+(Davis, *Theory of positive linear dependence*, Amer. J. Math. 1954).
+Both depend only on the normals' rays: scaling a normal by a positive
+number moves no pivot column and keeps a strictly positive dependence
+strictly positive. So the rank and that LP run on the normals' primitive
+forms, coprime ints, and the set is hashed on them. Only when the test
+fails does one LP run, on the normals as given, for each of +-e_i:
+either e_i lies in the positive hull of the normals, or the LP's Farkas
+certificate is a direction along which every system with these normals
+is unbounded.
 
 Normal sets are kept in a canonical descending lexicographic order; every
 downstream tie-break (certificates, basis refinement, cone listings)
@@ -88,11 +95,21 @@ class NormalSet(_Frozen):
     primitive forms, which are equal when the normals are; the hash is
     kept, since every per-NormalSet cache lookup takes it. `basis`, the
     indices of the first basis among the normals, shows that they span and
-    is where the skeleton's basis refinement starts."""
-    __slots__ = ("dim", "normals", "basis", "_hash")
+    is where the skeleton's basis refinement starts. `_unspanned` leaves
+    positive spanning to the walk of the polytope built on the set."""
+    __slots__ = ("dim", "normals", "basis", "_hash", "_forms")
 
     def __init__(self, dim: int, normals: tuple[Vec, ...]):
-        n = dim
+        self._validate(dim, normals)
+        self._decide_spanning()
+
+    @classmethod
+    def _unspanned(cls, dim: int, normals: tuple[Vec, ...]) -> "NormalSet":
+        N = cls.__new__(cls)
+        N._validate(dim, normals)
+        return N
+
+    def _validate(self, n: int, normals: tuple[Vec, ...]):
         if n <= 0:
             raise InputError(f"dimension must be positive, got {n}")
         seen: dict[tuple[int, ...], int] = {}
@@ -117,16 +134,22 @@ class NormalSet(_Frozen):
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "basis", first_basis(forms))
         object.__setattr__(self, "_hash", hash((n, forms)))
+        object.__setattr__(self, "_forms", forms)  # None once spanning is decided
+
+    def _decide_spanning(self):
+        """Raise the InputError of a set that does not positively span."""
+        n, forms = self.dim, self._forms
         # a strictly positive dependence sum((1 + y_i) n_i) == 0, y >= 0; the
         # +-e_i LPs run only to find the witness of a set that fails it
-        if len(self.basis) == n and farkas_direction(
+        if forms is None or len(self.basis) == n and farkas_direction(
                 tuple(-sum(c) for c in zip(*forms)), forms) is None:
+            object.__setattr__(self, "_forms", None)
             return
         for i in range(n):
             for sign in (1, -1):
                 e = tuple(Fraction(sign if j == i else 0) for j in range(n))
                 # <m, d> <= 0 for all normals and <e, d> == 1: P is unbounded along d
-                d = farkas_direction(e, normals)
+                d = farkas_direction(e, self.normals)
                 if d is not None:
                     raise InputError(
                         f"constraint system is unbounded along {format_vector(d)}",
@@ -188,27 +211,31 @@ class HPolytope(_Frozen):
 
     @classmethod
     def from_facets(cls, dim: int, facets: Sequence[tuple]) -> "HPolytope":
-        pairs = [(vec(*n), h if isinstance(h, Fraction) else Fraction(h)) for n, h in facets]
-        N = NormalSet(dim, tuple(n for n, _ in pairs))
+        pairs = [(v[:-1], v[-1]) for v in (vec(*n, h) for n, h in facets)]
+        N = NormalSet._unspanned(dim, tuple(n for n, _ in pairs))
         # the normals are distinct, so sorting the pairs by normal puts them in N's order
         return cls(N, tuple(h for _, h in sorted(pairs, key=itemgetter(0), reverse=True)))
 
     # -- validation ---------------------------------------------------------
 
     def _enumerate_vertices(self):
-        """Every vertex with its tight normals, in sorted order, and the
-        vertex table. The normals positively span, so the system is bounded
-        and it is empty exactly when no candidate is feasible."""
-        start = next(_starts(self.rows, self.dim, self.scale), None)
-        if start is None:
+        """Every vertex with its tight mask, sorted, and the vertex table; an
+        empty system or a failed walk first has its normals' spanning decided."""
+        N = self.normal_set
+        if len(N.basis) < self.dim or (
+                start := next(_starts(self.rows, self.dim, self.scale), None)) is None:
+            N._decide_spanning()
             raise InputError("constraint system is empty (infeasible)")
-        found = _walk(self.rows, start)
+        try:
+            found = _walk(self.rows, start)
+        except InternalInvariantError:
+            N._decide_spanning()
+            raise
         L = lcm(*(k for (_, k), _ in found))  # sorted as ints over L
         found.sort(key=lambda e: [x * (L // e[0][1]) for x in e[0][0]])
         made = _Fractions()
         object.__setattr__(self, "vertices", tuple(
-            Vertex(tuple(made[x, k] for x in X), sum(1 << i for i in tight))
-            for (X, k), tight in found))
+            Vertex(tuple(made[x, k] for x in X), mask) for (X, k), mask in found))
         object.__setattr__(self, "vertex_table", tuple(key for key, _ in found))
 
     def _validate_irredundant(self):
@@ -305,8 +332,8 @@ def _starts(rows: Sequence[tuple], n: int, scale: int):
             yield _Simple(basis, D, tuple(columns), scale)
 
 
-def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[tuple, tuple[int, ...]]]:
-    """Every vertex with the indices of its tight rows, by a depth-first
+def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[tuple, int]]:
+    """Every vertex with the mask of its tight rows, by a depth-first
     walk over the lexicographically feasible bases from the state at a
     start basis B0. A vertex x is given as (X, k), x == X / k as ints over
     the least k > 0, read off D y == D L x in its state by `_lowest_terms`.
@@ -322,24 +349,23 @@ def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[tuple, tuple[int,
     Edge k keeps every basis row but the k-th tight and runs along
     -(column k of B^-1); row i blocks it after slack_i / -T[i][k] if
     T[i][k] < 0, relaxed slacks breaking a tie, and the nearest enters the
-    basis by one pivot. A vertex is keyed on its (X, k), its tight rows the
-    zero slacks of its state. The walk holds one state, and returns along
-    an edge by the reverse pivot, which restores it exactly.
+    basis by one pivot. A vertex is keyed on its (X, k), its tight mask
+    read off the zero slacks of its state. The walk holds one state and its
+    basis mask, and returns along an edge by the reverse pivot, which restores it.
     """
-    n = len(state.basis)
-    start = sum(1 << i for i in state.basis)
+    n, bits = len(state.basis), [1 << i for i in range(len(rows))]
+    mask = start = sum(bits[i] for i in state.basis)
     found, seen = {}, {start}
     pending = []  # per basis on the path: its (edge, entering row, neighbour) steps
-    returns = []  # per step along the path: the (edge, row) pivot back
+    returns = []  # per step along the path: the (edge, row) pivot back and the mask before it
     while True:
-        tight = [i for i, s in enumerate(state.columns[-1][:-n]) if s == 0]
-        if not set(state.basis) <= set(tight):
+        tight = sum([b for b, s in zip(bits, state.columns[-1]) if not s])
+        if tight & mask != mask:
             raise InternalInvariantError(
                 f"a basis row is not tight at vertex {format_vector(state.vertex())}")
         found.setdefault(_lowest_terms([-x for x in state.columns[-1][-n:]],
-                                       state.denominator * state.scale),
-                         tuple(tight))
-        pending.append(iter(_steps(state, start)))
+                                       state.denominator * state.scale), tight)
+        pending.append(iter(_steps(state, start, mask)))
         while pending:
             step = next((s for s in pending[-1] if s[2] not in seen), None)
             if step is not None:
@@ -348,18 +374,18 @@ def _walk(rows: Sequence[tuple], state: _Simple) -> list[tuple[tuple, tuple[int,
         if not pending:
             return list(found.items())
         while len(returns) >= len(pending):
-            state = _pivot(state, *returns.pop())
+            k, r, mask = returns.pop()
+            state = _pivot(state, k, r)
         k, r, key = step
         seen.add(key)
-        returns.append((k, state.basis[k]))
-        state = _pivot(state, k, r)
+        returns.append((k, state.basis[k], mask))
+        state, mask = _pivot(state, k, r), key
 
 
-def _steps(state: _Simple, start: int) -> list[tuple[int, int, int]]:
+def _steps(state: _Simple, start: int, mask: int) -> list[tuple[int, int, int]]:
     """Per edge k: k, the row r that blocks it first and the neighbour's
-    basis as a bitmask. Ratios slack_i / -T[i][k] are compared by
-    cross-multiplying, and a tie by `_nearer`."""
-    mask = sum(1 << i for i in state.basis)
+    basis as a bitmask, from the state's `mask`. Ratios slack_i / -T[i][k]
+    are compared by cross-multiplying, and a tie by `_nearer`."""
     slacks = state.columns[-1]
     m = len(slacks) - len(state.basis)
     steps = []

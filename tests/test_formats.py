@@ -223,10 +223,10 @@ class TestWork:
         assert len(directions) == 128 and epsilon == F(1, 2)
         assert sorted(calls) == ["-1", "1", "1/2"]
 
-    def test_box7_makes_six_fractions(self, monkeypatch):
-        # the three literals, the vertices' two distinct coordinates and the
-        # spanning LP's zero: the offsets are not wrapped again, and the
-        # spanning test runs on the normals' primitive forms
+    def test_box7_makes_five_fractions(self, monkeypatch):
+        # the three literals and the vertices' two distinct coordinates: the
+        # offsets are not wrapped again, and the walk, not an LP, decides
+        # that the normals positively span
         callers = []
         new = Fraction.__new__
 
@@ -238,5 +238,4 @@ class TestWork:
         P = parse_polytope(BOX7)
         monkeypatch.undo()
         assert len(P.vertices) == 128
-        assert sorted(callers) == (["_Fractions.__missing__"] * 2 + ["parse_rational"] * 3
-                                   + ["solve_eq_nonneg"])
+        assert sorted(callers) == ["_Fractions.__missing__"] * 2 + ["parse_rational"] * 3

@@ -179,6 +179,44 @@ def test_only_polytope_decides_positive_spanning():
     assert importers == ["polytope.py"]
 
 
+def function_calls(source: str) -> dict[str, list[str]]:
+    """Per function or method, by name, the names it calls, as a name or an
+    attribute, outside the functions nested in it."""
+    found = {}
+
+    def visit(node: ast.AST, calls: list) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, found.setdefault(child.name, []))
+                continue
+            if isinstance(child, ast.Call):
+                calls.append(getattr(child.func, "id", None) or getattr(child.func, "attr", None))
+            visit(child, calls)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_detects_the_callers_of_a_function():
+    source = ("class C:\n    def f(self):\n        return g(set(x))\n"
+              "def h():\n    def k():\n        return m.g()\n    return {1}\n")
+    assert function_calls(source) == {"f": ["g", "set"], "h": [], "k": ["g"]}
+
+
+def test_only_the_spanning_check_reads_a_farkas_direction():
+    # a build from facets leaves positive spanning to the vertex walk; the
+    # LP runs for a bare normal set, or for a build whose walk cannot finish
+    calls = function_calls((PACKAGE / "polytope.py").read_text(encoding="utf-8"))
+    assert [name for name, called in calls.items() if "farkas_direction" in called] == [
+        "_decide_spanning"]
+
+
+def test_the_walk_keeps_its_tight_sets_as_masks():
+    # each vertex's tight set and each basis is one int, with no set built
+    calls = function_calls((PACKAGE / "polytope.py").read_text(encoding="utf-8"))
+    assert "set" not in calls["_walk"] + calls["_steps"]
+
+
 def test_lp_has_one_entry_point():
     # no relation constants, constraint types or second formulation
     tree = ast.parse((PACKAGE / "lp.py").read_text(encoding="utf-8"))

@@ -90,6 +90,22 @@ class TestRationalLiterals:
             assert gcd(abs(r.numerator), r.denominator) == 1
 
 
+class TestExactEntries:
+    def test_ints_and_fractions_are_taken(self):
+        x = F(5, 7)
+        assert vec(1, -2, x, 10 ** 40) == (F(1), F(-2), F(5, 7), F(10 ** 40))
+        assert vec(x)[0] is x
+
+    @pytest.mark.parametrize("entry, name", [(0.1, "float"), (True, "bool"), (False, "bool"),
+                                             ("1/2", "str"), (None, "NoneType"),
+                                             (1 + 0j, "complex")])
+    def test_anything_else_is_refused(self, entry, name):
+        # vec(0.1, True) once gave (3602879701896397/36028797018963968, 1)
+        with pytest.raises(InputError, match=rf"^rational must be an int or a Fraction, "
+                                             rf"got {name}$"):
+            vec(1, entry)
+
+
 class TestRowsAndKernels:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=4).flatmap(

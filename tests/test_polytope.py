@@ -197,6 +197,15 @@ class TestVertexEnumeration:
         with pytest.raises(InputError, match="empty"):
             HPolytope.from_facets(1, [((1,), -2), ((-1,), 1)])
 
+    @pytest.mark.parametrize("facets", [
+        [((1,), 0.1), ((-1,), 1)], [((1,), True), ((-1,), 1)], [((1,), 1), ((-1.0,), 1)],
+        [((True,), 1), ((-1,), 1)], [((1,), "1/2"), ((-1,), 1)],
+    ], ids=["float-offset", "bool-offset", "float-entry", "bool-entry", "str-offset"])
+    def test_an_inexact_or_boolean_facet_is_refused(self, facets):
+        # an offset of 0.1 once built a segment ending at 3602879701896397/2^55
+        with pytest.raises(InputError, match="^rational must be an int or a Fraction, got"):
+            HPolytope.from_facets(1, facets)
+
     def test_building_runs_no_feasibility_lp(self, monkeypatch):
         # a bounded system is empty exactly when it has no vertex; only the
         # normal set's positive spanning is decided by LP
@@ -206,18 +215,206 @@ class TestVertexEnumeration:
         assert calls == []
 
 
+# the benchmark's 12 fixed random R^3 sets (draw "r3/2403"), with unit offsets
+R3_SETS = [
+    [(2, -2, -1), (1, 2, 0), (1, -2, -2), (0, 2, -2), (0, 1, -2), (-2, 1, -1), (-2, 0, 1)],
+    [(2, 1, 1), (0, -2, 0), (-1, 1, 1), (-1, 0, -2), (-2, 0, 2)],
+    [(1, 0, -1), (0, 1, -2), (0, -2, 0), (-1, 2, 2), (-2, 2, 0), (-2, 0, 0), (-2, -1, 2)],
+    [(2, 2, -2), (1, 2, 0), (1, 2, -1), (0, -1, 1), (0, -2, -1), (-2, 1, -1), (-2, -1, -2)],
+    [(2, 2, 0), (2, 0, 2), (1, -1, 2), (0, 1, -2), (-1, 2, -2), (-2, 2, -2), (-2, -1, 1)],
+    [(1, 0, 0), (0, 1, 2), (-1, 2, 1), (-1, -1, -2), (-1, -2, 1), (-2, 1, 0), (-2, 0, 0)],
+    [(2, 0, 2), (2, -2, -2), (1, 2, -2), (1, 1, 2), (1, 0, -2), (-2, 1, 1)],
+    [(2, 0, 0), (2, 0, -1), (-1, 0, -1), (-1, -2, 2), (-2, 2, 1)],
+    [(2, 0, -1), (2, 0, -2), (2, -2, -2), (1, 2, 2), (0, 1, 2), (-1, 0, -2), (-1, -2, 0)],
+    [(2, -1, 1), (1, -1, -1), (0, 1, 0), (0, 0, -1), (-1, 2, 0), (-1, -1, 0), (-2, -1, -2)],
+    [(2, 1, 1), (2, -1, 1), (1, -1, -1), (0, 2, 2), (0, 2, 0), (0, -1, -2), (-1, -2, -1)],
+    [(2, -2, 1), (1, 0, -2), (1, -2, 2), (0, 1, 0), (-1, 0, -2), (-2, 2, 2), (-2, 1, 0)],
+]
+# the family instances of the benchmark's workloads, each built with unit
+# offsets and with the offsets of seed 5
+FAMILY_INSTANCES = ([("box", (n,)) for n in range(3, 8)] + [("simplex", (n,)) for n in range(3, 8)]
+                    + [("simplex_product", d) for d in ((2, 1), (2, 2), (2, 2, 1), (3, 3),
+                                                        (2, 2, 2), (2, 2, 1, 1), (4, 3))]
+                    + [("square_pyramid", ())])
+
+# Each rejection of a build from facets, with the message, facet index and
+# witness that the build gave while every normal set decided its spanning
+# by LP before any walk.
+REJECTIONS = {
+    "unbounded": (2, [((1, 0), 1), ((0, 1), 1)],
+                  "constraint system is unbounded along (-1, 0)", None, vec(-1, 0)),
+    "unbounded-after-a-walk": (3, [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                                   ((-1, -1, 0), 1)],
+                               "constraint system is unbounded along (0, 0, -1)", None,
+                               vec(0, 0, -1)),
+    "rank-deficient": (3, [((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1), ((0, -1, 0), 1)],
+                       "constraint system is unbounded along (0, 0, 1)", None, vec(0, 0, 1)),
+    "empty": (1, [((1,), -2), ((-1,), 1)], "constraint system is empty (infeasible)",
+              None, None),
+    "empty-square": (2, [((1, 0), -1), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 1)],
+                     "constraint system is empty (infeasible)", None, None),
+    "empty-and-rank-deficient": (2, [((1, 0), -1), ((-1, 0), -1)],
+                                 "constraint system is unbounded along (0, 1)", None, vec(0, 1)),
+    "empty-and-unbounded": (2, [((1, 0), -1), ((-1, 0), -1), ((0, 1), 1)],
+                            "constraint system is unbounded along (0, -1)", None, vec(0, -1)),
+    "never-attained": (2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1), ((1, 1), 3)],
+                       "facet with normal (1, 1) is redundant (offset never attained)", 0, None),
+    "not-a-facet": (2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1), ((1, 1), 2)],
+                    "facet with normal (1, 1) is redundant (tight set is not a facet)", 0, None),
+    "not-full-dimensional": (2, [((1, 0), 1), ((0, 1), 0), ((0, -1), 0), ((-1, 0), 1)],
+                             "polytope is not full-dimensional (normal (0, 1) is tight at "
+                             "every vertex)", 1, None),
+    "zero": (2, [((1, 0), 1), ((0, 0), 1)], "normal 1 is the zero vector", 1, None),
+    "multiple": (2, [((1, 0), 1), ((2, 0), 1)], "normal 1 is a positive multiple of normal 0",
+                 1, None),
+    "dimension": (2, [((1, 0), 1), ((1, 0, 0), 1)], "normal 1 has dimension 3, expected 2",
+                  1, None),
+}
+
+
+def decided_build_verdict(dim, facets):
+    """What `HPolytope.from_facets` gives when the normal set decides its
+    spanning by LP before any walk: `normal_set_verdict` first; then an
+    empty system is one with no feasible candidate; then the build on the
+    decided set, whose vertices must be the candidate scan's. ("ok",
+    vertices) or ("error", message, facet index, witness)."""
+    normals = tuple(vec(*m) for m, _ in facets)
+    verdict = normal_set_verdict(dim, normals)
+    if verdict[0] == "error":
+        return verdict
+    N = NormalSet(dim, normals)
+    offsets = tuple(F(h) for _, h in sorted(((vec(*m), h) for m, h in facets), reverse=True))
+    (rows, L) = polytope._rows(N.normals, offsets)
+    scanned = as_masks(walk_reference._scan(
+        rows, L, walk_reference.feasible_candidates(rows, dim, L)))
+    if not scanned:
+        return "error", "constraint system is empty (infeasible)", None, None
+    try:
+        P = HPolytope(N, offsets)
+    except InputError as err:
+        return "error", str(err), err.facet_index, err.witness
+    assert P.vertices == tuple(sorted(Vertex(tuple(F(x, k) for x in X), mask)
+                                      for (X, k), mask in scanned))
+    return "ok", P.vertices
+
+
+def primitive_or_zero(v):
+    return tuple(v) if not any(v) else kernel.primitive_form(vec(*v))
+
+
+@st.composite
+def facet_systems(draw):
+    """Facets in R^1..R^4 with entries in -2..2, half of the time closed by
+    -(the sum of the normals), and offsets in {-1, 0, 1/2, 1, 2}: the draws
+    are unbounded, empty, both, rank-deficient, redundant or polytopes."""
+    dim = draw(st.integers(1, 4))
+    normals = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=dim,
+                            max_size=2 * dim + 2, unique_by=primitive_or_zero))
+    if draw(st.booleans()):
+        normals.append(tuple(-sum(c) for c in zip(*normals)))
+    offsets = st.sampled_from([F(-1), F(0), F(1, 2), F(1), F(1), F(2)])
+    return dim, [(m, draw(offsets)) for m in normals]
+
+
+class TestSpanningByTheWalk:
+    @pytest.mark.parametrize("family, dims", FAMILY_INSTANCES,
+                             ids=["-".join(map(str, (f, *d))) for f, d in FAMILY_INSTANCES])
+    def test_a_family_instance_builds_with_no_lp(self, monkeypatch, family, dims):
+        calls = count_lps(monkeypatch)
+        P = generate(family, dims)
+        randomize_offsets(P, 5)
+        assert calls == []
+
+    @pytest.mark.parametrize("normals", R3_SETS, ids=[f"r3-{i}" for i in range(len(R3_SETS))])
+    def test_a_fixed_r3_set_builds_with_no_lp(self, monkeypatch, normals):
+        calls = count_lps(monkeypatch)
+        P = HPolytope.from_facets(3, [(m, 1) for m in normals])
+        assert calls == [] and len(P.normal_set.normals) == len(normals)
+
+    def test_a_bare_normal_set_decides_by_one_lp(self, monkeypatch):
+        calls = count_lps(monkeypatch)
+        NormalSet.from_vectors(3, box(3).normal_set.normals)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(REJECTIONS))
+    def test_each_rejection_keeps_its_payload(self, name):
+        dim, facets, message, facet_index, witness = REJECTIONS[name]
+        with pytest.raises(InputError) as exc:
+            HPolytope.from_facets(dim, facets)
+        assert (str(exc.value), exc.value.facet_index, exc.value.witness) == (
+            message, facet_index, witness)
+        assert decided_build_verdict(dim, facets) == ("error", message, facet_index, witness)
+
+    def test_an_empty_system_decides_its_spanning_by_lp(self, monkeypatch):
+        # no candidate is feasible, so the spanning LP runs, passes, and
+        # the system is reported empty; a bare normal set has decided
+        # already, and its empty systems pose no further LP
+        dim, facets = REJECTIONS["empty-square"][:2]
+        calls = count_lps(monkeypatch)
+        with pytest.raises(InputError, match="empty"):
+            HPolytope.from_facets(dim, facets)
+        assert len(calls) == 1
+        N = NormalSet.from_vectors(dim, [m for m, _ in facets])
+        assert len(calls) == 2
+        with pytest.raises(InputError, match="empty"):
+            HPolytope(N, (F(-1),) * 4)
+        assert len(calls) == 2
+
+    def test_an_unblocked_edge_on_a_bounded_system_is_still_an_internal_error(
+            self, monkeypatch, capsys):
+        # the first ratio test, edge 0 at the start, finds no blocking
+        # normal; box3's normals pass the spanning LP, so the walk's fault
+        # is reported as the walk's (exit 3), not as an unbounded input
+        steps, patched = polytope._steps, []
+
+        def unblocked(state, start, mask):
+            if not patched:
+                patched.append(state)
+                state = state._replace(columns=((0,) * len(state.columns[0]),
+                                                *state.columns[1:]))
+            return steps(state, start, mask)
+
+        monkeypatch.setattr(polytope, "_steps", unblocked)
+        calls = count_lps(monkeypatch)
+        assert run_command(["gen", "box", "--dims", "3"]) == 3
+        assert capsys.readouterr().out == (
+            '{"error":"no normal blocks edge 0 at vertex (1, 1, 1)"}\n')
+        assert len(patched) == 1 and len(calls) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(facet_systems())
+    @example((1, [((1,), F(1, 2)), ((-1,), F(0))]))
+    @example((1, [((1,), F(-1)), ((-1,), F(0))]))
+    @example((2, [((1, 0), F(0)), ((0, 1), F(-1)), ((-1, -1), F(0))]))
+    @example((3, [((1, 0, 0), F(1)), ((0, 1, 0), F(1)), ((-1, -1, 0), F(1))]))
+    @example((4, [((1, 0, 0, 0), F(1)), ((0, 1, 0, 0), F(1)), ((0, 0, 1, 0), F(1)),
+                  ((0, 0, 0, 1), F(1)), ((-1, -1, -1, 0), F(1))]))
+    def test_agrees_with_the_build_on_a_decided_normal_set(self, system):
+        dim, facets = system
+        try:
+            found = "ok", HPolytope.from_facets(dim, facets).vertices
+        except InputError as err:
+            found = "error", str(err), err.facet_index, err.witness
+        assert found == decided_build_verdict(dim, facets)
+
+
+def as_masks(found):
+    """The (key, tight rows) pairs of a reference, each with its rows as the
+    walk's index bitmask."""
+    return [(key, sum(1 << i for i in tight)) for key, tight in found]
+
+
 def route_vertices(normals, offsets):
     """The vertex tuples of the walk, from its first start, and of the
     candidate scan."""
     (rows, L), n = polytope._rows(normals, offsets), len(normals[0])
 
     def as_vertices(found):
-        return tuple(sorted(Vertex(tuple(F(x, k) for x in X), sum(1 << i for i in tight))
-                            for (X, k), tight in found))
+        return tuple(sorted(Vertex(tuple(F(x, k) for x in X), mask) for (X, k), mask in found))
 
     return (as_vertices(polytope._walk(rows, next(polytope._starts(rows, n, L)))),
-            as_vertices(walk_reference._scan(
-                rows, L, walk_reference.feasible_candidates(rows, n, L))))
+            as_vertices(as_masks(walk_reference._scan(
+                rows, L, walk_reference.feasible_candidates(rows, n, L)))))
 
 
 def normals_and_offsets(P):
@@ -309,9 +506,10 @@ class TestVertexWalk:
         visited = []
         steps = polytope._steps
 
-        def recording(state, start):
+        def recording(state, start, mask):
             visited.append(tuple(sorted(state.basis)))
-            return steps(state, start)
+            assert mask == sum(1 << i for i in state.basis)
+            return steps(state, start, mask)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polytope, "_steps", recording)
@@ -341,10 +539,10 @@ class TestVertexWalk:
         walked = polytope._walk(rows, start)
         expected = walk_reference._walk(normals, offsets, start.basis, start.vertex())
         if expected is None:  # a degenerate vertex, which the Fraction walk gives up at
-            assert sorted(walked) == sorted(walk_reference._scan(
-                rows, L, walk_reference.feasible_candidates(rows, n, L)))
+            assert sorted(walked) == sorted(as_masks(walk_reference._scan(
+                rows, L, walk_reference.feasible_candidates(rows, n, L))))
         else:
-            assert walked == list(expected.items())
+            assert walked == as_masks(expected.items())
 
     @settings(max_examples=40, deadline=None)
     @given(valid_normal_sets(dims=(2, 3, 4)), st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -404,9 +602,9 @@ class TestVertexWalk:
             (rows, L), visited = polytope._rows(*system), []
             steps = polytope._steps
 
-            def recording(state, start):
+            def recording(state, start, mask):
                 visited.append(state.basis)
-                return steps(state, start)
+                return steps(state, start, mask)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(polytope, "_steps", recording)
@@ -445,7 +643,7 @@ class TestVertexWalk:
         normals, offsets = P.normal_set.normals, P.offsets
         start = next(polytope._starts(P.rows, P.dim, P.scale))
         expected = walk_reference._walk(normals, offsets, start.basis, start.vertex())
-        assert polytope._walk(P.rows, start) == list(expected.items())
+        assert polytope._walk(P.rows, start) == as_masks(expected.items())
 
     @pytest.mark.parametrize("P", [
         set_n(), box(3), generate("simplex_product", (2, 2, 1)),

@@ -4,6 +4,7 @@ the `HPolytope.__post_init__` hook that the benchmark's tracer times."""
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from tests.oracle_reference import enumerate_direction_classes
 
 ROOT = Path(__file__).resolve().parent.parent
 
-TRIANGLE_FACETS = [((1, 0), 1), ((0, 1), 2), ((-1, -1), "1/2")]
+TRIANGLE_FACETS = [((1, 0), 1), ((0, 1), 2), ((-1, -1), Fraction(1, 2))]
 TRIANGLE_NORMALS = ("((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1)), "
                     "(Fraction(-1, 1), Fraction(-1, 1)))")
 
